@@ -66,17 +66,321 @@ from .systems import (
     step_map_batch,
 )
 
-METHODS = (
-    "companion_dmd",
-    "pinv_dmd",
-    "edmd",
-    "gla",
-    "partition",
-    "static",
-    "mz",
-    "sindy",
-    "repr_check",
-)
+_MERSENNE_MASK = (1 << 64) - 1
+
+
+def _complex_json(z) -> dict:
+    z = complex(z)
+    return {"re": float(z.real), "im": float(z.imag)}
+
+
+def _decode_number(v):
+    if isinstance(v, dict):
+        return complex(v.get("re", 0.0), v.get("im", 0.0))
+    return v
+
+
+def _decode_matrix(rows) -> np.ndarray:
+    return np.array([[_decode_number(v) for v in row] for row in rows])
+
+
+def _build_dictionary(node) -> ObservableDictionary:
+    if isinstance(node, list):
+        return ObservableDictionary.from_json(node)
+    builder = node["builder"]
+    if builder == "fourier_box":
+        return fourier_box(node["dim"], node["kmax"], node.get("kind", "fourier"))
+    return monomial_library(tuple(node["coords"]), node["degree"])
+
+
+def _build_grid(node) -> RegularGrid:
+    if node.get("kind") == "unit_square":
+        return RegularGrid.unit_square(node["n"])
+    if "axes" not in node:
+        raise UsageError("grid needs either kind 'unit_square' or explicit axes")
+    axes, periods = [], []
+    for ax in node["axes"]:
+        axes.append(np.linspace(ax["lo"], ax["hi"], ax["n"]))
+        periods.append(ax.get("period"))
+    return RegularGrid(axes=tuple(axes), periods=tuple(periods))
+
+
+def _write_eigenvalue_csv(path, eigs) -> None:
+    eigs = np.asarray(eigs, dtype=complex).ravel()
+    rows = np.column_stack([eigs.real, eigs.imag])
+    np.savetxt(path, rows, delimiter=",", header="re,im", comments="")
+
+
+def _make_trajectory(spec: SystemSpec, sampling: dict):
+    if "initial_state" not in sampling:
+        raise UsageError("sampling.initial_state is required for this method")
+    if "n" not in sampling:
+        raise UsageError("sampling.n is required for this method")
+    dt = 0.0 if spec.is_map else float(sampling.get("dt", 0.0))
+    if not spec.is_map and dt <= 0.0:
+        raise UsageError("flows need sampling.dt > 0")
+    return integrate(spec, tuple(sampling["initial_state"]), dt=dt, n_steps=sampling["n"])
+
+
+def emit_lattice(c: float, omega: float, N: int, M: int) -> np.ndarray:
+    """Eigenvalue grid i*n*omega + m*beta for n in 0..N, m in 0..M.
+
+    beta is the decaying spiral exponent (-c + sqrt(c^2-8))/2, the root
+    with nonnegative imaginary part.  Rows come out in (n, m) loop order.
+    """
+    if N < 0 or M < 0:
+        raise UsageError("lattice truncation requires N, M >= 0")
+    beta = duffing_fixed_point_eigenvalues(c)[0]
+    return np.array(
+        [1j * n * omega + m * beta for n in range(N + 1) for m in range(M + 1)],
+        dtype=complex,
+    )
+
+
+# ---------------------------------------------------------------- methods
+
+
+def _dmd_series(config, traj) -> np.ndarray:
+    """States fed to the snapshot pair, through the dictionary if given."""
+    if "dictionary" in config:
+        return _build_dictionary(config["dictionary"]).evaluate(traj.states)
+    return traj.states
+
+
+def _run_companion_dmd(config, spec, out_dir, seed, stream):
+    traj = _make_trajectory(spec, config.get("sampling", {}))
+    pair = SnapshotPair.from_series(_dmd_series(config, traj), dt=traj.dt)
+    model = companion_dmd(pair)
+    _write_eigenvalue_csv(out_dir / "eigenvalues.csv", model.eigenvalues)
+    np.savetxt(
+        out_dir / "companion_c.csv",
+        np.column_stack([model.c.real, model.c.imag]),
+        delimiter=",",
+        header="re,im",
+        comments="",
+    )
+    return {
+        "eigenvalues": model.eigenvalues,
+        "residuals": {"companion_residual": model.residual},
+        "artifacts": ["eigenvalues.csv", "companion_c.csv"],
+    }
+
+
+def _run_pinv_dmd(config, spec, out_dir, seed, stream):
+    traj = _make_trajectory(spec, config.get("sampling", {}))
+    pair = SnapshotPair.from_series(_dmd_series(config, traj), dt=traj.dt)
+    A = pseudoinverse_dmd(pair)
+    triple = spectral_triple(A, pair)
+    _write_eigenvalue_csv(out_dir / "eigenvalues.csv", triple.eigenvalues)
+    with open(out_dir / "triple.json", "w") as fh:
+        json.dump(triple.to_json(), fh, indent=2, sort_keys=True)
+    return {
+        "eigenvalues": triple.eigenvalues,
+        "residuals": {"reconstruction": triple.reconstruction_residual},
+        "artifacts": ["eigenvalues.csv", "triple.json"],
+    }
+
+
+def _run_edmd(config, spec, out_dir, seed, stream):
+    traj = _make_trajectory(spec, config.get("sampling", {}))
+    dictionary = _build_dictionary(config["dictionary"])
+    section = finite_section_matrix(dictionary, traj)
+    eigs = section.eigenvalues()
+    section.to_csv(out_dir / "section.csv")
+    _write_eigenvalue_csv(out_dir / "eigenvalues.csv", eigs)
+    artifacts = ["section.csv", "eigenvalues.csv"]
+    if traj.dt > 0:
+        _write_eigenvalue_csv(
+            out_dir / "eigenvalues_continuous.csv",
+            continuous_time_eigenvalues(eigs, traj.dt),
+        )
+        artifacts.append("eigenvalues_continuous.csv")
+    return {
+        "eigenvalues": eigs,
+        "residuals": {"route_disagreement": section.route_disagreement},
+        "artifacts": artifacts,
+    }
+
+
+def _run_gla(config, spec, out_dir, seed, stream):
+    traj = _make_trajectory(spec, config.get("sampling", {}))
+    params = config["method_params"]
+    lam = _decode_number(params["lambda_target"])
+    g = Observable.from_json(params["observable"])
+    avg = gla_eigenfunction(traj, lam, g, window=params.get("window"))
+    rows = np.column_stack(
+        [np.arange(avg.samples.size), avg.samples.real, avg.samples.imag]
+    )
+    np.savetxt(out_dir / "harmonic.csv", rows, delimiter=",", header="k,re,im", comments="")
+    return {
+        "eigenvalues": [avg.multiplier],
+        "residuals": {"harmonic_residual": avg.residual},
+        "artifacts": ["harmonic.csv"],
+    }
+
+
+def _run_partition(config, spec, out_dir, seed, stream):
+    sampling = config["sampling"]
+    dictionary = _build_dictionary(config["dictionary"])
+    grid = _build_grid(sampling["grid"])
+    dt = None if spec.is_map else sampling.get("dt")
+    params = config.get("method_params", {})
+    field = time_average(dictionary, spec, grid, n=sampling.get("n", 1000), dt=dt)
+    labeling = ergodic_partition_approx(field, bins_per_obs=params.get("bins", 3))
+    score = partition_invariance_score(
+        labeling,
+        spec,
+        n_test=params.get("n_test", 1),
+        dt=dt,
+        sample_limit=params.get("sample_limit"),
+        seed=seed,
+    )
+    field.to_csv(out_dir / "field.csv")
+    labeling.to_csv(out_dir / "labeling.csv")
+    with open(out_dir / "labeling.json", "w") as fh:
+        json.dump(labeling.to_json(invariance_score=score), fh, indent=2, sort_keys=True)
+    return {
+        "eigenvalues": [],
+        "residuals": {
+            "invariance_score": score,
+            "n_cells": labeling.n_cells,
+            "diverged_fraction": float(np.mean(field.diverged)),
+        },
+        "artifacts": ["field.csv", "labeling.csv", "labeling.json"],
+    }
+
+
+def _run_static(config, spec, out_dir, seed, stream):
+    if not spec.is_map:
+        raise UsageError("static regression needs a discrete map system")
+    sampling = config.get("sampling", {})
+    n = sampling.get("n", 100)
+    params = config.get("method_params", {})
+    lo, hi = params.get("box", [-1.0, 1.0])
+    rng = np.random.default_rng(seed)
+    inputs = rng.uniform(lo, hi, size=(n, spec.dim))
+    outputs = step_map_batch(spec, inputs)
+    pairs = PairedSamples(inputs=inputs, outputs=outputs)
+    fit = fit_static_linear(
+        pairs,
+        _build_dictionary(config["dictionary"]),
+        _build_dictionary(config["dictionary_out"]),
+    )
+    fit.to_csv(out_dir / "A.csv")
+    pairs.to_csv(out_dir / "pairs.csv")
+    return {
+        "eigenvalues": [],
+        "residuals": {
+            "fit_residual": fit.residual,
+            "rank": fit.rank,
+            "rank_deficient": fit.rank_deficient,
+        },
+        "artifacts": ["A.csv", "pairs.csv"],
+    }
+
+
+def _run_mz(config, spec, out_dir, seed, stream):
+    params = config.get("method_params", {})
+    if "closure" in params:
+        closure = params["closure"]
+        f = FourierObservable([_decode_number(v) for v in closure["coefficients"]])
+        result = circle_rotation_closure(
+            f, closure["omega"], closure.get("m_samples", 4096)
+        )
+        payload = {
+            "lambda": _complex_json(result["lambda"]),
+            "lambda_empirical": _complex_json(result["lambda_empirical"]),
+            "residual_markov": result["residual_markov"],
+            "orthogonal_fraction": result["orthogonal_fraction"],
+        }
+        with open(out_dir / "closure.json", "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+        return {
+            "eigenvalues": [result["lambda"]],
+            "residuals": {
+                "residual_markov": result["residual_markov"],
+                "lambda_route_gap": abs(result["lambda"] - result["lambda_empirical"]),
+            },
+            "artifacts": ["closure.json"],
+        }
+    traj = _make_trajectory(spec, config.get("sampling", {}))
+    dictionary = _build_dictionary(config["dictionary"])
+    dec = mz_decompose(dictionary, traj, k_max=params.get("k_max", 10))
+    dec.to_csv(out_dir / "mz.csv")
+    return {
+        "eigenvalues": [],
+        "residuals": {
+            "orthogonal_max": float(np.max(dec.orthogonal_norms)),
+            "cross_max": float(np.max(dec.cross_norms)),
+        },
+        "artifacts": ["mz.csv"],
+    }
+
+
+def _run_sindy(config, spec, out_dir, seed, stream):
+    traj = _make_trajectory(spec, config.get("sampling", {}))
+    library = _build_dictionary(config["dictionary"])
+    threshold = config.get("method_params", {}).get("threshold")
+    model = sindy_fit(traj, library, threshold=threshold)
+    model.save_json(out_dir / "model.json")
+    return {
+        "eigenvalues": [],
+        "residuals": {
+            "fit_residual": model.residual,
+            "n_terms": int(np.count_nonzero(model.coefficients)),
+        },
+        "artifacts": ["model.json"],
+    }
+
+
+def _run_repr_check(config, spec, out_dir, seed, stream):
+    traj = _make_trajectory(spec, config.get("sampling", {}))
+    dictionary = _build_dictionary(config["dictionary"])
+    A = _decode_matrix(config["method_params"]["coefficients"])
+    model = RepresentationModel(
+        observables=dictionary, map_kind="linear", coefficients=A
+    )
+    residual = representation_residual(model, traj)
+    values = dictionary.evaluate(traj.states)
+    faith = faithfulness_estimate(values, traj.states)
+    i, j = faith["witness"]
+    print("check           value", file=stream)
+    print(f"residual        {residual:.6e}", file=stream)
+    print(
+        f"faithfulness    {faith['score']:.6e}  (witness samples {i}, {j})",
+        file=stream,
+    )
+    payload = {
+        "residual": residual,
+        "faithfulness": faith["score"],
+        "witness": [i, j],
+    }
+    with open(out_dir / "report.json", "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+    return {
+        "eigenvalues": [],
+        "residuals": {"representation": residual, "faithfulness": faith["score"]},
+        "artifacts": ["report.json"],
+    }
+
+
+# method name -> runner(config, spec, out_dir, seed, stream) returning the
+# eigenvalues, residuals and artifact names of the summary
+_RUNNERS = {
+    "companion_dmd": _run_companion_dmd,
+    "pinv_dmd": _run_pinv_dmd,
+    "edmd": _run_edmd,
+    "gla": _run_gla,
+    "partition": _run_partition,
+    "static": _run_static,
+    "mz": _run_mz,
+    "sindy": _run_sindy,
+    "repr_check": _run_repr_check,
+}
+METHODS = tuple(_RUNNERS)
+
+
+# ---------------------------------------------------------------- schemas
 
 _DICTIONARY_SCHEMA = {
     "oneOf": [
@@ -262,303 +566,6 @@ SUMMARY_SCHEMA = {
     },
 }
 
-_MERSENNE_MASK = (1 << 64) - 1
-
-
-def _complex_json(z) -> dict:
-    z = complex(z)
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def _decode_number(v):
-    if isinstance(v, dict):
-        return complex(v.get("re", 0.0), v.get("im", 0.0))
-    return v
-
-
-def _decode_matrix(rows) -> np.ndarray:
-    return np.array([[_decode_number(v) for v in row] for row in rows])
-
-
-def _build_dictionary(node) -> ObservableDictionary:
-    if isinstance(node, list):
-        return ObservableDictionary.from_json(node)
-    builder = node["builder"]
-    if builder == "fourier_box":
-        return fourier_box(node["dim"], node["kmax"], node.get("kind", "fourier"))
-    return monomial_library(tuple(node["coords"]), node["degree"])
-
-
-def _build_grid(node) -> RegularGrid:
-    if node.get("kind") == "unit_square":
-        return RegularGrid.unit_square(node["n"])
-    if "axes" not in node:
-        raise UsageError("grid needs either kind 'unit_square' or explicit axes")
-    axes, periods = [], []
-    for ax in node["axes"]:
-        axes.append(np.linspace(ax["lo"], ax["hi"], ax["n"]))
-        periods.append(ax.get("period"))
-    return RegularGrid(axes=tuple(axes), periods=tuple(periods))
-
-
-def _write_eigenvalue_csv(path, eigs) -> None:
-    eigs = np.asarray(eigs, dtype=complex).ravel()
-    rows = np.column_stack([eigs.real, eigs.imag])
-    np.savetxt(path, rows, delimiter=",", header="re,im", comments="")
-
-
-def _make_trajectory(spec: SystemSpec, sampling: dict):
-    if "initial_state" not in sampling:
-        raise UsageError("sampling.initial_state is required for this method")
-    if "n" not in sampling:
-        raise UsageError("sampling.n is required for this method")
-    dt = 0.0 if spec.is_map else float(sampling.get("dt", 0.0))
-    if not spec.is_map and dt <= 0.0:
-        raise UsageError("flows need sampling.dt > 0")
-    return integrate(spec, tuple(sampling["initial_state"]), dt=dt, n_steps=sampling["n"])
-
-
-def emit_lattice(c: float, omega: float, N: int, M: int) -> np.ndarray:
-    """Eigenvalue grid i*n*omega + m*beta for n in 0..N, m in 0..M.
-
-    beta is the decaying spiral exponent (-c + sqrt(c^2-8))/2, the root
-    with nonnegative imaginary part.  Rows come out in (n, m) loop order.
-    """
-    if N < 0 or M < 0:
-        raise UsageError("lattice truncation requires N, M >= 0")
-    beta = duffing_fixed_point_eigenvalues(c)[0]
-    return np.array(
-        [1j * n * omega + m * beta for n in range(N + 1) for m in range(M + 1)],
-        dtype=complex,
-    )
-
-
-# ---------------------------------------------------------------- methods
-
-
-def _dmd_series(config, traj) -> np.ndarray:
-    """States fed to the snapshot pair, through the dictionary if given."""
-    if "dictionary" in config:
-        return _build_dictionary(config["dictionary"]).evaluate(traj.states)
-    return traj.states
-
-
-def _run_companion_dmd(config, spec, out_dir):
-    traj = _make_trajectory(spec, config.get("sampling", {}))
-    pair = SnapshotPair.from_series(_dmd_series(config, traj), dt=traj.dt)
-    model = companion_dmd(pair)
-    _write_eigenvalue_csv(out_dir / "eigenvalues.csv", model.eigenvalues)
-    np.savetxt(
-        out_dir / "companion_c.csv",
-        np.column_stack([model.c.real, model.c.imag]),
-        delimiter=",",
-        header="re,im",
-        comments="",
-    )
-    return {
-        "eigenvalues": model.eigenvalues,
-        "residuals": {"companion_residual": model.residual},
-        "artifacts": ["eigenvalues.csv", "companion_c.csv"],
-    }
-
-
-def _run_pinv_dmd(config, spec, out_dir):
-    traj = _make_trajectory(spec, config.get("sampling", {}))
-    pair = SnapshotPair.from_series(_dmd_series(config, traj), dt=traj.dt)
-    A = pseudoinverse_dmd(pair)
-    triple = spectral_triple(A, pair)
-    _write_eigenvalue_csv(out_dir / "eigenvalues.csv", triple.eigenvalues)
-    with open(out_dir / "triple.json", "w") as fh:
-        json.dump(triple.to_json(), fh, indent=2, sort_keys=True)
-    return {
-        "eigenvalues": triple.eigenvalues,
-        "residuals": {"reconstruction": triple.reconstruction_residual},
-        "artifacts": ["eigenvalues.csv", "triple.json"],
-    }
-
-
-def _run_edmd(config, spec, out_dir):
-    traj = _make_trajectory(spec, config.get("sampling", {}))
-    dictionary = _build_dictionary(config["dictionary"])
-    section = finite_section_matrix(dictionary, traj)
-    eigs = section.eigenvalues()
-    section.to_csv(out_dir / "section.csv")
-    _write_eigenvalue_csv(out_dir / "eigenvalues.csv", eigs)
-    artifacts = ["section.csv", "eigenvalues.csv"]
-    if traj.dt > 0:
-        _write_eigenvalue_csv(
-            out_dir / "eigenvalues_continuous.csv",
-            continuous_time_eigenvalues(eigs, traj.dt),
-        )
-        artifacts.append("eigenvalues_continuous.csv")
-    return {
-        "eigenvalues": eigs,
-        "residuals": {"route_disagreement": section.route_disagreement},
-        "artifacts": artifacts,
-    }
-
-
-def _run_gla(config, spec, out_dir):
-    traj = _make_trajectory(spec, config.get("sampling", {}))
-    params = config["method_params"]
-    lam = _decode_number(params["lambda_target"])
-    g = Observable.from_json(params["observable"])
-    avg = gla_eigenfunction(traj, lam, g, window=params.get("window"))
-    rows = np.column_stack(
-        [np.arange(avg.samples.size), avg.samples.real, avg.samples.imag]
-    )
-    np.savetxt(out_dir / "harmonic.csv", rows, delimiter=",", header="k,re,im", comments="")
-    return {
-        "eigenvalues": [avg.multiplier],
-        "residuals": {"harmonic_residual": avg.residual},
-        "artifacts": ["harmonic.csv"],
-    }
-
-
-def _run_partition(config, spec, out_dir, seed):
-    sampling = config["sampling"]
-    dictionary = _build_dictionary(config["dictionary"])
-    grid = _build_grid(sampling["grid"])
-    dt = None if spec.is_map else sampling.get("dt")
-    params = config.get("method_params", {})
-    field = time_average(dictionary, spec, grid, n=sampling.get("n", 1000), dt=dt)
-    labeling = ergodic_partition_approx(field, bins_per_obs=params.get("bins", 3))
-    score = partition_invariance_score(
-        labeling,
-        spec,
-        n_test=params.get("n_test", 1),
-        dt=dt,
-        sample_limit=params.get("sample_limit"),
-        seed=seed,
-    )
-    field.to_csv(out_dir / "field.csv")
-    labeling.to_csv(out_dir / "labeling.csv")
-    with open(out_dir / "labeling.json", "w") as fh:
-        json.dump(labeling.to_json(invariance_score=score), fh, indent=2, sort_keys=True)
-    return {
-        "eigenvalues": [],
-        "residuals": {
-            "invariance_score": score,
-            "n_cells": labeling.n_cells,
-            "diverged_fraction": float(np.mean(field.diverged)),
-        },
-        "artifacts": ["field.csv", "labeling.csv", "labeling.json"],
-    }
-
-
-def _run_static(config, spec, out_dir, seed):
-    if not spec.is_map:
-        raise UsageError("static regression needs a discrete map system")
-    sampling = config.get("sampling", {})
-    n = sampling.get("n", 100)
-    params = config.get("method_params", {})
-    lo, hi = params.get("box", [-1.0, 1.0])
-    rng = np.random.default_rng(seed)
-    inputs = rng.uniform(lo, hi, size=(n, spec.dim))
-    outputs = step_map_batch(spec, inputs)
-    pairs = PairedSamples(inputs=inputs, outputs=outputs)
-    fit = fit_static_linear(
-        pairs,
-        _build_dictionary(config["dictionary"]),
-        _build_dictionary(config["dictionary_out"]),
-    )
-    fit.to_csv(out_dir / "A.csv")
-    pairs.to_csv(out_dir / "pairs.csv")
-    return {
-        "eigenvalues": [],
-        "residuals": {
-            "fit_residual": fit.residual,
-            "rank": fit.rank,
-            "rank_deficient": fit.rank_deficient,
-        },
-        "artifacts": ["A.csv", "pairs.csv"],
-    }
-
-
-def _run_mz(config, spec, out_dir):
-    params = config.get("method_params", {})
-    if "closure" in params:
-        closure = params["closure"]
-        f = FourierObservable([_decode_number(v) for v in closure["coefficients"]])
-        result = circle_rotation_closure(
-            f, closure["omega"], closure.get("m_samples", 4096)
-        )
-        payload = {
-            "lambda": _complex_json(result["lambda"]),
-            "lambda_empirical": _complex_json(result["lambda_empirical"]),
-            "residual_markov": result["residual_markov"],
-            "orthogonal_fraction": result["orthogonal_fraction"],
-        }
-        with open(out_dir / "closure.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        return {
-            "eigenvalues": [result["lambda"]],
-            "residuals": {
-                "residual_markov": result["residual_markov"],
-                "lambda_route_gap": abs(result["lambda"] - result["lambda_empirical"]),
-            },
-            "artifacts": ["closure.json"],
-        }
-    traj = _make_trajectory(spec, config.get("sampling", {}))
-    dictionary = _build_dictionary(config["dictionary"])
-    dec = mz_decompose(dictionary, traj, k_max=params.get("k_max", 10))
-    dec.to_csv(out_dir / "mz.csv")
-    return {
-        "eigenvalues": [],
-        "residuals": {
-            "orthogonal_max": float(np.max(dec.orthogonal_norms)),
-            "cross_max": float(np.max(dec.cross_norms)),
-        },
-        "artifacts": ["mz.csv"],
-    }
-
-
-def _run_sindy(config, spec, out_dir):
-    traj = _make_trajectory(spec, config.get("sampling", {}))
-    library = _build_dictionary(config["dictionary"])
-    threshold = config.get("method_params", {}).get("threshold")
-    model = sindy_fit(traj, library, threshold=threshold)
-    model.save_json(out_dir / "model.json")
-    return {
-        "eigenvalues": [],
-        "residuals": {
-            "fit_residual": model.residual,
-            "n_terms": int(np.count_nonzero(model.coefficients)),
-        },
-        "artifacts": ["model.json"],
-    }
-
-
-def _run_repr_check(config, spec, out_dir, stream):
-    traj = _make_trajectory(spec, config.get("sampling", {}))
-    dictionary = _build_dictionary(config["dictionary"])
-    A = _decode_matrix(config["method_params"]["coefficients"])
-    model = RepresentationModel(
-        observables=dictionary, map_kind="linear", coefficients=A
-    )
-    residual = representation_residual(model, traj)
-    values = dictionary.evaluate(traj.states)
-    faith = faithfulness_estimate(values, traj.states)
-    i, j = faith["witness"]
-    print("check           value", file=stream)
-    print(f"residual        {residual:.6e}", file=stream)
-    print(
-        f"faithfulness    {faith['score']:.6e}  (witness samples {i}, {j})",
-        file=stream,
-    )
-    payload = {
-        "residual": residual,
-        "faithfulness": faith["score"],
-        "witness": [i, j],
-    }
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return {
-        "eigenvalues": [],
-        "residuals": {"representation": residual, "faithfulness": faith["score"]},
-        "artifacts": ["report.json"],
-    }
-
 
 # ----------------------------------------------------------------- driver
 
@@ -593,24 +600,7 @@ def run(config: dict, out_dir, stream=None) -> dict:
     seed = int(config.get("sampling", {}).get("seed", 0)) & _MERSENNE_MASK
     method = config["method"]
     t0 = time.perf_counter()
-    if method == "companion_dmd":
-        result = _run_companion_dmd(config, spec, out_dir)
-    elif method == "pinv_dmd":
-        result = _run_pinv_dmd(config, spec, out_dir)
-    elif method == "edmd":
-        result = _run_edmd(config, spec, out_dir)
-    elif method == "gla":
-        result = _run_gla(config, spec, out_dir)
-    elif method == "partition":
-        result = _run_partition(config, spec, out_dir, seed)
-    elif method == "static":
-        result = _run_static(config, spec, out_dir, seed)
-    elif method == "mz":
-        result = _run_mz(config, spec, out_dir)
-    elif method == "sindy":
-        result = _run_sindy(config, spec, out_dir)
-    else:
-        result = _run_repr_check(config, spec, out_dir, stream)
+    result = _RUNNERS[method](config, spec, out_dir, seed, stream)
     elapsed = time.perf_counter() - t0
 
     summary = {

@@ -33,7 +33,7 @@ def moore_penrose_pseudoinverse(M) -> np.ndarray:
     if s.size == 0 or s[0] == 0.0:
         return np.zeros_like(M.conj().T)
     cutoff = max(M.shape) * np.finfo(float).eps * s[0]
-    inv = np.where(s < cutoff, 0.0, np.divide(1.0, s, where=s > 0))
+    inv = np.where(s < cutoff, 0.0, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0))
     return (Vh.conj().T * inv) @ U.conj().T
 
 

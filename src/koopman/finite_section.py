@@ -23,14 +23,10 @@ import numpy as np
 
 from .errors import DegenerateDictionaryError, UsageError
 from .observables import ObservableDictionary
+from .systems import _states_of
 
 _COND_GRAM_LIMIT = 1e12
 _ROUTE_TOL = 1e-10
-
-
-def _states_of(traj) -> np.ndarray:
-    states = getattr(traj, "states", traj)
-    return np.atleast_2d(np.asarray(states, dtype=float))
 
 
 def evaluate_dictionary(dictionary: ObservableDictionary, traj) -> np.ndarray:

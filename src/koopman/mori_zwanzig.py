@@ -25,6 +25,7 @@ import numpy as np
 from .errors import UsageError
 from .finite_section import dual_basis
 from .observables import ObservableDictionary
+from .systems import _states_of
 
 TWO_PI = 2.0 * np.pi
 
@@ -91,8 +92,7 @@ def mz_decompose(dict_span: ObservableDictionary, traj, k_max: int) -> MzDecompo
     """
     if k_max < 1:
         raise UsageError("k_max must be >= 1")
-    states = getattr(traj, "states", traj)
-    states = np.atleast_2d(np.asarray(states, dtype=float))
+    states = _states_of(traj)
     m = states.shape[0]
     L = m - k_max
     if L < len(dict_span):

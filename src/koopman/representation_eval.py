@@ -24,6 +24,7 @@ from scipy.spatial.distance import pdist
 from .dmd import SpectralTriple, continuous_time_eigenvalues
 from .errors import DegenerateFitError, PreconditionError, UsageError
 from .observables import Observable, ObservableDictionary
+from .systems import _states_of
 
 MAP_KINDS = ("linear", "library_coeffs", "explicit")
 STLSQ_MAX_ITERATIONS = 20
@@ -137,11 +138,6 @@ class RepresentationModel:
     def save_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-
-
-def _states_of(traj) -> np.ndarray:
-    states = getattr(traj, "states", traj)
-    return np.atleast_2d(np.asarray(states, dtype=float))
 
 
 def representation_residual(model: RepresentationModel, traj) -> float:

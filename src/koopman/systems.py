@@ -2,10 +2,11 @@
 
 Discrete maps (rotations, standard map, linear maps) are iterated exactly;
 continuous flows are integrated with classical fixed-step RK4.  Every system
-is defined twice from one registry entry: a scalar fast path on plain floats
-(long single trajectories) and a vectorized numpy path on (P, d) state
-batches (grids of initial conditions).  A property test pins the two paths
-to each other.
+is defined once, in the _SYSTEMS table, as a function of its coordinate
+columns with `sin` and the mod-1 wrap passed in.  The scalar path runs that
+definition on python floats (long single trajectories); the batch path runs
+it on the columns of a (P, d) state array (grids of initial conditions), so
+both paths do the same arithmetic.
 
 Angle coordinates are stored in radians on the real line and are not reduced
 during iteration; reduction happens only where a map definition requires it
@@ -20,6 +21,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,34 +29,93 @@ from .errors import DivergenceError, UsageError
 
 TWO_PI = 2.0 * math.pi
 
-MAP_KINDS = ("torus_rotation", "circle_rotation", "standard_map", "linear_map")
-FLOW_KINDS = (
-    "lorenz",
-    "limit_cycle_polar",
-    "pendulum",
-    "duffing_cycle",
-    "coupled_lc_lorenz",
-    "free_particle",
-)
-SYSTEM_KINDS = MAP_KINDS + FLOW_KINDS
 
-# kind -> (coordinate names, {param: default}); linear_map's B is a matrix
-# (nested lists in JSON), every other parameter is a plain real number.
-_REGISTRY = {
-    "torus_rotation": (("theta1", "theta2"), {"omega1": 1.0, "omega2": math.sqrt(2.0)}),
-    "circle_rotation": (("theta",), {"omega": 1.0}),
-    "standard_map": (("x", "y"), {"eps": 0.12}),
-    "linear_map": (None, {"B": None}),
-    "lorenz": (("x", "y", "z"), {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}),
-    "limit_cycle_polar": (("r", "theta"), {"omega": 1.0}),
-    "pendulum": (("theta", "omega"), {"g": 9.81, "l": 1.0}),
-    "duffing_cycle": (("x", "y", "theta"), {"c": math.sqrt(7.0), "omega": 1.0}),
-    "coupled_lc_lorenz": (
+class _System(NamedTuple):
+    coords: tuple | None  # None: linear_map, one coordinate per row of B
+    defaults: dict  # linear_map's B is a matrix, every other parameter a real
+    is_map: bool
+    # define(sin, wrap, **params) -> function of the coordinate columns that
+    # returns the next state (maps) or the time derivative (flows)
+    define: Callable
+
+
+def _standard_map(sin, wrap, eps):
+    def step(x, y):
+        # the augmented assignments update the batch path's temporaries in
+        # place; on floats they compute the same eps*sin and x+y+kick
+        kick = sin(TWO_PI * x)
+        kick *= eps
+        xn = x + y
+        xn += kick
+        return wrap(xn), wrap(y + kick)
+
+    return step
+
+
+# Every system, written once.  Maps come first, so SYSTEM_KINDS keeps them
+# grouped; the order is also the `list-systems` order.
+_SYSTEMS = {
+    "torus_rotation": _System(
+        ("theta1", "theta2"),
+        {"omega1": 1.0, "omega2": math.sqrt(2.0)},
+        True,
+        lambda sin, wrap, omega1, omega2: lambda a, b: (a + omega1, b + omega2),
+    ),
+    "circle_rotation": _System(
+        ("theta",), {"omega": 1.0}, True, lambda sin, wrap, omega: lambda a: (a + omega,)
+    ),
+    "standard_map": _System(("x", "y"), {"eps": 0.12}, True, _standard_map),
+    "linear_map": _System(
+        None, {"B": None}, True, lambda sin, wrap, B: lambda *s: B @ np.array(s)
+    ),
+    "lorenz": _System(
+        ("x", "y", "z"),
+        {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0},
+        False,
+        lambda sin, wrap, sigma, rho, beta: lambda x, y, z: (
+            sigma * (y - x),
+            x * (rho - z) - y,
+            x * y - beta * z,
+        ),
+    ),
+    "limit_cycle_polar": _System(
+        ("r", "theta"),
+        {"omega": 1.0},
+        False,
+        lambda sin, wrap, omega: lambda r, th: (r * (1.0 - r * r), omega),
+    ),
+    "pendulum": _System(
+        ("theta", "omega"),
+        {"g": 9.81, "l": 1.0},
+        False,
+        lambda sin, wrap, g, l: lambda th, om: (om, g / l * sin(th)),
+    ),
+    "duffing_cycle": _System(
+        ("x", "y", "theta"),
+        {"c": math.sqrt(7.0), "omega": 1.0},
+        False,
+        lambda sin, wrap, c, omega: lambda x, y, th: (y, x - x * x * x - c * y, omega),
+    ),
+    "coupled_lc_lorenz": _System(
         ("r", "theta", "x", "y", "z"),
         {"omega": 1.0, "sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0},
+        False,
+        lambda sin, wrap, omega, sigma, rho, beta: lambda r, th, x, y, z: (
+            (1.0 + 1.0 / (1.0 + x * x + y * y + z * z)) * r * (1.0 - r * r),
+            omega,
+            sigma * (y - x),
+            x * (rho - z) - y,
+            x * y - beta * z,
+        ),
     ),
-    "free_particle": (("x", "p"), {"mass": 1.0}),
+    "free_particle": _System(
+        ("x", "p"), {"mass": 1.0}, False, lambda sin, wrap, mass: lambda x, p: (p / mass, 0.0)
+    ),
 }
+
+MAP_KINDS = tuple(kind for kind, system in _SYSTEMS.items() if system.is_map)
+FLOW_KINDS = tuple(kind for kind, system in _SYSTEMS.items() if not system.is_map)
+SYSTEM_KINDS = MAP_KINDS + FLOW_KINDS
 
 
 @dataclass(frozen=True)
@@ -69,11 +130,11 @@ class SystemSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _REGISTRY:
+        if self.kind not in _SYSTEMS:
             raise UsageError(
                 f"unknown system kind {self.kind!r}; known: {', '.join(SYSTEM_KINDS)}"
             )
-        _, defaults = _REGISTRY[self.kind]
+        defaults = _SYSTEMS[self.kind].defaults
         merged = dict(defaults)
         unknown = set(self.params) - set(defaults)
         if unknown:
@@ -102,17 +163,17 @@ class SystemSpec:
 
     @property
     def is_map(self) -> bool:
-        return self.kind in MAP_KINDS
+        return _SYSTEMS[self.kind].is_map
 
     @property
     def dim(self) -> int:
         if self.kind == "linear_map":
             return self.params["B"].shape[0]
-        return len(_REGISTRY[self.kind][0])
+        return len(_SYSTEMS[self.kind].coords)
 
     @property
     def coord_names(self) -> tuple:
-        names = _REGISTRY[self.kind][0]
+        names = _SYSTEMS[self.kind].coords
         if names is None:
             return tuple(f"x{i}" for i in range(self.dim))
         return names
@@ -133,6 +194,12 @@ class SystemSpec:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise UsageError("system spec JSON must be an object with a 'kind' field")
         return cls(kind=obj["kind"], params=dict(obj.get("params", {})))
+
+
+def _states_of(traj) -> np.ndarray:
+    """(m, d) float states of a Trajectory or of a bare array of states."""
+    states = getattr(traj, "states", traj)
+    return np.atleast_2d(np.asarray(states, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -181,165 +248,31 @@ class Trajectory:
         return cls(states=states, dt=dt, spec=spec)
 
 
-# ---------------------------------------------------------------------------
-# map and vector-field definitions; *_scalar works on python floats,
-# *_batch on (P, d) numpy arrays
+def _scalar(spec: SystemSpec):
+    """The system's definition on python floats; returns a tuple of floats."""
+    f = _SYSTEMS[spec.kind].define(math.sin, _wrap_scalar, **spec.params)
+    if spec.kind == "linear_map":  # B @ s returns an array of numpy scalars
+        return lambda *s: tuple(map(float, f(*s)))
+    return f
 
 
-def _map_scalar(spec: SystemSpec):
-    p = spec.params
-    if spec.kind == "torus_rotation":
-        w1, w2 = p["omega1"], p["omega2"]
-        return lambda a, b: (a + w1, b + w2)
-    if spec.kind == "circle_rotation":
-        w = p["omega"]
-        return lambda a: (a + w,)
-    if spec.kind == "standard_map":
-        eps = p["eps"]
-
-        def step(x, y):
-            kick = eps * math.sin(TWO_PI * x)
-            return ((x + y + kick) % 1.0, (y + kick) % 1.0)
-
-        return step
-    if spec.kind == "linear_map":
-        B = p["B"]
-        return lambda *s: tuple(float(v) for v in B @ np.asarray(s))
-    raise UsageError(f"{spec.kind} is not a discrete map")
+def _wrap_scalar(a):
+    return a % 1.0
 
 
-def _map_batch(spec: SystemSpec):
-    p = spec.params
-    if spec.kind == "torus_rotation":
-        shift = np.array([p["omega1"], p["omega2"]])
-        return lambda pts: pts + shift
-    if spec.kind == "circle_rotation":
-        w = p["omega"]
-        return lambda pts: pts + w
-    if spec.kind == "standard_map":
-        eps = p["eps"]
-
-        def step(pts):
-            x, y = pts[:, 0], pts[:, 1]
-            kick = np.sin(TWO_PI * x)
-            kick *= eps
-            xn = x + y
-            xn += kick
-            # a - floor(a) is an exact mod-1 wrap for the |a| < 4 range the
-            # map produces, and is much cheaper than fmod.
-            xn -= np.floor(xn)
-            yn = y + kick
-            yn -= np.floor(yn)
-            out = np.empty((x.size, 2))
-            out[:, 0] = xn
-            out[:, 1] = yn
-            return out
-
-        return step
-    if spec.kind == "linear_map":
-        B = p["B"]
-        return lambda pts: pts @ B.T
-    raise UsageError(f"{spec.kind} is not a discrete map")
+def _batch(spec: SystemSpec):
+    """The system's definition on the columns of a (P, d) array of states."""
+    f = _SYSTEMS[spec.kind].define(np.sin, _wrap_batch, **spec.params)
+    # constant components (a rotation's omega) broadcast to full columns
+    return lambda pts: np.column_stack(np.broadcast_arrays(*f(*pts.T)))
 
 
-def _field_scalar(spec: SystemSpec):
-    p = spec.params
-    if spec.kind == "lorenz":
-        sig, rho, beta = p["sigma"], p["rho"], p["beta"]
-        return lambda x, y, z: (sig * (y - x), x * (rho - z) - y, x * y - beta * z)
-    if spec.kind == "limit_cycle_polar":
-        w = p["omega"]
-        return lambda r, th: (r * (1.0 - r * r), w)
-    if spec.kind == "pendulum":
-        gl = p["g"] / p["l"]
-        return lambda th, om: (om, gl * math.sin(th))
-    if spec.kind == "duffing_cycle":
-        c, w = p["c"], p["omega"]
-        return lambda x, y, th: (y, x - x * x * x - c * y, w)
-    if spec.kind == "coupled_lc_lorenz":
-        w = p["omega"]
-        sig, rho, beta = p["sigma"], p["rho"], p["beta"]
-
-        def field(r, th, x, y, z):
-            f = 1.0 / (1.0 + x * x + y * y + z * z)
-            return (
-                (1.0 + f) * r * (1.0 - r * r),
-                w,
-                sig * (y - x),
-                x * (rho - z) - y,
-                x * y - beta * z,
-            )
-
-        return field
-    if spec.kind == "free_particle":
-        m = p["mass"]
-        return lambda x, mom: (mom / m, 0.0)
-    raise UsageError(f"{spec.kind} is not a continuous flow")
-
-
-def _field_batch(spec: SystemSpec):
-    p = spec.params
-    if spec.kind == "lorenz":
-        sig, rho, beta = p["sigma"], p["rho"], p["beta"]
-
-        def field(pts):
-            x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-            return np.column_stack(
-                [sig * (y - x), x * (rho - z) - y, x * y - beta * z]
-            )
-
-        return field
-    if spec.kind == "limit_cycle_polar":
-        w = p["omega"]
-
-        def field(pts):
-            r = pts[:, 0]
-            return np.column_stack([r * (1.0 - r * r), np.full_like(r, w)])
-
-        return field
-    if spec.kind == "pendulum":
-        gl = p["g"] / p["l"]
-
-        def field(pts):
-            th, om = pts[:, 0], pts[:, 1]
-            return np.column_stack([om, gl * np.sin(th)])
-
-        return field
-    if spec.kind == "duffing_cycle":
-        c, w = p["c"], p["omega"]
-
-        def field(pts):
-            x, y = pts[:, 0], pts[:, 1]
-            return np.column_stack([y, x - x * x * x - c * y, np.full_like(x, w)])
-
-        return field
-    if spec.kind == "coupled_lc_lorenz":
-        w = p["omega"]
-        sig, rho, beta = p["sigma"], p["rho"], p["beta"]
-
-        def field(pts):
-            r, x, y, z = pts[:, 0], pts[:, 2], pts[:, 3], pts[:, 4]
-            f = 1.0 / (1.0 + x * x + y * y + z * z)
-            return np.column_stack(
-                [
-                    (1.0 + f) * r * (1.0 - r * r),
-                    np.full_like(r, w),
-                    sig * (y - x),
-                    x * (rho - z) - y,
-                    x * y - beta * z,
-                ]
-            )
-
-        return field
-    if spec.kind == "free_particle":
-        m = p["mass"]
-
-        def field(pts):
-            mom = pts[:, 1]
-            return np.column_stack([mom / m, np.zeros_like(mom)])
-
-        return field
-    raise UsageError(f"{spec.kind} is not a continuous flow")
+def _wrap_batch(a):
+    # a - floor(a) is an exact mod-1 wrap for the |a| < 4 range the standard
+    # map produces, and is much cheaper than fmod.  Every definition passes a
+    # fresh temporary, so it is wrapped in place.
+    a -= np.floor(a)
+    return a
 
 
 def step_map(spec: SystemSpec, s) -> np.ndarray:
@@ -349,14 +282,14 @@ def step_map(spec: SystemSpec, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.shape != (spec.dim,):
         raise UsageError(f"{spec.kind} state must have dimension {spec.dim}")
-    return _map_batch(spec)(s[None, :])[0]
+    return _batch(spec)(s[None, :])[0]
 
 
 def step_map_batch(spec: SystemSpec, pts: np.ndarray) -> np.ndarray:
     """One iterate of a discrete map applied to a (P, d) batch of states."""
     if not spec.is_map:
         raise UsageError(f"step_map_batch needs a discrete map, got {spec.kind!r}")
-    return _map_batch(spec)(np.asarray(pts, dtype=float))
+    return _batch(spec)(np.asarray(pts, dtype=float))
 
 
 def vector_field(spec: SystemSpec, s) -> np.ndarray:
@@ -366,12 +299,14 @@ def vector_field(spec: SystemSpec, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.shape != (spec.dim,):
         raise UsageError(f"{spec.kind} state must have dimension {spec.dim}")
-    return _field_batch(spec)(s[None, :])[0]
+    return _batch(spec)(s[None, :])[0]
 
 
 def rk4_step_batch(spec: SystemSpec, pts: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step of a flow on a (P, d) batch of states."""
-    f = _field_batch(spec)
+    if spec.is_map:
+        raise UsageError(f"rk4_step_batch needs a continuous flow, got {spec.kind!r}")
+    f = _batch(spec)
     k1 = f(pts)
     k2 = f(pts + 0.5 * dt * k1)
     k3 = f(pts + 0.5 * dt * k2)
@@ -404,7 +339,7 @@ def integrate(spec: SystemSpec, s0, dt: float, n_steps: int) -> Trajectory:
     states = [tuple(float(v) for v in s0)]
     x = states[0]
     if spec.is_map:
-        step = _map_scalar(spec)
+        step = _scalar(spec)
         for k in range(n_steps):
             try:
                 x = step(*x)
@@ -416,7 +351,7 @@ def integrate(spec: SystemSpec, s0, dt: float, n_steps: int) -> Trajectory:
     else:
         if dt <= 0:
             raise UsageError("flows require dt > 0")
-        f = _field_scalar(spec)
+        f = _scalar(spec)
         h, h2, h6 = dt, 0.5 * dt, dt / 6.0
         for k in range(n_steps):
             try:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,13 @@ def test_pinv_identity_and_diag():
     np.testing.assert_allclose(
         moore_penrose_pseudoinverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0])
     )
+
+
+def test_pinv_exact_zero_singular_value_emits_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        P = moore_penrose_pseudoinverse(np.diag([2.0, 0.0, 0.0]))
+    np.testing.assert_array_equal(P, np.diag([0.5, 0.0, 0.0]))
 
 
 def test_pinv_left_inverse_full_rank():

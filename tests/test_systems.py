@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from koopman.errors import DivergenceError, UsageError
 from koopman.systems import (
+    SYSTEM_KINDS,
     SystemSpec,
     Trajectory,
     duffing_fixed_point_eigenvalues,
@@ -277,3 +279,66 @@ def test_scalar_and_batch_paths_agree(seed):
         for i in range(4):
             single = integrate(spec, pts[i], dt=0.01, n_steps=1).states[1]
             np.testing.assert_allclose(single, batch[i], rtol=1e-12, atol=1e-12)
+
+
+# Exact bits of every system on both paths, recorded before the systems were
+# folded into one definition table.  A rewrite of systems.py must keep them.
+# standard_map and pendulum call sin, so like perfbench/digests.json these
+# values pin this machine's libm (math.sin) and numpy (np.sin) as well.
+_GOLDEN_B = [[0.2, 0.9, -0.3], [-0.4, 0.1, 0.7], [0.5, -0.6, 0.35]]
+_GOLDEN_RUNS = {
+    "torus_rotation": ({}, [0.1, 0.2], 0.0, 50),
+    "circle_rotation": ({"omega": 0.77}, [0.3], 0.0, 50),
+    "standard_map": ({"eps": 0.12}, [0.3, 0.41], 0.0, 50),
+    "linear_map": ({"B": _GOLDEN_B}, [1.0, -0.5, 0.25], 0.0, 50),
+    "lorenz": ({}, [1.0, 1.0, 1.0], 0.01, 200),
+    "limit_cycle_polar": ({}, [0.2, 0.0], 0.01, 200),
+    "pendulum": ({"g": 9.81, "l": 0.7}, [4.0, 0.0], 0.01, 200),
+    "duffing_cycle": ({}, [0.5, 0.5, 0.0], 0.01, 200),
+    "coupled_lc_lorenz": ({}, [0.4, 0.0, 1.0, 1.0, 1.0], 0.01, 200),
+    "free_particle": ({"mass": 2.0}, [0.5, 3.0], 0.1, 200),
+}
+# float.hex of the last state of integrate(spec, s0, dt, n)
+_GOLDEN_SCALAR = {
+    "torus_rotation": ("0x1.90ccccccccccdp+5", "0x1.1ba488ce03380p+6"),
+    "circle_rotation": ("0x1.3666666666668p+5",),
+    "standard_map": ("0x1.2657a0e0854f0p-2", "0x1.a4da7e7a56aa2p-2"),
+    "linear_map": ("0x1.c07b3507d3a0ap-2", "-0x1.13729ff975236p-4", "-0x1.7419cbce10da0p-2"),
+    "lorenz": ("-0x1.058cd743f8c4bp+3", "-0x1.31fbde8a3b9bep+3", "0x1.89ede3011f9a4p+4"),
+    "limit_cycle_polar": ("0x1.aabac6ae8bb84p-1", "0x1.0000000000003p+1"),
+    "pendulum": ("0x1.da70d3e839898p+1", "-0x1.2820c320830edp+1"),
+    "duffing_cycle": ("0x1.c629cc502c4e5p-1", "0x1.74f34edc73a3dp-4", "0x1.0000000000003p+1"),
+    "coupled_lc_lorenz": (
+        "0x1.e9afb47af78afp-1",
+        "0x1.0000000000003p+1",
+        "-0x1.058cd743f8c4bp+3",
+        "-0x1.31fbde8a3b9bep+3",
+        "0x1.89ede3011f9a4p+4",
+    ),
+    "free_particle": ("0x1.e7fffffffffe1p+4", "0x1.8000000000000p+1"),
+}
+# sha256 prefix of one step_map_batch / rk4_step_batch call on a (32, d) batch
+# spread over [-1.3, 1.7], which takes the standard map's wrap below zero
+_GOLDEN_BATCH = {
+    "torus_rotation": "07911552c791e0b4",
+    "circle_rotation": "020fd8b08de17f3b",
+    "standard_map": "21d34e23df2b7e7c",
+    "linear_map": "45287993cc374591",
+    "lorenz": "e8e23c1d28fab3fd",
+    "limit_cycle_polar": "377294110f090e7e",
+    "pendulum": "a6f7ff27fa9dd484",
+    "duffing_cycle": "bd8d8d03fc5d7378",
+    "coupled_lc_lorenz": "37963938a6cee32d",
+    "free_particle": "de8ca77f9baeb26e",
+}
+
+
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
+def test_golden_bits(kind):
+    params, s0, dt, n = _GOLDEN_RUNS[kind]
+    spec = SystemSpec(kind, params)
+    last = integrate(spec, s0, dt, n).states[-1]
+    assert tuple(float(v).hex() for v in last) == _GOLDEN_SCALAR[kind]
+    pts = np.linspace(-1.3, 1.7, 32 * spec.dim).reshape(32, spec.dim)
+    out = step_map_batch(spec, pts) if spec.is_map else rk4_step_batch(spec, pts, dt)
+    assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == _GOLDEN_BATCH[kind]
