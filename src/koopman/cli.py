@@ -10,6 +10,13 @@ Exit codes: 0 success, 2 unusable config (schema violation, bad JSON,
 missing file; the failing field path is printed), 3 numerical or usage
 failure inside a method (module error text is printed).
 
+Each method is declared once, in `_RUNNERS`: its runner and the config
+paths it requires, from which the schema's per-method rules are built.
+A runner opens no file: it returns the summary's eigenvalues and
+residuals plus `files`, a map from artifact name to either a JSON
+payload or a `writer(path)`.  `run` is the only code that writes under
+the output directory.
+
 Fixed configs reproduce their artifacts byte for byte: every file name
 is static, CSV floats are written by numpy with fixed format, JSON is
 dumped with sorted keys, and all sampling randomness comes from the one
@@ -23,6 +30,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import jsonschema
@@ -105,17 +113,18 @@ def _build_grid(node) -> RegularGrid:
     return RegularGrid(axes=tuple(axes), periods=tuple(periods))
 
 
-def _write_eigenvalue_csv(path, eigs) -> None:
-    eigs = np.asarray(eigs, dtype=complex).ravel()
-    rows = np.column_stack([eigs.real, eigs.imag])
+def _write_complex_csv(path, values) -> None:
+    values = np.asarray(values, dtype=complex).ravel()
+    rows = np.column_stack([values.real, values.imag])
     np.savetxt(path, rows, delimiter=",", header="re,im", comments="")
 
 
+def _write_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+
+
 def _make_trajectory(spec: SystemSpec, sampling: dict):
-    if "initial_state" not in sampling:
-        raise UsageError("sampling.initial_state is required for this method")
-    if "n" not in sampling:
-        raise UsageError("sampling.n is required for this method")
     dt = 0.0 if spec.is_map else float(sampling.get("dt", 0.0))
     if not spec.is_map and dt <= 0.0:
         raise UsageError("flows need sampling.dt > 0")
@@ -147,63 +156,57 @@ def _dmd_series(config, traj) -> np.ndarray:
     return traj.states
 
 
-def _run_companion_dmd(config, spec, out_dir, seed, stream):
-    traj = _make_trajectory(spec, config.get("sampling", {}))
+def _run_companion_dmd(config, spec, seed, stream):
+    traj = _make_trajectory(spec, config["sampling"])
     pair = SnapshotPair.from_series(_dmd_series(config, traj), dt=traj.dt)
     model = companion_dmd(pair)
-    _write_eigenvalue_csv(out_dir / "eigenvalues.csv", model.eigenvalues)
-    np.savetxt(
-        out_dir / "companion_c.csv",
-        np.column_stack([model.c.real, model.c.imag]),
-        delimiter=",",
-        header="re,im",
-        comments="",
-    )
     return {
         "eigenvalues": model.eigenvalues,
         "residuals": {"companion_residual": model.residual},
-        "artifacts": ["eigenvalues.csv", "companion_c.csv"],
+        "files": {
+            "eigenvalues.csv": partial(_write_complex_csv, values=model.eigenvalues),
+            "companion_c.csv": partial(_write_complex_csv, values=model.c),
+        },
     }
 
 
-def _run_pinv_dmd(config, spec, out_dir, seed, stream):
-    traj = _make_trajectory(spec, config.get("sampling", {}))
+def _run_pinv_dmd(config, spec, seed, stream):
+    traj = _make_trajectory(spec, config["sampling"])
     pair = SnapshotPair.from_series(_dmd_series(config, traj), dt=traj.dt)
     A = pseudoinverse_dmd(pair)
     triple = spectral_triple(A, pair)
-    _write_eigenvalue_csv(out_dir / "eigenvalues.csv", triple.eigenvalues)
-    with open(out_dir / "triple.json", "w") as fh:
-        json.dump(triple.to_json(), fh, indent=2, sort_keys=True)
     return {
         "eigenvalues": triple.eigenvalues,
         "residuals": {"reconstruction": triple.reconstruction_residual},
-        "artifacts": ["eigenvalues.csv", "triple.json"],
+        "files": {
+            "eigenvalues.csv": partial(_write_complex_csv, values=triple.eigenvalues),
+            "triple.json": triple.to_json(),
+        },
     }
 
 
-def _run_edmd(config, spec, out_dir, seed, stream):
-    traj = _make_trajectory(spec, config.get("sampling", {}))
+def _run_edmd(config, spec, seed, stream):
+    traj = _make_trajectory(spec, config["sampling"])
     dictionary = _build_dictionary(config["dictionary"])
     section = finite_section_matrix(dictionary, traj)
     eigs = section.eigenvalues()
-    section.to_csv(out_dir / "section.csv")
-    _write_eigenvalue_csv(out_dir / "eigenvalues.csv", eigs)
-    artifacts = ["section.csv", "eigenvalues.csv"]
+    files = {
+        "section.csv": section.to_csv,
+        "eigenvalues.csv": partial(_write_complex_csv, values=eigs),
+    }
     if traj.dt > 0:
-        _write_eigenvalue_csv(
-            out_dir / "eigenvalues_continuous.csv",
-            continuous_time_eigenvalues(eigs, traj.dt),
+        files["eigenvalues_continuous.csv"] = partial(
+            _write_complex_csv, values=continuous_time_eigenvalues(eigs, traj.dt)
         )
-        artifacts.append("eigenvalues_continuous.csv")
     return {
         "eigenvalues": eigs,
         "residuals": {"route_disagreement": section.route_disagreement},
-        "artifacts": artifacts,
+        "files": files,
     }
 
 
-def _run_gla(config, spec, out_dir, seed, stream):
-    traj = _make_trajectory(spec, config.get("sampling", {}))
+def _run_gla(config, spec, seed, stream):
+    traj = _make_trajectory(spec, config["sampling"])
     params = config["method_params"]
     lam = _decode_number(params["lambda_target"])
     g = Observable.from_json(params["observable"])
@@ -211,15 +214,18 @@ def _run_gla(config, spec, out_dir, seed, stream):
     rows = np.column_stack(
         [np.arange(avg.samples.size), avg.samples.real, avg.samples.imag]
     )
-    np.savetxt(out_dir / "harmonic.csv", rows, delimiter=",", header="k,re,im", comments="")
     return {
         "eigenvalues": [avg.multiplier],
         "residuals": {"harmonic_residual": avg.residual},
-        "artifacts": ["harmonic.csv"],
+        "files": {
+            "harmonic.csv": partial(
+                np.savetxt, X=rows, delimiter=",", header="k,re,im", comments=""
+            ),
+        },
     }
 
 
-def _run_partition(config, spec, out_dir, seed, stream):
+def _run_partition(config, spec, seed, stream):
     sampling = config["sampling"]
     dictionary = _build_dictionary(config["dictionary"])
     grid = _build_grid(sampling["grid"])
@@ -235,10 +241,6 @@ def _run_partition(config, spec, out_dir, seed, stream):
         sample_limit=params.get("sample_limit"),
         seed=seed,
     )
-    field.to_csv(out_dir / "field.csv")
-    labeling.to_csv(out_dir / "labeling.csv")
-    with open(out_dir / "labeling.json", "w") as fh:
-        json.dump(labeling.to_json(invariance_score=score), fh, indent=2, sort_keys=True)
     return {
         "eigenvalues": [],
         "residuals": {
@@ -246,11 +248,15 @@ def _run_partition(config, spec, out_dir, seed, stream):
             "n_cells": labeling.n_cells,
             "diverged_fraction": float(np.mean(field.diverged)),
         },
-        "artifacts": ["field.csv", "labeling.csv", "labeling.json"],
+        "files": {
+            "field.csv": field.to_csv,
+            "labeling.csv": labeling.to_csv,
+            "labeling.json": labeling.to_json(invariance_score=score),
+        },
     }
 
 
-def _run_static(config, spec, out_dir, seed, stream):
+def _run_static(config, spec, seed, stream):
     if not spec.is_map:
         raise UsageError("static regression needs a discrete map system")
     sampling = config.get("sampling", {})
@@ -266,8 +272,6 @@ def _run_static(config, spec, out_dir, seed, stream):
         _build_dictionary(config["dictionary"]),
         _build_dictionary(config["dictionary_out"]),
     )
-    fit.to_csv(out_dir / "A.csv")
-    pairs.to_csv(out_dir / "pairs.csv")
     return {
         "eigenvalues": [],
         "residuals": {
@@ -275,11 +279,11 @@ def _run_static(config, spec, out_dir, seed, stream):
             "rank": fit.rank,
             "rank_deficient": fit.rank_deficient,
         },
-        "artifacts": ["A.csv", "pairs.csv"],
+        "files": {"A.csv": fit.to_csv, "pairs.csv": pairs.to_csv},
     }
 
 
-def _run_mz(config, spec, out_dir, seed, stream):
+def _run_mz(config, spec, seed, stream):
     params = config.get("method_params", {})
     if "closure" in params:
         closure = params["closure"]
@@ -293,48 +297,44 @@ def _run_mz(config, spec, out_dir, seed, stream):
             "residual_markov": result["residual_markov"],
             "orthogonal_fraction": result["orthogonal_fraction"],
         }
-        with open(out_dir / "closure.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
         return {
             "eigenvalues": [result["lambda"]],
             "residuals": {
                 "residual_markov": result["residual_markov"],
                 "lambda_route_gap": abs(result["lambda"] - result["lambda_empirical"]),
             },
-            "artifacts": ["closure.json"],
+            "files": {"closure.json": payload},
         }
-    traj = _make_trajectory(spec, config.get("sampling", {}))
+    traj = _make_trajectory(spec, config["sampling"])
     dictionary = _build_dictionary(config["dictionary"])
     dec = mz_decompose(dictionary, traj, k_max=params.get("k_max", 10))
-    dec.to_csv(out_dir / "mz.csv")
     return {
         "eigenvalues": [],
         "residuals": {
             "orthogonal_max": float(np.max(dec.orthogonal_norms)),
             "cross_max": float(np.max(dec.cross_norms)),
         },
-        "artifacts": ["mz.csv"],
+        "files": {"mz.csv": dec.to_csv},
     }
 
 
-def _run_sindy(config, spec, out_dir, seed, stream):
-    traj = _make_trajectory(spec, config.get("sampling", {}))
+def _run_sindy(config, spec, seed, stream):
+    traj = _make_trajectory(spec, config["sampling"])
     library = _build_dictionary(config["dictionary"])
     threshold = config.get("method_params", {}).get("threshold")
     model = sindy_fit(traj, library, threshold=threshold)
-    model.save_json(out_dir / "model.json")
     return {
         "eigenvalues": [],
         "residuals": {
             "fit_residual": model.residual,
             "n_terms": int(np.count_nonzero(model.coefficients)),
         },
-        "artifacts": ["model.json"],
+        "files": {"model.json": model.to_json()},
     }
 
 
-def _run_repr_check(config, spec, out_dir, seed, stream):
-    traj = _make_trajectory(spec, config.get("sampling", {}))
+def _run_repr_check(config, spec, seed, stream):
+    traj = _make_trajectory(spec, config["sampling"])
     dictionary = _build_dictionary(config["dictionary"])
     A = _decode_matrix(config["method_params"]["coefficients"])
     model = RepresentationModel(
@@ -350,37 +350,75 @@ def _run_repr_check(config, spec, out_dir, seed, stream):
         f"faithfulness    {faith['score']:.6e}  (witness samples {i}, {j})",
         file=stream,
     )
-    payload = {
-        "residual": residual,
-        "faithfulness": faith["score"],
-        "witness": [i, j],
-    }
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    report = {"residual": residual, "faithfulness": faith["score"], "witness": [i, j]}
     return {
         "eigenvalues": [],
         "residuals": {"representation": residual, "faithfulness": faith["score"]},
-        "artifacts": ["report.json"],
+        "files": {"report.json": report},
     }
 
 
-# method name -> runner(config, spec, out_dir, seed, stream) returning the
-# eigenvalues, residuals and artifact names of the summary
+_ORBIT = ("sampling.initial_state", "sampling.n")
+
+# method name -> (runner, requirements).  runner(config, spec, seed, stream)
+# returns the summary's eigenvalues and residuals and its files (artifact
+# name -> JSON payload or writer(path)).  requirements lists alternatives,
+# each a tuple of dotted config paths; a config must supply one in full.
 _RUNNERS = {
-    "companion_dmd": _run_companion_dmd,
-    "pinv_dmd": _run_pinv_dmd,
-    "edmd": _run_edmd,
-    "gla": _run_gla,
-    "partition": _run_partition,
-    "static": _run_static,
-    "mz": _run_mz,
-    "sindy": _run_sindy,
-    "repr_check": _run_repr_check,
+    "companion_dmd": (_run_companion_dmd, [_ORBIT]),
+    "pinv_dmd": (_run_pinv_dmd, [_ORBIT]),
+    "edmd": (_run_edmd, [("dictionary", *_ORBIT)]),
+    "gla": (
+        _run_gla,
+        [(*_ORBIT, "method_params.lambda_target", "method_params.observable")],
+    ),
+    "partition": (_run_partition, [("dictionary", "sampling.grid")]),
+    "static": (_run_static, [("dictionary", "dictionary_out")]),
+    "mz": (_run_mz, [("dictionary", *_ORBIT), ("method_params.closure",)]),
+    "sindy": (_run_sindy, [("dictionary", *_ORBIT)]),
+    "repr_check": (
+        _run_repr_check,
+        [("dictionary", *_ORBIT, "method_params.coefficients")],
+    ),
 }
 METHODS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------- schemas
+
+
+def _requiring(paths) -> dict:
+    """Schema demanding every dotted config path in `paths`, e.g. 'sampling.n'."""
+    nested = {}
+    for path in paths:
+        head, _, rest = path.partition(".")
+        nested.setdefault(head, [])
+        if rest:
+            nested[head].append(rest)
+    schema = {"required": list(nested)}
+    if any(nested.values()):
+        schema["properties"] = {h: _requiring(r) for h, r in nested.items() if r}
+    return schema
+
+
+_NUMBER = {"type": "number"}
+_COUNT = {"type": "integer", "minimum": 1}
+# a real number, or a complex one as {"re": ..., "im": ...}
+_COMPLEX = {
+    "anyOf": [
+        _NUMBER,
+        {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {"re": _NUMBER, "im": _NUMBER},
+        },
+    ]
+}
+
+
+def _matrix(entry) -> dict:
+    return {"type": "array", "items": {"type": "array", "items": entry}}
+
 
 _DICTIONARY_SCHEMA = {
     "oneOf": [
@@ -418,7 +456,11 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "kind": {"enum": list(SYSTEM_KINDS)},
-                "params": {"type": "object"},
+                "params": {
+                    "type": "object",
+                    "properties": {"B": _matrix(_NUMBER)},
+                    "additionalProperties": _NUMBER,
+                },
             },
         },
         "dictionary": _DICTIONARY_SCHEMA,
@@ -456,7 +498,29 @@ CONFIG_SCHEMA = {
                 },
             },
         },
-        "method_params": {"type": "object"},
+        "method_params": {
+            "type": "object",
+            "properties": {
+                "bins": _COUNT,
+                "n_test": _COUNT,
+                "sample_limit": {"type": ["integer", "null"], "minimum": 1},
+                "k_max": _COUNT,
+                "window": {"type": ["integer", "null"], "minimum": 1},
+                "threshold": {"type": ["number", "null"], "minimum": 0},
+                "box": {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2},
+                "lambda_target": _COMPLEX,
+                "observable": {"type": "object"},
+                "coefficients": _matrix(_COMPLEX),
+                "closure": {
+                    "type": "object",
+                    "properties": {
+                        "coefficients": {"type": "array", "items": _COMPLEX},
+                        "omega": _NUMBER,
+                        "m_samples": _COUNT,
+                    },
+                },
+            },
+        },
         "output": {
             "type": "object",
             "additionalProperties": False,
@@ -472,66 +536,14 @@ CONFIG_SCHEMA = {
     },
     "allOf": [
         {
-            "if": {"properties": {"method": {"enum": ["edmd", "partition", "sindy"]}}},
-            "then": {"required": ["dictionary"]},
-        },
-        {
-            "if": {
-                "properties": {
-                    "method": {
-                        "enum": ["companion_dmd", "pinv_dmd", "edmd", "gla", "sindy", "repr_check"]
-                    }
-                }
-            },
-            "then": {
-                "properties": {"sampling": {"required": ["initial_state", "n"]}},
-                "required": ["sampling"],
-            },
-        },
-        {
-            "if": {"properties": {"method": {"const": "mz"}}},
-            "then": {
-                "anyOf": [
-                    {
-                        "properties": {
-                            "sampling": {"required": ["initial_state", "n"]}
-                        },
-                        "required": ["dictionary", "sampling"],
-                    },
-                    {
-                        "properties": {"method_params": {"required": ["closure"]}},
-                        "required": ["method_params"],
-                    },
-                ]
-            },
-        },
-        {
-            "if": {"properties": {"method": {"const": "partition"}}},
-            "then": {
-                "properties": {"sampling": {"required": ["grid"]}},
-                "required": ["sampling"],
-            },
-        },
-        {
-            "if": {"properties": {"method": {"const": "static"}}},
-            "then": {"required": ["dictionary", "dictionary_out"]},
-        },
-        {
-            "if": {"properties": {"method": {"const": "gla"}}},
-            "then": {
-                "properties": {
-                    "method_params": {"required": ["lambda_target", "observable"]}
-                },
-                "required": ["method_params"],
-            },
-        },
-        {
-            "if": {"properties": {"method": {"const": "repr_check"}}},
-            "then": {
-                "properties": {"method_params": {"required": ["coefficients"]}},
-                "required": ["dictionary", "method_params"],
-            },
-        },
+            "if": {"properties": {"method": {"const": method}}},
+            "then": (
+                _requiring(alternatives[0])
+                if len(alternatives) == 1
+                else {"anyOf": [_requiring(paths) for paths in alternatives]}
+            ),
+        }
+        for method, (_, alternatives) in _RUNNERS.items()
     ],
 }
 
@@ -600,7 +612,13 @@ def run(config: dict, out_dir, stream=None) -> dict:
     seed = int(config.get("sampling", {}).get("seed", 0)) & _MERSENNE_MASK
     method = config["method"]
     t0 = time.perf_counter()
-    result = _RUNNERS[method](config, spec, out_dir, seed, stream)
+    runner, _ = _RUNNERS[method]
+    result = runner(config, spec, seed, stream)
+    for name, content in result["files"].items():
+        if callable(content):
+            content(out_dir / name)
+        else:
+            _write_json(out_dir / name, content)
     elapsed = time.perf_counter() - t0
 
     summary = {
@@ -613,12 +631,11 @@ def run(config: dict, out_dir, stream=None) -> dict:
         },
         "runtimes": {"method_s": elapsed},
         "seed": seed,
-        "artifacts": sorted(result["artifacts"] + ["summary.json"]),
+        "artifacts": sorted([*result["files"], "summary.json"]),
     }
     if "tolerances" in config:
         summary["tolerances"] = config["tolerances"]
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    _write_json(out_dir / "summary.json", summary)
     return summary
 
 
@@ -627,9 +644,20 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
+# Draft 7 counts 3.0 as an integer, which would then fail where the value
+# is used as a count or an index; here an integer is a JSON integer.
+_CONFIG_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft7Validator,
+    type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)
+    ),
+)(CONFIG_SCHEMA)
+
+
 def _validate_config(config: dict) -> None:
-    validator = jsonschema.Draft7Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
+    errors = sorted(
+        _CONFIG_VALIDATOR.iter_errors(config), key=lambda e: list(e.absolute_path)
+    )
     if errors:
         err = errors[0]
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"
@@ -681,7 +709,7 @@ def main(argv=None) -> int:
             return 2
         values = emit_lattice(args.c, args.omega, args.N, args.M)
         if args.out:
-            _write_eigenvalue_csv(args.out, values)
+            _write_complex_csv(args.out, values)
         else:
             print("re,im")
             for z in values:
@@ -690,13 +718,8 @@ def main(argv=None) -> int:
 
     # run / repr
     try:
-        config = _load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config unusable: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _apply_overrides(config, args.overrides)
-    except UsageError as exc:
+        config = _apply_overrides(_load_config(args.config), args.overrides)
+    except (OSError, json.JSONDecodeError, UsageError) as exc:
         print(f"config unusable: {exc}", file=sys.stderr)
         return 2
     if args.command == "repr" and config.get("method") != "repr_check":

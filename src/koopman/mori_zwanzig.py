@@ -123,14 +123,15 @@ def mz_decompose(dict_span: ObservableDictionary, traj, k_max: int) -> MzDecompo
     qu_windows = [qu[:L]]
     for j in range(1, k_max + 1):
         shifted = qu[1:]
-        coeffs = project_coeffs(shifted[:L])
+        # (QU)^1 f starts from the same block as the section
+        coeffs = section if j == 1 else project_coeffs(shifted[:L])
         qu = shifted - Phi[: shifted.shape[0]] @ coeffs
         qu_windows.append(qu[:L])
 
     markov = np.eye(N, dtype=complex)
     for k in range(k_max + 1):
         total = Phi[k : k + L]
-        res = base @ project_coeffs(total)
+        res = base @ (section if k == 1 else project_coeffs(total))
         orth = total - res
         resolved[k] = res
         orthogonal[k] = orth

@@ -88,10 +88,14 @@ class RegularGrid:
             h = axis[1] - axis[0] if axis.size > 1 else 1.0
             vals = np.where(ok, pts[:, d], axis[0])
             i = np.round((vals - axis[0]) / h).astype(int)
-            if period is not None:
-                n_wrap = int(round(period / h))
-                i %= max(n_wrap, 1)
-                i = np.minimum(i, axis.size - 1)
+            if period is not None and int(round(period / h)) == axis.size:
+                i %= axis.size
+            elif period is not None:
+                # the axis leaves a gap before the period wraps: past the
+                # last point, the wrapped first point may be the nearer one
+                offset = (vals - axis[0]) % period
+                i = np.minimum(np.round(offset / h).astype(int), axis.size - 1)
+                i[period - offset < offset - (axis[-1] - axis[0])] = 0
             else:
                 i = np.clip(i, 0, axis.size - 1)
             idx[:, d] = i

@@ -82,6 +82,86 @@ def test_missing_initial_state_exits_2(tmp_path, capsys):
     assert "initial_state" in capsys.readouterr().err
 
 
+# shipped example -> the config paths its method requires; mz is met by
+# either an orbit with a dictionary or a closure, so each mz example
+# lists the paths of the alternative it uses
+REQUIRED_PATHS = {
+    "torus_companion_dmd.json": ("sampling.initial_state", "sampling.n"),
+    "torus_pinv_dmd.json": ("sampling.initial_state", "sampling.n"),
+    "limit_cycle_edmd.json": ("dictionary", "sampling.initial_state", "sampling.n"),
+    "circle_gla.json": (
+        "sampling.initial_state",
+        "sampling.n",
+        "method_params.lambda_target",
+        "method_params.observable",
+    ),
+    "standard_map_partition.json": ("dictionary", "sampling.grid"),
+    "linear_static.json": ("dictionary", "dictionary_out"),
+    "lorenz_mz_memory.json": ("dictionary", "sampling.initial_state", "sampling.n"),
+    "circle_mz_closure.json": ("method_params.closure",),
+    "lorenz_sindy.json": ("dictionary", "sampling.initial_state", "sampling.n"),
+    "torus_repr_check.json": (
+        "dictionary",
+        "sampling.initial_state",
+        "sampling.n",
+        "method_params.coefficients",
+    ),
+}
+
+
+def test_required_paths_cover_every_method():
+    methods = {
+        json.loads((CONFIG_DIR / name).read_text())["method"] for name in REQUIRED_PATHS
+    }
+    assert methods == set(cli.METHODS)
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [(name, path) for name, paths in REQUIRED_PATHS.items() for path in paths],
+)
+def test_deleting_a_required_path_exits_2(tmp_path, capsys, name, path):
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    *parents, leaf = path.split(".")
+    node = cfg
+    for key in parents:
+        node = node[key]
+    del node[leaf]
+    assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config invalid" in err
+    if cfg["method"] != "mz":
+        assert f"'{leaf}' is a required property" in err
+
+
+@pytest.mark.parametrize(
+    "name, override",
+    [
+        ("standard_map_partition_integrable.json", 'system.params={"eps": "abc"}'),
+        ("linear_static.json", 'system.params={"B": [[1, "x"], [0, 1]]}'),
+        ("standard_map_partition_integrable.json", 'method_params.bins="x"'),
+        ("standard_map_partition_integrable.json", "method_params.n_test=1.5"),
+        ("standard_map_partition_integrable.json", "method_params.sample_limit=0"),
+        ("lorenz_sindy.json", 'method_params.threshold="a"'),
+        ("lorenz_mz_memory.json", "method_params.k_max=5.0"),
+        ("circle_gla.json", "method_params.window=5.0"),
+        ("circle_gla.json", 'method_params.lambda_target="x"'),
+        ("circle_gla.json", 'method_params.observable="z"'),
+        ("linear_static.json", "method_params.box=[1]"),
+        ("torus_repr_check.json", 'method_params.coefficients=[["a"]]'),
+        ("circle_mz_closure.json", 'method_params.closure.coefficients=[{"re": "x"}]'),
+        ("circle_mz_closure.json", 'method_params.closure.omega="x"'),
+        ("circle_mz_closure.json", "method_params.closure.m_samples=2.5"),
+        ("torus_pinv_dmd.json", "sampling.n=100.0"),
+    ],
+)
+def test_mistyped_value_exits_2_without_traceback(tmp_path, capsys, name, override):
+    path = str(CONFIG_DIR / name)
+    assert cli.main(["run", path, "--set", override, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config invalid" in err and "Traceback" not in err
+
+
 def test_unknown_top_level_key_exits_2(tmp_path, capsys):
     cfg = torus_pinv_config(tmp_path / "out")
     cfg["plotting"] = {"backend": "agg"}

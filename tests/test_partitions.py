@@ -32,6 +32,21 @@ def test_regular_grid_points_and_lookup():
     assert idx[2] == -1
 
 
+@pytest.mark.parametrize(
+    "axis, points, nearest",
+    [
+        ([0.0, 0.3, 0.6, 0.9], [0.9, 0.97, -0.04, 1.3], [0.9, 0.0, 0.0, 0.3]),
+        ([0.0, 0.25, 0.5], [0.8, 0.7, -0.2], [0.0, 0.5, 0.0]),
+    ],
+)
+def test_nearest_index_wraps_axes_that_do_not_tile_their_period(axis, points, nearest):
+    # period 1 leaves a gap after the last point: 0.97 is nearer the
+    # wrapped 1.0 than 0.9, and 0.8 nearer the wrapped 1.0 than 0.5
+    grid = RegularGrid(axes=(np.array(axis),), periods=(1.0,))
+    idx = grid.nearest_index(np.array(points)[:, None])
+    np.testing.assert_allclose(grid.points[idx, 0], nearest)
+
+
 def test_time_average_constant_observable():
     spec = SystemSpec("standard_map", {"eps": 0.12})
     field = time_average(_dict(Observable("one", "constant")), spec,
