@@ -47,6 +47,50 @@ def test_nearest_index_wraps_axes_that_do_not_tile_their_period(axis, points, ne
     np.testing.assert_allclose(grid.points[idx, 0], nearest)
 
 
+def test_time_average_is_bit_identical_in_any_block_size(monkeypatch):
+    from koopman import partitions
+
+    spec = SystemSpec("standard_map", {"eps": 0.3})
+    grid = RegularGrid.unit_square(30)
+    d = _dict(Observable("sy", "sin", k=(0, 1)), Observable("f", "fourier", k=(1, 2)))
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", 10**9)
+    whole = time_average(d, spec, grid, n=101)
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(partitions, "_WORKERS", 2)
+    blocked = time_average(d, spec, grid, n=101)
+    for name in ("values", "cesaro", "diverged"):
+        assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+
+
+def test_time_average_gives_custom_observables_the_whole_grid(monkeypatch):
+    from koopman import partitions
+
+    seen = []
+
+    def rows(states):
+        seen.append(states.shape[0])
+        return states[:, 0]
+
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(partitions, "_WORKERS", 2)
+    grid = RegularGrid.unit_square(10)
+    time_average(_dict(Observable("x", "custom", fn=rows)), SystemSpec("standard_map"), grid, n=5)
+    assert seen == [100] * 5
+
+
+def test_time_average_domain_error_names_the_grid_row(monkeypatch):
+    from koopman import partitions
+    from koopman.errors import ObservableDomainError
+
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(partitions, "_WORKERS", 2)
+    pts = np.full((50, 2), 0.5)
+    pts[37, 0] = 0.0
+    with pytest.raises(ObservableDomainError, match="sample 37"):
+        time_average(_dict(Observable("inv", "monomial", powers=(-1, 0))),
+                     SystemSpec("standard_map"), pts, n=1)
+
+
 def test_time_average_constant_observable():
     spec = SystemSpec("standard_map", {"eps": 0.12})
     field = time_average(_dict(Observable("one", "constant")), spec,
