@@ -181,6 +181,22 @@ def test_numerical_failure_exits_3_with_module_text(tmp_path, capsys):
     assert "undefined" in err and "r^-2" in err
 
 
+@pytest.mark.parametrize("n_grid", [10, 200])  # one row block, several
+def test_partition_domain_error_exits_3(tmp_path, capsys, n_grid):
+    cfg = {
+        "method": "partition",
+        "system": {"kind": "standard_map", "params": {"eps": 0.0}},
+        "dictionary": [{"name": "1/x", "type": "monomial", "powers": [-1.0, 0.0]}],
+        "sampling": {"n": 3, "grid": {"axes": [
+            {"lo": 0.0, "hi": 0.5, "n": n_grid, "period": 1.0},
+            {"lo": 0.1, "hi": 0.9, "n": n_grid, "period": 1.0},
+        ]}},
+    }
+    assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "'1/x' undefined at sample 0" in err and "Traceback" not in err
+
+
 def test_bad_set_override_exits_2(tmp_path, capsys):
     cfg = torus_pinv_config(tmp_path / "out")
     path = write_config(tmp_path, cfg)

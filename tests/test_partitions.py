@@ -78,17 +78,69 @@ def test_time_average_gives_custom_observables_the_whole_grid(monkeypatch):
     assert seen == [100] * 5
 
 
-def test_time_average_domain_error_names_the_grid_row(monkeypatch):
+@pytest.mark.parametrize("blocked", [False, True])
+def test_time_average_domain_error_names_the_grid_row(monkeypatch, blocked):
     from koopman import partitions
     from koopman.errors import ObservableDomainError
 
-    monkeypatch.setattr(partitions, "_BLOCK_ROWS", 7)
-    monkeypatch.setattr(partitions, "_WORKERS", 2)
+    if blocked:
+        monkeypatch.setattr(partitions, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(partitions, "_WORKERS", 2)
     pts = np.full((50, 2), 0.5)
     pts[37, 0] = 0.0
     with pytest.raises(ObservableDomainError, match="sample 37"):
         time_average(_dict(Observable("inv", "monomial", powers=(-1, 0))),
                      SystemSpec("standard_map"), pts, n=1)
+
+
+@pytest.mark.parametrize(
+    "bad_rows, message",
+    [
+        # row 3 (first block) fails at iteration 1, row 40 (second) at 0
+        ({3: (1.0, 1.0), 40: (0.0, 5.0)}, "'inv_x' undefined at sample 40"),
+        ({3: (0.0, 5.0), 40: (1.0, 1.0)}, "'inv_x' undefined at sample 3"),
+        # both fail at iteration 0: the earlier entry wins over the earlier row
+        ({3: (0.5, 0.0), 40: (0.0, 0.5)}, "'inv_x' undefined at sample 40"),
+        # same iteration and entry: the earlier row wins
+        ({3: (0.0, 0.5), 40: (0.0, 0.5)}, "'inv_x' undefined at sample 3"),
+    ],
+)
+def test_time_average_domain_error_is_the_one_a_single_block_raises(
+    monkeypatch, bad_rows, message
+):
+    from koopman import partitions
+    from koopman.errors import ObservableDomainError
+
+    d = _dict(Observable("inv_x", "monomial", powers=(-1, 0)),
+              Observable("inv_y", "monomial", powers=(0, -1)))
+    spec = SystemSpec("linear_map", {"B": [[1.0, -1.0], [0.0, 1.0]]})  # (x, y) -> (x - y, y)
+    pts = np.tile([0.5, -0.5], (50, 1))
+    for row, point in bad_rows.items():
+        pts[row] = point
+    with pytest.raises(ObservableDomainError) as whole:
+        time_average(d, spec, pts, n=4)
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", 25)
+    monkeypatch.setattr(partitions, "_WORKERS", 2)
+    assert partitions._row_blocks(50, d) == [slice(0, 25), slice(25, 50)]
+    with pytest.raises(ObservableDomainError) as blocked:
+        time_average(d, spec, pts, n=4)
+    assert str(whole.value) == str(blocked.value) == f"observable {message}"
+
+
+def test_row_blocks_are_even_and_a_multiple_of_the_workers(monkeypatch):
+    from koopman import partitions
+
+    d = _dict(Observable("sy", "sin", k=(0, 1)))
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", 100)
+    monkeypatch.setattr(partitions, "_WORKERS", 2)
+    assert partitions._row_blocks(100, d) == [slice(0, 100)]
+    assert partitions._row_blocks(250, d) == [
+        slice(0, 62), slice(62, 125), slice(125, 187), slice(187, 250)
+    ]
+    custom = _dict(Observable("x", "custom", fn=lambda s: s[:, 0]))
+    assert partitions._row_blocks(250, custom) == [slice(0, 250)]
+    monkeypatch.setattr(partitions, "_WORKERS", 1)
+    assert partitions._row_blocks(250, d) == [slice(0, 250)]
 
 
 def test_time_average_constant_observable():
