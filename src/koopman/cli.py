@@ -88,7 +88,9 @@ def _decode_number(v):
     return v
 
 
-def _decode_matrix(rows) -> np.ndarray:
+def _decode_matrix(rows, name) -> np.ndarray:
+    if len({len(row) for row in rows}) > 1:
+        raise UsageError(f"{name} has rows of unequal length")
     return np.array([[_decode_number(v) for v in row] for row in rows])
 
 
@@ -336,7 +338,9 @@ def _run_sindy(config, spec, seed, stream):
 def _run_repr_check(config, spec, seed, stream):
     traj = _make_trajectory(spec, config["sampling"])
     dictionary = _build_dictionary(config["dictionary"])
-    A = _decode_matrix(config["method_params"]["coefficients"])
+    A = _decode_matrix(
+        config["method_params"]["coefficients"], "method_params.coefficients"
+    )
     model = RepresentationModel(
         observables=dictionary, map_kind="linear", coefficients=A
     )
@@ -641,7 +645,11 @@ def run(config: dict, out_dir, stream=None) -> dict:
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        kind = type(config).__name__
+        raise UsageError(f"top level must be a JSON object, got {kind}")
+    return config
 
 
 # Draft 7 counts 3.0 as an integer, which would then fail where the value
@@ -734,6 +742,9 @@ def main(argv=None) -> int:
     out_dir = args.out or config.get("output", {}).get("dir", ".")
     try:
         summary = run(config, out_dir)
+    except UsageError as exc:  # a value the schema cannot check, e.g. a ragged matrix
+        print(f"config invalid: {exc}", file=sys.stderr)
+        return 2
     except KoopmanError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

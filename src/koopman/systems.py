@@ -6,7 +6,12 @@ is defined once, in the _SYSTEMS table, as a function of its coordinate
 columns with `sin` and the mod-1 wrap passed in.  The scalar path runs that
 definition on python floats (long single trajectories); the batch path runs
 it on the columns of a (P, d) state array (grids of initial conditions), so
-both paths do the same arithmetic.
+both paths do the same arithmetic.  The scalar flow path runs an RK4 loop
+generated once per dimension (_rk4_loop), with every coordinate a plain
+local: a loop over state tuples would spend most of its time building
+generators and tuples rather than on the floating-point work.  The
+generated loop only calls the table's definition, so each system is still
+written once.
 
 Angle coordinates are stored in radians on the real line and are not reduced
 during iteration; reduction happens only where a map definition requires it
@@ -18,8 +23,10 @@ energy is H = omega^2/2 + (g/l) cos(theta).
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -146,7 +153,12 @@ class SystemSpec:
         if self.kind == "linear_map":
             if merged["B"] is None:
                 raise UsageError("linear_map requires a square matrix parameter 'B'")
-            B = np.asarray(merged["B"], dtype=float)
+            try:
+                B = np.asarray(merged["B"], dtype=float)
+            except (TypeError, ValueError):  # ragged rows, non-numeric entries
+                raise UsageError(
+                    "linear_map parameter 'B' must be a square matrix of numbers"
+                ) from None
             if B.ndim != 2 or B.shape[0] != B.shape[1]:
                 raise UsageError("linear_map parameter 'B' must be a square matrix")
             merged["B"] = B
@@ -323,6 +335,68 @@ def _check_finite(x, step):
         raise DivergenceError(step)
 
 
+# The scalar RK4 loop, written out per coordinate.  {x} stands for the state
+# "x0, x1, ...", {x+h2*a} for "x0 + h2 * a0, x1 + h2 * a1, ..." and so on;
+# the trailing commas let a single coordinate unpack as well.  The update is
+# the scalar sum x + h6*(a + 2(b + c) + d), which rounds differently from
+# the batch path's k1 + 2k2 + 2k3 + k4.  The finite check adds the new state
+# up from 0.0 in coordinate order, as _check_finite does on the map path, so
+# NaN and +-inf fail it in the same way.  A math function raises
+# OverflowError on overflow and ValueError outside its domain
+# (math.sin(inf)): both mean the step diverged.
+_RK4_TEMPLATE = """\
+def rk4_loop(f, s0, h, n_steps):
+    {x}, = s0
+    h2, h6 = 0.5 * h, h / 6.0
+    out = array("d", s0)
+    extend = out.extend
+    for k in range(1, n_steps + 1):
+        try:
+            {a}, = f({x})
+            {b}, = f({x+h2*a})
+            {c}, = f({x+h2*b})
+            {d}, = f({x+h*c})
+        except (OverflowError, ValueError):
+            raise DivergenceError(k) from None
+{update}
+        if not -inf < 0.0 + {sum_x} < inf:
+            raise DivergenceError(k)
+        extend(({x},))
+    return out
+"""
+
+
+@functools.cache
+def _rk4_loop(dim: int):
+    """rk4_loop(f, s0, h, n_steps) -> array('d') of the n_steps + 1 states.
+
+    Generated once per dimension: with the coordinates as plain locals, a
+    step builds no generators, zips or intermediate tuples, which on python
+    floats cost more than the arithmetic itself.
+    """
+
+    def terms(fmt, sep=", "):
+        return sep.join(fmt.format(i=i) for i in range(dim))
+
+    source = _RK4_TEMPLATE.format_map({
+        "x": terms("x{i}"),
+        "a": terms("a{i}"),
+        "b": terms("b{i}"),
+        "c": terms("c{i}"),
+        "d": terms("d{i}"),
+        "x+h2*a": terms("x{i} + h2 * a{i}"),
+        "x+h2*b": terms("x{i} + h2 * b{i}"),
+        "x+h*c": terms("x{i} + h * c{i}"),
+        "update": terms(
+            "        x{i} = x{i} + h6 * (a{i} + 2.0 * (b{i} + c{i}) + d{i})", "\n"
+        ),
+        "sum_x": terms("x{i}", " + "),
+    })
+    namespace = {"array": array, "DivergenceError": DivergenceError, "inf": math.inf}
+    exec(compile(source, f"<rk4 loop, dim {dim}>", "exec"), namespace)
+    return namespace["rk4_loop"]
+
+
 def integrate(spec: SystemSpec, s0, dt: float, n_steps: int) -> Trajectory:
     """Run the system for n_steps from s0 and record every state.
 
@@ -336,39 +410,24 @@ def integrate(spec: SystemSpec, s0, dt: float, n_steps: int) -> Trajectory:
     if s0.shape != (spec.dim,):
         raise UsageError(f"{spec.kind} state must have dimension {spec.dim}")
 
-    states = [tuple(float(v) for v in s0)]
-    x = states[0]
-    if spec.is_map:
-        step = _scalar(spec)
-        for k in range(n_steps):
-            try:
-                x = step(*x)
-            except OverflowError:
-                raise DivergenceError(k + 1) from None
-            _check_finite(x, k + 1)
-            states.append(x)
-        out_dt = 0.0
-    else:
+    if not spec.is_map:
         if dt <= 0:
             raise UsageError("flows require dt > 0")
-        f = _scalar(spec)
-        h, h2, h6 = dt, 0.5 * dt, dt / 6.0
-        for k in range(n_steps):
-            try:
-                a = f(*x)
-                b = f(*(xi + h2 * ai for xi, ai in zip(x, a)))
-                c = f(*(xi + h2 * bi for xi, bi in zip(x, b)))
-                d = f(*(xi + h * ci for xi, ci in zip(x, c)))
-            except OverflowError:
-                raise DivergenceError(k + 1) from None
-            x = tuple(
-                xi + h6 * (ai + 2.0 * (bi + ci) + di)
-                for xi, ai, bi, ci, di in zip(x, a, b, c, d)
-            )
-            _check_finite(x, k + 1)
-            states.append(x)
-        out_dt = dt
-    return Trajectory(states=np.array(states), dt=out_dt, spec=spec, initial_state=s0)
+        buf = _rk4_loop(spec.dim)(_scalar(spec), tuple(map(float, s0)), dt, n_steps)
+        states = np.frombuffer(buf, dtype=float).reshape(n_steps + 1, spec.dim)
+        return Trajectory(states=states, dt=dt, spec=spec, initial_state=s0)
+
+    states = [tuple(float(v) for v in s0)]
+    x = states[0]
+    step = _scalar(spec)
+    for k in range(n_steps):
+        try:
+            x = step(*x)
+        except (OverflowError, ValueError):  # as in the flow loop
+            raise DivergenceError(k + 1) from None
+        _check_finite(x, k + 1)
+        states.append(x)
+    return Trajectory(states=np.array(states), dt=0.0, spec=spec, initial_state=s0)
 
 
 def hamiltonian(s, g: float, l: float):

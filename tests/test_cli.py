@@ -153,6 +153,8 @@ def test_deleting_a_required_path_exits_2(tmp_path, capsys, name, path):
         ("circle_mz_closure.json", 'method_params.closure.omega="x"'),
         ("circle_mz_closure.json", "method_params.closure.m_samples=2.5"),
         ("torus_pinv_dmd.json", "sampling.n=100.0"),
+        ("linear_static.json", 'system.params={"B": [[1, 2], [3]]}'),
+        ("torus_repr_check.json", "method_params.coefficients=[[1, 0], [0]]"),
     ],
 )
 def test_mistyped_value_exits_2_without_traceback(tmp_path, capsys, name, override):
@@ -195,6 +197,31 @@ def test_partition_domain_error_exits_3(tmp_path, capsys, n_grid):
     assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "'1/x' undefined at sample 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, extra", [("run", ["--set", "a=1"]), ("repr", [])])
+def test_non_object_config_exits_2(tmp_path, capsys, command, extra):
+    assert cli.main([command, write_config(tmp_path, [1, 2]), *extra]) == 2
+    err = capsys.readouterr().err
+    assert "must be a JSON object" in err and "Traceback" not in err
+
+
+def test_pendulum_divergence_exits_3(tmp_path, capsys):
+    # math.sin(inf) at the first step: a divergence, not a domain crash
+    overrides = [
+        'system={"kind": "pendulum"}',
+        'dictionary.coords=["theta", "omega"]',
+        "sampling.initial_state=[1e308, 1e308]",
+        "sampling.dt=1e10",
+        "sampling.n=10",
+    ]
+    argv = ["run", str(CONFIG_DIR / "lorenz_sindy.json"), "--out", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "DivergenceError: trajectory diverged at step 1" in err
+    assert "Traceback" not in err
 
 
 def test_bad_set_override_exits_2(tmp_path, capsys):

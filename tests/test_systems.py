@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from koopman.errors import DivergenceError, UsageError
 from koopman.systems import (
+    FLOW_KINDS,
     SYSTEM_KINDS,
     SystemSpec,
     Trajectory,
@@ -20,6 +21,7 @@ from koopman.systems import (
     step_map,
     step_map_batch,
     vector_field,
+    _scalar,
 )
 
 SQRT7 = math.sqrt(7.0)
@@ -196,8 +198,20 @@ def test_divergence_error_reports_step():
     spec = SystemSpec("lorenz")
     with pytest.raises(DivergenceError) as err:
         integrate(spec, [1.0, 1.0, 1.0], dt=50.0, n_steps=100)
-    assert err.value.step >= 1
+    assert err.value.step == 3
     assert str(err.value.step) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "kind, s0, dt",
+    [("pendulum", [1e308, 1e308], 1e10), ("standard_map", [1e308, 0.0], 0.0)],
+)
+def test_leaving_sins_domain_is_a_divergence(kind, s0, dt):
+    # an angle overflows to inf in the first step and math.sin(inf) raises
+    # ValueError, which is reported as the step's divergence
+    with pytest.raises(DivergenceError) as err:
+        integrate(SystemSpec(kind), s0, dt=dt, n_steps=10)
+    assert err.value.step == 1
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
@@ -240,6 +254,8 @@ def test_spec_rejects_bad_input():
         SystemSpec("linear_map")
     with pytest.raises(UsageError):
         SystemSpec("linear_map", {"B": [[1.0, 2.0, 3.0]]})
+    with pytest.raises(UsageError):
+        SystemSpec("linear_map", {"B": [[1.0, 2.0], [3.0]]})
     with pytest.raises(UsageError):
         step_map(SystemSpec("lorenz"), [1.0, 1.0, 1.0])
     with pytest.raises(UsageError):
@@ -342,3 +358,30 @@ def test_golden_bits(kind):
     pts = np.linspace(-1.3, 1.7, 32 * spec.dim).reshape(32, spec.dim)
     out = step_map_batch(spec, pts) if spec.is_map else rk4_step_batch(spec, pts, dt)
     assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == _GOLDEN_BATCH[kind]
+
+
+def _reference_rk4(spec, s0, dt, n_steps):
+    """RK4 over state tuples: integrate() must match it bit for bit."""
+    f = _scalar(spec)
+    h, h2, h6 = dt, 0.5 * dt, dt / 6.0
+    x = tuple(float(v) for v in s0)
+    states = [x]
+    for _ in range(n_steps):
+        a = f(*x)
+        b = f(*(xi + h2 * ai for xi, ai in zip(x, a)))
+        c = f(*(xi + h2 * bi for xi, bi in zip(x, b)))
+        d = f(*(xi + h * ci for xi, ci in zip(x, c)))
+        x = tuple(
+            xi + h6 * (ai + 2.0 * (bi + ci) + di)
+            for xi, ai, bi, ci, di in zip(x, a, b, c, d)
+        )
+        states.append(x)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("kind", FLOW_KINDS)
+def test_integrate_matches_reference_loop_bit_for_bit(kind):
+    params, s0, dt, _ = _GOLDEN_RUNS[kind]
+    spec = SystemSpec(kind, params)
+    states = integrate(spec, s0, dt, 300).states
+    np.testing.assert_array_equal(states, _reference_rk4(spec, s0, dt, 300), strict=True)
