@@ -7,11 +7,13 @@ spiral-sink flow as CSV; `repr <config.json>` runs a representation
 check and prints the residual/faithfulness table.
 
 Exit codes: 0 success, 2 unusable config (schema violation, bad JSON,
-missing file; the failing field path is printed), 3 numerical or usage
-failure inside a method (module error text is printed).
+missing file; the failing field path is printed), 3 numerical failure
+inside a method, numpy's LinAlgError included (the error text is printed).
 
 Each method is declared once, in `_RUNNERS`: its runner and the config
 paths it requires, from which the schema's per-method rules are built.
+Each dictionary builder is declared once, in `_BUILDERS`, and the schema
+of an observable entry is built from `observables.KINDS`.
 A runner opens no file: it returns the summary's eigenvalues and
 residuals plus `files`, a map from artifact name to either a JSON
 payload or a `writer(path)`.  `run` is the only code that writes under
@@ -47,6 +49,8 @@ from .errors import KoopmanError, UsageError
 from .finite_section import finite_section_matrix
 from .mori_zwanzig import FourierObservable, circle_rotation_closure, mz_decompose
 from .observables import (
+    JSON_KINDS,
+    KINDS,
     Observable,
     ObservableDictionary,
     fourier_box,
@@ -94,20 +98,29 @@ def _decode_matrix(rows, name) -> np.ndarray:
     return np.array([[_decode_number(v) for v in row] for row in rows])
 
 
+# dictionary builder -> (build(node), the node fields it requires)
+_BUILDERS = {
+    "fourier_box": (
+        lambda node: fourier_box(node["dim"], node["kmax"], node.get("kind", "fourier")),
+        ("dim", "kmax"),
+    ),
+    "monomials": (
+        lambda node: monomial_library(tuple(node["coords"]), node["degree"]),
+        ("coords", "degree"),
+    ),
+}
+
+
 def _build_dictionary(node) -> ObservableDictionary:
     if isinstance(node, list):
         return ObservableDictionary.from_json(node)
-    builder = node["builder"]
-    if builder == "fourier_box":
-        return fourier_box(node["dim"], node["kmax"], node.get("kind", "fourier"))
-    return monomial_library(tuple(node["coords"]), node["degree"])
+    build, _ = _BUILDERS[node["builder"]]
+    return build(node)
 
 
 def _build_grid(node) -> RegularGrid:
     if node.get("kind") == "unit_square":
         return RegularGrid.unit_square(node["n"])
-    if "axes" not in node:
-        raise UsageError("grid needs either kind 'unit_square' or explicit axes")
     axes, periods = [], []
     for ax in node["axes"]:
         axes.append(np.linspace(ax["lo"], ax["hi"], ax["n"]))
@@ -265,6 +278,8 @@ def _run_static(config, spec, seed, stream):
     n = sampling.get("n", 100)
     params = config.get("method_params", {})
     lo, hi = params.get("box", [-1.0, 1.0])
+    if lo > hi:
+        raise UsageError(f"method_params.box needs low <= high, got [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(lo, hi, size=(n, spec.dim))
     outputs = step_map_batch(spec, inputs)
@@ -378,7 +393,13 @@ _RUNNERS = {
     ),
     "partition": (_run_partition, [("dictionary", "sampling.grid")]),
     "static": (_run_static, [("dictionary", "dictionary_out")]),
-    "mz": (_run_mz, [("dictionary", *_ORBIT), ("method_params.closure",)]),
+    "mz": (
+        _run_mz,
+        [
+            ("dictionary", *_ORBIT),
+            ("method_params.closure.coefficients", "method_params.closure.omega"),
+        ],
+    ),
     "sindy": (_run_sindy, [("dictionary", *_ORBIT)]),
     "repr_check": (
         _run_repr_check,
@@ -424,27 +445,61 @@ def _matrix(entry) -> dict:
     return {"type": "array", "items": {"type": "array", "items": entry}}
 
 
+def _when(field, values, then) -> dict:
+    """Schema applying `then` to an object whose `field` is one of `values`."""
+    return {"if": {"properties": {field: {"enum": list(values)}}}, "then": then}
+
+
+_VECTOR = {"type": "array", "items": _NUMBER, "minItems": 1}
+# JSON type of each observable parameter field; KINDS says which kind needs which
+_OBSERVABLE_PARAMS = {
+    "k": _VECTOR,
+    "powers": _VECTOR,
+    "index": {"type": "integer", "minimum": 0},
+}
+_OBSERVABLE = {
+    "type": "object",
+    "required": ["name", "type"],
+    "additionalProperties": False,
+    "properties": {
+        "name": {"type": "string", "minLength": 1},
+        "type": {"enum": list(JSON_KINDS)},
+        **_OBSERVABLE_PARAMS,
+    },
+    "allOf": [
+        _when(
+            "type",
+            [kind for kind in JSON_KINDS if KINDS[kind].param == param],
+            {"required": [param]},
+        )
+        for param in _OBSERVABLE_PARAMS
+    ],
+}
+
 _DICTIONARY_SCHEMA = {
-    "oneOf": [
-        {"type": "array", "items": {"type": "object"}, "minItems": 1},
-        {
-            "type": "object",
-            "required": ["builder"],
-            "properties": {
-                "builder": {"enum": ["fourier_box", "monomials"]},
-                "dim": {"type": "integer", "minimum": 1},
-                "kmax": {"type": "integer", "minimum": 1},
-                "kind": {"enum": ["fourier", "phase", "sin", "cos"]},
-                "coords": {
-                    "type": "array",
-                    "items": {"type": "string"},
-                    "minItems": 1,
-                },
-                "degree": {"type": "integer", "minimum": 0},
+    "type": ["array", "object"],
+    "if": {"type": "array"},
+    "then": {"items": _OBSERVABLE, "minItems": 1},
+    "else": {
+        "required": ["builder"],
+        "properties": {
+            "builder": {"enum": list(_BUILDERS)},
+            "dim": {"type": "integer", "minimum": 1},
+            "kmax": {"type": "integer", "minimum": 1},
+            "kind": {"enum": [kind for kind, spec in KINDS.items() if spec.param == "k"]},
+            "coords": {
+                "type": "array",
+                "items": {"type": "string"},
+                "minItems": 1,
             },
-            "additionalProperties": False,
+            "degree": {"type": "integer", "minimum": 0},
         },
-    ]
+        "additionalProperties": False,
+        "allOf": [
+            _when("builder", [builder], {"required": list(fields)})
+            for builder, (_, fields) in _BUILDERS.items()
+        ],
+    },
 }
 
 CONFIG_SCHEMA = {
@@ -480,6 +535,9 @@ CONFIG_SCHEMA = {
                 "grid": {
                     "type": "object",
                     "additionalProperties": False,
+                    "if": {"required": ["kind"]},
+                    "then": {"required": ["n"]},
+                    "else": {"required": ["axes"]},
                     "properties": {
                         "kind": {"enum": ["unit_square"]},
                         "n": {"type": "integer", "minimum": 1},
@@ -513,7 +571,7 @@ CONFIG_SCHEMA = {
                 "threshold": {"type": ["number", "null"], "minimum": 0},
                 "box": {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2},
                 "lambda_target": _COMPLEX,
-                "observable": {"type": "object"},
+                "observable": _OBSERVABLE,
                 "coefficients": _matrix(_COMPLEX),
                 "closure": {
                     "type": "object",
@@ -539,14 +597,13 @@ CONFIG_SCHEMA = {
         "tolerances": {"type": "object"},
     },
     "allOf": [
-        {
-            "if": {"properties": {"method": {"const": method}}},
-            "then": (
-                _requiring(alternatives[0])
-                if len(alternatives) == 1
-                else {"anyOf": [_requiring(paths) for paths in alternatives]}
-            ),
-        }
+        _when(
+            "method",
+            [method],
+            _requiring(alternatives[0])
+            if len(alternatives) == 1
+            else {"anyOf": [_requiring(paths) for paths in alternatives]},
+        )
         for method, (_, alternatives) in _RUNNERS.items()
     ],
 }
@@ -745,7 +802,7 @@ def main(argv=None) -> int:
     except UsageError as exc:  # a value the schema cannot check, e.g. a ragged matrix
         print(f"config invalid: {exc}", file=sys.stderr)
         return 2
-    except KoopmanError as exc:
+    except (KoopmanError, np.linalg.LinAlgError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     residuals = ", ".join(f"{k}={v:.3g}" for k, v in summary["residuals"].items())

@@ -59,15 +59,18 @@ def dual_basis(F, weights=None) -> np.ndarray:
 
     G = (F* W F)^-1 F* W with W = diag(weights), identity by default.
     Near-dependent dictionary entries (condition number of the Gram matrix
-    above 1e12) raise DegenerateDictionaryError naming the entries that
-    load on the smallest singular vector.
+    above 1e12, or fewer samples than entries) raise
+    DegenerateDictionaryError naming the entries that load on the smallest
+    singular vector.
     """
     F = np.atleast_2d(np.asarray(F))
     m, N = F.shape
     w = _check_weights(weights, m)
     Fw = F if w is None else F * np.sqrt(w)[:, None]
     svals = np.linalg.svd(Fw, compute_uv=False)
-    gram_cond = np.inf if svals[-1] == 0 else (svals[0] / svals[-1]) ** 2
+    # fewer samples than entries leave N - m singular values of Fw at zero,
+    # though svd returns only the min(m, N) others
+    gram_cond = np.inf if m < N or svals[-1] == 0 else (svals[0] / svals[-1]) ** 2
     if not np.isfinite(gram_cond) or gram_cond > _COND_GRAM_LIMIT:
         _, _, Vh = np.linalg.svd(Fw)
         v = np.abs(Vh[-1])

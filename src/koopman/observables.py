@@ -1,24 +1,29 @@
 """Scalar observables on state space and named collections of them.
 
-An observable maps an (m, d) block of states to m complex values.  The
-built-in kinds cover what the decomposition modules need:
+An observable maps an (m, d) block of states to m complex values.  Each
+kind is declared once, in `KINDS`: the field holding its parameter, whether
+its values are real, and the function that evaluates it.
 
-  constant          1
-  coordinate        x[index]
-  monomial          prod_i x_i**powers[i]   (negative/fractional powers ok
-                    where defined; violations raise ObservableDomainError)
-  fourier           exp(i*2*pi*(k . x))     unit-box convention
-  phase             exp(i*(k . x))          coordinates already in radians
-  sin, cos          sin/cos(2*pi*(k . x))
+  kind        parameter  real  value
+  constant    -          yes   1
+  coordinate  index      yes   x[index]
+  monomial    powers     yes   prod_i x_i**powers[i]   (negative/fractional
+                                powers ok where defined; violations raise
+                                ObservableDomainError)
+  fourier     k          no    exp(i*2*pi*(k . x))     unit-box convention
+  phase       k          no    exp(i*(k . x))          coordinates in radians
+  sin, cos    k          yes   sin/cos(2*pi*(k . x))
+  custom      fn         no    fn(x), for in-memory use only
 
-A "custom" kind wraps an arbitrary callable for in-memory use; it cannot
-round-trip through JSON.
+A vector parameter (k, powers) has one entry per state coordinate.  Every
+kind but custom round-trips through JSON as {"name", "type", <parameter>}.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +31,55 @@ from .errors import ObservableDomainError, UsageError
 
 TWO_PI = 2.0 * np.pi
 
-_JSON_KINDS = ("constant", "coordinate", "monomial", "fourier", "phase", "sin", "cos")
+
+def _monomial(obs, states) -> np.ndarray:
+    out = np.ones(states.shape[0])
+    for i, p in enumerate(obs.powers):
+        if p == 0.0:
+            continue
+        base = states[:, i]
+        if p.is_integer():
+            if p < 0:
+                bad = np.flatnonzero(base == 0.0)
+                if bad.size:
+                    raise ObservableDomainError(obs.name, int(bad[0]))
+            out = out * base ** int(p)
+        else:
+            bad = np.flatnonzero(base <= 0.0 if p < 0 else base < 0.0)
+            if bad.size:
+                raise ObservableDomainError(obs.name, int(bad[0]))
+            out = out * base ** p
+    return out
+
+
+def _custom(obs, states) -> np.ndarray:
+    values = np.asarray(obs.fn(states))
+    if values.shape != (states.shape[0],):
+        raise UsageError(
+            f"{obs.name}: custom observable returned shape {values.shape}, "
+            f"expected ({states.shape[0]},)"
+        )
+    return values
+
+
+class Kind(NamedTuple):
+    param: str | None  # the Observable field holding the kind's parameter
+    real: bool  # values are real, so one real channel/accumulator suffices
+    values: Callable  # values(observable, (m, d) states) -> (m,) array
+
+
+KINDS = {
+    "constant": Kind(None, True, lambda o, s: np.ones(s.shape[0])),
+    "coordinate": Kind("index", True, lambda o, s: s[:, o.index].copy()),
+    "monomial": Kind("powers", True, _monomial),
+    "fourier": Kind("k", False, lambda o, s: np.exp(1j * TWO_PI * (s @ np.asarray(o.k)))),
+    "phase": Kind("k", False, lambda o, s: np.exp(1j * (s @ np.asarray(o.k)))),
+    "sin": Kind("k", True, lambda o, s: np.sin(TWO_PI * (s @ np.asarray(o.k)))),
+    "cos": Kind("k", True, lambda o, s: np.cos(TWO_PI * (s @ np.asarray(o.k)))),
+    "custom": Kind("fn", False, _custom),
+}
+JSON_KINDS = tuple(kind for kind, spec in KINDS.items() if spec.param != "fn")
+REAL_KINDS = frozenset(kind for kind, spec in KINDS.items() if spec.real)
 
 
 @dataclass(frozen=True)
@@ -41,108 +94,51 @@ class Observable:
     def __post_init__(self):
         if not self.name or not isinstance(self.name, str):
             raise UsageError("observable needs a non-empty string name")
-        if self.kind not in _JSON_KINDS + ("custom",):
+        if self.kind not in KINDS:
             raise UsageError(f"{self.name}: unknown observable type {self.kind!r}")
-        if self.kind in ("fourier", "phase", "sin", "cos"):
-            if self.k is None or len(self.k) == 0:
-                raise UsageError(f"{self.name}: {self.kind} needs a wave vector k")
-            object.__setattr__(self, "k", tuple(float(v) for v in self.k))
-        elif self.kind == "monomial":
-            if self.powers is None or len(self.powers) == 0:
-                raise UsageError(f"{self.name}: monomial needs a powers vector")
-            object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
-        elif self.kind == "coordinate":
-            if self.index is None or int(self.index) < 0:
-                raise UsageError(f"{self.name}: coordinate needs index >= 0")
-            object.__setattr__(self, "index", int(self.index))
-        elif self.kind == "custom":
-            if not callable(self.fn):
+        param = KINDS[self.kind].param
+        value = getattr(self, param) if param else None
+        if param == "fn":
+            if not callable(value):
                 raise UsageError(f"{self.name}: custom observable needs a callable")
-
-    def _check_dim(self, d: int):
-        need = None
-        if self.kind in ("fourier", "phase", "sin", "cos"):
-            need = len(self.k)
-        elif self.kind == "monomial":
-            need = len(self.powers)
-        elif self.kind == "coordinate":
-            if self.index >= d:
-                raise UsageError(
-                    f"{self.name}: coordinate index {self.index} out of range for dim {d}"
-                )
-        if need is not None and need != d:
-            raise UsageError(
-                f"{self.name}: expects dimension {need}, states have dimension {d}"
-            )
+        elif param == "index":
+            if value is None or int(value) < 0:
+                raise UsageError(f"{self.name}: coordinate needs index >= 0")
+            object.__setattr__(self, "index", int(value))
+        elif param:
+            if value is None or len(value) == 0:
+                raise UsageError(f"{self.name}: {self.kind} needs a {param} vector")
+            object.__setattr__(self, param, tuple(float(v) for v in value))
 
     def __call__(self, states) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        m, d = states.shape
-        self._check_dim(d)
-        if self.kind == "constant":
-            return np.ones(m)
-        if self.kind == "coordinate":
-            return states[:, self.index].copy()
-        if self.kind == "fourier":
-            return np.exp(1j * TWO_PI * (states @ np.asarray(self.k)))
-        if self.kind == "phase":
-            return np.exp(1j * (states @ np.asarray(self.k)))
-        if self.kind == "sin":
-            return np.sin(TWO_PI * (states @ np.asarray(self.k)))
-        if self.kind == "cos":
-            return np.cos(TWO_PI * (states @ np.asarray(self.k)))
-        if self.kind == "monomial":
-            return self._monomial(states)
-        values = np.asarray(self.fn(states))
-        if values.shape != (m,):
+        d = states.shape[1]
+        kind = KINDS[self.kind]
+        value = getattr(self, kind.param) if kind.param else None
+        if kind.param == "index" and value >= d:
+            raise UsageError(f"{self.name}: coordinate index {value} out of range for dim {d}")
+        if isinstance(value, tuple) and len(value) != d:  # k or powers
             raise UsageError(
-                f"{self.name}: custom observable returned shape {values.shape}, "
-                f"expected ({m},)"
+                f"{self.name}: expects dimension {len(value)}, states have dimension {d}"
             )
-        return values
-
-    def _monomial(self, states) -> np.ndarray:
-        out = np.ones(states.shape[0])
-        for i, p in enumerate(self.powers):
-            if p == 0.0:
-                continue
-            base = states[:, i]
-            if p.is_integer():
-                if p < 0:
-                    bad = np.flatnonzero(base == 0.0)
-                    if bad.size:
-                        raise ObservableDomainError(self.name, int(bad[0]))
-                out = out * base ** int(p)
-            else:
-                bad = np.flatnonzero(base <= 0.0 if p < 0 else base < 0.0)
-                if bad.size:
-                    raise ObservableDomainError(self.name, int(bad[0]))
-                out = out * base ** p
-        return out
+        return kind.values(self, states)
 
     def to_json(self) -> dict:
-        if self.kind == "custom":
+        param = KINDS[self.kind].param
+        if param == "fn":
             raise UsageError(f"{self.name}: custom observables are not JSON-serializable")
         obj = {"name": self.name, "type": self.kind}
-        if self.k is not None:
-            obj["k"] = list(self.k)
-        if self.powers is not None:
-            obj["powers"] = list(self.powers)
-        if self.index is not None:
-            obj["index"] = self.index
+        if param:
+            value = getattr(self, param)
+            obj[param] = list(value) if isinstance(value, tuple) else value
         return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "Observable":
         if not isinstance(obj, dict) or "name" not in obj or "type" not in obj:
             raise UsageError("observable JSON needs 'name' and 'type' fields")
-        return cls(
-            name=obj["name"],
-            kind=obj["type"],
-            k=tuple(obj["k"]) if "k" in obj else None,
-            powers=tuple(obj["powers"]) if "powers" in obj else None,
-            index=obj.get("index"),
-        )
+        params = {key: obj[key] for key in ("k", "powers", "index") if key in obj}
+        return cls(name=obj["name"], kind=obj["type"], **params)
 
 
 @dataclass(frozen=True)

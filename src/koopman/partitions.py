@@ -27,10 +27,9 @@ import scipy.signal
 import scipy.spatial
 
 from .errors import ObservableDomainError, UsageError
+from .observables import REAL_KINDS as _REAL_KINDS  # kinds with a real accumulator
 from .observables import ObservableDictionary
 from .systems import SystemSpec, Trajectory, rk4_step_batch, step_map_batch
-
-_REAL_KINDS = {"constant", "coordinate", "monomial", "sin", "cos"}
 
 # Orbits of different grid points never interact, so time_average runs the
 # grid in row blocks on a small thread pool (numpy's ufuncs release the GIL).
@@ -64,13 +63,15 @@ class RegularGrid:
         for a in axes:
             if a.size > 1:
                 steps = np.diff(a)
-                if np.any(np.abs(steps - steps[0]) > 1e-9 * abs(steps[0])):
-                    raise UsageError("grid axes must be uniformly spaced")
+                if steps[0] == 0 or np.any(np.abs(steps - steps[0]) > 1e-9 * abs(steps[0])):
+                    raise UsageError("grid axes must be uniformly spaced, with distinct points")
         periods = self.periods
         if periods is None:
             periods = (None,) * len(axes)
         if len(periods) != len(axes):
             raise UsageError("need one period entry (or None) per axis")
+        if any(p is not None and not p > 0 for p in periods):
+            raise UsageError("grid periods must be positive")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "periods", tuple(periods))
 
@@ -99,10 +100,11 @@ class RegularGrid:
         idx = np.zeros((pts.shape[0], self.dim), dtype=int)
         ok = np.all(np.isfinite(pts), axis=1)
         for d, (axis, period) in enumerate(zip(self.axes, self.periods)):
-            h = axis[1] - axis[0] if axis.size > 1 else 1.0
+            # a Python float, so that period / h overflows to inf silently
+            h = float(axis[1] - axis[0]) if axis.size > 1 else 1.0
             vals = np.where(ok, pts[:, d], axis[0])
             i = np.round((vals - axis[0]) / h).astype(int)
-            if period is not None and int(round(period / h)) == axis.size:
+            if period is not None and np.rint(period / h) == axis.size:
                 i %= axis.size
             elif period is not None:
                 # the axis leaves a gap before the period wraps: past the

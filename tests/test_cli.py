@@ -1,13 +1,17 @@
+import copy
 import json
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopman import cli
 from koopman.cli import CONFIG_SCHEMA, SUMMARY_SCHEMA, emit_lattice
 from koopman.errors import UsageError
+from koopman.observables import JSON_KINDS, KINDS
 from koopman.systems import SystemSpec, known_spectrum
 
 CONFIG_DIR = Path(__file__).parents[1] / "configs"
@@ -98,7 +102,11 @@ REQUIRED_PATHS = {
     "standard_map_partition.json": ("dictionary", "sampling.grid"),
     "linear_static.json": ("dictionary", "dictionary_out"),
     "lorenz_mz_memory.json": ("dictionary", "sampling.initial_state", "sampling.n"),
-    "circle_mz_closure.json": ("method_params.closure",),
+    "circle_mz_closure.json": (
+        "method_params.closure",
+        "method_params.closure.coefficients",
+        "method_params.closure.omega",
+    ),
     "lorenz_sindy.json": ("dictionary", "sampling.initial_state", "sampling.n"),
     "torus_repr_check.json": (
         "dictionary",
@@ -155,6 +163,23 @@ def test_deleting_a_required_path_exits_2(tmp_path, capsys, name, path):
         ("torus_pinv_dmd.json", "sampling.n=100.0"),
         ("linear_static.json", 'system.params={"B": [[1, 2], [3]]}'),
         ("torus_repr_check.json", "method_params.coefficients=[[1, 0], [0]]"),
+        ("torus_pinv_dmd.json", 'dictionary=[{"name": "z", "type": "phase", "k": ["a"]}]'),
+        ("torus_pinv_dmd.json", 'dictionary=[{"name": "z", "type": "phase", "k": 5}]'),
+        ("torus_pinv_dmd.json", 'dictionary=[{"name": "z", "type": "phase", "k": "1"}]'),
+        ("torus_pinv_dmd.json", 'dictionary=[{"name": "", "type": "phase", "k": [1, 0]}]'),
+        ("torus_pinv_dmd.json", 'dictionary=[{"name": "z", "type": "custom"}]'),
+        ("linear_static.json", 'dictionary_out=[{"name":"x","type":"coordinate","index":"a"}]'),
+        ("linear_static.json", 'dictionary_out=[{"name":"x","type":"coordinate","index":1.5}]'),
+        ("linear_static.json", 'dictionary_out=[{"name":"x","type":"coordinate"}]'),
+        ("linear_static.json", 'dictionary_out=[{"name":"m","type":"monomial","powers":[null]}]'),
+        ("circle_gla.json", 'method_params.observable={"name": "z", "type": "phase"}'),
+        ("lorenz_sindy.json", 'dictionary={"builder": "monomials", "degree": 2}'),
+        ("torus_companion_dmd.json", 'dictionary={"builder": "fourier_box", "kmax": 1}'),
+        ("standard_map_partition_integrable.json", 'sampling.grid={"kind": "unit_square"}'),
+        ("standard_map_partition_integrable.json", "sampling.grid={}"),
+        ("circle_mz_closure.json", 'method_params.closure={"coefficients": [0, 1]}'),
+        ("circle_mz_closure.json", 'method_params.closure={"omega": 1.0}'),
+        ("linear_static.json", "method_params.box=[1.5, 1.0]"),
     ],
 )
 def test_mistyped_value_exits_2_without_traceback(tmp_path, capsys, name, override):
@@ -162,6 +187,11 @@ def test_mistyped_value_exits_2_without_traceback(tmp_path, capsys, name, overri
     assert cli.main(["run", path, "--set", override, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config invalid" in err and "Traceback" not in err
+
+
+def test_observable_schema_types_every_json_parameter():
+    params = {KINDS[kind].param for kind in JSON_KINDS} - {None}
+    assert params == set(cli._OBSERVABLE_PARAMS)
 
 
 def test_unknown_top_level_key_exits_2(tmp_path, capsys):
@@ -222,6 +252,22 @@ def test_pendulum_divergence_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "DivergenceError: trajectory diverged at step 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # underdetermined fit, overflow
+@pytest.mark.parametrize(
+    "name, override",
+    [
+        # fewer samples than dictionary entries: no dual basis exists
+        ("limit_cycle_edmd.json", "sampling.n=1"),
+        # numpy's SVD does not converge on phases of order 1e308
+        ("torus_pinv_dmd.json", 'dictionary=[{"name": "z", "type": "phase", "k": [1e308, 1]}]'),
+    ],
+)
+def test_numerical_breakdown_exits_3(tmp_path, capsys, name, override):
+    path = str(CONFIG_DIR / name)
+    assert cli.main(["run", path, "--set", override, "--out", str(tmp_path / "o")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_bad_set_override_exits_2(tmp_path, capsys):
@@ -483,3 +529,69 @@ def test_list_systems_names_every_kind(capsys):
 def test_shipped_config_validates(config_path):
     config = json.loads(config_path.read_text())
     jsonschema.validate(config, CONFIG_SCHEMA)
+
+
+# ------------------------------------------------------------------ fuzz
+
+FUZZ_VALUES = (None, -1, 0, 1, 1.5, "x", [], {}, [1], [[1]], True, 1e308, -1e308)
+DELETE = "<delete>"
+# sizes every fuzzed config starts from: small partition grids, short orbits
+FUZZ_CAPS = {
+    "standard_map_partition.json": {
+        ("sampling", "n"): 4,
+        ("sampling", "grid", "axes", 0, "n"): 6,
+        ("sampling", "grid", "axes", 1, "n"): 6,
+    },
+    "standard_map_partition_integrable.json": {
+        ("sampling", "n"): 4,
+        ("sampling", "grid", "n"): 6,
+    },
+    "lorenz_sindy.json": {("sampling", "n"): 400},
+    "limit_cycle_edmd.json": {("sampling", "n"): 400},
+}
+
+
+def _mutate(cfg, path, value):
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if value == DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(value)
+
+
+def _capped_config(name):
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    for path, value in FUZZ_CAPS.get(name, {}).items():
+        _mutate(cfg, path, value)
+    return cfg
+
+
+def _config_paths(node, prefix=()):
+    """Every object key and array position in a config, as key tuples."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield (*prefix, key)
+        yield from _config_paths(child, (*prefix, key))
+
+
+FUZZ_CONFIGS = {p.name: _capped_config(p.name) for p in sorted(CONFIG_DIR.glob("*.json"))}
+FUZZ_SITES = [(name, path) for name, cfg in FUZZ_CONFIGS.items() for path in _config_paths(cfg)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, deadline=None, database=None, max_examples=1500)
+@given(site=st.sampled_from(FUZZ_SITES), value=st.sampled_from((DELETE, *FUZZ_VALUES)))
+def test_fuzzed_config_exits_0_2_or_3(tmp_path_factory, site, value):
+    name, path = site
+    cfg = copy.deepcopy(FUZZ_CONFIGS[name])
+    _mutate(cfg, path, value)
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    work.mkdir(exist_ok=True)
+    assert cli.main(["run", write_config(work, cfg), "--out", str(work / "o")]) in (0, 2, 3)

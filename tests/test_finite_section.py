@@ -68,6 +68,14 @@ def test_dual_basis_degenerate_names_culprits():
     assert set(err.value.near_dependent) >= {0, 1}
 
 
+def test_dual_basis_rejects_fewer_samples_than_entries():
+    # svd returns only min(m, N) singular values, all nonzero here; the
+    # N - m missing ones are zero, so no G with G F = I exists
+    F = np.random.default_rng(4).normal(size=(3, 5))
+    with pytest.raises(DegenerateDictionaryError, match="condition number inf"):
+        dual_basis(F)
+
+
 def test_section_circle_rotation_single_mode():
     spec = SystemSpec("circle_rotation", {"omega": 0.9})
     traj = integrate(spec, [0.1], dt=0.0, n_steps=30)

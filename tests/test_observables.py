@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -115,3 +117,51 @@ def test_fourier_box_contents():
     ks = {e.k for e in d}
     assert (0.0, 0.0) not in ks
     assert (1.0, -1.0) in ks
+
+
+
+# SHA-256 of each kind's output (dtype tag, then the raw value bytes) on a
+# fixed batch of states, recorded before the kind table replaced the
+# per-kind if-chain: evaluation must stay bit for bit the same.
+GOLDEN_STATES = np.linspace(0.05, 2.4, 96).reshape(32, 3)
+GOLDEN = {
+    "constant": (
+        Observable("one", "constant"),
+        "c7cbe4c68e70622f98be4ecb3c2d7231e5a2481671769e49aaeb9479ed3df13b",
+    ),
+    "coordinate": (
+        Observable("y", "coordinate", index=1),
+        "2e3a9783d0fc238b10cb0be99101785ec6f518bdf855e035ab0620ba95ec3024",
+    ),
+    "monomial": (
+        Observable("m", "monomial", powers=(2, -1, 0.5)),
+        "1caea051d02750f67dacb5641853e410922f5c6fc4278a7d3ad6894b7b73582e",
+    ),
+    "fourier": (
+        Observable("f", "fourier", k=(1, -2, 3)),
+        "e753c49f02f49ee76aa6a4728cb5ddb6278305c71d1c85c7e97da02941ee5b82",
+    ),
+    "phase": (
+        Observable("p", "phase", k=(1, 0.5, -1)),
+        "978d05e7fedf1d83c12122fdd407c46d850b8e16b32542efee4b1b505b169e6a",
+    ),
+    "sin": (
+        Observable("s", "sin", k=(2, 1, 0)),
+        "934a43b9c8984fd8bbc82af70585089a2de4309385daa64465d593beeac57276",
+    ),
+    "cos": (
+        Observable("c", "cos", k=(0, -1, 4)),
+        "e3f6467192d12378c0b4fbb301c1e1ba2d340be0ca76c59b6f5d5ca58399d6c0",
+    ),
+    "custom": (
+        Observable("n", "custom", fn=lambda s: np.sqrt(np.sum(s * s, axis=1))),
+        "8cf29856f0060abd8f1148fc7038dc3461dcec2d1b50d72f0e28a80bc16197a4",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_golden_bits_of_every_kind(kind):
+    obs, digest = GOLDEN[kind]
+    values = obs(GOLDEN_STATES)
+    assert hashlib.sha256(values.dtype.str.encode() + values.tobytes()).hexdigest() == digest

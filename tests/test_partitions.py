@@ -47,6 +47,17 @@ def test_nearest_index_wraps_axes_that_do_not_tile_their_period(axis, points, ne
     np.testing.assert_allclose(grid.points[idx, 0], nearest)
 
 
+def test_grid_axes_need_distinct_points_and_positive_periods():
+    with pytest.raises(UsageError, match="distinct"):
+        RegularGrid(axes=(np.full(3, 0.5),))
+    axis = np.array([0.0, 0.5])
+    for period in (0.0, -1.0):
+        with pytest.raises(UsageError, match="positive"):
+            RegularGrid(axes=(axis,), periods=(period,))
+    grid = RegularGrid(axes=(axis,), periods=(1e308,))  # period / step overflows
+    np.testing.assert_array_equal(grid.nearest_index(np.array([[0.4], [2.0]])), [1, 1])
+
+
 def test_time_average_is_bit_identical_in_any_block_size(monkeypatch):
     from koopman import partitions
 
