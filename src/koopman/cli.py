@@ -397,7 +397,7 @@ _RUNNERS = {
         _run_mz,
         [
             ("dictionary", *_ORBIT),
-            ("method_params.closure.coefficients", "method_params.closure.omega"),
+            ("method_params.closure",),  # its schema requires coefficients and omega
         ],
     ),
     "sindy": (_run_sindy, [("dictionary", *_ORBIT)]),
@@ -575,6 +575,7 @@ CONFIG_SCHEMA = {
                 "coefficients": _matrix(_COMPLEX),
                 "closure": {
                     "type": "object",
+                    "required": ["coefficients", "omega"],
                     "properties": {
                         "coefficients": {"type": "array", "items": _COMPLEX},
                         "omega": _NUMBER,

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .embedding import SnapshotPair
 from .errors import DefectiveMatrixError, PreconditionError, UsageError
@@ -137,6 +136,8 @@ def spectral_triple(A, pair: SnapshotPair) -> SpectralTriple:
         raise UsageError("eigenmatrix must be square")
     if A.shape[0] != pair.n_observables:
         raise UsageError("eigenmatrix size must match number of observable rows")
+    import scipy.linalg  # deferred: scipy would dominate `import koopman`
+
     lam, vl, vr = scipy.linalg.eig(A, left=True, right=True)
     cond = np.linalg.cond(vr)
     if not np.isfinite(cond) or cond > _COND_EIGVEC_LIMIT:

@@ -15,13 +15,18 @@ its values are real, and the function that evaluates it.
   sin, cos    k          yes   sin/cos(2*pi*(k . x))
   custom      fn         no    fn(x), for in-memory use only
 
-A vector parameter (k, powers) has one entry per state coordinate.  Every
-kind but custom round-trips through JSON as {"name", "type", <parameter>}.
+A vector parameter (k, powers) has one entry per state coordinate.  The
+constructor checks each parameter against `_PARAMS` (index: an integer
+>= 0; k, powers: a non-empty sequence of real numbers; fn: a callable) and
+raises UsageError rather than coercing anything else.  Every kind but
+custom round-trips through JSON as {"name", "type", <parameter>}.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -78,6 +83,32 @@ KINDS = {
     "cos": Kind("k", True, lambda o, s: np.cos(TWO_PI * (s @ np.asarray(o.k)))),
     "custom": Kind("fn", False, _custom),
 }
+
+
+def _index(value):
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0:
+        return int(value)
+    return None
+
+
+def _real_vector(value):
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (str, bytes)) or not isinstance(value, Sequence) or not value:
+        return None
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value):
+        return None
+    return tuple(float(v) for v in value)
+
+
+# parameter field -> (check returning the value to store, or None to reject;
+# what a valid value is)
+_PARAMS = {
+    "index": (_index, "an integer index >= 0"),
+    "k": (_real_vector, "a non-empty sequence of real numbers k"),
+    "powers": (_real_vector, "a non-empty sequence of real numbers powers"),
+    "fn": (lambda value: value if callable(value) else None, "a callable fn"),
+}
 JSON_KINDS = tuple(kind for kind, spec in KINDS.items() if spec.param != "fn")
 REAL_KINDS = frozenset(kind for kind, spec in KINDS.items() if spec.real)
 
@@ -94,21 +125,17 @@ class Observable:
     def __post_init__(self):
         if not self.name or not isinstance(self.name, str):
             raise UsageError("observable needs a non-empty string name")
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise UsageError(f"{self.name}: unknown observable type {self.kind!r}")
         param = KINDS[self.kind].param
-        value = getattr(self, param) if param else None
-        if param == "fn":
-            if not callable(value):
-                raise UsageError(f"{self.name}: custom observable needs a callable")
-        elif param == "index":
-            if value is None or int(value) < 0:
-                raise UsageError(f"{self.name}: coordinate needs index >= 0")
-            object.__setattr__(self, "index", int(value))
-        elif param:
-            if value is None or len(value) == 0:
-                raise UsageError(f"{self.name}: {self.kind} needs a {param} vector")
-            object.__setattr__(self, param, tuple(float(v) for v in value))
+        if param:
+            check, valid = _PARAMS[param]
+            value = check(getattr(self, param))
+            if value is None:
+                raise UsageError(
+                    f"{self.name}: {self.kind} needs {valid}, got {getattr(self, param)!r}"
+                )
+            object.__setattr__(self, param, value)
 
     def __call__(self, states) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=float))

@@ -23,8 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
-import scipy.spatial
 
 from .errors import ObservableDomainError, UsageError
 from .observables import REAL_KINDS as _REAL_KINDS  # kinds with a real accumulator
@@ -348,6 +346,8 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
     # mu^-k built from the angle, not by repeated powers, to avoid drift
     k = np.arange(n)
     weights = np.exp(-1j * k * np.angle(mu)) * (abs(mu) ** (-k) if abs(mu) != 1.0 else 1.0)
+    import scipy.signal  # deferred: scipy would dominate `import koopman`
+
     conv = scipy.signal.fftconvolve(values, weights[::-1])
     samples = conv[n - 1 : m] / n
     if samples.size > 1:
@@ -487,6 +487,8 @@ def partition_invariance_score(
     if isinstance(labeling.grid, RegularGrid):
         lookup = labeling.grid.nearest_index
     else:
+        import scipy.spatial  # deferred: RegularGrid labelings never need it
+
         tree = scipy.spatial.cKDTree(pts)
 
         def lookup(q):

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .dmd import SpectralTriple, continuous_time_eigenvalues
 from .errors import DegenerateFitError, PreconditionError, UsageError
@@ -171,6 +170,8 @@ def faithfulness_estimate(f_samples, state_samples) -> dict:
     n = S.shape[0]
     if n < 2:
         raise UsageError("need at least two samples")
+    from scipy.spatial.distance import pdist  # deferred: scipy would dominate `import koopman`
+
     # complex observable values: pdist wants reals, split the parts
     F_real = np.column_stack([F.real, F.imag]) if np.iscomplexobj(F) else F
     fd = pdist(F_real)

@@ -7,6 +7,7 @@ part of the public contract: loosening them here is a regression, not a
 fix.  All tests are deterministic (fixed seeds, full-grid scoring).
 """
 
+import hashlib
 import math
 import time
 
@@ -194,6 +195,18 @@ def test_c05_rotation_markov_closure_two_routes():
     assert residual <= 1e-10
 
 
+C06_FIELD0 = {
+    "values": "798770fb85afb52b52cf70c5920fb92da3524d432fd3a6b5626ccc3cfee26282",
+    "cesaro": "1c5da6fe30e5edf5cb84d2098ad65d7afe3a0b5b35c380536322f1ea2b5d61d5",
+    "diverged": "2887f7defd62c1c1e557443d76e0d9a8c45bea47d0ac2b8cb44e2ffb1b35f60b",
+}
+C06_FIELD1 = {
+    "values": "b80f26608faffc91bcb415f8abf347875bfd0c870f7595674c7b876ea3c91783",
+    "cesaro": "32a099225d3d48b9e02ecb8164b3c5b715ce05ca899e45bf1ae9dc894f4af8be",
+    "diverged": "cc96a8f6ea7100b133d8059f63e308d31a04f71c793c1ccbf6920d9f1ce9b8b9",
+}
+
+
 def test_c06_ergodic_partition_invariance_scores_and_runtime():
     t0 = time.perf_counter()
 
@@ -220,6 +233,13 @@ def test_c06_ergodic_partition_invariance_scores_and_runtime():
     lab1 = ergodic_partition_approx(field1, bins_per_obs=3)
     score1 = partition_invariance_score(lab1, spec1, n_test=1, seed=0)
     runtime = time.perf_counter() - t0
+
+    # SHA-256 (dtype tag, then the raw bytes) of both fields, recorded at
+    # 05cc532, before any change to how time_average steps its blocks
+    for field, digests in ((field0, C06_FIELD0), (field1, C06_FIELD1)):
+        for attr, digest in digests.items():
+            a = getattr(field, attr)
+            assert hashlib.sha256(a.dtype.str.encode() + a.tobytes()).hexdigest() == digest, attr
 
     k_cells = lab1.n_cells
     baseline = 1.0 / k_cells

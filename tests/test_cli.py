@@ -179,6 +179,7 @@ def test_deleting_a_required_path_exits_2(tmp_path, capsys, name, path):
         ("standard_map_partition_integrable.json", "sampling.grid={}"),
         ("circle_mz_closure.json", 'method_params.closure={"coefficients": [0, 1]}'),
         ("circle_mz_closure.json", 'method_params.closure={"omega": 1.0}'),
+        ("lorenz_mz_memory.json", "method_params.closure={}"),
         ("linear_static.json", "method_params.box=[1.5, 1.0]"),
     ],
 )

@@ -110,6 +110,42 @@ def test_dimension_mismatch_is_usage_error():
         x(np.array([[1.0, 2.0]]))
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("coordinate", {"index": 1.5}),
+        ("coordinate", {"index": "1"}),
+        ("coordinate", {"index": True}),
+        ("coordinate", {"index": -1}),
+        ("coordinate", {}),
+        ("phase", {"k": "1"}),
+        ("phase", {"k": 5}),
+        ("phase", {"k": ["a"]}),
+        ("phase", {"k": []}),
+        ("phase", {"k": [True, 0]}),
+        ("phase", {"k": [1j]}),
+        ("phase", {"k": np.zeros((2, 2))}),
+        ("phase", {"k": {1, 2}}),
+        ("monomial", {"powers": "12"}),
+        ("monomial", {"powers": None}),
+        ("custom", {"fn": 3}),
+        (["phase"], {"k": (1.0,)}),
+    ],
+)
+def test_invalid_parameter_is_usage_error(kind, params):
+    with pytest.raises(UsageError):
+        Observable("o", kind, **params)
+
+
+def test_valid_parameters_are_stored_as_before():
+    assert Observable("x", "coordinate", index=np.int64(2)).index == 2
+    assert type(Observable("x", "coordinate", index=np.int64(2)).index) is int
+    for k in ((1, -2), [1, -2], np.array([1, -2]), (np.int64(1), np.float64(-2.0))):
+        stored = Observable("z", "phase", k=k).k
+        assert stored == (1.0, -2.0) and all(type(v) is float for v in stored)
+    assert Observable("m", "monomial", powers=[0.5, np.float32(2)]).powers == (0.5, 2.0)
+
+
 def test_fourier_box_contents():
     d = fourier_box(2, 1)
     assert len(d) == 8  # 3x3 integer box minus origin

@@ -338,6 +338,38 @@ def test_invariance_score_single_cell_is_perfect():
     assert partition_invariance_score(lab, spec, n_test=3) == 1.0
 
 
+# a labeling over a raw point array (no RegularGrid) looks points up in a k-d tree
+
+
+def test_invariance_score_single_cell_on_point_array_is_perfect():
+    spec = SystemSpec("standard_map", {"eps": 0.3})
+    pts = RegularGrid.unit_square(20).points
+    lab = PartitionLabeling(
+        cell_id=np.zeros(400, dtype=int),
+        bin_edges=(np.array([]),),
+        channel_names=("c",),
+        channel_values=np.zeros((400, 1)),
+        grid=pts,
+    )
+    assert partition_invariance_score(lab, spec, n_test=3) == 1.0
+
+
+def test_invariance_score_random_labels_on_point_array_near_chance():
+    spec = SystemSpec("standard_map", {"eps": 0.12})
+    pts = RegularGrid.unit_square(40).points
+    rng = np.random.default_rng(12)
+    K = 5
+    lab = PartitionLabeling(
+        cell_id=rng.integers(0, K, size=1600),
+        bin_edges=(np.array([]),),
+        channel_names=("noise",),
+        channel_values=rng.random((1600, 1)),
+        grid=pts,
+    )
+    score = partition_invariance_score(lab, spec, n_test=4)
+    assert abs(score - 1.0 / K) < 0.05
+
+
 def test_eigenfunction_partition_decay_labels():
     dt = 0.01
     spec = SystemSpec("limit_cycle_polar", {"omega": 1.0})
