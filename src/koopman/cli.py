@@ -7,7 +7,8 @@ spiral-sink flow as CSV; `repr <config.json>` runs a representation
 check and prints the residual/faithfulness table.
 
 Exit codes: 0 success, 2 unusable config (schema violation, bad JSON,
-missing file; the failing field path is printed), 3 numerical failure
+missing file; the failing field path is printed) or unusable output
+location (an `--out` that cannot be created or written), 3 numerical failure
 inside a method, numpy's LinAlgError included (the error text is printed).
 
 Each method is declared once, in `_RUNNERS`: its runner and the config
@@ -16,11 +17,13 @@ Each dictionary builder is declared once, in `_BUILDERS`, and the schema
 of an observable entry is built from `observables.KINDS`.
 A runner opens no file: it returns the summary's eigenvalues and
 residuals plus `files`, a map from artifact name to either a JSON
-payload or a `writer(path)`.  `run` is the only code that writes under
-the output directory.
+payload or a `writer(path)`; a tuple of names maps to a
+`writer(*paths)` that writes those artifacts together.  `run` is the
+only code that writes under the output directory, and it reports the
+time spent in these writers as `runtimes.write_s`.
 
 Fixed configs reproduce their artifacts byte for byte: every file name
-is static, CSV floats are written by numpy with fixed format, JSON is
+is static, CSV values are written with the fixed format `%.18e`, JSON is
 dumped with sorted keys, and all sampling randomness comes from the one
 recorded 64-bit seed.  The only non-reproducible values are the runtimes
 inside summary.json.
@@ -38,6 +41,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
+from ._csv import write_csv
 from .dmd import (
     companion_dmd,
     continuous_time_eigenvalues,
@@ -62,6 +66,7 @@ from .partitions import (
     gla_eigenfunction,
     partition_invariance_score,
     time_average,
+    write_partition_csv,
 )
 from .representation_eval import (
     RepresentationModel,
@@ -130,8 +135,7 @@ def _build_grid(node) -> RegularGrid:
 
 def _write_complex_csv(path, values) -> None:
     values = np.asarray(values, dtype=complex).ravel()
-    rows = np.column_stack([values.real, values.imag])
-    np.savetxt(path, rows, delimiter=",", header="re,im", comments="")
+    write_csv(path, [values.real, values.imag], "re,im")
 
 
 def _write_json(path, payload) -> None:
@@ -226,16 +230,12 @@ def _run_gla(config, spec, seed, stream):
     lam = _decode_number(params["lambda_target"])
     g = Observable.from_json(params["observable"])
     avg = gla_eigenfunction(traj, lam, g, window=params.get("window"))
-    rows = np.column_stack(
-        [np.arange(avg.samples.size), avg.samples.real, avg.samples.imag]
-    )
+    rows = [np.arange(avg.samples.size), avg.samples.real, avg.samples.imag]
     return {
         "eigenvalues": [avg.multiplier],
         "residuals": {"harmonic_residual": avg.residual},
         "files": {
-            "harmonic.csv": partial(
-                np.savetxt, X=rows, delimiter=",", header="k,re,im", comments=""
-            ),
+            "harmonic.csv": partial(write_csv, table=rows, header="k,re,im"),
         },
     }
 
@@ -264,8 +264,7 @@ def _run_partition(config, spec, seed, stream):
             "diverged_fraction": float(np.mean(field.diverged)),
         },
         "files": {
-            "field.csv": field.to_csv,
-            "labeling.csv": labeling.to_csv,
+            ("field.csv", "labeling.csv"): partial(write_partition_csv, field, labeling),
             "labeling.json": labeling.to_json(invariance_score=score),
         },
     }
@@ -381,8 +380,9 @@ _ORBIT = ("sampling.initial_state", "sampling.n")
 
 # method name -> (runner, requirements).  runner(config, spec, seed, stream)
 # returns the summary's eigenvalues and residuals and its files (artifact
-# name -> JSON payload or writer(path)).  requirements lists alternatives,
-# each a tuple of dotted config paths; a config must supply one in full.
+# name -> JSON payload or writer(path); a tuple of names -> writer(*paths)).
+# requirements lists alternatives, each a tuple of dotted config paths; a
+# config must supply one in full.
 _RUNNERS = {
     "companion_dmd": (_run_companion_dmd, [_ORBIT]),
     "pinv_dmd": (_run_pinv_dmd, [_ORBIT]),
@@ -632,6 +632,7 @@ SUMMARY_SCHEMA = {
         },
         "runtimes": {
             "type": "object",
+            "required": ["method_s", "write_s"],
             "additionalProperties": {"type": "number"},
         },
         "seed": {"type": "integer"},
@@ -663,6 +664,11 @@ def _apply_overrides(config: dict, overrides) -> dict:
     return config
 
 
+def _names(key) -> tuple:
+    """Artifact names of a `files` key: one name or a tuple of them."""
+    return key if isinstance(key, tuple) else (key,)
+
+
 def run(config: dict, out_dir, stream=None) -> dict:
     """Execute one validated config; returns the summary dictionary."""
     stream = sys.stdout if stream is None else stream
@@ -676,12 +682,13 @@ def run(config: dict, out_dir, stream=None) -> dict:
     t0 = time.perf_counter()
     runner, _ = _RUNNERS[method]
     result = runner(config, spec, seed, stream)
-    for name, content in result["files"].items():
+    t_write = time.perf_counter()
+    for names, content in result["files"].items():
         if callable(content):
-            content(out_dir / name)
+            content(*(out_dir / name for name in _names(names)))
         else:
-            _write_json(out_dir / name, content)
-    elapsed = time.perf_counter() - t0
+            _write_json(out_dir / names, content)
+    t_end = time.perf_counter()
 
     summary = {
         "method": method,
@@ -691,9 +698,10 @@ def run(config: dict, out_dir, stream=None) -> dict:
             k: (v if isinstance(v, (bool, int)) else float(v))
             for k, v in result["residuals"].items()
         },
-        "runtimes": {"method_s": elapsed},
+        "runtimes": {"method_s": t_end - t0, "write_s": t_end - t_write},
         "seed": seed,
-        "artifacts": sorted([*result["files"], "summary.json"]),
+        "artifacts": sorted([*(n for names in result["files"] for n in _names(names)),
+                             "summary.json"]),
     }
     if "tolerances" in config:
         summary["tolerances"] = config["tolerances"]
@@ -775,7 +783,11 @@ def main(argv=None) -> int:
             return 2
         values = emit_lattice(args.c, args.omega, args.N, args.M)
         if args.out:
-            _write_complex_csv(args.out, values)
+            try:
+                _write_complex_csv(args.out, values)
+            except OSError as exc:
+                print(f"output unusable: {exc}", file=sys.stderr)
+                return 2
         else:
             print("re,im")
             for z in values:
@@ -806,6 +818,9 @@ def main(argv=None) -> int:
     except (KoopmanError, np.linalg.LinAlgError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # the output directory or a file in it cannot be written
+        print(f"output unusable: {exc}", file=sys.stderr)
+        return 2
     residuals = ", ".join(f"{k}={v:.3g}" for k, v in summary["residuals"].items())
     print(f"{summary['method']}: wrote {out_dir} ({residuals})")
     return 0

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .errors import UsageError
 
 
@@ -45,8 +46,8 @@ class SnapshotPair:
         return self.X.shape[1]
 
     def to_csv(self, x_path, xp_path) -> None:
-        np.savetxt(x_path, self.X, delimiter=",")
-        np.savetxt(xp_path, self.Xp, delimiter=",")
+        write_csv(x_path, self.X)
+        write_csv(xp_path, self.Xp)
 
     @classmethod
     def from_series(cls, series, dt: float = 0.0) -> "SnapshotPair":

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .errors import DegenerateDictionaryError, UsageError
 from .observables import ObservableDictionary
 from .systems import _states_of
@@ -126,7 +127,7 @@ class FiniteSectionMatrix:
         out = np.empty((self.U_tilde.shape[0], 2 * self.U_tilde.shape[1]))
         out[:, 0::2] = self.U_tilde.real
         out[:, 1::2] = self.U_tilde.imag
-        np.savetxt(path, out, delimiter=",", header=header, comments="")
+        write_csv(path, out, header)
 
     def to_json(self) -> dict:
         return {

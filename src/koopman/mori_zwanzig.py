@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .errors import UsageError
 from .finite_section import dual_basis
 from .observables import ObservableDictionary
@@ -72,7 +73,7 @@ class MzDecomposition:
                 self.cross_norms,
             ]
         )
-        np.savetxt(path, rows, delimiter=",", header=header, comments="")
+        write_csv(path, rows, header)
 
 
 def _window_norm(block: np.ndarray) -> float:

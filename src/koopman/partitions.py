@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv, write_csv_files
 from .errors import ObservableDomainError, UsageError
 from .observables import REAL_KINDS as _REAL_KINDS  # kinds with a real accumulator
 from .observables import ObservableDictionary
@@ -154,6 +155,11 @@ class TimeAverageField:
 
     def channels(self) -> tuple[np.ndarray, list]:
         """Real labeling channels: one per real observable, two per complex."""
+        cols, names = self._channel_columns()
+        return np.column_stack(cols), names
+
+    def _channel_columns(self) -> tuple[list, list]:
+        """The channels as views of values, one 1-D array each, and their names."""
         cols, names = [], []
         for j, obs in enumerate(self.dictionary):
             if obs.kind in _REAL_KINDS:
@@ -164,23 +170,36 @@ class TimeAverageField:
                 names.append(f"re({obs.name})")
                 cols.append(self.values[:, j].imag)
                 names.append(f"im({obs.name})")
-        return np.column_stack(cols), names
+        return cols, names
 
     def to_csv(self, path) -> None:
-        pts = self.points
-        chan, _ = self.channels()
-        header = ",".join(
-            list(_coord_names(pts.shape[1]))
-            + [f"g*_{c + 1}" for c in range(chan.shape[1])]
-        )
-        np.savetxt(
-            path, np.column_stack([pts, chan]), delimiter=",", header=header, comments=""
-        )
+        chan, _ = self._channel_columns()
+        write_csv(path, *_table(_point_columns(self.grid), chan))
 
 
 def _coord_names(d: int) -> list:
     letters = ["x", "y", "z", "w"]
     return letters[:d] if d <= 4 else [f"coord_{i}" for i in range(d)]
+
+
+def _point_columns(grid) -> list:
+    """Coordinate columns of the grid points; a RegularGrid's as (axis, index) pairs."""
+    if isinstance(grid, RegularGrid):
+        index = np.unravel_index(np.arange(int(np.prod(grid.shape))), grid.shape)
+        return list(zip(grid.axes, index))
+    return list(_grid_points(grid).T)
+
+
+def _table(points: list, channels: list) -> tuple[list, str]:
+    """Columns and header of field.csv: the coordinates, then g*_1, g*_2, ..."""
+    names = _coord_names(len(points)) + [f"g*_{c + 1}" for c in range(len(channels))]
+    return points + channels, ",".join(names)
+
+
+def _id_column(ids: np.ndarray) -> tuple:
+    """Integer ids as a (distinct values, index) column."""
+    low = int(ids.min())
+    return np.arange(low, int(ids.max()) + 1), ids - low
 
 
 def _average_block(entries, spec: SystemSpec, pts, n: int, dt, sums, half_sums, end,
@@ -385,14 +404,9 @@ class PartitionLabeling:
         return int(self.cell_id.max()) + 1 if np.any(self.cell_id >= 0) else 0
 
     def to_csv(self, path) -> None:
-        pts = self.points
-        header = ",".join(
-            list(_coord_names(pts.shape[1]))
-            + [f"g*_{c + 1}" for c in range(self.channel_values.shape[1])]
-            + ["cell_id"]
-        )
-        data = np.column_stack([pts, self.channel_values, self.cell_id])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
+        points = [self.points[:, 0]] if self.grid is None else _point_columns(self.grid)
+        columns, header = _table(points, list(self.channel_values.T))
+        write_csv(path, columns + [_id_column(self.cell_id)], header + ",cell_id")
 
     def to_json(self, invariance_score: float = None) -> dict:
         obj = {"cells": self.n_cells}
@@ -452,6 +466,22 @@ def ergodic_partition_approx(field: TimeAverageField, bins_per_obs: int) -> Part
         channel_names=tuple(names),
         channel_values=chan,
         grid=field.grid,
+    )
+
+
+def write_partition_csv(field: TimeAverageField, labeling: PartitionLabeling,
+                        field_path, labeling_path) -> None:
+    """Write field.to_csv and labeling.to_csv in one pass over the rows.
+
+    labeling must be ergodic_partition_approx(field): labeling.csv then
+    repeats every column of field.csv and adds cell_id, so each shared row
+    is formatted once, written to field.csv and extended for labeling.csv.
+    """
+    chan, _ = field._channel_columns()
+    columns, header = _table(_point_columns(field.grid), chan)
+    write_csv_files(
+        columns + [_id_column(labeling.cell_id)],
+        [(field_path, header, len(columns)), (labeling_path, header + ",cell_id", None)],
     )
 
 

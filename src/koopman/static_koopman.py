@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .dmd import moore_penrose_pseudoinverse
 from .errors import UsageError
 from .observables import ObservableDictionary
@@ -71,7 +72,7 @@ class PairedSamples:
             ]
         )
         header = ",".join(["split"] + [f"c_{i}" for i in range(d)])
-        np.savetxt(path, rows, delimiter=",", header=header, comments="")
+        write_csv(path, rows, header)
 
     @classmethod
     def from_csv(cls, path) -> "PairedSamples":
@@ -105,7 +106,7 @@ class StaticFit:
             out[:, 1::2] = A.imag
         else:
             out = np.real(A)
-        np.savetxt(path, out, delimiter=",")
+        write_csv(path, out)
 
 
 def fit_static_linear(

@@ -32,6 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._csv import write_csv
 from .errors import DivergenceError, UsageError
 
 TWO_PI = 2.0 * math.pi
@@ -244,8 +245,7 @@ class Trajectory:
     def to_csv(self, path) -> None:
         d = self.states.shape[1]
         header = ",".join(["t"] + [f"coord_{i}" for i in range(d)])
-        data = np.column_stack([self.times, self.states])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
+        write_csv(path, [self.times, *self.states.T], header)
 
     @classmethod
     def from_csv(cls, path, spec=None) -> "Trajectory":

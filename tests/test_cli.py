@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 from pathlib import Path
 
@@ -237,6 +238,21 @@ def test_non_object_config_exits_2(tmp_path, capsys, command, extra):
     assert "must be a JSON object" in err and "Traceback" not in err
 
 
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = str(CONFIG_DIR / "circle_mz_closure.json")
+    assert cli.main(["run", path, "--out", str(taken)]) == 2
+    assert "output unusable" in capsys.readouterr().err
+
+
+def test_unwritable_lattice_file_exits_2(tmp_path, capsys):
+    out_file = tmp_path / "missing_dir" / "lattice.csv"
+    argv = ["lattice", "--c", str(SQRT7), "--omega", "1.0", "--N", "1", "--M", "1"]
+    assert cli.main(argv + ["--out", str(out_file)]) == 2
+    assert "output unusable" in capsys.readouterr().err
+
+
 def test_pendulum_divergence_exits_3(tmp_path, capsys):
     # math.sin(inf) at the first step: a divergence, not a domain crash
     overrides = [
@@ -326,6 +342,8 @@ def test_partition_run_writes_field_labels_and_score(tmp_path):
     assert summary["residuals"]["invariance_score"] >= 0.99
     for name in ("field.csv", "labeling.csv", "labeling.json"):
         assert (out / name).is_file()
+    runtimes = summary["runtimes"]
+    assert 0 < runtimes["write_s"] <= runtimes["method_s"]
     labeling = json.loads((out / "labeling.json").read_text())
     assert labeling["invariance_score"] >= 0.99
 
@@ -445,6 +463,41 @@ def test_repr_subcommand_rejects_other_methods(tmp_path, capsys):
 
 
 # -------------------------------------------------------- reproducibility
+
+
+# SHA-256 of field.csv and labeling.csv at the benchmark's small sizes,
+# recorded with numpy's savetxt before the blocked writer replaced it.
+PARTITION_DIGESTS = {
+    "standard_map_partition": (
+        [
+            "sampling.n=30",
+            'sampling.grid.axes=[{"lo": 0.00625, "hi": 0.99375, "n": 80, "period": 1.0},'
+            ' {"lo": 0.004, "hi": 0.996, "n": 125, "period": 1.0}]',
+        ],
+        "43ec0c0f7eb0ad628355019d5d90502c6f000a29d3f9280350920fab890bdaa7",
+        "96dd975100c5200185a8e003806564a7dcab61b92969fb604055bcf224b40266",
+    ),
+    "standard_map_partition_integrable": (
+        ["sampling.n=30", "sampling.grid.n=50"],
+        "a1f4ed10ac5d4ffc67dbca4f2f853dc34fee5ce1f5bbcb3480754d6fa3c304d0",
+        "9763b7513ea3d14e23d46cf0760b48cee820ee00b79e319acd29c22bf1a044ae",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_DIGESTS))
+def test_partition_artifacts_keep_their_bytes(tmp_path, name):
+    overrides, field_sha, labeling_sha = PARTITION_DIGESTS[name]
+    argv = ["run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli.main(argv) == 0
+    for artifact, sha in (("field.csv", field_sha), ("labeling.csv", labeling_sha)):
+        assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == sha
+    summary = load_summary(tmp_path)
+    assert summary["artifacts"] == [
+        "field.csv", "labeling.csv", "labeling.json", "summary.json"
+    ]
 
 
 def test_rerun_reproduces_artifacts_byte_for_byte(tmp_path):

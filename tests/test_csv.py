@@ -1,0 +1,175 @@
+"""The blocked CSV writer gives the bytes numpy's savetxt gives.
+
+Every CSV artifact goes through koopman._csv, so these tests compare it
+with ``np.savetxt(..., delimiter=",", comments="")`` on awkward values and
+shapes, and compare the one-pass partition pair with savetxt of the
+stacked columns.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from koopman import _csv
+from koopman._csv import write_csv, write_csv_files
+from koopman.observables import Observable, ObservableDictionary
+from koopman.partitions import (
+    RegularGrid,
+    eigenfunction_partition,
+    ergodic_partition_approx,
+    time_average,
+    write_partition_csv,
+)
+from koopman.systems import SystemSpec
+
+EDGE = np.array(
+    [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.797e308, -1.797e308, 1.0, -2.5e-7]
+)
+TABLES = {
+    "edge_values": EDGE.reshape(5, 2),
+    "single_column": EDGE[:, None],
+    "one_dimensional": EDGE,
+    "int_columns": np.arange(-3, 9).reshape(4, 3),
+    "big_ints": np.array([[2**60 + 1, -(2**62) + 3]]),
+    "bools": np.array([[True, False]]),
+    "complex": (EDGE[:6] + 1j * EDGE[4:]).reshape(3, 2),
+    "complex_one_dimensional": np.array([1 - 2j, -0.0 - 0.0j, np.nan + 1j * np.nan]),
+    "no_rows": np.zeros((0, 3)),
+    "several_blocks": np.random.default_rng(0).standard_normal((2 * _csv._BLOCK_ROWS + 3, 3)),
+}
+
+
+def savetxt_bytes(tmp_path, table, header="") -> bytes:
+    path = tmp_path / "reference.csv"
+    np.savetxt(path, table, delimiter=",", header=header, comments="")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("header", ["", "a,b,c"])
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_writer_gives_savetxt_bytes(tmp_path, name, header):
+    path = tmp_path / "written.csv"
+    write_csv(path, TABLES[name], header)
+    assert path.read_bytes() == savetxt_bytes(tmp_path, TABLES[name], header)
+
+
+def test_distinct_value_columns_and_shared_files_match_plain_columns(tmp_path):
+    rng = np.random.default_rng(1)
+    n = _csv._BLOCK_ROWS + 17
+    axis, index = EDGE, rng.integers(0, EDGE.size, n)
+    values, ids = rng.standard_normal(n), rng.integers(-1, 4, n)
+    narrow, wide = tmp_path / "narrow.csv", tmp_path / "wide.csv"
+    write_csv_files(
+        [(axis, index), values, (np.arange(-1, 4), ids + 1)],
+        [(narrow, "a,b", 2), (wide, "a,b,c", None)],
+    )
+    assert narrow.read_bytes() == savetxt_bytes(
+        tmp_path, np.column_stack([axis[index], values]), "a,b"
+    )
+    assert wide.read_bytes() == savetxt_bytes(
+        tmp_path, np.column_stack([axis[index], values, ids]), "a,b,c"
+    )
+
+
+def _dictionary(*entries):
+    return ObservableDictionary(tuple(entries))
+
+
+def _gap_grid():
+    # the x axis stops at 0.65, so wrapping at period 1 leaves a gap
+    grid = RegularGrid(
+        axes=(np.linspace(0.05, 0.65, 4), np.linspace(0.1, 0.9, 5)), periods=(1.0, 1.0)
+    )
+    dictionary = _dictionary(
+        Observable("cy", "cos", k=(0.0, 1.0)), Observable("z", "fourier", k=(1.0, 1.0))
+    )
+    return SystemSpec("standard_map"), grid, dictionary, "x,y,g*_1,g*_2,g*_3"
+
+
+def _point_set():
+    grid = np.random.default_rng(2).uniform(size=(30, 2))
+    dictionary = _dictionary(Observable("sy", "sin", k=(0.0, 1.0)))
+    return SystemSpec("standard_map"), grid, dictionary, "x,y,g*_1"
+
+
+def _diverging():
+    spec = SystemSpec("linear_map", {"B": [[2.0, 0.0], [0.0, 0.5]]})
+    grid = RegularGrid(axes=(np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 3)))
+    dictionary = _dictionary(Observable("x", "coordinate", index=0))
+    return spec, grid, dictionary, "x,y,g*_1"
+
+
+def _one_dimensional():
+    grid = RegularGrid(axes=(np.linspace(0.0, 6.0, 7),), periods=(2 * np.pi,))
+    dictionary = _dictionary(Observable("z", "phase", k=(1.0,)))
+    return SystemSpec("circle_rotation"), grid, dictionary, "x,g*_1,g*_2"
+
+
+def _five_dimensional():
+    spec = SystemSpec("linear_map", {"B": (0.5 * np.eye(5)).tolist()})
+    grid = RegularGrid(axes=tuple(np.linspace(-1.0, 1.0, 2) for _ in range(5)))
+    dictionary = _dictionary(
+        Observable("a", "coordinate", index=0), Observable("e", "coordinate", index=4)
+    )
+    return spec, grid, dictionary, "coord_0,coord_1,coord_2,coord_3,coord_4,g*_1,g*_2"
+
+
+@pytest.mark.parametrize(
+    "case", [_gap_grid, _point_set, _diverging, _one_dimensional, _five_dimensional]
+)
+def test_partition_files_give_savetxt_bytes(tmp_path, case):
+    spec, grid, dictionary, header = case()
+    field = time_average(dictionary, spec, grid, n=1100)  # 2**1100 overflows
+    labeling = ergodic_partition_approx(field, bins_per_obs=3)
+    if case is _diverging:
+        assert field.diverged.any() and not field.diverged.all()
+        assert (labeling.cell_id == -1).any()
+    chan, _ = field.channels()
+    field_rows = np.column_stack([field.points, chan])
+    want_field = savetxt_bytes(tmp_path, field_rows, header)
+    want_labeling = savetxt_bytes(
+        tmp_path, np.column_stack([field_rows, labeling.cell_id]), header + ",cell_id"
+    )
+    write_partition_csv(field, labeling, tmp_path / "field.csv", tmp_path / "labeling.csv")
+    assert (tmp_path / "field.csv").read_bytes() == want_field
+    assert (tmp_path / "labeling.csv").read_bytes() == want_labeling
+    field.to_csv(tmp_path / "field_alone.csv")
+    labeling.to_csv(tmp_path / "labeling_alone.csv")
+    assert (tmp_path / "field_alone.csv").read_bytes() == want_field
+    assert (tmp_path / "labeling_alone.csv").read_bytes() == want_labeling
+
+
+def test_orbit_labeling_gives_savetxt_bytes(tmp_path):
+    phi = 0.9 ** np.arange(50) * np.exp(0.3j * np.arange(50))
+    labeling = eigenfunction_partition(phi, 0.9 * np.exp(0.3j), bins=3).labeling
+    assert labeling.grid is None
+    labeling.to_csv(tmp_path / "labeling.csv")
+    rows = np.column_stack([np.arange(50), labeling.channel_values, labeling.cell_id])
+    assert (tmp_path / "labeling.csv").read_bytes() == savetxt_bytes(
+        tmp_path, rows, "x,g*_1,g*_2,cell_id"
+    )
+
+
+def test_partition_pair_allocates_blocks_not_the_file(tmp_path):
+    grid = RegularGrid.unit_square(400)  # 160k rows, like the mixed benchmark config
+    dictionary = _dictionary(
+        Observable("cy", "cos", k=(0.0, 1.0)), Observable("c2y", "cos", k=(0.0, 2.0))
+    )
+    field = time_average(dictionary, SystemSpec("standard_map"), grid, n=2)
+    labeling = ergodic_partition_approx(field, bins_per_obs=3)
+    tracemalloc.start()
+    try:
+        write_partition_csv(
+            field, labeling, tmp_path / "field.csv", tmp_path / "labeling.csv"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = (tmp_path / "field.csv").stat().st_size + (
+        tmp_path / "labeling.csv"
+    ).stat().st_size
+    assert written > 35e6
+    # The grid index arrays (3.8 MB for 160k rows) and a few blocks of row
+    # strings peak at about 6 MB; formatting each file whole peaks at 86 MB.
+    assert peak < 10e6, peak
