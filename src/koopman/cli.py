@@ -256,13 +256,20 @@ def _run_partition(config, spec, seed, stream):
         sample_limit=params.get("sample_limit"),
         seed=seed,
     )
+    residuals = {
+        "invariance_score": score,
+        "n_cells": labeling.n_cells,
+        "diverged_fraction": float(np.mean(field.diverged)),
+    }
+    # convergence gaps |avg(n) - avg(n//2)| of the rows that stayed finite;
+    # left out when none did, since JSON has no NaN
+    gaps = field.cesaro[~field.diverged]
+    if gaps.size:
+        residuals["cesaro_max"] = float(gaps.max())
+        residuals["cesaro_median"] = float(np.median(gaps))
     return {
         "eigenvalues": [],
-        "residuals": {
-            "invariance_score": score,
-            "n_cells": labeling.n_cells,
-            "diverged_fraction": float(np.mean(field.diverged)),
-        },
+        "residuals": residuals,
         "files": {
             ("field.csv", "labeling.csv"): partial(write_partition_csv, field, labeling),
             "labeling.json": labeling.to_json(invariance_score=score),

@@ -2,7 +2,12 @@
 
 An observable maps an (m, d) block of states to m complex values.  Each
 kind is declared once, in `KINDS`: the field holding its parameter, whether
-its values are real, and the function that evaluates it.
+its values are real, and the function that evaluates it.  Every kind
+evaluates on the block's coordinate columns (`StateColumns`): an (m, d)
+array is taken apart into views of its columns, and time_average hands its
+contiguous columns over as they are.  The k-kinds form k . x on the
+columns as k_j * x_j when k has one nonzero entry, and as the (m, d) array
+times k otherwise.
 
   kind        parameter  real  value
   constant    -          yes   1
@@ -24,6 +29,7 @@ custom round-trips through JSON as {"name", "type", <parameter>}.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from collections.abc import Sequence
@@ -37,12 +43,61 @@ from .errors import ObservableDomainError, UsageError
 TWO_PI = 2.0 * np.pi
 
 
-def _monomial(obs, states) -> np.ndarray:
-    out = np.ones(states.shape[0])
+class StateColumns:
+    """An (m, d) block of states, read by its d coordinate columns.
+
+    `columns[j]` is coordinate j as a 1-D array and `shape` is (m, d).
+    `matrix` is the (m, d) array the columns are views of, or None when the
+    block holds only its columns (time_average's contiguous ones).
+    """
+
+    __slots__ = ("columns", "matrix", "shape")
+
+    def __init__(self, columns, matrix: np.ndarray = None):
+        self.columns = columns
+        self.matrix = matrix
+        self.shape = matrix.shape if matrix is not None else (len(columns[0]), len(columns))
+
+    @classmethod
+    def of(cls, states: np.ndarray) -> "StateColumns":
+        return cls(states.T, states)
+
+    def stacked(self) -> np.ndarray:
+        """The block as an (m, d) array: `matrix`, or the columns stacked in C order."""
+        return self.matrix if self.matrix is not None else np.column_stack(self.columns)
+
+
+@functools.cache
+def _single_nonzero(k: tuple):
+    """The index of k's only nonzero entry, or None."""
+    nonzero = [j for j, kj in enumerate(k) if kj != 0.0]
+    return nonzero[0] if len(nonzero) == 1 else None
+
+
+def _dot(obs, block) -> np.ndarray:
+    """k . x for every state of the block.
+
+    With one nonzero k_j this is k_j * x_j, which on finite states has the
+    bits of the (m, d) @ k product: BLAS sums the products from +0.0, so the
+    + 0.0 turns a -0.0 product into the +0.0 it gives.  (Where another
+    coordinate is inf or NaN the product gives NaN and this does not; such
+    states are diverged wherever time_average meets them.)  Any other k goes
+    through @, since a column sum rounds differently from BLAS.
+    """
+    j = _single_nonzero(obs.k)
+    if j is None:
+        return block.stacked() @ np.asarray(obs.k)
+    out = obs.k[j] * block.columns[j]
+    out += 0.0
+    return out
+
+
+def _monomial(obs, block) -> np.ndarray:
+    out = np.ones(block.shape[0])
     for i, p in enumerate(obs.powers):
         if p == 0.0:
             continue
-        base = states[:, i]
+        base = block.columns[i]
         if p.is_integer():
             if p < 0:
                 bad = np.flatnonzero(base == 0.0)
@@ -57,12 +112,12 @@ def _monomial(obs, states) -> np.ndarray:
     return out
 
 
-def _custom(obs, states) -> np.ndarray:
-    values = np.asarray(obs.fn(states))
-    if values.shape != (states.shape[0],):
+def _custom(obs, block) -> np.ndarray:
+    values = np.asarray(obs.fn(block.stacked()))
+    m = block.shape[0]
+    if values.shape != (m,):
         raise UsageError(
-            f"{obs.name}: custom observable returned shape {values.shape}, "
-            f"expected ({states.shape[0]},)"
+            f"{obs.name}: custom observable returned shape {values.shape}, expected ({m},)"
         )
     return values
 
@@ -70,17 +125,17 @@ def _custom(obs, states) -> np.ndarray:
 class Kind(NamedTuple):
     param: str | None  # the Observable field holding the kind's parameter
     real: bool  # values are real, so one real channel/accumulator suffices
-    values: Callable  # values(observable, (m, d) states) -> (m,) array
+    values: Callable  # values(observable, StateColumns) -> (m,) array
 
 
 KINDS = {
-    "constant": Kind(None, True, lambda o, s: np.ones(s.shape[0])),
-    "coordinate": Kind("index", True, lambda o, s: s[:, o.index].copy()),
+    "constant": Kind(None, True, lambda o, c: np.ones(c.shape[0])),
+    "coordinate": Kind("index", True, lambda o, c: c.columns[o.index].copy()),
     "monomial": Kind("powers", True, _monomial),
-    "fourier": Kind("k", False, lambda o, s: np.exp(1j * TWO_PI * (s @ np.asarray(o.k)))),
-    "phase": Kind("k", False, lambda o, s: np.exp(1j * (s @ np.asarray(o.k)))),
-    "sin": Kind("k", True, lambda o, s: np.sin(TWO_PI * (s @ np.asarray(o.k)))),
-    "cos": Kind("k", True, lambda o, s: np.cos(TWO_PI * (s @ np.asarray(o.k)))),
+    "fourier": Kind("k", False, lambda o, c: np.exp(1j * TWO_PI * _dot(o, c))),
+    "phase": Kind("k", False, lambda o, c: np.exp(1j * _dot(o, c))),
+    "sin": Kind("k", True, lambda o, c: np.sin(TWO_PI * _dot(o, c))),
+    "cos": Kind("k", True, lambda o, c: np.cos(TWO_PI * _dot(o, c))),
     "custom": Kind("fn", False, _custom),
 }
 
@@ -138,7 +193,9 @@ class Observable:
             object.__setattr__(self, param, value)
 
     def __call__(self, states) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
+        """Values at an (m, d) array of states, or at a StateColumns block."""
+        if not isinstance(states, StateColumns):
+            states = StateColumns.of(np.atleast_2d(np.asarray(states, dtype=float)))
         d = states.shape[1]
         kind = KINDS[self.kind]
         value = getattr(self, kind.param) if kind.param else None
@@ -205,7 +262,7 @@ class ObservableDictionary:
 
     def evaluate(self, states) -> np.ndarray:
         """Stack entry values into the m x N complex matrix F[l, j] = f_j(x_l)."""
-        states = np.atleast_2d(np.asarray(states, dtype=float))
+        states = StateColumns.of(np.atleast_2d(np.asarray(states, dtype=float)))
         F = np.empty((states.shape[0], len(self.entries)), dtype=complex)
         for j, entry in enumerate(self.entries):
             F[:, j] = entry(states)

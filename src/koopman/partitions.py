@@ -3,7 +3,11 @@
 time_average pushes a whole grid of initial conditions through the system,
 in row blocks run on a small thread pool, and accumulates per-observable
 Cesaro sums; points whose orbit leaves the representable range are flagged
-and excluded from labeling downstream.  gla_eigenfunction forms the weighted (harmonic) time average
+and excluded from labeling downstream.  A block carries its states as a
+tuple of contiguous 1-D coordinate columns, built straight from the grid's
+axes: the system's column stepper advances them and the observables
+evaluate on them, so no step reads strided columns of an (m, d) array or
+stacks one back together.  gla_eigenfunction forms the weighted (harmonic) time average
 (1/n) sum_k lambda^-k g(T^k x) along a single long orbit, the standard way
 to project data onto a candidate eigenvalue on the unit circle.
 
@@ -27,15 +31,17 @@ import numpy as np
 from ._csv import write_csv, write_csv_files
 from .errors import ObservableDomainError, UsageError
 from .observables import REAL_KINDS as _REAL_KINDS  # kinds with a real accumulator
-from .observables import ObservableDictionary
-from .systems import SystemSpec, Trajectory, rk4_step_batch, step_map_batch
+from .observables import ObservableDictionary, StateColumns
+from .systems import SystemSpec, Trajectory, _column_step, rk4_step_batch, step_map_batch
 
 # Orbits of different grid points never interact, so time_average runs the
 # grid in row blocks on a small thread pool (numpy's ufuncs release the GIL).
 # Each element meets the same arithmetic in any block, so the field is
-# bit-identical to a single-block run.  On a 2-core host blocks of 32768 rows
-# beat blocks of 2048 to 16384 rows and of 65536 rows on both the 160k- and
-# the 40k-point standard-map grid of the acceptance tests.
+# bit-identical to a single-block run.  With blocks of coordinate columns, on
+# a 2-core host at n = 300, blocks of 16384, 32768 and 65536 rows took a
+# median 1.82, 1.80 and 1.77 s on the 160k-point standard-map grid (inside
+# one another's quartiles) and 0.231, 0.207 and 0.336 s on the 40k-point
+# one, which 65536 leaves as a single block on one thread.
 _BLOCK_ROWS = 32768
 _WORKERS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
@@ -139,7 +145,8 @@ class TimeAverageField:
 
     values[p, j] = (1/n) sum_{i<n} f_j(T^i m_p); cesaro[p, j] is the gap
     |avg(n) - avg(n//2)|; diverged marks points whose orbit left the
-    representable range (their values are NaN and they get cell id -1).
+    representable range (their values and cesaro gaps are NaN, and they get
+    cell id -1).
     """
 
     values: np.ndarray
@@ -202,22 +209,24 @@ def _id_column(ids: np.ndarray) -> tuple:
     return np.arange(low, int(ids.max()) + 1), ids - low
 
 
-def _average_block(entries, spec: SystemSpec, pts, n: int, dt, sums, half_sums, end,
+def _average_block(entries, step, cols: tuple, n: int, sums, half_sums, finite_end,
                    first_row: int, failed: list):
     """Add one block's orbit sums into views of the outputs, in place.
 
+    cols are the block's start columns; step advances a tuple of columns.
     An ObservableDomainError is recorded in failed as (iteration, entry,
     grid row, error) and ends the block; a block also stops once it has run
     past an iteration at which another block failed.
     """
     half = n // 2
+    block = StateColumns(cols)
     with np.errstate(all="ignore"):
         for i in range(n):
             if failed and i > min(f[0] for f in failed):
                 return
             for j, (total, entry) in enumerate(zip(sums, entries)):
                 try:
-                    total += entry(pts)
+                    total += entry(block)
                 except ObservableDomainError as err:
                     if first_row:  # name the grid row, not the block row
                         err = ObservableDomainError(err.observable, first_row + err.step)
@@ -227,8 +236,8 @@ def _average_block(entries, spec: SystemSpec, pts, n: int, dt, sums, half_sums, 
                 for copy, total in zip(half_sums, sums):
                     copy[...] = total
             if i + 1 < n:
-                pts = _advance(spec, pts, dt)
-    end[...] = pts
+                block = StateColumns(step(block.columns))
+    finite_end[...] = np.logical_and.reduce([np.isfinite(c) for c in block.columns])
 
 
 def _row_blocks(n_rows: int, entries) -> list:
@@ -259,26 +268,31 @@ def time_average(
     if not spec.is_map:
         if dt is None or dt <= 0:
             raise UsageError("flows need dt > 0 for time averages")
-    pts = _grid_points(grid).copy()
-    if pts.shape[1] != spec.dim:
-        raise UsageError(f"grid dimension {pts.shape[1]} does not match {spec.kind}")
+    columns = _point_columns(grid)
+    if len(columns) != spec.dim:
+        raise UsageError(f"grid dimension {len(columns)} does not match {spec.kind}")
+    n_rows = int(np.prod(grid.shape)) if isinstance(grid, RegularGrid) else len(columns[0])
     # Accumulate per entry in 1-D columns (real dtype when the entry is
     # real-valued) instead of materializing the full complex evaluation
     # matrix each step; the element-wise addition order is unchanged.
     entries = tuple(dictionary)
     sums = [
-        np.zeros(pts.shape[0], dtype=float if e.kind in _REAL_KINDS else complex)
-        for e in entries
+        np.zeros(n_rows, dtype=float if e.kind in _REAL_KINDS else complex) for e in entries
     ]
     half_sums = [np.empty_like(total) for total in sums]
-    end = np.empty_like(pts)
+    finite_end = np.empty(n_rows, dtype=bool)
+    step = _column_step(spec, dt)
     failed = []
 
     def run(rows):
-        _average_block(entries, spec, pts[rows], n, dt, [t[rows] for t in sums],
-                       [t[rows] for t in half_sums], end[rows], rows.start, failed)
+        # contiguous copies of the block's coordinates: a RegularGrid's from
+        # its axes, a point array's from its (strided) columns
+        cols = tuple(c[0][c[1][rows]] if isinstance(c, tuple) else c[rows].copy()
+                     for c in columns)
+        _average_block(entries, step, cols, n, [t[rows] for t in sums],
+                       [t[rows] for t in half_sums], finite_end[rows], rows.start, failed)
 
-    blocks = _row_blocks(pts.shape[0], entries)
+    blocks = _row_blocks(n_rows, entries)
     if len(blocks) == 1:
         run(blocks[0])
     else:
@@ -286,22 +300,25 @@ def time_average(
             list(pool.map(run, blocks))
     if failed:
         raise min(failed, key=lambda f: f[:3])[3]
-    pts = end
     half = n // 2
-    values = np.stack(sums, axis=1).astype(complex) / n
-    if half >= 1:
-        cesaro = np.abs(values - np.stack(half_sums, axis=1) / half)
-    else:
-        cesaro = np.zeros_like(values, dtype=float)
-    bad_state = ~np.all(np.isfinite(pts), axis=1)
+    # an inf sum makes complex division warn; its row is diverged and masked
+    with np.errstate(all="ignore"):
+        values = np.stack(sums, axis=1).astype(complex) / n
+        if half >= 1:
+            cesaro = np.abs(values - np.stack(half_sums, axis=1) / half)
+        else:
+            cesaro = np.zeros(values.shape)
     bad_value = ~np.all(np.isfinite(values.real) & np.isfinite(values.imag), axis=1)
-    diverged = bad_state | bad_value
-    values = np.where(diverged[:, None], np.nan + 0j, values)
+    # Non-finite states are absorbing in every system, so a row whose orbit
+    # met one ends non-finite: such a row may carry finite sums (k_j * x_j
+    # skips the 0 * inf a matrix product would meet), and its values and
+    # cesaro gaps are masked here.
+    diverged = ~finite_end | bad_value
     return TimeAverageField(
-        values=values,
+        values=np.where(diverged[:, None], np.nan + 0j, values),
         grid=grid,
         n_iterations=n,
-        cesaro=np.asarray(cesaro, dtype=float),
+        cesaro=np.where(diverged[:, None], np.nan, cesaro),
         diverged=diverged,
         dictionary=dictionary,
     )
@@ -435,6 +452,23 @@ def _quantile_bins(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarra
     return idx, edges
 
 
+def _cell_ids(codes: np.ndarray, bins: int) -> np.ndarray:
+    """Dense ids of the distinct rows of an (m, c) code matrix, by first occurrence.
+
+    Codes lie in 0..bins-1.  The channels are folded into one 1-D joint code
+    one at a time, renumbered densely after each fold, so the code stays
+    below m * bins however many channels there are.
+    """
+    joint = np.zeros(codes.shape[0], dtype=np.int64)
+    for column in codes.T:
+        _, first_pos, joint = np.unique(
+            joint * bins + column, return_index=True, return_inverse=True
+        )
+    # renumber by first occurrence so ids are stable across numpy versions
+    rank = np.argsort(np.argsort(first_pos))
+    return rank[joint]
+
+
 def ergodic_partition_approx(field: TimeAverageField, bins_per_obs: int) -> PartitionLabeling:
     """Joint equal-mass level sets of the averaged observables.
 
@@ -454,12 +488,7 @@ def ergodic_partition_approx(field: TimeAverageField, bins_per_obs: int) -> Part
         edges_all.append(edges)
     cell = np.full(chan.shape[0], -1, dtype=int)
     if np.any(ok):
-        _, first_pos, inverse = np.unique(
-            codes[ok], axis=0, return_index=True, return_inverse=True
-        )
-        # renumber by first occurrence so ids are stable across numpy versions
-        rank = np.argsort(np.argsort(first_pos))
-        cell[ok] = rank[inverse.reshape(-1)]
+        cell[ok] = _cell_ids(codes[ok], bins_per_obs)
     return PartitionLabeling(
         cell_id=cell,
         bin_edges=tuple(edges_all),

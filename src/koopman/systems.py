@@ -5,8 +5,11 @@ continuous flows are integrated with classical fixed-step RK4.  Every system
 is defined once, in the _SYSTEMS table, as a function of its coordinate
 columns with `sin` and the mod-1 wrap passed in.  The scalar path runs that
 definition on python floats (long single trajectories); the batch path runs
-it on the columns of a (P, d) state array (grids of initial conditions), so
-both paths do the same arithmetic.  The scalar flow path runs an RK4 loop
+it on contiguous 1-D coordinate columns (grids of initial conditions), so
+both paths do the same arithmetic.  One column stepper (_column_step: a map
+iterate, or one RK4 step of a flow) does all batch stepping: time_average
+steps its blocks of columns with it, and the public (P, d) APIs
+step_map_batch and rk4_step_batch wrap it.  The scalar flow path runs an RK4 loop
 generated once per dimension (_rk4_loop), with every coordinate a plain
 local: a loop over state tuples would spend most of its time building
 generators and tuples rather than on the floating-point work.  The
@@ -273,10 +276,8 @@ def _wrap_scalar(a):
 
 
 def _batch(spec: SystemSpec):
-    """The system's definition on the columns of a (P, d) array of states."""
-    f = _SYSTEMS[spec.kind].define(np.sin, _wrap_batch, **spec.params)
-    # constant components (a rotation's omega) broadcast to full columns
-    return lambda pts: np.column_stack(np.broadcast_arrays(*f(*pts.T)))
+    """The system's definition on 1-D coordinate columns, numpy arithmetic."""
+    return _SYSTEMS[spec.kind].define(np.sin, _wrap_batch, **spec.params)
 
 
 def _wrap_batch(a):
@@ -287,6 +288,32 @@ def _wrap_batch(a):
     return a
 
 
+def _column_step(spec: SystemSpec, dt: float = None):
+    """step(cols) -> the columns of the next state, from a tuple of 1-D columns.
+
+    A map's step is one iterate, with constant components (a rotation's
+    omega) broadcast to full columns.  A flow's is one classical RK4 step of
+    size dt, with the element-wise arithmetic of an RK4 step on a (P, d)
+    array.  A definition may hand back one of its input columns (the
+    pendulum's omega, Duffing's y), so no step writes into a column in place.
+    """
+    f = _batch(spec)
+    if spec.is_map:
+        return lambda cols: tuple(np.broadcast_arrays(*f(*cols)))
+    h2, h6 = 0.5 * dt, dt / 6.0
+
+    def rk4(cols):
+        k1 = f(*cols)
+        k2 = f(*[x + h2 * a for x, a in zip(cols, k1)])
+        k3 = f(*[x + h2 * b for x, b in zip(cols, k2)])
+        k4 = f(*[x + dt * c for x, c in zip(cols, k3)])
+        return tuple(
+            x + h6 * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(cols, k1, k2, k3, k4)
+        )
+
+    return rk4
+
+
 def step_map(spec: SystemSpec, s) -> np.ndarray:
     """One iterate of a discrete map at a single state."""
     if not spec.is_map:
@@ -294,14 +321,15 @@ def step_map(spec: SystemSpec, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.shape != (spec.dim,):
         raise UsageError(f"{spec.kind} state must have dimension {spec.dim}")
-    return _batch(spec)(s[None, :])[0]
+    return step_map_batch(spec, s[None, :])[0]
 
 
 def step_map_batch(spec: SystemSpec, pts: np.ndarray) -> np.ndarray:
     """One iterate of a discrete map applied to a (P, d) batch of states."""
     if not spec.is_map:
         raise UsageError(f"step_map_batch needs a discrete map, got {spec.kind!r}")
-    return _batch(spec)(np.asarray(pts, dtype=float))
+    pts = np.asarray(pts, dtype=float)
+    return np.column_stack(_column_step(spec)(tuple(pts.T)))
 
 
 def vector_field(spec: SystemSpec, s) -> np.ndarray:
@@ -311,19 +339,15 @@ def vector_field(spec: SystemSpec, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.shape != (spec.dim,):
         raise UsageError(f"{spec.kind} state must have dimension {spec.dim}")
-    return _batch(spec)(s[None, :])[0]
+    return np.concatenate(np.broadcast_arrays(*_batch(spec)(*s[:, None])))
 
 
 def rk4_step_batch(spec: SystemSpec, pts: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step of a flow on a (P, d) batch of states."""
     if spec.is_map:
         raise UsageError(f"rk4_step_batch needs a continuous flow, got {spec.kind!r}")
-    f = _batch(spec)
-    k1 = f(pts)
-    k2 = f(pts + 0.5 * dt * k1)
-    k3 = f(pts + 0.5 * dt * k2)
-    k4 = f(pts + dt * k3)
-    return pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    pts = np.asarray(pts, dtype=float)
+    return np.column_stack(_column_step(spec, dt)(tuple(pts.T)))
 
 
 def _check_finite(x, step):

@@ -467,6 +467,33 @@ def test_repr_subcommand_rejects_other_methods(tmp_path, capsys):
 
 # SHA-256 of field.csv and labeling.csv at the benchmark's small sizes,
 # recorded with numpy's savetxt before the blocked writer replaced it.
+def test_partition_summary_reports_convergence_gaps_of_finite_rows(tmp_path):
+    cfg = {
+        "method": "partition",
+        "system": {"kind": "linear_map", "params": {"B": [[1e80, 0.0], [0.0, 0.5]]}},
+        "dictionary": [{"name": "y", "type": "coordinate", "index": 1}],
+        "sampling": {"n": 40, "grid": {"axes": [
+            {"lo": 0.0, "hi": 1.0, "n": 3}, {"lo": -1.0, "hi": 1.0, "n": 5}]}},
+    }
+    grid = cli._build_grid(cfg["sampling"]["grid"])
+    spec = SystemSpec.from_json(cfg["system"])
+    field = cli.time_average(cli._build_dictionary(cfg["dictionary"]), spec, grid, n=40)
+    finite = field.cesaro[~field.diverged]
+    assert field.diverged.any() and finite.size  # x > 0 overflows, x = 0 stays
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    residuals = load_summary(out)["residuals"]
+    assert residuals["cesaro_max"] == float(finite.max())
+    assert residuals["cesaro_median"] == float(np.median(finite))
+    # every row diverges: no gap to report, and JSON has no NaN
+    cfg["sampling"]["grid"]["axes"][0] = {"lo": 0.5, "hi": 1.0, "n": 3}
+    out_all = tmp_path / "all"
+    assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out_all)]) == 0
+    residuals = load_summary(out_all)["residuals"]
+    assert residuals["diverged_fraction"] == 1.0
+    assert "cesaro_max" not in residuals and "cesaro_median" not in residuals
+
+
 PARTITION_DIGESTS = {
     "standard_map_partition": (
         [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from koopman.errors import ObservableDomainError, UsageError
-from koopman.observables import Observable, ObservableDictionary, fourier_box
+from koopman.observables import Observable, ObservableDictionary, StateColumns, fourier_box
 
 
 def test_constant_and_coordinate():
@@ -201,3 +201,43 @@ def test_golden_bits_of_every_kind(kind):
     obs, digest = GOLDEN[kind]
     values = obs(GOLDEN_STATES)
     assert hashlib.sha256(values.dtype.str.encode() + values.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind", ["fourier", "phase", "sin", "cos"])
+@pytest.mark.parametrize("k", [(0.0, 1.0), (0.0, -1.0), (2.0, 0.0), (-3.0, 0.0), (0.5, -0.0)])
+def test_one_nonzero_k_gives_the_bits_of_the_matrix_product(kind, k):
+    # k_j * x_j is evaluated on the column; with +-0.0 coordinates it must
+    # still give the +0.0 the matrix product gives (sin(-0.0) is -0.0)
+    states = np.random.default_rng(2).uniform(-5.0, 5.0, (4000, 2))
+    states[::5, 0] = 0.0
+    states[1::5, 0] = -0.0
+    states[2::5, 1] = 0.0
+    states[3::5, 1] = -0.0
+    dot = states @ np.asarray(k)
+    expected = {
+        "fourier": lambda: np.exp(1j * 2.0 * np.pi * dot),
+        "phase": lambda: np.exp(1j * dot),
+        "sin": lambda: np.sin(2.0 * np.pi * dot),
+        "cos": lambda: np.cos(2.0 * np.pi * dot),
+    }[kind]()
+    obs = Observable("o", kind, k=k)
+    assert obs(states).tobytes() == expected.tobytes()
+    block = StateColumns((states[:, 0].copy(), states[:, 1].copy()))
+    assert obs(block).tobytes() == expected.tobytes()
+
+
+def test_state_columns_evaluate_like_their_array():
+    states = np.linspace(-2.0, 3.0, 45).reshape(15, 3)
+    block = StateColumns(tuple(states.T.copy()))
+    assert block.shape == (15, 3)
+    assert np.array_equal(block.stacked(), states)
+    d = ObservableDictionary((
+        Observable("m", "monomial", powers=(2, 0, 1)),
+        Observable("f", "fourier", k=(1, -2, 3)),
+        Observable("x", "coordinate", index=2),
+        Observable("n", "custom", fn=lambda s: s[:, 0] * s[:, 1]),
+    ))
+    for entry in d:
+        assert entry(block).tobytes() == entry(states).tobytes()
+    with pytest.raises(UsageError, match="dimension"):
+        Observable("s", "sin", k=(1, 0))(block)

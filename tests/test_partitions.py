@@ -7,13 +7,14 @@ from koopman.partitions import (
     HarmonicAverage,
     PartitionLabeling,
     RegularGrid,
+    TimeAverageField,
     eigenfunction_partition,
     ergodic_partition_approx,
     gla_eigenfunction,
     partition_invariance_score,
     time_average,
 )
-from koopman.systems import SystemSpec, integrate
+from koopman.systems import SYSTEM_KINDS, SystemSpec, integrate, rk4_step_batch, step_map_batch
 
 
 def _dict(*entries):
@@ -71,6 +72,135 @@ def test_time_average_is_bit_identical_in_any_block_size(monkeypatch):
     blocked = time_average(d, spec, grid, n=101)
     for name in ("values", "cesaro", "diverged"):
         assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+
+
+# ------------------------------------------- time_average against a plain loop
+
+TWO_PI = 2.0 * np.pi
+# (m, d)-array formulas of the JSON observable kinds, k . x as a matrix product
+_REFERENCE_KINDS = {
+    "constant": lambda o, s: np.ones(s.shape[0]),
+    "coordinate": lambda o, s: s[:, o.index].copy(),
+    "monomial": lambda o, s: np.prod([s[:, i] ** int(p) for i, p in enumerate(o.powers)], axis=0),
+    "fourier": lambda o, s: np.exp(1j * TWO_PI * (s @ np.asarray(o.k))),
+    "phase": lambda o, s: np.exp(1j * (s @ np.asarray(o.k))),
+    "sin": lambda o, s: np.sin(TWO_PI * (s @ np.asarray(o.k))),
+    "cos": lambda o, s: np.cos(TWO_PI * (s @ np.asarray(o.k))),
+}
+
+
+def _reference_time_average(dictionary, spec, pts, n, dt):
+    """time_average as one loop over an (m, d) array: values, cesaro (unmasked), diverged."""
+    real = ("constant", "coordinate", "monomial", "sin", "cos")
+    sums = [np.zeros(len(pts), dtype=float if e.kind in real else complex) for e in dictionary]
+    half = n // 2
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            for total, entry in zip(sums, dictionary):
+                total += _REFERENCE_KINDS[entry.kind](entry, pts)
+            if i + 1 == half:
+                half_sums = [total.copy() for total in sums]
+            if i + 1 < n:
+                pts = step_map_batch(spec, pts) if spec.is_map else rk4_step_batch(spec, pts, dt)
+        values = np.stack(sums, axis=1).astype(complex) / n
+        cesaro = np.abs(values - np.stack(half_sums, axis=1) / half)
+    diverged = ~np.all(np.isfinite(pts), axis=1) | ~np.all(
+        np.isfinite(values.real) & np.isfinite(values.imag), axis=1
+    )
+    return np.where(diverged[:, None], np.nan + 0j, values), cesaro, diverged
+
+
+_RUNNER_SYSTEMS = {
+    "torus_rotation": ({}, None),
+    "circle_rotation": ({"omega": 0.77}, None),
+    "standard_map": ({"eps": 0.3}, None),
+    "linear_map": ({"B": [[0.6, -0.8, 0.1], [0.8, 0.6, 0.0], [0.05, 0.0, 0.9]]}, None),
+    "lorenz": ({}, 0.01),
+    "limit_cycle_polar": ({}, 0.05),
+    "pendulum": ({"g": 9.81, "l": 0.7}, 0.05),
+    "duffing_cycle": ({}, 0.05),
+    "coupled_lc_lorenz": ({}, 0.01),
+    "free_particle": ({"mass": 2.0}, 0.1),
+}
+
+
+def _every_kind(dim):
+    """One observable of every JSON kind, with one- and many-nonzero wave vectors."""
+    single = tuple(2.0 if i == dim - 1 else 0.0 for i in range(dim))
+    many = tuple((1.0, -2.0, 0.5, 3.0, -1.0)[:dim])
+    powers = tuple((2.0, 1.0, 0.0, 3.0, 1.0)[:dim])
+    entries = [Observable("one", "constant"), Observable("x", "coordinate", index=dim - 1),
+               Observable("m", "monomial", powers=powers)]
+    for kind in ("fourier", "phase", "sin", "cos"):
+        entries.append(Observable(f"{kind}1", kind, k=single))
+        if dim > 1:
+            entries.append(Observable(f"{kind}n", kind, k=many))
+    return ObservableDictionary(tuple(entries))
+
+
+def _blocked(monkeypatch):
+    from koopman import partitions
+
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(partitions, "_WORKERS", 2)
+
+
+def test_runner_systems_cover_every_kind():
+    assert sorted(_RUNNER_SYSTEMS) == sorted(SYSTEM_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(_RUNNER_SYSTEMS))
+@pytest.mark.parametrize("layout", ["points", "regular_grid"])
+def test_time_average_matches_a_plain_loop_bit_for_bit(monkeypatch, kind, layout):
+    params, dt = _RUNNER_SYSTEMS[kind]
+    spec = SystemSpec(kind, params)
+    if layout == "points":
+        grid = np.random.default_rng(5).uniform(-1.2, 1.2, (40, spec.dim))
+        pts = grid
+    else:
+        axis = np.linspace(-0.9, 1.1, 4 if spec.dim < 4 else 2)
+        grid = RegularGrid(axes=(axis,) * spec.dim)
+        pts = grid.points
+    dictionary = _every_kind(spec.dim)
+    _blocked(monkeypatch)
+    field = time_average(dictionary, spec, grid, n=9, dt=dt)
+    values, cesaro, diverged = _reference_time_average(dictionary, spec, pts, 9, dt)
+    assert not diverged.any()
+    assert field.values.tobytes() == values.tobytes()
+    assert field.cesaro.tobytes() == cesaro.tobytes()
+    assert field.diverged.tobytes() == diverged.tobytes()
+
+
+_NON_FINITE_ROWS = [
+    (np.inf, 0.3), (-np.inf, 0.3), (np.nan, 0.3), (0.3, np.inf), (0.3, -np.inf),
+    (0.3, np.nan), (-0.0, 0.5), (0.5, -0.0), (-0.0, -0.0), (0.0, 0.25), (0.2, 0.7),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, params, dt",
+    [
+        ("standard_map", {"eps": 0.3}, None),
+        # x grows by 1e80 a step and overflows on the fourth; y decays
+        ("linear_map", {"B": [[1e80, 0.0], [0.0, 0.5]]}, None),
+        ("pendulum", {}, 0.05),
+    ],
+)
+def test_time_average_masks_rows_that_meet_non_finite_states(monkeypatch, kind, params, dt):
+    spec = SystemSpec(kind, params)
+    pts = np.array(_NON_FINITE_ROWS + [(x, -x) for x in np.linspace(-0.9, 0.9, 9)])
+    dictionary = _every_kind(2)
+    _blocked(monkeypatch)
+    field = time_average(dictionary, spec, pts, n=9, dt=dt)
+    values, cesaro, diverged = _reference_time_average(dictionary, spec, pts, 9, dt)
+    assert diverged[:6].all() and not diverged[6:11].all()
+    assert field.values.tobytes() == values.tobytes()
+    assert field.diverged.tobytes() == diverged.tobytes()
+    # one-nonzero k . x skips the 0 * inf of a matrix product, so diverged
+    # rows' gaps may differ from the plain loop's; they are masked instead
+    assert np.array_equal(np.isnan(field.cesaro).all(axis=1), diverged)
+    assert not np.isnan(field.cesaro[~diverged]).any()
+    assert field.cesaro[~diverged].tobytes() == cesaro[~diverged].tobytes()
 
 
 def test_time_average_gives_custom_observables_the_whole_grid(monkeypatch):
@@ -261,6 +391,43 @@ def test_gla_off_circle_warns():
     z = Observable("z", "phase", k=(1,))
     with pytest.warns(RuntimeWarning, match="unit circle"):
         gla_eigenfunction(traj, 0.5, z, window=10)
+
+
+# 33 channels of 4 bins: an int64 joint code without renumbering would weigh
+# the first channel by 4**32 = 2**64, which wraps to 0
+@pytest.mark.parametrize(
+    "rows, channels, bins", [(500, 1, 3), (2000, 3, 4), (300, 40, 5), (300, 33, 4)]
+)
+def test_cell_ids_match_the_row_unique_route(rows, channels, bins):
+    from koopman.partitions import _cell_ids
+
+    codes = np.random.default_rng(rows).integers(0, bins, (rows, channels))
+    codes[1] = codes[0]
+    codes[1, 0] = (codes[0, 0] + 1) % bins  # differs from row 0 in channel 0 only
+    # the route the 1-D joint code replaces: np.unique over whole rows
+    _, first, inverse = np.unique(codes, axis=0, return_index=True, return_inverse=True)
+    expected = np.argsort(np.argsort(first))[inverse.reshape(-1)]
+    np.testing.assert_array_equal(_cell_ids(codes, bins), expected)
+
+
+def test_partition_cells_skip_diverged_rows_like_the_row_unique_route():
+    # 40 channels of 5 bins: a joint code without renumbering would need
+    # 5**40 > 2**63 values
+    rng = np.random.default_rng(0)
+    values = rng.integers(0, 3, (400, 40)).astype(float) + rng.uniform(0, 0.5, (400, 40))
+    diverged = np.zeros(400, dtype=bool)
+    diverged[rng.choice(400, 37, replace=False)] = True
+    d = ObservableDictionary(tuple(Observable(f"c{j}", "coordinate", index=0) for j in range(40)))
+    field = TimeAverageField(values=values.astype(complex), grid=np.zeros((400, 1)),
+                             n_iterations=1, cesaro=np.zeros((400, 40)),
+                             diverged=diverged, dictionary=d)
+    lab = ergodic_partition_approx(field, bins_per_obs=5)
+    codes = np.column_stack([np.searchsorted(e, values[:, c], side="right")
+                             for c, e in enumerate(lab.bin_edges)])[~diverged]
+    _, first, inverse = np.unique(codes, axis=0, return_index=True, return_inverse=True)
+    assert np.all(lab.cell_id[diverged] == -1)
+    np.testing.assert_array_equal(lab.cell_id[~diverged],
+                                  np.argsort(np.argsort(first))[inverse.reshape(-1)])
 
 
 def test_partition_constant_field_single_cell():
