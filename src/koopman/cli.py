@@ -569,6 +569,7 @@ CONFIG_SCHEMA = {
         },
         "method_params": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "bins": _COUNT,
                 "n_test": _COUNT,
@@ -583,6 +584,7 @@ CONFIG_SCHEMA = {
                 "closure": {
                     "type": "object",
                     "required": ["coefficients", "omega"],
+                    "additionalProperties": False,
                     "properties": {
                         "coefficients": {"type": "array", "items": _COMPLEX},
                         "omega": _NUMBER,
@@ -652,13 +654,19 @@ SUMMARY_SCHEMA = {
 # ----------------------------------------------------------------- driver
 
 
+def _reject_constant(name: str):
+    # json accepts NaN and +-Infinity, which no config value may be and
+    # which would make summary.json invalid JSON
+    raise UsageError(f"non-finite number {name} is not allowed in a config")
+
+
 def _apply_overrides(config: dict, overrides) -> dict:
     for item in overrides or []:
         if "=" not in item:
             raise UsageError(f"--set needs path=value, got {item!r}")
         path, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, parse_constant=_reject_constant)
         except json.JSONDecodeError:
             value = raw
         keys = path.split(".")
@@ -718,7 +726,7 @@ def run(config: dict, out_dir, stream=None) -> dict:
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        config = json.load(fh)
+        config = json.load(fh, parse_constant=_reject_constant)
     if not isinstance(config, dict):
         kind = type(config).__name__
         raise UsageError(f"top level must be a JSON object, got {kind}")

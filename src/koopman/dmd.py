@@ -21,17 +21,24 @@ import numpy as np
 from .embedding import SnapshotPair
 from .errors import DefectiveMatrixError, PreconditionError, UsageError
 
-_COND_SOLVE_LIMIT = 1e12
 _COND_EIGVEC_LIMIT = 1e8
 
 
 def moore_penrose_pseudoinverse(M) -> np.ndarray:
-    """Pseudoinverse by SVD; singular values below max(n,m)*eps*s_max drop."""
+    """Pseudoinverse by SVD; singular values below max(n,m)*eps*s_max drop.
+
+    Raises PreconditionError when a kept singular value is subnormal, since
+    its reciprocal, and so the pseudoinverse, would overflow.
+    """
     M = np.atleast_2d(np.asarray(M))
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros_like(M.conj().T)
     cutoff = max(M.shape) * np.finfo(float).eps * s[0]
+    smallest = s[s >= cutoff][-1]
+    if smallest < np.finfo(float).tiny:  # 1 / smallest would overflow
+        raise PreconditionError(f"pseudoinverse exceeds the float range: singular "
+                                f"value {smallest:.3g} is subnormal; rescale the data")
     inv = np.where(s < cutoff, 0.0, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0))
     return (Vh.conj().T * inv) @ U.conj().T
 
@@ -57,22 +64,14 @@ class CompanionModel:
 def companion_dmd(pair: SnapshotPair) -> CompanionModel:
     """Fit Xp ~ X C with companion structure; only the last column is free.
 
-    Uses the exact solve when X is square with condition number below 1e12,
-    the pseudoinverse otherwise.  rank(X) < m-1 means even the shift part
-    of the fit is ambiguous; that triggers a warning, the residual is
-    still reported.
+    The free column is the minimum-norm least-squares solution
+    c = X+ x_end, through the same SVD pseudoinverse for every shape of X.
+    rank(X) < m-1 means even the shift part of the fit is ambiguous; that
+    triggers a warning, the residual is still reported.
     """
     X, Xp = pair.X, pair.Xp
-    n, m = X.shape
-    x_end = Xp[:, -1]
-    use_solve = False
-    if n == m:
-        cond = np.linalg.cond(X)
-        use_solve = np.isfinite(cond) and cond < _COND_SOLVE_LIMIT
-    if use_solve:
-        c = np.linalg.solve(X, x_end)
-    else:
-        c = moore_penrose_pseudoinverse(X) @ x_end
+    m = X.shape[1]
+    c = moore_penrose_pseudoinverse(X) @ Xp[:, -1]
     rank = np.linalg.matrix_rank(X)
     if rank < m - 1:
         warnings.warn(

@@ -1,8 +1,9 @@
 """Time-delay embedding and Hankel-style snapshot matrices.
 
 Snapshot convention is column-major: each column of X, Xp is one time
-sample, rows index observables.  For scalar input series, hankel_pair
-builds the delay rows directly.
+sample, rows index observables.  hankel_pair delay-embeds a scalar or
+vector series and pairs consecutive delay vectors with
+SnapshotPair.from_series, as any other series is paired.
 """
 
 from __future__ import annotations
@@ -98,5 +99,4 @@ def hankel_pair(series, rows: int, dt: float = 0.0) -> SnapshotPair:
     length = arr.shape[0]
     if length < rows + 1:
         raise UsageError(f"series of length {length} too short for rows={rows}")
-    emb = delay_embed(arr, N=rows - 1, stride=1)
-    return SnapshotPair(X=emb[:-1].T, Xp=emb[1:].T, dt=dt)
+    return SnapshotPair.from_series(delay_embed(arr, N=rows - 1, stride=1), dt)

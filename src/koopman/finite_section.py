@@ -50,8 +50,8 @@ def _check_weights(weights, m):
     w = np.asarray(weights, dtype=float)
     if w.shape != (m,):
         raise UsageError(f"weights must have length {m}")
-    if np.any(w <= 0):
-        raise UsageError("weights must be strictly positive")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise UsageError("weights must be finite and strictly positive")
     return w
 
 

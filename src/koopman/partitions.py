@@ -32,7 +32,7 @@ from ._csv import write_csv, write_csv_files
 from .errors import ObservableDomainError, UsageError
 from .observables import REAL_KINDS as _REAL_KINDS  # kinds with a real accumulator
 from .observables import ObservableDictionary, StateColumns
-from .systems import SystemSpec, Trajectory, _column_step, rk4_step_batch, step_map_batch
+from .systems import SystemSpec, _column_step, _states_of, rk4_step_batch, step_map_batch
 
 # Orbits of different grid points never interact, so time_average runs the
 # grid in row blocks on a small thread pool (numpy's ufuncs release the GIL).
@@ -131,12 +131,6 @@ def _grid_points(grid) -> np.ndarray:
     if pts.shape[0] < 1:
         raise UsageError("grid must contain at least one point")
     return pts
-
-
-def _advance(spec: SystemSpec, pts: np.ndarray, dt) -> np.ndarray:
-    if spec.is_map:
-        return step_map_batch(spec, pts)
-    return rk4_step_batch(spec, pts, dt)
 
 
 @dataclass(frozen=True)
@@ -292,12 +286,10 @@ def time_average(
         _average_block(entries, step, cols, n, [t[rows] for t in sums],
                        [t[rows] for t in half_sums], finite_end[rows], rows.start, failed)
 
-    blocks = _row_blocks(n_rows, entries)
-    if len(blocks) == 1:
-        run(blocks[0])
-    else:
-        with ThreadPoolExecutor(_WORKERS) as pool:
-            list(pool.map(run, blocks))
+    # a pool starts a thread per pending block, so a custom observable's single
+    # block (see _row_blocks) runs on one thread and sees the whole grid
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        list(pool.map(run, _row_blocks(n_rows, entries)))
     if failed:
         raise min(failed, key=lambda f: f[:3])[3]
     half = n // 2
@@ -348,10 +340,7 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
     Off-circle multipliers only trigger a warning: the averages then decay
     or blow up instead of converging, which is sometimes worth seeing.
     """
-    if isinstance(traj, Trajectory):
-        states, dt = traj.states, traj.dt
-    else:
-        states, dt = np.atleast_2d(np.asarray(traj)), 0.0
+    states, dt = _states_of(traj), getattr(traj, "dt", 0.0)
     lam = complex(lambda_target)
     if dt > 0:
         if abs(lam.real) > 1e-10:
@@ -563,7 +552,7 @@ def partition_invariance_score(
     cur = start.copy()
     with np.errstate(all="ignore"):
         for _ in range(n_test):
-            cur = _advance(spec, cur, dt)
+            cur = step_map_batch(spec, cur) if spec.is_map else rk4_step_batch(spec, cur, dt)
             nearest = lookup(cur)
             got = np.where(nearest >= 0, labels[np.maximum(nearest, 0)], -2)
             hits += int(np.sum(got == want))

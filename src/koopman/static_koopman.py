@@ -20,6 +20,7 @@ import numpy as np
 from ._csv import write_csv
 from .dmd import moore_penrose_pseudoinverse
 from .errors import UsageError
+from .finite_section import _check_weights
 from .observables import ObservableDictionary
 
 
@@ -156,14 +157,7 @@ def conditional_expectation_projection(f_samples, fiber_labels, weights=None) ->
     inv, K = _factorize(fiber_labels)
     if inv.size != F.shape[0]:
         raise UsageError("labels and samples must have equal length")
-    if weights is None:
-        w = np.ones(F.shape[0])
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (F.shape[0],):
-            raise UsageError("weights must match sample count")
-        if np.any(w <= 0):
-            raise UsageError("weights must be strictly positive")
+    w = np.ones(F.shape[0]) if weights is None else _check_weights(weights, F.shape[0])
     wsum = np.bincount(inv, weights=w, minlength=K)
     means = np.empty((K, F.shape[1]), dtype=F.dtype)
     for c in range(F.shape[1]):
@@ -202,10 +196,7 @@ def fiber_mean_matrix(fiber_labels, weights=None) -> np.ndarray:
     matrix onto fiber-constant sample vectors.
     """
     inv, K = _factorize(fiber_labels)
-    if weights is None:
-        w = np.ones(inv.size)
-    else:
-        w = np.asarray(weights, dtype=float)
+    w = np.ones(inv.size) if weights is None else _check_weights(weights, inv.size)
     W = np.zeros((K, inv.size))
     wsum = np.bincount(inv, weights=w, minlength=K)
     W[inv, np.arange(inv.size)] = w / wsum[inv]

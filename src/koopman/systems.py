@@ -9,12 +9,12 @@ it on contiguous 1-D coordinate columns (grids of initial conditions), so
 both paths do the same arithmetic.  One column stepper (_column_step: a map
 iterate, or one RK4 step of a flow) does all batch stepping: time_average
 steps its blocks of columns with it, and the public (P, d) APIs
-step_map_batch and rk4_step_batch wrap it.  The scalar flow path runs an RK4 loop
-generated once per dimension (_rk4_loop), with every coordinate a plain
-local: a loop over state tuples would spend most of its time building
-generators and tuples rather than on the floating-point work.  The
-generated loop only calls the table's definition, so each system is still
-written once.
+step_map_batch and rk4_step_batch wrap it.  All scalar stepping runs one
+orbit loop generated once per dimension (_orbit_loop), whose step is either
+a map iterate or an RK4 step, with every coordinate a plain local: a loop
+over state tuples would spend most of its time building generators and
+tuples rather than on the floating-point work.  The generated loop only
+calls the table's definition, so each system is still written once.
 
 Angle coordinates are stored in radians on the real line and are not reduced
 during iteration; reduction happens only where a map definition requires it
@@ -350,75 +350,69 @@ def rk4_step_batch(spec: SystemSpec, pts: np.ndarray, dt: float) -> np.ndarray:
     return np.column_stack(_column_step(spec, dt)(tuple(pts.T)))
 
 
-def _check_finite(x, step):
-    s = 0.0
-    for v in x:
-        s += v
-    # NaN fails both comparisons, +-inf fails one
-    if not (-math.inf < s < math.inf):
-        raise DivergenceError(step)
-
-
-# The scalar RK4 loop, written out per coordinate.  {x} stands for the state
-# "x0, x1, ...", {x+h2*a} for "x0 + h2 * a0, x1 + h2 * a1, ..." and so on;
-# the trailing commas let a single coordinate unpack as well.  The update is
-# the scalar sum x + h6*(a + 2(b + c) + d), which rounds differently from
+# The scalar orbit loop, written out per coordinate.  {x} stands for the
+# state "x0, x1, ...", {x+h2*a} for "x0 + h2 * a0, x1 + h2 * a1, ..." and so
+# on; the trailing commas let a single coordinate unpack as well.  A map's
+# step is one iterate of its definition.  A flow's is the four RK4 stages and
+# the scalar update x + h6*(a + 2(b + c) + d), which rounds differently from
 # the batch path's k1 + 2k2 + 2k3 + k4.  The finite check adds the new state
-# up from 0.0 in coordinate order, as _check_finite does on the map path, so
-# NaN and +-inf fail it in the same way.  A math function raises
-# OverflowError on overflow and ValueError outside its domain
+# up from 0.0 in coordinate order, so NaN and +-inf fail it.  A math function
+# raises OverflowError on overflow and ValueError outside its domain
 # (math.sin(inf)): both mean the step diverged.
-_RK4_TEMPLATE = """\
-def rk4_loop(f, s0, h, n_steps):
+_ORBIT_TEMPLATE = """\
+def orbit_loop(f, s0, h, n_steps):
     {x}, = s0
     h2, h6 = 0.5 * h, h / 6.0
     out = array("d", s0)
     extend = out.extend
     for k in range(1, n_steps + 1):
         try:
-            {a}, = f({x})
-            {b}, = f({x+h2*a})
-            {c}, = f({x+h2*b})
-            {d}, = f({x+h*c})
+{step}
         except (OverflowError, ValueError):
             raise DivergenceError(k) from None
-{update}
         if not -inf < 0.0 + {sum_x} < inf:
             raise DivergenceError(k)
         extend(({x},))
     return out
 """
+# the step slot, by is_map: one iterate, or the four RK4 stages and the update
+_ORBIT_STEPS = {
+    True: "            {x}, = f({x})",
+    False: """\
+            {a}, = f({x})
+            {b}, = f({x+h2*a})
+            {c}, = f({x+h2*b})
+            {d}, = f({x+h*c})
+{update}""",
+}
 
 
 @functools.cache
-def _rk4_loop(dim: int):
-    """rk4_loop(f, s0, h, n_steps) -> array('d') of the n_steps + 1 states.
+def _orbit_loop(dim: int, is_map: bool):
+    """orbit_loop(f, s0, h, n_steps) -> array('d') of the n_steps + 1 states.
 
-    Generated once per dimension: with the coordinates as plain locals, a
-    step builds no generators, zips or intermediate tuples, which on python
-    floats cost more than the arithmetic itself.
+    Generated once per dimension and system type: with the coordinates as
+    plain locals, a step builds no generators, zips or intermediate tuples,
+    which on python floats cost more than the arithmetic itself.  h is the
+    RK4 step size; a map ignores it.
     """
 
     def terms(fmt, sep=", "):
         return sep.join(fmt.format(i=i) for i in range(dim))
 
-    source = _RK4_TEMPLATE.format_map({
-        "x": terms("x{i}"),
-        "a": terms("a{i}"),
-        "b": terms("b{i}"),
-        "c": terms("c{i}"),
-        "d": terms("d{i}"),
+    fields = {
+        **{v: terms(v + "{i}") for v in "xabcd"},
         "x+h2*a": terms("x{i} + h2 * a{i}"),
         "x+h2*b": terms("x{i} + h2 * b{i}"),
         "x+h*c": terms("x{i} + h * c{i}"),
-        "update": terms(
-            "        x{i} = x{i} + h6 * (a{i} + 2.0 * (b{i} + c{i}) + d{i})", "\n"
-        ),
+        "update": terms(" " * 12 + "x{i} = x{i} + h6 * (a{i} + 2.0 * (b{i} + c{i}) + d{i})", "\n"),
         "sum_x": terms("x{i}", " + "),
-    })
+    }
+    fields["step"] = _ORBIT_STEPS[is_map].format_map(fields)
+    source = _ORBIT_TEMPLATE.format_map(fields)
     namespace = {"array": array, "DivergenceError": DivergenceError, "inf": math.inf}
-    exec(compile(source, f"<rk4 loop, dim {dim}>", "exec"), namespace)
-    return namespace["rk4_loop"]
+    exec(compile(source, f"<orbit loop, dim {dim}, map {is_map}>", "exec"), namespace)
+    return namespace["orbit_loop"]
 
 
 def integrate(spec: SystemSpec, s0, dt: float, n_steps: int) -> Trajectory:
@@ -433,25 +427,13 @@ def integrate(spec: SystemSpec, s0, dt: float, n_steps: int) -> Trajectory:
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (spec.dim,):
         raise UsageError(f"{spec.kind} state must have dimension {spec.dim}")
-
-    if not spec.is_map:
-        if dt <= 0:
-            raise UsageError("flows require dt > 0")
-        buf = _rk4_loop(spec.dim)(_scalar(spec), tuple(map(float, s0)), dt, n_steps)
-        states = np.frombuffer(buf, dtype=float).reshape(n_steps + 1, spec.dim)
-        return Trajectory(states=states, dt=dt, spec=spec, initial_state=s0)
-
-    states = [tuple(float(v) for v in s0)]
-    x = states[0]
-    step = _scalar(spec)
-    for k in range(n_steps):
-        try:
-            x = step(*x)
-        except (OverflowError, ValueError):  # as in the flow loop
-            raise DivergenceError(k + 1) from None
-        _check_finite(x, k + 1)
-        states.append(x)
-    return Trajectory(states=np.array(states), dt=0.0, spec=spec, initial_state=s0)
+    if spec.is_map:
+        dt = 0.0
+    elif dt <= 0:
+        raise UsageError("flows require dt > 0")
+    buf = _orbit_loop(spec.dim, spec.is_map)(_scalar(spec), tuple(map(float, s0)), dt, n_steps)
+    states = np.frombuffer(buf, dtype=float).reshape(n_steps + 1, spec.dim)
+    return Trajectory(states=states, dt=dt, spec=spec, initial_state=s0)
 
 
 def hamiltonian(s, g: float, l: float):

@@ -143,6 +143,13 @@ def test_deleting_a_required_path_exits_2(tmp_path, capsys, name, path):
         assert f"'{leaf}' is a required property" in err
 
 
+_NON_FINITE_OVERRIDES = (
+    ("standard_map_partition_integrable.json", "system.params.eps=NaN"),
+    ("circle_gla.json", "method_params.lambda_target=NaN"),
+    ("circle_gla.json", 'method_params.lambda_target={"re": 1.0, "im": -Infinity}'),
+)
+
+
 @pytest.mark.parametrize(
     "name, override",
     [
@@ -182,13 +189,30 @@ def test_deleting_a_required_path_exits_2(tmp_path, capsys, name, path):
         ("circle_mz_closure.json", 'method_params.closure={"omega": 1.0}'),
         ("lorenz_mz_memory.json", "method_params.closure={}"),
         ("linear_static.json", "method_params.box=[1.5, 1.0]"),
+        ("lorenz_mz_memory.json", "method_params.k_mx=5"),
+        ("standard_map_partition_integrable.json", "method_params.bins_per_obs=5"),
+        ("circle_mz_closure.json", "method_params.closure.m_sample=64"),
+        *_NON_FINITE_OVERRIDES,
     ],
 )
 def test_mistyped_value_exits_2_without_traceback(tmp_path, capsys, name, override):
     path = str(CONFIG_DIR / name)
     assert cli.main(["run", path, "--set", override, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "config invalid" in err and "Traceback" not in err
+    # a non-finite number is refused while the JSON is read, before validation
+    unusable = (name, override) in _NON_FINITE_OVERRIDES
+    assert ("config unusable" if unusable else "config invalid") in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_number_in_a_config_file_exits_2(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "standard_map_partition_integrable.json").read_text())
+    cfg["system"]["params"]["eps"] = float("inf")  # json.dumps writes Infinity
+    cfg["output"] = {"dir": str(tmp_path / "o")}
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config unusable" in err and "Infinity" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_observable_schema_types_every_json_parameter():

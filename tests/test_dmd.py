@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from koopman.dmd import (
     CompanionModel,
@@ -13,7 +15,7 @@ from koopman.dmd import (
 )
 from koopman.embedding import SnapshotPair, hankel_pair
 from koopman.errors import DefectiveMatrixError, PreconditionError, UsageError
-from koopman.systems import SystemSpec, integrate
+from koopman.systems import SystemSpec, integrate, known_spectrum
 
 
 def _penrose_ok(M, P, tol=1e-10):
@@ -57,6 +59,12 @@ def test_pinv_zero_matrix():
     P = moore_penrose_pseudoinverse(np.zeros((3, 2)))
     assert P.shape == (2, 3)
     np.testing.assert_allclose(P, 0.0)
+
+
+def test_pinv_of_subnormal_scale_data_is_refused_not_overflowed():
+    # 1 / 5e-324 overflows to inf, which would turn the whole matrix into NaN
+    with pytest.raises(PreconditionError, match="float range"):
+        moore_penrose_pseudoinverse(np.array([[5e-324, 0.0], [0.0, 1e-323]]))
 
 
 def test_companion_exact_period_gives_unit_vector():
@@ -228,3 +236,77 @@ def test_continuous_time_eigenvalue_errors_and_warnings():
 def test_companion_model_validates_shapes():
     with pytest.raises(UsageError):
         CompanionModel(c=np.ones(2), C=np.eye(3), residual=0.0)
+
+
+@st.composite
+def _diagonalizable_maps(draw):
+    """(B, V): a real 2-4-D B = V D V^-1 with separated eigenvalues, cond(V) <= 1e2.
+
+    D holds real eigenvalues and rotation-scaling blocks r R(t), whose
+    eigenvectors are unitary, so B's eigenvector matrix has the
+    condition number of V.
+    """
+    dim = draw(st.integers(2, 4))
+    blocks, lam = [], []
+    for _ in range(draw(st.integers(0, dim // 2))):
+        r, t = draw(st.floats(0.5, 1.0)), draw(st.floats(0.3, 2.8))
+        blocks.append(r * np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]))
+        lam += [r * np.exp(1j * t), r * np.exp(-1j * t)]
+    while len(lam) < dim:
+        lam.append(draw(st.floats(-1.0, 1.0)))
+        blocks.append(np.array([[lam[-1].real]]))
+    gaps = np.abs(np.subtract.outer(lam, lam)) + 9.0 * np.eye(dim)
+    assume(gaps.min() >= 0.1)
+    entry = st.floats(-1.0, 1.0)
+    V = np.array(draw(st.lists(entry, min_size=dim * dim, max_size=dim * dim)))
+    V = V.reshape(dim, dim)
+    assume(np.linalg.cond(V) <= 1e2)
+    V /= np.abs(V).max()  # B does not depend on the scale of V; V^-1 must not overflow
+    D = np.zeros((dim, dim))
+    at = 0
+    for block in blocks:
+        k = block.shape[0]
+        D[at:at + k, at:at + k] = block
+        at += k
+    return V @ D @ np.linalg.inv(V), V
+
+
+def _eigenvalue_error(truth, got):
+    """Largest distance from a true eigenvalue to its nearest fitted one."""
+    dist = np.abs(np.subtract.outer(truth, got))
+    nearest = dist.argmin(axis=1)
+    assert len(set(nearest)) == len(truth)  # a one-to-one matching
+    return dist.min(axis=1).max()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_diagonalizable_maps(), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_square_krylov_fits_recover_the_known_spectrum(map_and_vectors, start):
+    # X = [x0, B x0, ..., B^(d-1) x0] is square, so both fits reproduce B's
+    # spectrum up to rounding.  By Bauer-Fike an eigenvalue moves by at most
+    # the eigenvector condition number times the perturbation of the
+    # matrix, and a fit from X perturbs it by about eps * cond(X) times its
+    # norm; 16 * dim covers the constants of the SVD and the eigensolver.
+    B, V = map_and_vectors
+    dim = B.shape[0]
+    spec = SystemSpec("linear_map", {"B": B})
+    pair = SnapshotPair.from_series(integrate(spec, start[:dim], 0.0, dim).states)
+    cond_x = np.linalg.cond(pair.X)
+    assume(cond_x <= 1e8)
+    if np.linalg.svd(pair.X, compute_uv=False)[-1] < np.finfo(float).tiny:
+        # a start vector of subnormals: X+ would overflow, and both fits say so
+        for fit in (pseudoinverse_dmd, companion_dmd):
+            with pytest.raises(PreconditionError, match="float range"):
+                fit(pair)
+        return
+    truth = known_spectrum(spec)
+    scale = 16 * dim * np.finfo(float).eps * cond_x
+
+    A = pseudoinverse_dmd(pair)
+    pinv_bound = scale * np.linalg.cond(V) * np.linalg.norm(A, 2)
+    assert _eigenvalue_error(truth, np.linalg.eigvals(A)) <= pinv_bound
+
+    model = companion_dmd(pair)
+    # the companion matrix's eigenvectors are the Vandermonde rows of its eigenvalues
+    companion_bound = scale * np.linalg.cond(np.vander(truth)) * np.linalg.norm(model.C, 2)
+    assert _eigenvalue_error(truth, model.eigenvalues) <= companion_bound

@@ -199,3 +199,15 @@ def test_projection_matrix_matches_weighted_route():
     assert np.allclose(
         P @ f, conditional_expectation_projection(f, labels, weights=w), atol=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "weights", [[1.0, -1.0, 1.0], [1.0, 0.0, 1.0], [1.0, np.nan, 1.0], [1.0, 1.0], [1.0] * 4]
+)
+def test_fiber_means_refuse_bad_weights(weights):
+    # [1, -1] on fiber 0 sums to zero, the divisor of its weighted mean
+    labels = [0, 0, 1]
+    with pytest.raises(UsageError, match="weights"):
+        fiber_mean_matrix(labels, weights=weights)
+    with pytest.raises(UsageError, match="weights"):
+        conditional_expectation_projection(np.arange(3.0), labels, weights=weights)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from koopman.errors import DivergenceError, UsageError
 from koopman.systems import (
-    FLOW_KINDS,
     SYSTEM_KINDS,
     SystemSpec,
     Trajectory,
@@ -214,6 +213,17 @@ def test_leaving_sins_domain_is_a_divergence(kind, s0, dt):
     assert err.value.step == 1
 
 
+@pytest.mark.parametrize(
+    "kind, params, dt",
+    [("torus_rotation", {"omega2": 1e308}, 0.0), ("limit_cycle_polar", {"omega": 1e308}, 1.0)],
+)
+def test_a_last_coordinate_overflowing_is_a_divergence(kind, params, dt):
+    # the first coordinate stays finite; the finite check must see them all
+    with pytest.raises(DivergenceError) as err:
+        integrate(SystemSpec(kind, params), [0.0, 1e308], dt=dt, n_steps=10)
+    assert err.value.step == 1
+
+
 def test_trajectory_csv_roundtrip(tmp_path):
     spec = SystemSpec("lorenz")
     traj = integrate(spec, [1.0, 1.0, 1.0], dt=0.01, n_steps=50)
@@ -360,13 +370,17 @@ def test_golden_bits(kind):
     assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == _GOLDEN_BATCH[kind]
 
 
-def _reference_rk4(spec, s0, dt, n_steps):
-    """RK4 over state tuples: integrate() must match it bit for bit."""
+def _reference_orbit(spec, s0, dt, n_steps):
+    """Map iterates or RK4 over state tuples: integrate() must match it bit for bit."""
     f = _scalar(spec)
     h, h2, h6 = dt, 0.5 * dt, dt / 6.0
     x = tuple(float(v) for v in s0)
     states = [x]
     for _ in range(n_steps):
+        if spec.is_map:
+            x = f(*x)
+            states.append(x)
+            continue
         a = f(*x)
         b = f(*(xi + h2 * ai for xi, ai in zip(x, a)))
         c = f(*(xi + h2 * bi for xi, bi in zip(x, b)))
@@ -379,9 +393,9 @@ def _reference_rk4(spec, s0, dt, n_steps):
     return np.array(states)
 
 
-@pytest.mark.parametrize("kind", FLOW_KINDS)
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
 def test_integrate_matches_reference_loop_bit_for_bit(kind):
     params, s0, dt, _ = _GOLDEN_RUNS[kind]
     spec = SystemSpec(kind, params)
     states = integrate(spec, s0, dt, 300).states
-    np.testing.assert_array_equal(states, _reference_rk4(spec, s0, dt, 300), strict=True)
+    np.testing.assert_array_equal(states, _reference_orbit(spec, s0, dt, 300), strict=True)
