@@ -7,9 +7,10 @@ spiral-sink flow as CSV; `repr <config.json>` runs a representation
 check and prints the residual/faithfulness table.
 
 Exit codes: 0 success, 2 unusable config (schema violation, bad JSON,
-missing file; the failing field path is printed) or unusable output
-location (an `--out` that cannot be created or written), 3 numerical failure
-inside a method, numpy's LinAlgError included (the error text is printed).
+missing file; the failing field path is printed), unusable `lattice` input
+(N or M < 0, a non-finite c or omega) or unusable output location (an
+`--out` that cannot be created or written), 3 numerical failure inside a
+method, numpy's LinAlgError included (the error text is printed).
 
 Each method is declared once, in `_RUNNERS`: its runner and the config
 paths it requires, from which the schema's per-method rules are built.
@@ -43,6 +44,7 @@ import numpy as np
 
 from ._csv import write_csv
 from .dmd import (
+    _complex_json,
     companion_dmd,
     continuous_time_eigenvalues,
     pseudoinverse_dmd,
@@ -84,11 +86,6 @@ from .systems import (
 )
 
 _MERSENNE_MASK = (1 << 64) - 1
-
-
-def _complex_json(z) -> dict:
-    z = complex(z)
-    return {"re": float(z.real), "im": float(z.imag)}
 
 
 def _decode_number(v):
@@ -144,10 +141,7 @@ def _write_json(path, payload) -> None:
 
 
 def _make_trajectory(spec: SystemSpec, sampling: dict):
-    dt = 0.0 if spec.is_map else float(sampling.get("dt", 0.0))
-    if not spec.is_map and dt <= 0.0:
-        raise UsageError("flows need sampling.dt > 0")
-    return integrate(spec, tuple(sampling["initial_state"]), dt=dt, n_steps=sampling["n"])
+    return integrate(spec, sampling["initial_state"], sampling.get("dt"), sampling["n"])
 
 
 def emit_lattice(c: float, omega: float, N: int, M: int) -> np.ndarray:
@@ -155,9 +149,12 @@ def emit_lattice(c: float, omega: float, N: int, M: int) -> np.ndarray:
 
     beta is the decaying spiral exponent (-c + sqrt(c^2-8))/2, the root
     with nonnegative imaginary part.  Rows come out in (n, m) loop order.
+    Raises UsageError for N or M < 0 and for a non-finite c or omega.
     """
     if N < 0 or M < 0:
         raise UsageError("lattice truncation requires N, M >= 0")
+    if not np.all(np.isfinite([c, omega])):
+        raise UsageError(f"lattice needs finite c and omega, got c={c}, omega={omega}")
     beta = duffing_fixed_point_eigenvalues(c)[0]
     return np.array(
         [1j * n * omega + m * beta for n in range(N + 1) for m in range(M + 1)],
@@ -244,15 +241,14 @@ def _run_partition(config, spec, seed, stream):
     sampling = config["sampling"]
     dictionary = _build_dictionary(config["dictionary"])
     grid = _build_grid(sampling["grid"])
-    dt = None if spec.is_map else sampling.get("dt")
     params = config.get("method_params", {})
-    field = time_average(dictionary, spec, grid, n=sampling.get("n", 1000), dt=dt)
+    field = time_average(dictionary, spec, grid, n=sampling.get("n", 1000), dt=sampling.get("dt"))
     labeling = ergodic_partition_approx(field, bins_per_obs=params.get("bins", 3))
     score = partition_invariance_score(
         labeling,
         spec,
         n_test=params.get("n_test", 1),
-        dt=dt,
+        dt=sampling.get("dt"),
         sample_limit=params.get("sample_limit"),
         seed=seed,
     )
@@ -793,10 +789,11 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "lattice":
-        if args.N < 0 or args.M < 0:
-            print("lattice: N and M must be >= 0", file=sys.stderr)
+        try:
+            values = emit_lattice(args.c, args.omega, args.N, args.M)
+        except UsageError as exc:
+            print(f"lattice: {exc}", file=sys.stderr)
             return 2
-        values = emit_lattice(args.c, args.omega, args.N, args.M)
         if args.out:
             try:
                 _write_complex_csv(args.out, values)

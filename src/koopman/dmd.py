@@ -24,6 +24,12 @@ from .errors import DefectiveMatrixError, PreconditionError, UsageError
 _COND_EIGVEC_LIMIT = 1e8
 
 
+def _complex_json(z) -> dict:
+    """A complex number as the JSON object {"re": ..., "im": ...}."""
+    z = complex(z)
+    return {"re": z.real, "im": z.imag}
+
+
 def moore_penrose_pseudoinverse(M) -> np.ndarray:
     """Pseudoinverse by SVD; singular values below max(n,m)*eps*s_max drop.
 
@@ -110,14 +116,11 @@ class SpectralTriple:
             raise UsageError("triple components disagree on eigenvalue count")
 
     def to_json(self) -> dict:
-        def c2j(z):
-            return {"re": float(np.real(z)), "im": float(np.imag(z))}
-
         return {
-            "eigenvalues": [c2j(z) for z in self.eigenvalues],
-            "modes": [[c2j(z) for z in row] for row in self.modes],
+            "eigenvalues": [_complex_json(z) for z in self.eigenvalues],
+            "modes": [[_complex_json(z) for z in row] for row in self.modes],
             "eigenfunction_samples": [
-                [c2j(z) for z in row] for row in self.eigenfunction_samples
+                [_complex_json(z) for z in row] for row in self.eigenfunction_samples
             ],
         }
 

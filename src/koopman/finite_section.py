@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csv import write_csv
+from .dmd import _complex_json
 from .errors import DegenerateDictionaryError, UsageError
 from .observables import ObservableDictionary
 from .systems import _states_of
@@ -108,11 +109,6 @@ class FiniteSectionMatrix:
             raise UsageError("section matrix contains non-finite entries")
         object.__setattr__(self, "U_tilde", U)
 
-    @property
-    def eigenmatrix(self) -> np.ndarray:
-        """A with (f o T) = A f on the dictionary span: the transpose."""
-        return self.U_tilde.T
-
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.U_tilde)
 
@@ -124,19 +120,14 @@ class FiniteSectionMatrix:
     def to_csv(self, path) -> None:
         names = self.dictionary.names
         header = ",".join(f"re_{n},im_{n}" for n in names)
-        out = np.empty((self.U_tilde.shape[0], 2 * self.U_tilde.shape[1]))
-        out[:, 0::2] = self.U_tilde.real
-        out[:, 1::2] = self.U_tilde.imag
-        write_csv(path, out, header)
+        # a C-ordered complex128 array viewed as float64 is re, im, re, im, ...
+        write_csv(path, np.ascontiguousarray(self.U_tilde).view(float), header)
 
     def to_json(self) -> dict:
         return {
             "dictionary": self.dictionary.to_json(),
             "sample_count": self.sample_count,
-            "U_tilde": [
-                [{"re": float(z.real), "im": float(z.imag)} for z in row]
-                for row in self.U_tilde
-            ],
+            "U_tilde": [[_complex_json(z) for z in row] for row in self.U_tilde],
         }
 
 

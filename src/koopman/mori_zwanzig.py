@@ -26,9 +26,7 @@ from ._csv import write_csv
 from .errors import UsageError
 from .finite_section import dual_basis
 from .observables import ObservableDictionary
-from .systems import _states_of
-
-TWO_PI = 2.0 * np.pi
+from .systems import TWO_PI, _states_of
 
 
 @dataclass(frozen=True)
@@ -53,11 +51,6 @@ class MzDecomposition:
     section_matrix: np.ndarray
     window: int
     dictionary: ObservableDictionary
-
-    @property
-    def norms(self) -> np.ndarray:
-        """Orthogonal-part norm sequence, the primary diagnostic."""
-        return self.orthogonal_norms
 
     @property
     def k_max(self) -> int:
@@ -180,8 +173,14 @@ class FourierObservable:
         return self.coefficients.size - 1
 
     def unit_normalized(self) -> "FourierObservable":
-        norm = np.linalg.norm(self.coefficients)
-        return FourierObservable(self.coefficients / norm)
+        c = self.coefficients
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(c)
+        if not np.sqrt(np.finfo(float).tiny) <= norm < np.inf:  # sum |c_n|^2 left the normals
+            scale = max(np.abs(c.real).max(), np.abs(c.imag).max())
+            c = c.real / scale + 1j * (c.imag / scale)  # c / scale can overflow
+            norm = np.linalg.norm(c)
+        return FourierObservable(c / norm)
 
     def sample(self, theta) -> np.ndarray:
         z = np.exp(1j * np.asarray(theta))

@@ -39,8 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ObservableDomainError, UsageError
-
-TWO_PI = 2.0 * np.pi
+from .systems import TWO_PI
 
 
 class StateColumns:

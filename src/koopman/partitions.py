@@ -32,7 +32,8 @@ from ._csv import write_csv, write_csv_files
 from .errors import ObservableDomainError, UsageError
 from .observables import REAL_KINDS as _REAL_KINDS  # kinds with a real accumulator
 from .observables import ObservableDictionary, StateColumns
-from .systems import SystemSpec, _column_step, _states_of, rk4_step_batch, step_map_batch
+from .systems import SystemSpec, _column_step, _states_of, _step_size
+from .systems import rk4_step_batch, step_map_batch
 
 # Orbits of different grid points never interact, so time_average runs the
 # grid in row blocks on a small thread pool (numpy's ufuncs release the GIL).
@@ -259,9 +260,7 @@ def time_average(
     """
     if n < 1:
         raise UsageError("n must be >= 1")
-    if not spec.is_map:
-        if dt is None or dt <= 0:
-            raise UsageError("flows need dt > 0 for time averages")
+    step = _column_step(spec, _step_size(spec, dt))
     columns = _point_columns(grid)
     if len(columns) != spec.dim:
         raise UsageError(f"grid dimension {len(columns)} does not match {spec.kind}")
@@ -275,7 +274,6 @@ def time_average(
     ]
     half_sums = [np.empty_like(total) for total in sums]
     finite_end = np.empty(n_rows, dtype=bool)
-    step = _column_step(spec, dt)
     failed = []
 
     def run(rows):
@@ -519,8 +517,7 @@ def partition_invariance_score(
     """
     if n_test < 1:
         raise UsageError("n_test must be >= 1")
-    if not spec.is_map and (dt is None or dt <= 0):
-        raise UsageError("flows need dt > 0 for invariance testing")
+    dt = _step_size(spec, dt)
     pts = labeling.points
     labels = labeling.cell_id
     alive = labels >= 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmd import SpectralTriple, continuous_time_eigenvalues
+from .dmd import SpectralTriple, _complex_json, continuous_time_eigenvalues
 from .errors import DegenerateFitError, PreconditionError, UsageError
 from .observables import Observable, ObservableDictionary
 from .systems import _states_of
@@ -101,9 +101,7 @@ class RepresentationModel:
     def to_json(self) -> dict:
         def num(z):
             z = complex(z)
-            if z.imag == 0.0:
-                return float(z.real)
-            return {"re": z.real, "im": z.imag}
+            return float(z.real) if z.imag == 0.0 else _complex_json(z)
 
         obj = {
             "map_kind": self.map_kind,

@@ -102,9 +102,8 @@ class StaticFit:
     def to_csv(self, path) -> None:
         A = np.atleast_2d(self.A)
         if np.iscomplexobj(A) and np.any(A.imag != 0):
-            out = np.empty((A.shape[0], 2 * A.shape[1]))
-            out[:, 0::2] = A.real
-            out[:, 1::2] = A.imag
+            # interleaved re, im columns: the float64 view of complex128
+            out = np.ascontiguousarray(A, dtype=complex).view(float)
         else:
             out = np.real(A)
         write_csv(path, out)

@@ -1,9 +1,12 @@
 """Benchmark dynamical systems with analytically known Koopman spectral data.
 
 Discrete maps (rotations, standard map, linear maps) are iterated exactly;
-continuous flows are integrated with classical fixed-step RK4.  Every system
+continuous flows are integrated with classical fixed-step RK4 (_step_size
+decides every step size: 0.0 for a map, a dt > 0 for a flow).  Every system
 is defined once, in the _SYSTEMS table, as a function of its coordinate
-columns with `sin` and the mod-1 wrap passed in.  The scalar path runs that
+columns with `sin` and the mod-1 wrap passed in; the table also holds the
+analytic spectrum and eigenvalue lattice of the systems that have them,
+which known_spectrum reads.  The scalar path runs that
 definition on python floats (long single trajectories); the batch path runs
 it on contiguous 1-D coordinate columns (grids of initial conditions), so
 both paths do the same arithmetic.  One column stepper (_column_step: a map
@@ -29,6 +32,8 @@ import cmath
 import functools
 import json
 import math
+import numbers
+import sys
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -48,6 +53,8 @@ class _System(NamedTuple):
     # define(sin, wrap, **params) -> function of the coordinate columns that
     # returns the next state (maps) or the time derivative (flows)
     define: Callable
+    spectrum: Callable | None = None  # (**params) -> multipliers (maps), exponents (flows)
+    lattice: Callable | None = None  # (**params) -> stable betas of i n omega + m . beta
 
 
 def _standard_map(sin, wrap, eps):
@@ -71,13 +78,16 @@ _SYSTEMS = {
         {"omega1": 1.0, "omega2": math.sqrt(2.0)},
         True,
         lambda sin, wrap, omega1, omega2: lambda a, b: (a + omega1, b + omega2),
+        spectrum=lambda omega1, omega2: np.exp(1j * np.array([omega1, omega2])),
     ),
     "circle_rotation": _System(
-        ("theta",), {"omega": 1.0}, True, lambda sin, wrap, omega: lambda a: (a + omega,)
+        ("theta",), {"omega": 1.0}, True, lambda sin, wrap, omega: lambda a: (a + omega,),
+        spectrum=lambda omega: np.exp(1j * np.array([omega])),
     ),
     "standard_map": _System(("x", "y"), {"eps": 0.12}, True, _standard_map),
     "linear_map": _System(
-        None, {"B": None}, True, lambda sin, wrap, B: lambda *s: B @ np.array(s)
+        None, {"B": None}, True, lambda sin, wrap, B: lambda *s: B @ np.array(s),
+        spectrum=lambda B: np.linalg.eigvals(B),
     ),
     "lorenz": _System(
         ("x", "y", "z"),
@@ -94,6 +104,8 @@ _SYSTEMS = {
         {"omega": 1.0},
         False,
         lambda sin, wrap, omega: lambda r, th: (r * (1.0 - r * r), omega),
+        spectrum=lambda omega: np.array([-2.0, 1j * omega, -1j * omega]),
+        lattice=lambda omega: [-2.0],
     ),
     "pendulum": _System(
         ("theta", "omega"),
@@ -106,6 +118,10 @@ _SYSTEMS = {
         {"c": math.sqrt(7.0), "omega": 1.0},
         False,
         lambda sin, wrap, c, omega: lambda x, y, th: (y, x - x * x * x - c * y, omega),
+        spectrum=lambda c, omega: np.array(
+            [*duffing_fixed_point_eigenvalues(c), 1j * omega, -1j * omega]
+        ),
+        lattice=lambda c, omega: duffing_fixed_point_eigenvalues(c),
     ),
     "coupled_lc_lorenz": _System(
         ("r", "theta", "x", "y", "z"),
@@ -127,6 +143,28 @@ _SYSTEMS = {
 MAP_KINDS = tuple(kind for kind, system in _SYSTEMS.items() if system.is_map)
 FLOW_KINDS = tuple(kind for kind, system in _SYSTEMS.items() if not system.is_map)
 SYSTEM_KINDS = MAP_KINDS + FLOW_KINDS
+
+
+def _finite_real(kind: str, name: str, value) -> float:
+    """A real parameter as a float; bools, strings, NaN and +-inf are refused."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max):  # NaN, +-inf, ints beyond floats
+        raise UsageError(f"{kind} parameter {name!r} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _square_matrix(B) -> np.ndarray:
+    """linear_map's B as a float array: square, numeric dtype, finite entries."""
+    if B is None:
+        raise UsageError("linear_map requires a square matrix parameter 'B'")
+    try:
+        B = np.asarray(B)
+    except ValueError:  # ragged rows
+        B = None
+    if (B is None or B.dtype.kind not in "iuf" or B.ndim != 2 or B.shape[0] != B.shape[1]
+            or not np.all(np.isfinite(B))):
+        raise UsageError("linear_map parameter 'B' must be a square matrix of finite reals")
+    return B.astype(float)
 
 
 @dataclass(frozen=True)
@@ -155,20 +193,9 @@ class SystemSpec:
             )
         merged.update(self.params)
         if self.kind == "linear_map":
-            if merged["B"] is None:
-                raise UsageError("linear_map requires a square matrix parameter 'B'")
-            try:
-                B = np.asarray(merged["B"], dtype=float)
-            except (TypeError, ValueError):  # ragged rows, non-numeric entries
-                raise UsageError(
-                    "linear_map parameter 'B' must be a square matrix of numbers"
-                ) from None
-            if B.ndim != 2 or B.shape[0] != B.shape[1]:
-                raise UsageError("linear_map parameter 'B' must be a square matrix")
-            merged["B"] = B
+            merged["B"] = _square_matrix(merged["B"])
         else:
-            for name, value in merged.items():
-                merged[name] = float(value)
+            merged = {name: _finite_real(self.kind, name, v) for name, v in merged.items()}
         if self.kind == "standard_map" and merged["eps"] < 0:
             raise UsageError("standard_map requires eps >= 0")
         if self.kind == "pendulum" and merged["l"] <= 0:
@@ -229,10 +256,9 @@ class Trajectory:
     states: np.ndarray
     dt: float = 0.0
     spec: SystemSpec | None = None
-    initial_state: np.ndarray | None = None
 
     def __post_init__(self):
-        states = np.atleast_2d(np.asarray(self.states, dtype=float))
+        states = _states_of(self.states)
         if states.shape[0] < 1:
             raise UsageError("trajectory must contain at least one state")
         object.__setattr__(self, "states", states)
@@ -288,6 +314,16 @@ def _wrap_batch(a):
     return a
 
 
+def _step_size(spec: SystemSpec, dt) -> float:
+    """The step size a system runs with: a map's is 0.0, whatever dt is; a
+    flow's is dt, which must be > 0 (None and NaN are refused too)."""
+    if spec.is_map:
+        return 0.0
+    if dt is None or not dt > 0:
+        raise UsageError(f"{spec.kind} is a flow and needs a step size dt > 0, got {dt}")
+    return float(dt)
+
+
 def _column_step(spec: SystemSpec, dt: float = None):
     """step(cols) -> the columns of the next state, from a tuple of 1-D columns.
 
@@ -316,8 +352,6 @@ def _column_step(spec: SystemSpec, dt: float = None):
 
 def step_map(spec: SystemSpec, s) -> np.ndarray:
     """One iterate of a discrete map at a single state."""
-    if not spec.is_map:
-        raise UsageError(f"step_map needs a discrete map, got {spec.kind!r}")
     s = np.asarray(s, dtype=float)
     if s.shape != (spec.dim,):
         raise UsageError(f"{spec.kind} state must have dimension {spec.dim}")
@@ -347,7 +381,7 @@ def rk4_step_batch(spec: SystemSpec, pts: np.ndarray, dt: float) -> np.ndarray:
     if spec.is_map:
         raise UsageError(f"rk4_step_batch needs a continuous flow, got {spec.kind!r}")
     pts = np.asarray(pts, dtype=float)
-    return np.column_stack(_column_step(spec, dt)(tuple(pts.T)))
+    return np.column_stack(_column_step(spec, _step_size(spec, dt))(tuple(pts.T)))
 
 
 # The scalar orbit loop, written out per coordinate.  {x} stands for the
@@ -427,13 +461,10 @@ def integrate(spec: SystemSpec, s0, dt: float, n_steps: int) -> Trajectory:
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (spec.dim,):
         raise UsageError(f"{spec.kind} state must have dimension {spec.dim}")
-    if spec.is_map:
-        dt = 0.0
-    elif dt <= 0:
-        raise UsageError("flows require dt > 0")
+    dt = _step_size(spec, dt)
     buf = _orbit_loop(spec.dim, spec.is_map)(_scalar(spec), tuple(map(float, s0)), dt, n_steps)
     states = np.frombuffer(buf, dtype=float).reshape(n_steps + 1, spec.dim)
-    return Trajectory(states=states, dt=dt, spec=spec, initial_state=s0)
+    return Trajectory(states=states, dt=dt, spec=spec)
 
 
 def hamiltonian(s, g: float, l: float):
@@ -487,31 +518,17 @@ def known_spectrum(spec: SystemSpec, N: int | None = None, M: int | None = None)
     """Analytic principal eigenvalues of the system, if it has them.
 
     Maps return unit-circle multipliers, flows return continuous-time
-    exponents.  For limit_cycle_polar and duffing_cycle a lattice truncation
-    (N, M) may be requested: i*n*omega + m.beta with |n| <= N, |m| <= M.
+    exponents, as the system's table entry gives them.  Where the entry
+    has a lattice (limit_cycle_polar, duffing_cycle) a truncation (N, M)
+    may be requested: i*n*omega + m.beta with |n| <= N, |m| <= M.
     """
-    p = spec.params
+    system = _SYSTEMS[spec.kind]
     if N is not None or M is not None:
         if N is None or M is None:
             raise UsageError("lattice request needs both N and M")
-        if spec.kind == "limit_cycle_polar":
-            return spectral_lattice(p["omega"], [-2.0], N, M)
-        if spec.kind == "duffing_cycle":
-            return spectral_lattice(
-                p["omega"], duffing_fixed_point_eigenvalues(p["c"]), N, M
-            )
-        raise UsageError(f"no eigenvalue lattice defined for {spec.kind!r}")
-    if spec.kind == "torus_rotation":
-        return np.exp(1j * np.array([p["omega1"], p["omega2"]]))
-    if spec.kind == "circle_rotation":
-        return np.exp(1j * np.array([p["omega"]]))
-    if spec.kind == "limit_cycle_polar":
-        w = p["omega"]
-        return np.array([-2.0, 1j * w, -1j * w])
-    if spec.kind == "duffing_cycle":
-        lam1, lam2 = duffing_fixed_point_eigenvalues(p["c"])
-        w = p["omega"]
-        return np.array([lam1, lam2, 1j * w, -1j * w])
-    if spec.kind == "linear_map":
-        return np.linalg.eigvals(p["B"])
-    raise UsageError(f"{spec.kind!r} has no analytic spectrum in this catalogue")
+        if system.lattice is None:
+            raise UsageError(f"no eigenvalue lattice defined for {spec.kind!r}")
+        return spectral_lattice(spec.params["omega"], system.lattice(**spec.params), N, M)
+    if system.spectrum is None:
+        raise UsageError(f"{spec.kind!r} has no analytic spectrum in this catalogue")
+    return system.spectrum(**spec.params)

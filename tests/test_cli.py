@@ -606,6 +606,26 @@ def test_emit_lattice_rejects_negative_truncation():
         emit_lattice(SQRT7, 1.0, -1, 2)
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--c", "nan"), ("--c", "inf"), ("--omega", "nan"), ("--omega", "-inf"), ("--N", "-1")],
+)
+def test_lattice_refuses_unusable_input_with_exit_2(tmp_path, capsys, flag, value):
+    args = {"--c": str(SQRT7), "--omega": "1.0", "--N": "1", "--M": "1", flag: value}
+    out_file = tmp_path / "lattice.csv"
+    argv = ["lattice", *(f"{k}={v}" for k, v in args.items()), "--out", str(out_file)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("lattice: ") and "Traceback" not in captured.err
+    assert captured.out == "" and not out_file.exists()
+
+
+@pytest.mark.parametrize("c, omega", [(np.nan, 1.0), (SQRT7, np.inf)])
+def test_emit_lattice_rejects_non_finite_input(c, omega):
+    with pytest.raises(UsageError, match="finite"):
+        emit_lattice(c, omega, 1, 1)
+
+
 def test_lattice_beta_matches_spiral_exponent():
     values = emit_lattice(SQRT7, 1.0, 0, 1)
     np.testing.assert_allclose(values[1], complex(-SQRT7 / 2, 0.5), atol=1e-12)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from koopman.dmd import continuous_time_eigenvalues
+from koopman.dmd import continuous_time_eigenvalues, pseudoinverse_dmd
+from koopman.embedding import SnapshotPair
 from koopman.errors import DegenerateDictionaryError, UsageError
 from koopman.finite_section import (
     FiniteSectionMatrix,
@@ -13,7 +16,7 @@ from koopman.finite_section import (
     finite_section_matrix,
 )
 from koopman.observables import Observable, ObservableDictionary
-from koopman.systems import SystemSpec, integrate
+from koopman.systems import SystemSpec, integrate, known_spectrum
 
 
 def _dict(*entries):
@@ -266,3 +269,43 @@ def test_section_csv_and_json(tmp_path):
     obj = sec.to_json()
     assert obj["sample_count"] == 7
     assert obj["U_tilde"][1][0] == {"re": 0.0, "im": 0.5}
+
+
+def _eigenvalue_error(truth, got):
+    """Largest distance from a true eigenvalue to its nearest fitted one."""
+    dist = np.abs(np.subtract.outer(truth, got))
+    assert len(set(dist.argmin(axis=1))) == len(truth)  # a one-to-one matching
+    return dist.min(axis=1).max()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=2),
+    st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
+    st.integers(8, 200),
+)
+def test_rotation_fits_on_phase_observables_recover_the_known_spectrum(omegas, start, n):
+    # The phases z_j = exp(i theta_j) of a circle or torus rotation are
+    # eigenfunctions, so pinv DMD and the finite section on them reproduce
+    # known_spectrum up to rounding.  Multipliers at least 0.1 apart keep
+    # the two phase series independent (away from resonance).  The orbit's
+    # angles carry rounding of about eps * |theta| per step, so the error
+    # scales as n * eps * max|theta| * cond(X); in 3000 examples the worst
+    # was 0.25 of that, and the bound is four times it.
+    dim = len(omegas)
+    assume(dim == 1 or abs(np.exp(1j * omegas[0]) - np.exp(1j * omegas[1])) >= 0.1)
+    if dim == 2:
+        spec = SystemSpec("torus_rotation", {"omega1": omegas[0], "omega2": omegas[1]})
+    else:
+        spec = SystemSpec("circle_rotation", {"omega": omegas[0]})
+    traj = integrate(spec, start[:dim], 0.0, n)
+    phases = _dict(*(_phase(f"z{j}", tuple(np.eye(dim)[j])) for j in range(dim)))
+    pair = SnapshotPair.from_series(phases.evaluate(traj.states))
+    truth = known_spectrum(spec)
+    bound = (4 * n * np.finfo(float).eps * max(np.abs(traj.states).max(), 1.0)
+             * np.linalg.cond(pair.X))
+
+    assert _eigenvalue_error(truth, np.linalg.eigvals(pseudoinverse_dmd(pair))) <= bound
+    section = finite_section_matrix(phases, traj)
+    assert _eigenvalue_error(truth, section.eigenvalues()) <= bound
+    assert section.route_disagreement <= 1e-10

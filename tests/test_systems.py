@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -399,3 +400,102 @@ def test_integrate_matches_reference_loop_bit_for_bit(kind):
     spec = SystemSpec(kind, params)
     states = integrate(spec, s0, dt, 300).states
     np.testing.assert_array_equal(states, _reference_orbit(spec, s0, dt, 300), strict=True)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("standard_map", {"eps": True}),
+        ("standard_map", {"eps": "0.3"}),
+        ("standard_map", {"eps": [1]}),
+        ("standard_map", {"eps": "x"}),
+        ("standard_map", {"eps": None}),
+        ("standard_map", {"eps": math.nan}),
+        ("standard_map", {"eps": math.inf}),
+        ("standard_map", {"eps": 10 ** 400}),
+        ("pendulum", {"l": math.nan}),
+        ("free_particle", {"mass": math.nan}),
+        ("lorenz", {"rho": -math.inf}),
+        ("linear_map", {"B": [[1.0, math.nan], [0.0, 1.0]]}),
+        ("linear_map", {"B": [[True, False], [False, True]]}),
+        ("linear_map", {"B": [["1", "0"], ["0", "1"]]}),
+        ("linear_map", {"B": [[1.0, None], [0.0, 1.0]]}),
+        ("linear_map", {"B": [[1.0, 2.0], [3.0]]}),
+        ("linear_map", {"B": [[1.0, 2.0]]}),
+    ],
+)
+def test_spec_refuses_parameters_that_are_not_finite_reals(kind, params):
+    with pytest.raises(UsageError):
+        SystemSpec(kind, params)
+    with pytest.raises(UsageError):
+        SystemSpec.from_json({"kind": kind, "params": params})
+
+
+def test_spec_reads_numpy_and_integer_parameters_as_floats():
+    spec = SystemSpec("standard_map", {"eps": np.float64(0.25)})
+    assert spec.params == {"eps": 0.25} and type(spec.params["eps"]) is float
+    assert SystemSpec("pendulum", {"g": 3, "l": np.int64(2)}).params == {"g": 3.0, "l": 2.0}
+    B = SystemSpec("linear_map", {"B": [[1, 0], [0, 2]]}).params["B"]
+    assert B.dtype == float
+
+
+# kind -> (params, the closed-form spectrum at those params); None: no spectrum
+_B = [[0.5, 1.0], [0.0, -0.25]]
+_SPIRAL = [complex(-SQRT7 / 2.0, 0.5), complex(-SQRT7 / 2.0, -0.5)]  # c = sqrt(7)
+_CLOSED_FORMS = {
+    "torus_rotation": ({"omega1": 0.3, "omega2": 1.1}, [np.exp(0.3j), np.exp(1.1j)]),
+    "circle_rotation": ({"omega": 2.0}, [np.exp(2.0j)]),
+    "standard_map": None,
+    "linear_map": ({"B": _B}, [0.5, -0.25]),
+    "lorenz": None,
+    "limit_cycle_polar": ({"omega": 1.5}, [-2.0, 1.5j, -1.5j]),
+    "pendulum": None,
+    "duffing_cycle": ({"c": SQRT7, "omega": 0.7}, [*_SPIRAL, 0.7j, -0.7j]),
+    "coupled_lc_lorenz": None,
+    "free_particle": None,
+}
+
+
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
+def test_known_spectrum_is_the_closed_form_or_refused(kind):
+    if _CLOSED_FORMS[kind] is None:
+        with pytest.raises(UsageError, match="no analytic spectrum"):
+            known_spectrum(SystemSpec(kind))
+        return
+    params, closed_form = _CLOSED_FORMS[kind]
+    got = known_spectrum(SystemSpec(kind, params))
+    np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(closed_form), atol=1e-15)
+
+
+def _lattice(omega, betas, N, M):
+    """i n omega + m . beta over |n| <= N, |m| <= M, first occurrences only."""
+    values = []
+    for n in range(-N, N + 1):
+        for m in itertools.product(range(M + 1), repeat=len(betas)):
+            if sum(m) <= M:
+                values.append(1j * n * omega + sum(mj * b for mj, b in zip(m, betas)))
+    values = np.array(values)
+    _, keep = np.unique(np.round(values * 1e12) / 1e12, return_index=True)
+    return values[np.sort(keep)]
+
+
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
+def test_lattice_exists_for_the_two_cycle_flows_only(kind):
+    spec = SystemSpec(kind, _CLOSED_FORMS[kind][0] if _CLOSED_FORMS[kind] else {})
+    if kind == "limit_cycle_polar":
+        want = _lattice(1.5, [-2.0], 3, 2)
+    elif kind == "duffing_cycle":
+        want = _lattice(0.7, _SPIRAL, 3, 2)
+    else:
+        with pytest.raises(UsageError, match="no eigenvalue lattice"):
+            known_spectrum(spec, N=3, M=2)
+        return
+    np.testing.assert_allclose(known_spectrum(spec, N=3, M=2), want, rtol=0, atol=1e-14)
+    with pytest.raises(UsageError, match="both N and M"):
+        known_spectrum(spec, N=3)
+
+
+@pytest.mark.parametrize("dt", [None, 0.0, -0.01, math.nan])
+def test_maps_ignore_dt(dt):
+    spec = SystemSpec("circle_rotation", {"omega": 0.5})
+    assert integrate(spec, [0.0], dt, 3).dt == 0.0
