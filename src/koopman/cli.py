@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from functools import partial
@@ -136,8 +137,12 @@ def _write_complex_csv(path, values) -> None:
 
 
 def _write_json(path, payload) -> None:
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # NaN or +-inf, which JSON has no number for
+        raise KoopmanError(f"{Path(path).name} would hold a non-finite number") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write(text)
 
 
 def _make_trajectory(spec: SystemSpec, sampling: dict):
@@ -656,13 +661,21 @@ def _reject_constant(name: str):
     raise UsageError(f"non-finite number {name} is not allowed in a config")
 
 
+def _finite_float(literal: str) -> float:
+    # a number literal beyond the float range (1e400) reads as +-inf
+    value = float(literal)
+    if not math.isfinite(value):
+        raise UsageError(f"number {literal} is beyond the float range")
+    return value
+
+
 def _apply_overrides(config: dict, overrides) -> dict:
     for item in overrides or []:
         if "=" not in item:
             raise UsageError(f"--set needs path=value, got {item!r}")
         path, raw = item.split("=", 1)
         try:
-            value = json.loads(raw, parse_constant=_reject_constant)
+            value = json.loads(raw, parse_float=_finite_float, parse_constant=_reject_constant)
         except json.JSONDecodeError:
             value = raw
         keys = path.split(".")
@@ -722,7 +735,7 @@ def run(config: dict, out_dir, stream=None) -> dict:
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        config = json.load(fh, parse_constant=_reject_constant)
+        config = json.load(fh, parse_float=_finite_float, parse_constant=_reject_constant)
     if not isinstance(config, dict):
         kind = type(config).__name__
         raise UsageError(f"top level must be a JSON object, got {kind}")

@@ -164,6 +164,8 @@ class FourierObservable:
         c = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
         if c.ndim != 1 or c.size < 1:
             raise UsageError("coefficients must be a non-empty 1D sequence")
+        if not np.all(np.isfinite(c)):
+            raise UsageError("coefficients must be finite")
         if not np.any(c != 0):
             raise UsageError("observable is identically zero")
         object.__setattr__(self, "coefficients", c)

@@ -3,21 +3,24 @@
 Discrete maps (rotations, standard map, linear maps) are iterated exactly;
 continuous flows are integrated with classical fixed-step RK4 (_step_size
 decides every step size: 0.0 for a map, a dt > 0 for a flow).  Every system
-is defined once, in the _SYSTEMS table, as a function of its coordinate
-columns with `sin` and the mod-1 wrap passed in; the table also holds the
-analytic spectrum and eigenvalue lattice of the systems that have them,
-which known_spectrum reads.  The scalar path runs that
-definition on python floats (long single trajectories); the batch path runs
-it on contiguous 1-D coordinate columns (grids of initial conditions), so
-both paths do the same arithmetic.  One column stepper (_column_step: a map
-iterate, or one RK4 step of a flow) does all batch stepping: time_average
-steps its blocks of columns with it, and the public (P, d) APIs
-step_map_batch and rk4_step_batch wrap it.  All scalar stepping runs one
-orbit loop generated once per dimension (_orbit_loop), whose step is either
-a map iterate or an RK4 step, with every coordinate a plain local: a loop
-over state tuples would spend most of its time building generators and
-tuples rather than on the floating-point work.  The generated loop only
-calls the table's definition, so each system is still written once.
+is defined once, in the _SYSTEMS table: a flow as one expression string per
+coordinate, over its coordinate and parameter names and `sin`; a map as a
+function of its coordinate columns with `sin` and the mod-1 wrap passed in.
+The table also holds each system's parameter bounds and the analytic
+spectrum and eigenvalue lattice of the systems that have them, which
+known_spectrum reads.  The scalar path runs the definition on python floats
+(long single trajectories); the batch path runs it on contiguous 1-D
+coordinate columns (grids of initial conditions), so both paths do the same
+arithmetic.  One column stepper (_column_step: a map iterate, or one RK4 step
+of a flow) does all batch stepping: time_average steps its blocks of columns
+with it, and the public (P, d) APIs step_map_batch and rk4_step_batch wrap
+it.  All scalar stepping runs one orbit loop generated once per system kind
+(_orbit_loop), with every coordinate a plain local: a map's step calls its
+definition once, and a flow's RK4 step has the flow's expressions written
+into it, with the parameters as arguments of the loop.  A loop over state
+tuples, or one that called the right-hand side four times per step, would
+spend most of its time on calls, generators and tuples rather than on the
+floating-point work.
 
 Angle coordinates are stored in radians on the real line and are not reduced
 during iteration; reduction happens only where a map definition requires it
@@ -28,6 +31,7 @@ energy is H = omega^2/2 + (g/l) cos(theta).
 
 from __future__ import annotations
 
+import ast
 import cmath
 import functools
 import json
@@ -49,12 +53,18 @@ TWO_PI = 2.0 * math.pi
 class _System(NamedTuple):
     coords: tuple | None  # None: linear_map, one coordinate per row of B
     defaults: dict  # linear_map's B is a matrix, every other parameter a real
-    is_map: bool
+    # a flow: its time derivative, one expression string per coordinate over
+    # the coordinate and parameter names and sin; a map:
     # define(sin, wrap, **params) -> function of the coordinate columns that
-    # returns the next state (maps) or the time derivative (flows)
-    define: Callable
+    # returns the next state
+    define: tuple | Callable
+    bounds: dict = {}  # parameter -> the bound of _BOUNDS it must keep
     spectrum: Callable | None = None  # (**params) -> multipliers (maps), exponents (flows)
     lattice: Callable | None = None  # (**params) -> stable betas of i n omega + m . beta
+
+    @property
+    def is_map(self) -> bool:
+        return callable(self.define)
 
 
 def _standard_map(sin, wrap, eps):
@@ -70,54 +80,42 @@ def _standard_map(sin, wrap, eps):
     return step
 
 
+_LORENZ = ("sigma * (y - x)", "x * (rho - z) - y", "x * y - beta * z")
+
 # Every system, written once.  Maps come first, so SYSTEM_KINDS keeps them
 # grouped; the order is also the `list-systems` order.
 _SYSTEMS = {
     "torus_rotation": _System(
         ("theta1", "theta2"),
         {"omega1": 1.0, "omega2": math.sqrt(2.0)},
-        True,
         lambda sin, wrap, omega1, omega2: lambda a, b: (a + omega1, b + omega2),
         spectrum=lambda omega1, omega2: np.exp(1j * np.array([omega1, omega2])),
     ),
     "circle_rotation": _System(
-        ("theta",), {"omega": 1.0}, True, lambda sin, wrap, omega: lambda a: (a + omega,),
+        ("theta",), {"omega": 1.0}, lambda sin, wrap, omega: lambda a: (a + omega,),
         spectrum=lambda omega: np.exp(1j * np.array([omega])),
     ),
-    "standard_map": _System(("x", "y"), {"eps": 0.12}, True, _standard_map),
+    "standard_map": _System(("x", "y"), {"eps": 0.12}, _standard_map, bounds={"eps": ">= 0"}),
     "linear_map": _System(
-        None, {"B": None}, True, lambda sin, wrap, B: lambda *s: B @ np.array(s),
+        None, {"B": None}, lambda sin, wrap, B: lambda *s: B @ np.array(s),
         spectrum=lambda B: np.linalg.eigvals(B),
     ),
-    "lorenz": _System(
-        ("x", "y", "z"),
-        {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0},
-        False,
-        lambda sin, wrap, sigma, rho, beta: lambda x, y, z: (
-            sigma * (y - x),
-            x * (rho - z) - y,
-            x * y - beta * z,
-        ),
-    ),
+    "lorenz": _System(("x", "y", "z"), {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}, _LORENZ),
     "limit_cycle_polar": _System(
         ("r", "theta"),
         {"omega": 1.0},
-        False,
-        lambda sin, wrap, omega: lambda r, th: (r * (1.0 - r * r), omega),
+        ("r * (1.0 - r * r)", "omega"),
         spectrum=lambda omega: np.array([-2.0, 1j * omega, -1j * omega]),
         lattice=lambda omega: [-2.0],
     ),
     "pendulum": _System(
-        ("theta", "omega"),
-        {"g": 9.81, "l": 1.0},
-        False,
-        lambda sin, wrap, g, l: lambda th, om: (om, g / l * sin(th)),
+        ("theta", "omega"), {"g": 9.81, "l": 1.0}, ("omega", "g / l * sin(theta)"),
+        bounds={"l": "> 0"},
     ),
     "duffing_cycle": _System(
         ("x", "y", "theta"),
         {"c": math.sqrt(7.0), "omega": 1.0},
-        False,
-        lambda sin, wrap, c, omega: lambda x, y, th: (y, x - x * x * x - c * y, omega),
+        ("y", "x - x * x * x - c * y", "omega"),
         spectrum=lambda c, omega: np.array(
             [*duffing_fixed_point_eigenvalues(c), 1j * omega, -1j * omega]
         ),
@@ -126,19 +124,14 @@ _SYSTEMS = {
     "coupled_lc_lorenz": _System(
         ("r", "theta", "x", "y", "z"),
         {"omega": 1.0, "sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0},
-        False,
-        lambda sin, wrap, omega, sigma, rho, beta: lambda r, th, x, y, z: (
-            (1.0 + 1.0 / (1.0 + x * x + y * y + z * z)) * r * (1.0 - r * r),
-            omega,
-            sigma * (y - x),
-            x * (rho - z) - y,
-            x * y - beta * z,
-        ),
+        ("(1.0 + 1.0 / (1.0 + x * x + y * y + z * z)) * r * (1.0 - r * r)", "omega", *_LORENZ),
     ),
     "free_particle": _System(
-        ("x", "p"), {"mass": 1.0}, False, lambda sin, wrap, mass: lambda x, p: (p / mass, 0.0)
+        ("x", "p"), {"mass": 1.0}, ("p / mass", "0.0"), bounds={"mass": "> 0"}
     ),
 }
+# the bounds a table entry may put on a parameter, beyond being a finite real
+_BOUNDS = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0}
 
 MAP_KINDS = tuple(kind for kind, system in _SYSTEMS.items() if system.is_map)
 FLOW_KINDS = tuple(kind for kind, system in _SYSTEMS.items() if not system.is_map)
@@ -196,12 +189,9 @@ class SystemSpec:
             merged["B"] = _square_matrix(merged["B"])
         else:
             merged = {name: _finite_real(self.kind, name, v) for name, v in merged.items()}
-        if self.kind == "standard_map" and merged["eps"] < 0:
-            raise UsageError("standard_map requires eps >= 0")
-        if self.kind == "pendulum" and merged["l"] <= 0:
-            raise UsageError("pendulum requires l > 0")
-        if self.kind == "free_particle" and merged["mass"] <= 0:
-            raise UsageError("free_particle requires mass > 0")
+        for name, bound in _SYSTEMS[self.kind].bounds.items():
+            if not _BOUNDS[bound](merged[name]):
+                raise UsageError(f"{self.kind} requires {name} {bound}")
         object.__setattr__(self, "params", merged)
 
     @property
@@ -289,9 +279,29 @@ class Trajectory:
         return cls(states=states, dt=dt, spec=spec)
 
 
+@functools.cache
+def _flow_rhs(kind: str, sin):
+    """rhs(**params) -> the flow's time derivative as a function of its
+    coordinates, compiled from the table's expressions with the given sin
+    (math.sin on python floats, np.sin on columns)."""
+    system = _SYSTEMS[kind]
+    source = (f"def rhs({', '.join(system.defaults)}):\n"
+              f"    return lambda {', '.join(system.coords)}: ({', '.join(system.define)},)\n")
+    namespace = {"sin": sin}
+    exec(compile(source, f"<{kind} right-hand side>", "exec"), namespace)
+    return namespace["rhs"]
+
+
+def _define(spec: SystemSpec, sin, wrap):
+    """The system's definition with the given sin and mod-1 wrap."""
+    if spec.is_map:
+        return _SYSTEMS[spec.kind].define(sin, wrap, **spec.params)
+    return _flow_rhs(spec.kind, sin)(**spec.params)
+
+
 def _scalar(spec: SystemSpec):
     """The system's definition on python floats; returns a tuple of floats."""
-    f = _SYSTEMS[spec.kind].define(math.sin, _wrap_scalar, **spec.params)
+    f = _define(spec, math.sin, _wrap_scalar)
     if spec.kind == "linear_map":  # B @ s returns an array of numpy scalars
         return lambda *s: tuple(map(float, f(*s)))
     return f
@@ -303,7 +313,7 @@ def _wrap_scalar(a):
 
 def _batch(spec: SystemSpec):
     """The system's definition on 1-D coordinate columns, numpy arithmetic."""
-    return _SYSTEMS[spec.kind].define(np.sin, _wrap_batch, **spec.params)
+    return _define(spec, np.sin, _wrap_batch)
 
 
 def _wrap_batch(a):
@@ -384,21 +394,23 @@ def rk4_step_batch(spec: SystemSpec, pts: np.ndarray, dt: float) -> np.ndarray:
     return np.column_stack(_column_step(spec, _step_size(spec, dt))(tuple(pts.T)))
 
 
-# The scalar orbit loop, written out per coordinate.  {x} stands for the
-# state "x0, x1, ...", {x+h2*a} for "x0 + h2 * a0, x1 + h2 * a1, ..." and so
-# on; the trailing commas let a single coordinate unpack as well.  A map's
-# step is one iterate of its definition.  A flow's is the four RK4 stages and
+# The scalar orbit loop, written out per coordinate: _x0, _x1, ... hold the
+# state (the trailing commas let a single coordinate unpack).  A map's step
+# is one iterate of its definition f.  A flow's step is the four RK4 stages,
+# each the flow's expressions with the coordinates renamed to the stage's
+# input (the state, then _y0, _y1, ... = x + h2*a, x + h2*b, x + h*c), and
 # the scalar update x + h6*(a + 2(b + c) + d), which rounds differently from
-# the batch path's k1 + 2k2 + 2k3 + k4.  The finite check adds the new state
-# up from 0.0 in coordinate order, so NaN and +-inf fail it.  A math function
-# raises OverflowError on overflow and ValueError outside its domain
-# (math.sin(inf)): both mean the step diverged.
+# the batch path's k1 + 2k2 + 2k3 + k4.  The parameters are arguments, so
+# one loop serves every parameter set.  The finite check adds the new state
+# up from 0.0 in coordinate order, so NaN and +-inf fail it.  A math
+# function raises OverflowError on overflow and ValueError outside its
+# domain (math.sin(inf)): both mean the step diverged.
 _ORBIT_TEMPLATE = """\
-def orbit_loop(f, s0, h, n_steps):
+def orbit_loop(s0, h, n_steps, {args}):
     {x}, = s0
     h2, h6 = 0.5 * h, h / 6.0
     out = array("d", s0)
-    extend = out.extend
+    append = out.append
     for k in range(1, n_steps + 1):
         try:
 {step}
@@ -406,46 +418,73 @@ def orbit_loop(f, s0, h, n_steps):
             raise DivergenceError(k) from None
         if not -inf < 0.0 + {sum_x} < inf:
             raise DivergenceError(k)
-        extend(({x},))
+        {append}
     return out
 """
-# the step slot, by is_map: one iterate, or the four RK4 stages and the update
-_ORBIT_STEPS = {
-    True: "            {x}, = f({x})",
-    False: """\
-            {a}, = f({x})
-            {b}, = f({x+h2*a})
-            {c}, = f({x+h2*b})
-            {d}, = f({x+h*c})
-{update}""",
-}
+_INDENT = " " * 12
+
+
+def _renamed(expr: str, names: dict) -> str:
+    """expr with each variable in names renamed to its value."""
+    tree = ast.parse(expr, mode="eval")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            node.id = names.get(node.id, node.id)
+    return ast.unparse(tree)
+
+
+# RK4 in stages: (the stage's slopes, the locals it reads the coordinates
+# from, the step that takes the state along those slopes to the next input)
+_RK4_STAGES = (("_a", "_x", "h2"), ("_b", "_y", "h2"), ("_c", "_y", "h"), ("_d", "_y", None))
+
+
+def _rk4_step(coords: tuple, rhs: tuple) -> str:
+    """The flow slot of the orbit loop: four inlined stages and the update.
+
+    A stage input that no expression reads (a phase that only advances) is
+    not computed."""
+    read = {node.id for expr in rhs for node in ast.walk(ast.parse(expr, mode="eval"))
+            if isinstance(node, ast.Name)}
+    lines = []
+    for slopes, source, step in _RK4_STAGES:
+        names = {name: f"{source}{i}" for i, name in enumerate(coords)}
+        lines += [f"{slopes}{i} = {_renamed(expr, names)}" for i, expr in enumerate(rhs)]
+        if step:
+            lines += [f"_y{i} = _x{i} + {step} * {slopes}{i}"
+                      for i, name in enumerate(coords) if name in read]
+    lines += [f"_x{i} = _x{i} + h6 * (_a{i} + 2.0 * (_b{i} + _c{i}) + _d{i})"
+              for i in range(len(coords))]
+    return "\n".join(_INDENT + line for line in lines)
 
 
 @functools.cache
-def _orbit_loop(dim: int, is_map: bool):
-    """orbit_loop(f, s0, h, n_steps) -> array('d') of the n_steps + 1 states.
+def _orbit_loop(kind: str, dim: int):
+    """orbit_loop(s0, h, n_steps, **args) -> array('d') of the n_steps + 1 states.
 
-    Generated once per dimension and system type: with the coordinates as
-    plain locals, a step builds no generators, zips or intermediate tuples,
-    which on python floats cost more than the arithmetic itself.  h is the
-    RK4 step size; a map ignores it.
+    Generated on first use, once per system kind (and dimension, which only
+    linear_map's B varies).  A map's loop takes its definition as f; a
+    flow's takes the flow's parameters, its expressions being written into
+    the RK4 step.  With the coordinates as plain locals, a step builds no
+    generators, zips or intermediate tuples and, for a flow, makes no call
+    but sin: on python floats those cost more than the arithmetic itself.
+    h is the RK4 step size; a map ignores it.
     """
-
-    def terms(fmt, sep=", "):
-        return sep.join(fmt.format(i=i) for i in range(dim))
-
-    fields = {
-        **{v: terms(v + "{i}") for v in "xabcd"},
-        "x+h2*a": terms("x{i} + h2 * a{i}"),
-        "x+h2*b": terms("x{i} + h2 * b{i}"),
-        "x+h*c": terms("x{i} + h * c{i}"),
-        "update": terms(" " * 12 + "x{i} = x{i} + h6 * (a{i} + 2.0 * (b{i} + c{i}) + d{i})", "\n"),
-        "sum_x": terms("x{i}", " + "),
-    }
-    fields["step"] = _ORBIT_STEPS[is_map].format_map(fields)
-    source = _ORBIT_TEMPLATE.format_map(fields)
-    namespace = {"array": array, "DivergenceError": DivergenceError, "inf": math.inf}
-    exec(compile(source, f"<orbit loop, dim {dim}, map {is_map}>", "exec"), namespace)
+    system = _SYSTEMS[kind]
+    xs = [f"_x{i}" for i in range(dim)]
+    if system.is_map:
+        args, step = "f", f"{_INDENT}{', '.join(xs)}, = f({', '.join(xs)})"
+    else:
+        args, step = ", ".join(system.defaults), _rk4_step(system.coords, system.define)
+    source = _ORBIT_TEMPLATE.format(
+        args=args,
+        x=", ".join(xs),
+        step=step,
+        sum_x=" + ".join(xs),
+        append="; ".join(f"append({x})" for x in xs),
+    )
+    namespace = {"array": array, "DivergenceError": DivergenceError, "inf": math.inf,
+                 "sin": math.sin}
+    exec(compile(source, f"<orbit loop of {kind}, dim {dim}>", "exec"), namespace)
     return namespace["orbit_loop"]
 
 
@@ -462,7 +501,8 @@ def integrate(spec: SystemSpec, s0, dt: float, n_steps: int) -> Trajectory:
     if s0.shape != (spec.dim,):
         raise UsageError(f"{spec.kind} state must have dimension {spec.dim}")
     dt = _step_size(spec, dt)
-    buf = _orbit_loop(spec.dim, spec.is_map)(_scalar(spec), tuple(map(float, s0)), dt, n_steps)
+    args = {"f": _scalar(spec)} if spec.is_map else spec.params
+    buf = _orbit_loop(spec.kind, spec.dim)(tuple(map(float, s0)), dt, n_steps, **args)
     states = np.frombuffer(buf, dtype=float).reshape(n_steps + 1, spec.dim)
     return Trajectory(states=states, dt=dt, spec=spec)
 

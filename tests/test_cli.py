@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import jsonschema
@@ -147,6 +148,7 @@ _NON_FINITE_OVERRIDES = (
     ("standard_map_partition_integrable.json", "system.params.eps=NaN"),
     ("circle_gla.json", "method_params.lambda_target=NaN"),
     ("circle_gla.json", 'method_params.lambda_target={"re": 1.0, "im": -Infinity}'),
+    ("circle_mz_closure.json", "method_params.closure.coefficients=[1e400, 1.0]"),
 )
 
 
@@ -213,6 +215,32 @@ def test_non_finite_number_in_a_config_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config unusable" in err and "Infinity" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_number_beyond_the_float_range_in_a_config_file_exits_2(tmp_path, capsys):
+    # 1e400 reads as inf; before it was refused, the same literal in a
+    # --set value (see _NON_FINITE_OVERRIDES) wrote NaN into summary.json
+    cfg = json.loads((CONFIG_DIR / "circle_mz_closure.json").read_text())
+    cfg["method_params"]["closure"]["coefficients"] = [0.125, 1.0]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg).replace("0.125", "1e400"))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config unusable" in err and "1e400" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_artifact_value_exits_3_and_writes_no_file(tmp_path, capsys, monkeypatch):
+    def nan_result(config, spec, seed, stream):
+        return {"files": {"bad.json": {"value": float("nan")}}, "eigenvalues": [],
+                "residuals": {}}
+
+    monkeypatch.setitem(cli._RUNNERS, "mz", (nan_result, cli._RUNNERS["mz"][1]))
+    path = str(CONFIG_DIR / "circle_mz_closure.json")
+    assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "bad.json" in err and "non-finite" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "bad.json").exists()
 
 
 def test_observable_schema_types_every_json_parameter():
@@ -719,4 +747,14 @@ def test_fuzzed_config_exits_0_2_or_3(tmp_path_factory, site, value):
     _mutate(cfg, path, value)
     work = tmp_path_factory.getbasetemp() / "fuzz"
     work.mkdir(exist_ok=True)
-    assert cli.main(["run", write_config(work, cfg), "--out", str(work / "o")]) in (0, 2, 3)
+    out = work / "o"
+    shutil.rmtree(out, ignore_errors=True)  # only this example's artifacts
+    code = cli.main(["run", write_config(work, cfg), "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 0:  # every JSON artifact is strict JSON: no NaN, no +-Infinity
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite {name} in a JSON artifact")

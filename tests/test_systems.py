@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import math
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from koopman.errors import DivergenceError, UsageError
 from koopman.systems import (
+    FLOW_KINDS,
     SYSTEM_KINDS,
     SystemSpec,
     Trajectory,
@@ -21,7 +23,9 @@ from koopman.systems import (
     step_map,
     step_map_batch,
     vector_field,
+    _orbit_loop,
     _scalar,
+    _SYSTEMS,
 )
 
 SQRT7 = math.sqrt(7.0)
@@ -400,6 +404,47 @@ def test_integrate_matches_reference_loop_bit_for_bit(kind):
     spec = SystemSpec(kind, params)
     states = integrate(spec, s0, dt, 300).states
     np.testing.assert_array_equal(states, _reference_orbit(spec, s0, dt, 300), strict=True)
+
+
+@pytest.mark.parametrize(
+    "kind, runs",
+    [
+        ("lorenz", [({}, [1.0, 1.0, 1.0]), ({"rho": 10.0, "sigma": 5.0}, [1.0, 1.0, 1.0])]),
+        ("pendulum", [({"g": 9.81, "l": 0.7}, [4.0, 0.0]), ({"g": 1.0, "l": 2.0}, [4.0, 0.0])]),
+    ],
+)
+def test_orbit_loop_takes_the_parameters_of_each_call(kind, runs):
+    # one process, one cached loop per kind: a loop that kept the first
+    # spec's parameters would give the second orbit the first one's bits
+    orbits = []
+    for params, s0 in runs:
+        spec = SystemSpec(kind, params)
+        states = integrate(spec, s0, 0.01, 300).states
+        np.testing.assert_array_equal(states, _reference_orbit(spec, s0, 0.01, 300), strict=True)
+        orbits.append(states)
+    assert not np.array_equal(*orbits)
+
+
+# names the generated orbit loop keeps for itself: a map loop's, less its
+# definition f (a flow loop's stage locals all start with "_")
+_MAP_LOOP = _orbit_loop("circle_rotation", 1).__code__
+_LOOP_NAMES = {*_MAP_LOOP.co_varnames, *_MAP_LOOP.co_names} - {"f"}
+
+
+@pytest.mark.parametrize("kind", FLOW_KINDS)
+def test_flow_expressions_name_only_their_coordinates_parameters_and_sin(kind):
+    system = _SYSTEMS[kind]
+    coords, params = set(system.coords), set(system.defaults)
+    assert len(system.define) == len(system.coords)
+    for expr in system.define:
+        tree = ast.parse(expr, mode="eval")
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert names <= coords | params | {"sin"}, expr
+        calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert calls <= {"sin"}, expr
+    assert not coords & params
+    for name in coords | params:
+        assert name not in _LOOP_NAMES | {"sin"} and not name.startswith("_"), name
 
 
 @pytest.mark.parametrize(
