@@ -16,6 +16,11 @@ Each method is declared once, in `_RUNNERS`: its runner and the config
 paths it requires, from which the schema's per-method rules are built.
 Each dictionary builder is declared once, in `_BUILDERS`, and the schema
 of an observable entry is built from `observables.KINDS`.
+The argparse parser and one validator per method are built once per
+process, on first use.  A method's validator is `CONFIG_SCHEMA` with the
+per-method rules cut to that method's own, so it reports the errors the
+full schema would; a config whose method is missing, unknown or not a
+string is checked against the full schema.
 A runner opens no file: it returns the summary's eigenvalues and
 residuals plus `files`, a map from artifact name to either a JSON
 payload or a `writer(path)`; a tuple of names maps to a
@@ -37,7 +42,7 @@ import json
 import math
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import jsonschema
@@ -510,6 +515,14 @@ _DICTIONARY_SCHEMA = {
     },
 }
 
+# method -> the schema its config must also meet
+_METHOD_RULES = {
+    method: _requiring(alternatives[0])
+    if len(alternatives) == 1
+    else {"anyOf": [_requiring(paths) for paths in alternatives]}
+    for method, (_, alternatives) in _RUNNERS.items()
+}
+
 CONFIG_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -607,16 +620,7 @@ CONFIG_SCHEMA = {
         },
         "tolerances": {"type": "object"},
     },
-    "allOf": [
-        _when(
-            "method",
-            [method],
-            _requiring(alternatives[0])
-            if len(alternatives) == 1
-            else {"anyOf": [_requiring(paths) for paths in alternatives]},
-        )
-        for method, (_, alternatives) in _RUNNERS.items()
-    ],
+    "allOf": [_when("method", [method], rule) for method, rule in _METHOD_RULES.items()],
 }
 
 SUMMARY_SCHEMA = {
@@ -744,25 +748,40 @@ def _load_config(path: str) -> dict:
 
 # Draft 7 counts 3.0 as an integer, which would then fail where the value
 # is used as a count or an index; here an integer is a JSON integer.
-_CONFIG_VALIDATOR = jsonschema.validators.extend(
+_ConfigValidator = jsonschema.validators.extend(
     jsonschema.Draft7Validator,
     type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
         "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)
     ),
-)(CONFIG_SCHEMA)
+)
+_CONFIG_VALIDATOR = _ConfigValidator(CONFIG_SCHEMA)
+
+
+@cache
+def _method_validator(method: str):
+    """CONFIG_SCHEMA with its per-method rules cut to `method`'s own.
+
+    On a config whose method is `method` every other rule's `if` fails, so
+    this yields the errors of the full schema, in the same order, without
+    testing an `if` per method.
+    """
+    return _ConfigValidator({**CONFIG_SCHEMA, "allOf": [_METHOD_RULES[method]]})
 
 
 def _validate_config(config: dict) -> None:
-    errors = sorted(
-        _CONFIG_VALIDATOR.iter_errors(config), key=lambda e: list(e.absolute_path)
-    )
+    method = config.get("method")
+    # a missing, unknown or non-string method gets the full schema
+    known = isinstance(method, str) and method in _METHOD_RULES
+    validator = _method_validator(method) if known else _CONFIG_VALIDATOR
+    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise jsonschema.ValidationError(f"at {where}: {err.message}")
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="koopman",
         description="Spectral analysis of dynamical systems from trajectory data.",
@@ -788,8 +807,11 @@ def main(argv=None) -> int:
     p_repr.add_argument("config", help="path to a repr_check JSON config")
     p_repr.add_argument("--set", action="append", dest="overrides", metavar="PATH=VALUE")
     p_repr.add_argument("--out", help="output directory")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "list-systems":
         for kind in SYSTEM_KINDS:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,9 +63,12 @@ class CompanionModel:
         if self.C.shape != (m, m):
             raise UsageError("companion matrix shape must match len(c)")
 
-    @property
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.C)
+        """Eigenvalues of C, solved on first access and kept (read-only)."""
+        values = np.linalg.eigvals(self.C)
+        values.flags.writeable = False  # every read gets this one array
+        return values
 
 
 def companion_dmd(pair: SnapshotPair) -> CompanionModel:

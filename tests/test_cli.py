@@ -1,13 +1,17 @@
 import copy
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koopman import cli
@@ -758,3 +762,88 @@ def test_fuzzed_config_exits_0_2_or_3(tmp_path_factory, site, value):
 
 def _refuse_constant(name):
     raise ValueError(f"non-finite {name} in a JSON artifact")
+
+
+# ------------------------------------------------- per-method validators
+
+
+def _validation_message(cfg):
+    """The message `_validate_config` refuses `cfg` with, or None."""
+    try:
+        cli._validate_config(cfg)
+    except jsonschema.ValidationError as exc:
+        return exc.message
+    return None
+
+
+def _full_schema_message(cfg):
+    """The same, with every config checked against the whole CONFIG_SCHEMA."""
+    with mock.patch.object(cli, "_method_validator", lambda method: cli._CONFIG_VALIDATOR):
+        return _validation_message(cfg)
+
+
+_METHOD_SITE = ("torus_pinv_dmd.json", ("method",))
+# a deleted, unknown or non-string method, and one missing required path per config
+_PINNED = [
+    (_METHOD_SITE, DELETE),
+    (_METHOD_SITE, "x"),
+    (_METHOD_SITE, []),
+    (_METHOD_SITE, True),
+    *(((name, tuple(paths[0].split("."))), DELETE) for name, paths in REQUIRED_PATHS.items()),
+]
+
+
+def _pinned(test):
+    for site, value in _PINNED:
+        test = example(site=site, value=value)(test)
+    return test
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(site=st.sampled_from(FUZZ_SITES), value=st.sampled_from((DELETE, *FUZZ_VALUES)))
+@_pinned
+def test_method_validator_gives_the_full_schema_verdict(site, value):
+    name, path = site
+    cfg = copy.deepcopy(FUZZ_CONFIGS[name])
+    _mutate(cfg, path, value)
+    assert _validation_message(cfg) == _full_schema_message(cfg)
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
+    config = str(CONFIG_DIR / "torus_repr_check.json")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    fresh = tmp_path / "fresh"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from koopman import cli; sys.exit(cli.main())",
+         "run", config, "--out", str(fresh)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+    def artifacts(out):
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "summary.json"}
+        summary = load_summary(out)
+        summary.pop("runtimes")
+        return files, summary
+
+    expected = artifacts(fresh)
+    overrides = ["--set", "sampling.n=50", "--set", "sampling.seed=7"]
+    assert cli.main(["run", config, *overrides, "--out", str(tmp_path / "set")]) == 0
+    assert load_summary(tmp_path / "set")["seed"] == 7
+    assert artifacts(tmp_path / "set") != expected
+    # the overrides of the call before are gone
+    assert cli.main(["run", config, "--out", str(tmp_path / "run")]) == 0
+    assert artifacts(tmp_path / "run") == expected
+    capsys.readouterr()
+    assert cli.main(["repr", config, "--out", str(tmp_path / "repr")]) == 0
+    assert "faithfulness" in capsys.readouterr().out
+    assert artifacts(tmp_path / "repr") == expected
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", config, "--no-such-option"])
+    assert exc.value.code == 2
+    assert "usage: koopman" in capsys.readouterr().err
+    assert cli.main(["run", config, "--out", str(tmp_path / "after")]) == 0
+    assert artifacts(tmp_path / "after") == expected

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from koopman.dmd import (
@@ -95,6 +95,13 @@ def test_companion_fibonacci_recurrence():
     np.testing.assert_allclose(
         sorted(model.eigenvalues.real), [1 - golden, golden], atol=1e-12
     )
+
+
+def test_companion_eigenvalues_are_solved_once_and_read_only():
+    model = companion_dmd(SnapshotPair(X=[[1.0, 1.0]], Xp=[[1.0, 2.0]]))
+    assert model.eigenvalues is model.eigenvalues
+    with pytest.raises(ValueError, match="read-only"):
+        model.eigenvalues[0] = 0.0
 
 
 def test_companion_structure_and_rank_warning():
@@ -279,8 +286,13 @@ def _eigenvalue_error(truth, got):
     return dist.min(axis=1).max()
 
 
+_ROTATION = 0.9 * np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(_diagonalizable_maps(), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+# a subnormal start, which hypothesis draws in some runs and not in others
+@example((_ROTATION, np.eye(2)), [0.0, 5e-324, 0.0, 0.0])
 def test_square_krylov_fits_recover_the_known_spectrum(map_and_vectors, start):
     # X = [x0, B x0, ..., B^(d-1) x0] is square, so both fits reproduce B's
     # spectrum up to rounding.  By Bauer-Fike an eigenvalue moves by at most
