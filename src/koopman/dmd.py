@@ -37,17 +37,26 @@ def moore_penrose_pseudoinverse(M) -> np.ndarray:
     Raises PreconditionError when a kept singular value is subnormal, since
     its reciprocal, and so the pseudoinverse, would overflow.
     """
+    return _pseudoinverse_and_rank(M)[0]
+
+
+def _pseudoinverse_and_rank(M) -> tuple[np.ndarray, int]:
+    """The pseudoinverse of M and its rank: the number of singular values kept.
+
+    One SVD gives both, so a fit that reports rank(X) needs no second SVD.
+    """
     M = np.atleast_2d(np.asarray(M))
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros_like(M.conj().T)
+        return np.zeros_like(M.conj().T), 0
     cutoff = max(M.shape) * np.finfo(float).eps * s[0]
-    smallest = s[s >= cutoff][-1]
+    kept = s >= cutoff
+    smallest = s[kept][-1]
     if smallest < np.finfo(float).tiny:  # 1 / smallest would overflow
         raise PreconditionError(f"pseudoinverse exceeds the float range: singular "
                                 f"value {smallest:.3g} is subnormal; rescale the data")
-    inv = np.where(s < cutoff, 0.0, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0))
-    return (Vh.conj().T * inv) @ U.conj().T
+    inv = np.where(kept, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
+    return (Vh.conj().T * inv) @ U.conj().T, int(np.count_nonzero(kept))
 
 
 @dataclass(frozen=True)
@@ -77,12 +86,13 @@ def companion_dmd(pair: SnapshotPair) -> CompanionModel:
     The free column is the minimum-norm least-squares solution
     c = X+ x_end, through the same SVD pseudoinverse for every shape of X.
     rank(X) < m-1 means even the shift part of the fit is ambiguous; that
-    triggers a warning, the residual is still reported.
+    triggers a warning, the residual is still reported.  rank(X) is the
+    pseudoinverse's own: the number of singular values it keeps.
     """
     X, Xp = pair.X, pair.Xp
     m = X.shape[1]
-    c = moore_penrose_pseudoinverse(X) @ Xp[:, -1]
-    rank = np.linalg.matrix_rank(X)
+    X_pinv, rank = _pseudoinverse_and_rank(X)
+    c = X_pinv @ Xp[:, -1]
     if rank < m - 1:
         warnings.warn(
             f"companion fit ill-posed: rank(X)={rank} < m-1={m - 1}",

@@ -259,10 +259,23 @@ class ObservableDictionary:
         except ValueError:
             raise UsageError(f"no observable named {name!r}") from None
 
-    def evaluate(self, states) -> np.ndarray:
-        """Stack entry values into the m x N complex matrix F[l, j] = f_j(x_l)."""
+    def evaluate(self, states, dtype=complex) -> np.ndarray:
+        """Stack entry values into the m x N matrix F[l, j] = f_j(x_l).
+
+        F is complex by default.  dtype=float gives the float64 matrix of the
+        same real parts, and needs every entry to be of a kind in REAL_KINDS:
+        a complex or custom entry raises UsageError rather than losing its
+        imaginary part.
+        """
+        dtype = np.dtype(dtype)
+        if dtype == np.float64:
+            unreal = [e.name for e in self.entries if e.kind not in REAL_KINDS]
+            if unreal:
+                raise UsageError(f"real evaluation needs real observable kinds; got {unreal}")
+        elif dtype != np.complex128:
+            raise UsageError(f"evaluate needs dtype complex or float, got {dtype}")
         states = StateColumns.of(np.atleast_2d(np.asarray(states, dtype=float)))
-        F = np.empty((states.shape[0], len(self.entries)), dtype=complex)
+        F = np.empty((states.shape[0], len(self.entries)), dtype=dtype)
         for j, entry in enumerate(self.entries):
             F[:, j] = entry(states)
         return F

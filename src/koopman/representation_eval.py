@@ -22,7 +22,7 @@ import numpy as np
 
 from .dmd import SpectralTriple, _complex_json, continuous_time_eigenvalues
 from .errors import DegenerateFitError, PreconditionError, UsageError
-from .observables import Observable, ObservableDictionary
+from .observables import REAL_KINDS, Observable, ObservableDictionary
 from .systems import _states_of
 
 MAP_KINDS = ("linear", "library_coeffs", "explicit")
@@ -241,18 +241,23 @@ def sindy_fit(traj, library: ObservableDictionary, threshold: float | None = Non
         inputs, targets = states[:-1], states[1:]
         target_kind = "next_state"
 
-    theta = np.real_if_close(library.evaluate(inputs))
-    if np.iscomplexobj(theta):
-        raise UsageError("sindy_fit needs a real-valued library")
-    if np.linalg.matrix_rank(theta) < len(library):
+    if all(entry.kind in REAL_KINDS for entry in library):
+        theta = library.evaluate(inputs, dtype=float)
+    else:
+        theta = np.real_if_close(library.evaluate(inputs))
+        if np.iscomplexobj(theta):
+            raise UsageError("sindy_fit needs a real-valued library")
+
+    # lstsq's rank counts singular values above eps * max(M, N) * s_max,
+    # the rule of np.linalg.matrix_rank, without a second SVD
+    C, _, rank, _ = np.linalg.lstsq(theta, targets, rcond=None)
+    if rank < len(library):
         warnings.warn(
             "library is rank deficient on the data; coefficients are not "
             "identifiable",
             RuntimeWarning,
             stacklevel=2,
         )
-
-    C, *_ = np.linalg.lstsq(theta, targets, rcond=None)
     if threshold is None:
         threshold = 0.05 * float(np.max(np.abs(C)))
     if threshold < 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csv import write_csv
-from .dmd import moore_penrose_pseudoinverse
+from .dmd import _pseudoinverse_and_rank
 from .errors import UsageError
 from .finite_section import _check_weights
 from .observables import ObservableDictionary
@@ -116,13 +116,14 @@ def fit_static_linear(
 
     A = Y X+ (minimum-norm when X is rank deficient, which is flagged but
     not fatal).  Row k of A expands the k-th output observable, pulled
-    back through T, over the input dictionary.
+    back through T, over the input dictionary.  The reported rank is the
+    pseudoinverse's own: the number of singular values of X it keeps.
     """
     X = dict_M.evaluate(pairs.inputs).T
     Y = dict_N.evaluate(pairs.outputs).T
-    A = Y @ moore_penrose_pseudoinverse(X)
+    X_pinv, rank = _pseudoinverse_and_rank(X)
+    A = Y @ X_pinv
     residual = float(np.linalg.norm(Y - A @ X))
-    rank = int(np.linalg.matrix_rank(X))
     deficient = rank < X.shape[0]
     if deficient:
         warnings.warn(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from koopman.dmd import (
     CompanionModel,
+    _pseudoinverse_and_rank,
     companion_dmd,
     continuous_time_eigenvalues,
     moore_penrose_pseudoinverse,
@@ -53,6 +54,19 @@ def test_pinv_penrose_identities_across_ranks():
             M = rng.normal(size=(n, r)) @ rng.normal(size=(r, m))
             M = M + 1j * (rng.normal(size=(n, r)) @ rng.normal(size=(r, m)))
             _penrose_ok(M, moore_penrose_pseudoinverse(M))
+
+
+def test_pinv_rank_counts_the_kept_singular_values():
+    # the rank companion DMD and fit_static_linear report comes from the
+    # pseudoinverse's own SVD; on clear-cut ranks it is np.linalg.matrix_rank
+    rng = np.random.default_rng(11)
+    for n, m in [(4, 6), (6, 4), (5, 5)]:
+        for r in range(1, min(n, m) + 1):
+            M = rng.normal(size=(n, r)) @ rng.normal(size=(r, m))
+            P, rank = _pseudoinverse_and_rank(M)
+            assert rank == r == np.linalg.matrix_rank(M)
+            assert P.tobytes() == moore_penrose_pseudoinverse(M).tobytes()
+    assert _pseudoinverse_and_rank(np.zeros((3, 2)))[1] == 0
 
 
 def test_pinv_zero_matrix():

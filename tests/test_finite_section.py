@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from koopman.dmd import continuous_time_eigenvalues, pseudoinverse_dmd
@@ -309,3 +309,35 @@ def test_rotation_fits_on_phase_observables_recover_the_known_spectrum(omegas, s
     section = finite_section_matrix(phases, traj)
     assert _eigenvalue_error(truth, section.eigenvalues()) <= bound
     assert section.route_disagreement <= 1e-10
+
+
+# configs/limit_cycle_edmd.json
+_LIMIT_CYCLE_DICTIONARY = _dict(
+    Observable("1", "constant"),
+    Observable("r^-2", "monomial", powers=(-2.0, 0.0)),
+    _phase("e^{i*theta}", (0.0, 1.0)),
+    _phase("e^{-i*theta}", (0.0, -1.0)),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(st.floats(1.5, 2.5), st.floats(0.0, 2.0 * np.pi), st.integers(2000, 100_000))
+@example(2.0, 0.0, 100_000)  # the shipped config
+def test_limit_cycle_edmd_eigenvalues_lie_on_the_lattice(r0, theta0, n):
+    # u = r^-2 obeys u' = 2 - 2u on r' = r(1 - r^2), so {1, r^-2} and the two
+    # phases span an invariant subspace, and EDMD on them gives the lattice
+    # points 0, -2 (the entry's decay rate) and +-i omega, up to RK4 and
+    # rounding error.  The bounds are the config's tolerances: real-axis
+    # points within 1e-3, rotation points within 1e-6.  Below about 1000
+    # steps (one radian of the cycle) the dictionary is nearly dependent on
+    # the data and the section warns, so n starts at 2000.
+    spec = SystemSpec("limit_cycle_polar", {"omega": 1.0})
+    traj = integrate(spec, (r0, theta0), 1e-3, n)
+    section = finite_section_matrix(_LIMIT_CYCLE_DICTIONARY, traj)
+    cont = continuous_time_eigenvalues(section.eigenvalues(), traj.dt)
+    lattice = known_spectrum(spec, N=1, M=1)
+    nearest = lattice[np.abs(np.subtract.outer(cont, lattice)).argmin(axis=1)]
+    assert set(nearest.tolist()) == {0j, -2 + 0j, 1j, -1j}
+    err = np.abs(cont - nearest)
+    assert err[nearest.imag == 0].max() <= 1e-3
+    assert err[nearest.imag != 0].max() <= 1e-6

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from koopman.errors import ObservableDomainError, UsageError
-from koopman.observables import Observable, ObservableDictionary, StateColumns, fourier_box
+from koopman.observables import (
+    REAL_KINDS,
+    Observable,
+    ObservableDictionary,
+    StateColumns,
+    fourier_box,
+)
 
 
 def test_constant_and_coordinate():
@@ -202,6 +208,37 @@ def test_golden_bits_of_every_kind(kind):
     values = obs(GOLDEN_STATES)
     assert hashlib.sha256(values.dtype.str.encode() + values.tobytes()).hexdigest() == digest
 
+
+
+def test_real_evaluation_gives_the_bits_of_the_complex_real_part():
+    # every real kind is a JSON kind; each column of the float64 matrix must
+    # hold the bits of the real part of the default complex matrix
+    assert REAL_KINDS < set(GOLDEN) - {"custom"}
+    d = ObservableDictionary(tuple(GOLDEN[kind][0] for kind in sorted(REAL_KINDS)))
+    F = d.evaluate(GOLDEN_STATES)
+    real = d.evaluate(GOLDEN_STATES, dtype=float)
+    assert F.dtype == complex and real.dtype == np.float64
+    assert real.tobytes() == np.ascontiguousarray(F.real).tobytes()
+    assert not np.any(F.imag)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [GOLDEN[kind][0] for kind in sorted(set(GOLDEN) - REAL_KINDS)]
+    # real values, complex kind: real evaluation goes by kind
+    + [Observable("1", "phase", k=(0.0, 0.0, 0.0))],
+    ids=lambda entry: entry.name,
+)
+def test_real_evaluation_refuses_complex_and_custom_entries(entry):
+    d = ObservableDictionary((GOLDEN["constant"][0], entry))
+    with pytest.raises(UsageError, match="real observable kinds"):
+        d.evaluate(GOLDEN_STATES, dtype=float)
+
+
+def test_evaluate_refuses_other_dtypes():
+    d = ObservableDictionary((GOLDEN["constant"][0],))
+    with pytest.raises(UsageError, match="dtype"):
+        d.evaluate(GOLDEN_STATES, dtype=int)
 
 @pytest.mark.parametrize("kind", ["fourier", "phase", "sin", "cos"])
 @pytest.mark.parametrize("k", [(0.0, 1.0), (0.0, -1.0), (2.0, 0.0), (-3.0, 0.0), (0.5, -0.0)])

@@ -2,13 +2,14 @@
 models, sparse library regression, and the stability certificate."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from koopman.dmd import SpectralTriple
 from koopman.errors import DegenerateFitError, PreconditionError, UsageError
-from koopman.observables import Observable, ObservableDictionary, monomial_library
+from koopman.observables import REAL_KINDS, Observable, ObservableDictionary, monomial_library
 from koopman.representation_eval import (
     RepresentationModel,
     conjugacy_check,
@@ -317,6 +318,77 @@ def test_rank_deficient_library_warns():
     )
     with pytest.warns(RuntimeWarning, match="rank deficient"):
         sindy_fit(traj, dup, threshold=0.0)
+
+
+def test_rank_deficient_library_warns_on_the_complex_route():
+    # the duplicate pair again, with a phase of k = 0 (exactly 1) that sends
+    # the library through complex evaluation
+    spec = SystemSpec(kind="linear_map", params={"B": [[0.5, 0.0], [0.0, 0.5]]})
+    traj = integrate(spec, (1.0, 1.0), dt=0.0, n_steps=20)
+    dup = ObservableDictionary(
+        [
+            Observable(name="x", kind="coordinate", index=0),
+            Observable(name="x2", kind="monomial", powers=(1.0, 0.0)),
+            Observable(name="1", kind="phase", k=(0.0, 0.0)),
+        ]
+    )
+    assert "phase" not in REAL_KINDS
+    with pytest.warns(RuntimeWarning, match="rank deficient"):
+        sindy_fit(traj, dup, threshold=0.0)
+
+
+def _with_phase_one(library):
+    """The library with its constant "1" as a phase of k = 0: exp(0j) is exactly 1."""
+    dim = len(library.entries[-1].powers)
+    return ObservableDictionary(
+        tuple(
+            Observable(name="1", kind="phase", k=(0.0,) * dim) if e.kind == "constant" else e
+            for e in library
+        )
+    )
+
+
+_ROTATION_09 = 0.9 * np.array([[np.cos(1.0), np.sin(1.0)], [-np.sin(1.0), np.cos(1.0)]])
+
+
+@pytest.mark.parametrize(
+    "spec, start, dt, n, threshold",
+    [
+        (SystemSpec("lorenz"), (1.0, 1.0, 20.0), 1e-3, 5000, 0.1),
+        (SystemSpec("linear_map", {"B": _ROTATION_09.tolist()}), (1.3, -0.4), 0.0, 40, 0.05),
+    ],
+    ids=["lorenz", "linear_map"],
+)
+def test_real_and_complex_library_routes_fit_the_same_bits(spec, start, dt, n, threshold):
+    # an all-real library is evaluated straight into float64; with one complex
+    # kind it goes through the complex matrix and real_if_close
+    traj = integrate(spec, start, dt=dt, n_steps=n)
+    real_lib = monomial_library(("x", "y", "z")[: len(start)], 2)
+    complex_lib = _with_phase_one(real_lib)
+    assert {e.kind for e in real_lib} <= REAL_KINDS
+    assert not {e.kind for e in complex_lib} <= REAL_KINDS
+    real = sindy_fit(traj, real_lib, threshold=threshold)
+    other = sindy_fit(traj, complex_lib, threshold=threshold)
+    assert np.array_equal(real.coefficients, other.coefficients)  # and so the support
+    assert np.array_equal(real.residual, other.residual)
+    assert np.count_nonzero(real.coefficients) < real.coefficients.size  # thresholding acted
+
+
+def test_sindy_fit_on_a_real_library_allocates_less_than_its_complex_matrix():
+    traj = integrate(SystemSpec("lorenz"), (1.0, 1.0, 20.0), dt=1e-3, n_steps=20_000)
+    lib = monomial_library(("x", "y", "z"), 2)
+    m = traj.states.shape[0] - 4  # central differences drop two states a side
+    tracemalloc.start()
+    try:
+        sindy_fit(traj, lib, threshold=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The real (m, N) library (8 mN bytes), the derivatives and the residual
+    # blocks peak at about 15 mN bytes; evaluating the complex (m, N) matrix
+    # and viewing its real part peaked at about 27 mN.
+    complex_theta, real_copy = 16 * m * len(lib), 8 * m * len(lib)
+    assert peak < complex_theta + real_copy, (peak, m * len(lib))
 
 
 # ------------------------------------------------------------ certificate
