@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csv import write_csv, write_csv_files
-from .errors import ObservableDomainError, UsageError
+from .errors import DivergenceError, ObservableDomainError, UsageError
 from .observables import REAL_KINDS as _REAL_KINDS  # kinds with a real accumulator
 from .observables import ObservableDictionary, StateColumns
 from .systems import SystemSpec, _column_step, _states_of, _step_size
@@ -337,6 +337,9 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
     continuous exponent and the multiplier exp(lambda*dt) is formed here.
     Off-circle multipliers only trigger a warning: the averages then decay
     or blow up instead of converging, which is sometimes worth seeing.
+    Weights mu^-k or samples that leave the float range raise
+    DivergenceError instead, with step the first k whose weight is not
+    finite (or, for finite weights, the first non-finite sample).
     """
     states, dt = _states_of(traj), getattr(traj, "dt", 0.0)
     lam = complex(lambda_target)
@@ -366,13 +369,37 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
     n = window if window is not None else max(m // 2, 1)
     if not 1 <= n <= m:
         raise UsageError(f"window must lie in [1, {m}]")
-    # mu^-k built from the angle, not by repeated powers, to avoid drift
+    # The sliding sums are the "full" convolution of the values with the
+    # reversed weights, formed by the calls scipy.signal.fftconvolve makes for
+    # two 1-D inputs, so the samples keep its bits without loading
+    # scipy.signal: a length-1 input is a plain product, integers are cast to
+    # float64, and the complex FFT runs at next_fast_len(m + n - 1).
     k = np.arange(n)
-    weights = np.exp(-1j * k * np.angle(mu)) * (abs(mu) ** (-k) if abs(mu) != 1.0 else 1.0)
-    import scipy.signal  # deferred: scipy would dominate `import koopman`
+    with np.errstate(all="ignore"):  # non-finite weights and samples are raised below
+        # mu^-k built from the angle, not by repeated powers, to avoid drift
+        weights = np.exp(-1j * k * np.angle(mu)) * (abs(mu) ** (-k) if abs(mu) != 1.0 else 1.0)
+        if m == 1 or n == 1:
+            conv = values * weights[::-1]
+        else:
+            import scipy.fft  # deferred: scipy would dominate `import koopman`
 
-    conv = scipy.signal.fftconvolve(values, weights[::-1])
-    samples = conv[n - 1 : m] / n
+            if values.dtype.kind in "iu":
+                values = values.astype(np.float64)
+            shape = [scipy.fft.next_fast_len(m + n - 1, False)]
+            spectrum = scipy.fft.fftn(values, shape, axes=[0]) * scipy.fft.fftn(
+                weights[::-1], shape, axes=[0]
+            )
+            conv = scipy.fft.ifftn(spectrum, shape, axes=[0])
+        samples = conv[n - 1 : m] / n
+    for name, series in (("weight mu^-k", weights), ("average", samples)):
+        finite = np.isfinite(series)
+        if not finite.all():
+            step = int(np.argmin(finite))
+            raise DivergenceError(
+                step,
+                f"harmonic {name} is not finite from index {step} "
+                f"for |mu|={abs(mu):.6g}, window {n}",
+            )
     if samples.size > 1:
         num = np.linalg.norm(samples[1:] - mu * samples[:-1])
         den = np.linalg.norm(samples)

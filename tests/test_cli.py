@@ -327,6 +327,24 @@ def test_pendulum_divergence_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "target, step", [('{"re": 0.5, "im": 0}', 1024), ('{"re": 0, "im": 0}', 1)]
+)
+def test_gla_overflowing_weights_exit_3(tmp_path, capsys, target, step):
+    # mu^-k leaves the float range inside the shipped 2000-sample window; the
+    # run used to write all-NaN rows and report harmonic_residual=0
+    out = tmp_path / "o"
+    argv = ["run", str(CONFIG_DIR / "circle_gla.json"), "--out", str(out),
+            "--set", f"method_params.lambda_target={target}"]
+    with pytest.warns(RuntimeWarning, match="unit circle"):
+        assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"DivergenceError: harmonic weight mu^-k is not finite from index {step}" in err
+    assert "window 2000" in err
+    assert "Traceback" not in err
+    assert not (out / "harmonic.csv").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # underdetermined fit, overflow
 @pytest.mark.parametrize(
     "name, override",

@@ -75,7 +75,7 @@ FIRST_CALLS = {
         avg = gla_eigenfunction(states, 1.0, lambda s: np.ones(s.shape[0]), window=4)
         assert np.allclose(avg.samples, 1.0)
         """,
-        "scipy.signal",
+        "scipy.fft",
     ),
     "partition_invariance_score": (
         """
@@ -107,4 +107,26 @@ FIRST_CALLS = {
 @pytest.mark.parametrize("name", sorted(FIRST_CALLS))
 def test_deferred_scipy_call_works_as_first_user(name):
     code, module = FIRST_CALLS[name]
-    assert module in scipy_modules_after(code)
+    loaded = scipy_modules_after(code)
+    assert module in loaded
+    # scipy.signal loads some 340 modules more than the rest together
+    assert not [m for m in loaded if m.startswith("scipy.signal")]
+
+
+# the small configs a config sweep replays
+SWEEP_CONFIGS = (
+    "torus_companion_dmd", "torus_pinv_dmd", "torus_repr_check", "circle_gla",
+    "circle_mz_closure", "lorenz_mz_memory", "linear_static",
+)
+
+
+def test_small_config_runs_load_no_scipy_signal(tmp_path):
+    runs = [(str(CONFIG_DIR / f"{name}.json"), str(tmp_path / name)) for name in SWEEP_CONFIGS]
+    code = f"""
+    from koopman import cli
+    for path, out in {runs!r}:
+        assert cli.main(["run", path, "--out", out]) == 0, path
+    """
+    loaded = scipy_modules_after(code)
+    assert "scipy.fft" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.signal")]

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from koopman.errors import UsageError
+from koopman.errors import DivergenceError, UsageError
 from koopman.observables import Observable, ObservableDictionary
 from koopman.partitions import (
     HarmonicAverage,
@@ -412,6 +417,100 @@ def test_gla_off_circle_warns():
     z = Observable("z", "phase", k=(1,))
     with pytest.warns(RuntimeWarning, match="unit circle"):
         gla_eigenfunction(traj, 0.5, z, window=10)
+
+
+@pytest.mark.parametrize("mu, step", [(0.5, 1024), (0.0, 1)])
+def test_gla_overflowing_weights_raise_divergence(mu, step):
+    # 0.5^-k leaves the float range at k = 1024 and 0^-k at k = 1; the weights
+    # used to turn into NaN and every sample with them, silently
+    traj = integrate(SystemSpec("circle_rotation"), [0.2], dt=0.0, n_steps=3000)
+    z = Observable("z", "phase", k=(1,))
+    with pytest.warns(RuntimeWarning, match="unit circle"):
+        with pytest.raises(DivergenceError, match="window 2000") as err:
+            gla_eigenfunction(traj, mu, z, window=2000)
+    assert err.value.step == step
+    assert f"|mu|={mu:g}" in str(err.value)
+
+
+def test_gla_non_finite_values_raise_divergence():
+    values = np.ones(40, dtype=complex)
+    values[25] = np.inf
+    with pytest.raises(DivergenceError, match="not finite"):
+        gla_eigenfunction(np.zeros((40, 1)), 1.0, values, window=10)
+
+
+def _gla_weights(mu, n):
+    k = np.arange(n)
+    return np.exp(-1j * k * np.angle(mu)) * (abs(mu) ** (-k) if abs(mu) != 1.0 else 1.0)
+
+
+def _gla_values(kind, m, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "int":
+        return rng.integers(-100, 100, m)
+    values = rng.standard_normal(m)
+    if kind == "complex":
+        return values + 1j * rng.standard_normal(m)
+    return values.astype(np.float32) if kind == "float32" else values
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    st.integers(1, 6000),
+    st.floats(0.0, 1.0),
+    st.sampled_from(["float", "complex", "int", "float32"]),
+    st.one_of(st.just(1.0), st.floats(0.999, 1.001)),
+    st.floats(0.0, 2.0 * np.pi),
+    st.integers(0, 2**32 - 1),
+)
+@example(3001, 1999 / 3000, "complex", 1.0, 1.0, 0)  # circle_gla's shipped size
+@example(50, 0.0, "float", 1.0, 0.7, 1)  # window 1 on m >= 2: a plain product
+@example(50, 0.0, "complex", 0.9995, 0.7, 1)
+@example(1, 0.0, "complex", 1.0, 2.0, 2)  # m = 1
+@example(1000, 9 / 999, "float", 1.0, 2.5, 3)  # m + n - 1 = 1009: next_fast_len pads it to 1024
+@example(1000, 9 / 999, "int", 1.0, 2.5, 3)
+@example(1000, 9 / 999, "float32", 1.0, 2.5, 3)
+@example(777, 0.5, "int", 1.0005, 4.0, 4)
+@example(2048, 0.25, "float32", 0.999, 5.0, 5)
+def test_gla_samples_keep_the_bits_of_fftconvolve(m, frac, kind, radius, angle, seed):
+    # gla_eigenfunction makes the scipy.fft calls that scipy.signal's
+    # fftconvolve makes for two 1-D inputs, so its samples must equal the
+    # fftconvolve route bit for bit, off the unit circle too
+    n = 1 + round(frac * (m - 1))
+    mu = radius * np.exp(1j * angle)
+    values = _gla_values(kind, m, seed)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "multiplier magnitude", RuntimeWarning)
+        out = gla_eigenfunction(np.zeros((m, 1)), mu, values, window=n)
+    expect = scipy.signal.fftconvolve(values, _gla_weights(mu, n)[::-1])[n - 1 : m] / n
+    assert out.samples.dtype == expect.dtype
+    assert out.samples.tobytes() == expect.tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    st.floats(0.01, 2.0 * np.pi - 0.01, exclude_min=True, exclude_max=True),
+    st.floats(-np.pi, np.pi),
+    st.integers(1, 8000),
+    st.floats(0.0, 1.0),
+)
+@example(1.0, 0.2, 3001, 1999 / 3000)  # circle_gla's shipped config
+@example(1.0, 0.2, 3001, 0.0)  # window 1
+@example(1.0, 0.2, 3001, 1.0)  # window m: a single sample
+@example(2.0, 0.0, 1, 0.0)  # m = 1
+@example(0.0101, 3.0, 8000, 0.5)
+@example(2.0 * np.pi - 0.0101, -3.0, 8000, 1.0)
+@example(np.pi, 1.0, 8000, 0.999)
+def test_gla_reproduces_a_synthetic_eigenfunction(omega, theta0, m, frac):
+    # z_k = e^{i(theta0 + k omega)} is an eigenfunction at mu = e^{i omega}:
+    # every term of the window average equals z_j, so the samples are z_j
+    # up to rounding and the eigenvalue-equation residual vanishes
+    n = 1 + round(frac * (m - 1))
+    z = np.exp(1j * (theta0 + omega * np.arange(m)))
+    out = gla_eigenfunction(np.zeros((m, 1)), np.exp(1j * omega), z, window=n)
+    assert out.samples.size == m - n + 1
+    np.testing.assert_allclose(out.samples, z[: out.samples.size], rtol=0, atol=1e-10)
+    assert out.residual < 1e-10
 
 
 # 33 channels of 4 bins: an int64 joint code without renumbering would weigh
