@@ -1,26 +1,31 @@
-"""The one CSV table writer: numpy's text-table bytes, formatted in row blocks.
+"""The one owner of artifact encodings: CSV tables, JSON documents and the
+complex-number JSON object.  Callers choose the layout (which columns, which
+keys); every artifact file of the package is written here.
 
-Every CSV artifact of the package is written here.  The bytes are those
-numpy's text-table writer gives with ``delimiter=","`` and ``comments=""``:
-each value as ``%.18e`` (`` (%.18e+%.18ej)`` for every value of a complex
-table), values joined by commas, rows ended by a newline, and the header
-line only when it is not empty.
-
-A column is either an array or a ``(distinct_values, index)`` pair that
-stands for ``distinct_values[index]``; each distinct value is then
-formatted once, however many rows repeat it (the coordinates of a regular
-grid, a handful of cell ids).  Rows are formatted in blocks of at most
-_BLOCK_ROWS rows with one ``%`` per block, so memory stays bounded by a
-block, not by the file.  Several files may share leading columns: each
-shared row is formatted once, and a wider file appends its extra columns
-to the narrower file's row strings.
+CSV bytes are those numpy's text-table writer gives with ``delimiter=","``
+and ``comments=""``: each value as ``%.18e`` (`` (%.18e+%.18ej)`` for every
+value of a complex table), values joined by commas, rows ended by a newline,
+and the header line only when it is not empty.  A column is either an array
+or a ``(distinct_values, index)`` pair that stands for
+``distinct_values[index]``; each distinct value is then formatted once,
+however many rows repeat it (the coordinates of a regular grid, a handful of
+cell ids).  Rows are formatted in blocks of at most _BLOCK_ROWS rows with one
+``%`` per block, so memory stays bounded by a block, not by the file.
+Several files may share leading columns: each shared row is formatted once,
+and a wider file appends its extra columns to the narrower file's row
+strings.  JSON is strict (no NaN or +-inf), indented by two spaces, with
+sorted keys; a complex number is the object {"re": ..., "im": ...}.
 """
 
 from __future__ import annotations
 
+import json
 from contextlib import ExitStack
+from pathlib import Path
 
 import numpy as np
+
+from .errors import KoopmanError
 
 # Formatting a whole file at once holds every row string together: a fresh
 # process running the 160k-point standard-map partition config peaked at
@@ -84,7 +89,8 @@ def write_csv_files(table, files) -> None:
     """Write one table to several files that share its leading columns.
 
     files lists (path, header, width) in order of increasing width; a file
-    holds the first `width` columns of `table` (None: all of them).
+    holds the first `width` columns of `table` (None: all of them).  A path
+    may be an open text file, which is written as it is and left open.
     """
     raw = _columns(table)
     kind = complex if any(
@@ -95,7 +101,8 @@ def write_csv_files(table, files) -> None:
     runs = [columns[a:b] for a, b in zip([0] + widths, widths)]
     n_rows = len(columns[0][1][0]) if columns else 0
     with ExitStack() as stack:
-        handles = [stack.enter_context(open(path, "w")) for path, _, _ in files]
+        handles = [fh if hasattr(fh, "write") else stack.enter_context(open(fh, "w"))
+                   for fh, _, _ in files]
         for fh, (_, header, _) in zip(handles, files):
             if header:
                 fh.write(header + "\n")
@@ -107,3 +114,23 @@ def write_csv_files(table, files) -> None:
                     more = _block_rows(run, rows, "" if lines is None else ",", kind)
                     lines = more if lines is None else list(map(str.__add__, lines, more))
                 fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """Write payload as strict JSON; a NaN or +-inf in it raises KoopmanError."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # NaN or +-inf, which JSON has no number for
+        raise KoopmanError(f"{Path(path).name} would hold a non-finite number") from None
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def complex_json(z):
+    """A complex number as {"re": ..., "im": ...}; an array or a list as nested lists."""
+    if isinstance(z, np.ndarray):
+        z = z.tolist()
+    if isinstance(z, list):
+        return [complex_json(v) for v in z]
+    z = complex(z)
+    return {"re": z.real, "im": z.imag}

@@ -25,8 +25,9 @@ A runner opens no file: it returns the summary's eigenvalues and
 residuals plus `files`, a map from artifact name to either a JSON
 payload or a `writer(path)`; a tuple of names maps to a
 `writer(*paths)` that writes those artifacts together.  `run` is the
-only code that writes under the output directory, and it reports the
-time spent in these writers as `runtimes.write_s`.
+only code that writes under the output directory, every file through
+`_artifacts`, and it reports the time spent in these writers as
+`runtimes.write_s`.
 
 Fixed configs reproduce their artifacts byte for byte: every file name
 is static, CSV values are written with the fixed format `%.18e`, JSON is
@@ -48,9 +49,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from ._csv import write_csv
+from ._artifacts import complex_json, write_csv, write_json
 from .dmd import (
-    _complex_json,
     companion_dmd,
     continuous_time_eigenvalues,
     pseudoinverse_dmd,
@@ -141,15 +141,6 @@ def _write_complex_csv(path, values) -> None:
     write_csv(path, [values.real, values.imag], "re,im")
 
 
-def _write_json(path, payload) -> None:
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:  # NaN or +-inf, which JSON has no number for
-        raise KoopmanError(f"{Path(path).name} would hold a non-finite number") from None
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def _make_trajectory(spec: SystemSpec, sampling: dict):
     return integrate(spec, sampling["initial_state"], sampling.get("dt"), sampling["n"])
 
@@ -175,17 +166,17 @@ def emit_lattice(c: float, omega: float, N: int, M: int) -> np.ndarray:
 # ---------------------------------------------------------------- methods
 
 
-def _dmd_series(config, traj) -> np.ndarray:
-    """States fed to the snapshot pair, through the dictionary if given."""
-    if "dictionary" in config:
-        return _build_dictionary(config["dictionary"]).evaluate(traj.states)
-    return traj.states
-
-
-def _run_companion_dmd(config, spec, seed, stream):
+def _snapshot_pair(config, spec) -> SnapshotPair:
+    """The orbit's snapshot pair, of its states or of the dictionary if given."""
     traj = _make_trajectory(spec, config["sampling"])
-    pair = SnapshotPair.from_series(_dmd_series(config, traj), dt=traj.dt)
-    model = companion_dmd(pair)
+    series = traj.states
+    if "dictionary" in config:
+        series = _build_dictionary(config["dictionary"]).evaluate(series)
+    return SnapshotPair.from_series(series, dt=traj.dt)
+
+
+def _run_companion_dmd(config, spec, seed):
+    model = companion_dmd(_snapshot_pair(config, spec))
     return {
         "eigenvalues": model.eigenvalues,
         "residuals": {"companion_residual": model.residual},
@@ -196,9 +187,8 @@ def _run_companion_dmd(config, spec, seed, stream):
     }
 
 
-def _run_pinv_dmd(config, spec, seed, stream):
-    traj = _make_trajectory(spec, config["sampling"])
-    pair = SnapshotPair.from_series(_dmd_series(config, traj), dt=traj.dt)
+def _run_pinv_dmd(config, spec, seed):
+    pair = _snapshot_pair(config, spec)
     A = pseudoinverse_dmd(pair)
     triple = spectral_triple(A, pair)
     return {
@@ -211,7 +201,7 @@ def _run_pinv_dmd(config, spec, seed, stream):
     }
 
 
-def _run_edmd(config, spec, seed, stream):
+def _run_edmd(config, spec, seed):
     traj = _make_trajectory(spec, config["sampling"])
     dictionary = _build_dictionary(config["dictionary"])
     section = finite_section_matrix(dictionary, traj)
@@ -231,7 +221,7 @@ def _run_edmd(config, spec, seed, stream):
     }
 
 
-def _run_gla(config, spec, seed, stream):
+def _run_gla(config, spec, seed):
     traj = _make_trajectory(spec, config["sampling"])
     params = config["method_params"]
     lam = _decode_number(params["lambda_target"])
@@ -247,7 +237,7 @@ def _run_gla(config, spec, seed, stream):
     }
 
 
-def _run_partition(config, spec, seed, stream):
+def _run_partition(config, spec, seed):
     sampling = config["sampling"]
     dictionary = _build_dictionary(config["dictionary"])
     grid = _build_grid(sampling["grid"])
@@ -283,7 +273,7 @@ def _run_partition(config, spec, seed, stream):
     }
 
 
-def _run_static(config, spec, seed, stream):
+def _run_static(config, spec, seed):
     if not spec.is_map:
         raise UsageError("static regression needs a discrete map system")
     sampling = config.get("sampling", {})
@@ -312,7 +302,7 @@ def _run_static(config, spec, seed, stream):
     }
 
 
-def _run_mz(config, spec, seed, stream):
+def _run_mz(config, spec, seed):
     params = config.get("method_params", {})
     if "closure" in params:
         closure = params["closure"]
@@ -321,8 +311,8 @@ def _run_mz(config, spec, seed, stream):
             f, closure["omega"], closure.get("m_samples", 4096)
         )
         payload = {
-            "lambda": _complex_json(result["lambda"]),
-            "lambda_empirical": _complex_json(result["lambda_empirical"]),
+            "lambda": complex_json(result["lambda"]),
+            "lambda_empirical": complex_json(result["lambda_empirical"]),
             "residual_markov": result["residual_markov"],
             "orthogonal_fraction": result["orthogonal_fraction"],
         }
@@ -347,7 +337,7 @@ def _run_mz(config, spec, seed, stream):
     }
 
 
-def _run_sindy(config, spec, seed, stream):
+def _run_sindy(config, spec, seed):
     traj = _make_trajectory(spec, config["sampling"])
     library = _build_dictionary(config["dictionary"])
     threshold = config.get("method_params", {}).get("threshold")
@@ -362,25 +352,18 @@ def _run_sindy(config, spec, seed, stream):
     }
 
 
-def _run_repr_check(config, spec, seed, stream):
+def _run_repr_check(config, spec, seed):
     traj = _make_trajectory(spec, config["sampling"])
     dictionary = _build_dictionary(config["dictionary"])
-    A = _decode_matrix(
-        config["method_params"]["coefficients"], "method_params.coefficients"
-    )
-    model = RepresentationModel(
-        observables=dictionary, map_kind="linear", coefficients=A
-    )
+    A = _decode_matrix(config["method_params"]["coefficients"], "method_params.coefficients")
+    model = RepresentationModel(observables=dictionary, map_kind="linear", coefficients=A)
     residual = representation_residual(model, traj)
     values = dictionary.evaluate(traj.states)
     faith = faithfulness_estimate(values, traj.states)
     i, j = faith["witness"]
-    print("check           value", file=stream)
-    print(f"residual        {residual:.6e}", file=stream)
-    print(
-        f"faithfulness    {faith['score']:.6e}  (witness samples {i}, {j})",
-        file=stream,
-    )
+    print("check           value")
+    print(f"residual        {residual:.6e}")
+    print(f"faithfulness    {faith['score']:.6e}  (witness samples {i}, {j})")
     report = {"residual": residual, "faithfulness": faith["score"], "witness": [i, j]}
     return {
         "eigenvalues": [],
@@ -391,7 +374,7 @@ def _run_repr_check(config, spec, seed, stream):
 
 _ORBIT = ("sampling.initial_state", "sampling.n")
 
-# method name -> (runner, requirements).  runner(config, spec, seed, stream)
+# method name -> (runner, requirements).  runner(config, spec, seed)
 # returns the summary's eigenvalues and residuals and its files (artifact
 # name -> JSON payload or writer(path); a tuple of names -> writer(*paths)).
 # requirements lists alternatives, each a tuple of dotted config paths; a
@@ -697,9 +680,8 @@ def _names(key) -> tuple:
     return key if isinstance(key, tuple) else (key,)
 
 
-def run(config: dict, out_dir, stream=None) -> dict:
+def run(config: dict, out_dir) -> dict:
     """Execute one validated config; returns the summary dictionary."""
-    stream = sys.stdout if stream is None else stream
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = SystemSpec(
@@ -709,19 +691,19 @@ def run(config: dict, out_dir, stream=None) -> dict:
     method = config["method"]
     t0 = time.perf_counter()
     runner, _ = _RUNNERS[method]
-    result = runner(config, spec, seed, stream)
+    result = runner(config, spec, seed)
     t_write = time.perf_counter()
     for names, content in result["files"].items():
         if callable(content):
             content(*(out_dir / name for name in _names(names)))
         else:
-            _write_json(out_dir / names, content)
+            write_json(out_dir / names, content)
     t_end = time.perf_counter()
 
     summary = {
         "method": method,
         "system": spec.to_json(),
-        "eigenvalues": [_complex_json(z) for z in result["eigenvalues"]],
+        "eigenvalues": complex_json(result["eigenvalues"]),
         "residuals": {
             k: (v if isinstance(v, (bool, int)) else float(v))
             for k, v in result["residuals"].items()
@@ -733,7 +715,7 @@ def run(config: dict, out_dir, stream=None) -> dict:
     }
     if "tolerances" in config:
         summary["tolerances"] = config["tolerances"]
-    _write_json(out_dir / "summary.json", summary)
+    write_json(out_dir / "summary.json", summary)
     return summary
 
 
@@ -815,10 +797,10 @@ def main(argv=None) -> int:
 
     if args.command == "list-systems":
         for kind in SYSTEM_KINDS:
-            spec = SystemSpec(kind=kind) if kind != "linear_map" else None
-            if spec is None:
+            if kind == "linear_map":
                 print("linear_map: coords by matrix B (params: B, required)")
                 continue
+            spec = SystemSpec(kind=kind)
             params = ", ".join(f"{k}={v:g}" for k, v in spec.params.items())
             print(f"{kind}: coords ({', '.join(spec.coord_names)}); params {params}")
         return 0
@@ -829,16 +811,11 @@ def main(argv=None) -> int:
         except UsageError as exc:
             print(f"lattice: {exc}", file=sys.stderr)
             return 2
-        if args.out:
-            try:
-                _write_complex_csv(args.out, values)
-            except OSError as exc:
-                print(f"output unusable: {exc}", file=sys.stderr)
-                return 2
-        else:
-            print("re,im")
-            for z in values:
-                print(f"{z.real:.18e},{z.imag:.18e}")
+        try:
+            _write_complex_csv(args.out or sys.stdout, values)
+        except OSError as exc:
+            print(f"output unusable: {exc}", file=sys.stderr)
+            return 2
         return 0
 
     # run / repr

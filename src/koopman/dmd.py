@@ -19,23 +19,18 @@ from functools import cached_property
 
 import numpy as np
 
+from ._artifacts import complex_json
 from .embedding import SnapshotPair
 from .errors import DefectiveMatrixError, PreconditionError, UsageError
 
 _COND_EIGVEC_LIMIT = 1e8
 
 
-def _complex_json(z) -> dict:
-    """A complex number as the JSON object {"re": ..., "im": ...}."""
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
 def moore_penrose_pseudoinverse(M) -> np.ndarray:
     """Pseudoinverse by SVD; singular values below max(n,m)*eps*s_max drop.
 
-    Raises PreconditionError when a kept singular value is subnormal, since
-    its reciprocal, and so the pseudoinverse, would overflow.
+    Raises PreconditionError for non-finite data, and when a kept singular
+    value is subnormal: its reciprocal, and so the pseudoinverse, would overflow.
     """
     return _pseudoinverse_and_rank(M)[0]
 
@@ -46,6 +41,10 @@ def _pseudoinverse_and_rank(M) -> tuple[np.ndarray, int]:
     One SVD gives both, so a fit that reports rank(X) needs no second SVD.
     """
     M = np.atleast_2d(np.asarray(M))
+    if not np.all(np.isfinite(M)):  # its SVD would give NaN singular values
+        j, i = np.argwhere(~np.isfinite(M.T))[0]  # every caller's samples are columns
+        raise PreconditionError(f"pseudoinverse of non-finite data: {M[i, j]} at "
+                                f"sample (column) {j}, row {i}; rescale the data")
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros_like(M.conj().T), 0
@@ -131,11 +130,9 @@ class SpectralTriple:
 
     def to_json(self) -> dict:
         return {
-            "eigenvalues": [_complex_json(z) for z in self.eigenvalues],
-            "modes": [[_complex_json(z) for z in row] for row in self.modes],
-            "eigenfunction_samples": [
-                [_complex_json(z) for z in row] for row in self.eigenfunction_samples
-            ],
+            "eigenvalues": complex_json(self.eigenvalues),
+            "modes": complex_json(self.modes),
+            "eigenfunction_samples": complex_json(self.eigenfunction_samples),
         }
 
 

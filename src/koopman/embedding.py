@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import write_csv
+from ._artifacts import write_csv
 from .errors import UsageError
 
 

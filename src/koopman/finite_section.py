@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import write_csv
-from .dmd import _complex_json
-from .errors import DegenerateDictionaryError, UsageError
+from ._artifacts import complex_json, write_csv
+from .errors import DegenerateDictionaryError, PreconditionError, UsageError
 from .observables import ObservableDictionary
 from .systems import _states_of
 
@@ -63,10 +62,15 @@ def dual_basis(F, weights=None) -> np.ndarray:
     Near-dependent dictionary entries (condition number of the Gram matrix
     above 1e12, or fewer samples than entries) raise
     DegenerateDictionaryError naming the entries that load on the smallest
-    singular vector.
+    singular vector.  Non-finite values raise PreconditionError naming the
+    first sample that holds one.
     """
     F = np.atleast_2d(np.asarray(F))
     m, N = F.shape
+    if not np.all(np.isfinite(F)):  # its SVD would give NaN singular values
+        l, j = np.argwhere(~np.isfinite(F))[0]
+        raise PreconditionError(f"non-finite dictionary value {F[l, j]} in entry {j} "
+                                f"at sample {l}; rescale the dictionary")
     w = _check_weights(weights, m)
     Fw = F if w is None else F * np.sqrt(w)[:, None]
     svals = np.linalg.svd(Fw, compute_uv=False)
@@ -127,7 +131,7 @@ class FiniteSectionMatrix:
         return {
             "dictionary": self.dictionary.to_json(),
             "sample_count": self.sample_count,
-            "U_tilde": [[_complex_json(z) for z in row] for row in self.U_tilde],
+            "U_tilde": complex_json(self.U_tilde),
         }
 
 
@@ -218,10 +222,8 @@ def detect_linear_subrepresentation(
     idx = _resolve_indices(section.dictionary, subset)
     comp = [i for i in range(len(section.dictionary)) if i not in idx]
     U = section.U_tilde
-    if comp:
-        leakage = float(max(np.linalg.norm(U[np.ix_(comp, [j])]) for j in idx))
-    else:
-        leakage = 0.0
+    # with no complement entries every norm is of an empty block: 0.0
+    leakage = float(max(np.linalg.norm(U[np.ix_(comp, [j])]) for j in idx))
     A = U[np.ix_(idx, idx)].T
     return {"is_linear": leakage <= tol, "leakage": leakage, "A": A}
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import write_csv
+from ._artifacts import write_csv
 from .errors import UsageError
 from .finite_section import dual_basis
 from .observables import ObservableDictionary
@@ -95,7 +95,7 @@ def mz_decompose(dict_span: ObservableDictionary, traj, k_max: int) -> MzDecompo
         )
     Phi = dict_span.evaluate(states)
     base = Phi[:L]
-    dual_basis(base)  # conditioning gate; raises DegenerateDictionaryError
+    dual_basis(base)  # finiteness and conditioning gate; raises on failure
 
     def project_coeffs(block):
         coeffs, *_ = np.linalg.lstsq(base, block, rcond=None)

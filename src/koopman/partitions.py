@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import write_csv, write_csv_files
+from ._artifacts import write_csv, write_csv_files
 from .errors import DivergenceError, ObservableDomainError, UsageError
 from .observables import REAL_KINDS as _REAL_KINDS  # kinds with a real accumulator
 from .observables import ObservableDictionary, StateColumns
@@ -541,11 +541,17 @@ def partition_invariance_score(
     Every labeled grid point is advanced n_test steps; after each step the
     nearest grid point's label is compared with the starting label.
     Mapped points that leave the labeled region count as mismatches.
+    An orbit-sample labeling (grid None: its points are sample indices, not
+    states) and a grid of another dimension raise UsageError.
     """
     if n_test < 1:
         raise UsageError("n_test must be >= 1")
+    if labeling.grid is None:
+        raise UsageError("an orbit-sample labeling has no grid states to step")
     dt = _step_size(spec, dt)
     pts = labeling.points
+    if pts.shape[1] != spec.dim:
+        raise UsageError(f"grid dimension {pts.shape[1]} does not match {spec.kind}")
     labels = labeling.cell_id
     alive = labels >= 0
     idx_alive = np.flatnonzero(alive)

@@ -14,13 +14,13 @@ certifies a globally attracting fixed point.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dmd import SpectralTriple, _complex_json, continuous_time_eigenvalues
+from ._artifacts import complex_json, write_json
+from .dmd import SpectralTriple, continuous_time_eigenvalues
 from .errors import DegenerateFitError, PreconditionError, UsageError
 from .observables import REAL_KINDS, Observable, ObservableDictionary
 from .systems import _states_of
@@ -101,7 +101,7 @@ class RepresentationModel:
     def to_json(self) -> dict:
         def num(z):
             z = complex(z)
-            return float(z.real) if z.imag == 0.0 else _complex_json(z)
+            return float(z.real) if z.imag == 0.0 else complex_json(z)
 
         obj = {
             "map_kind": self.map_kind,
@@ -133,8 +133,8 @@ class RepresentationModel:
         return obj
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
+        """Write to_json() as strict JSON; a NaN or +-inf raises KoopmanError."""
+        write_json(path, self.to_json())
 
 
 def representation_residual(model: RepresentationModel, traj) -> float:
@@ -148,9 +148,13 @@ def representation_residual(model: RepresentationModel, traj) -> float:
     if states.shape[0] < 2:
         raise UsageError("need at least two states to measure a step")
     values = model.observables.evaluate(states)
-    predicted = model.apply(values[:-1])
-    defects = np.linalg.norm(values[1:] - predicted, axis=1)
-    scale = float(np.max(np.linalg.norm(values, axis=1)))
+    return _relative_defect(values[1:], model.apply(values[:-1]), values)
+
+
+def _relative_defect(got, want, ref) -> float:
+    """max_k |got_k - want_k| / max_k |ref_k| over rows; an all-zero ref counts as 1."""
+    defects = np.linalg.norm(got - want, axis=1)
+    scale = float(np.max(np.linalg.norm(ref, axis=1)))
     return float(np.max(defects)) / (scale if scale > 0 else 1.0)
 
 
@@ -205,10 +209,7 @@ def conjugacy_check(rep1, rep2, h, h_inv, samples) -> float:
             "h is not invertible on these samples"
         )
     lhs = np.atleast_2d(np.asarray(h(rep2.apply(g_vals))))
-    rhs = rep1.apply(w)
-    defects = np.linalg.norm(lhs - rhs, axis=1)
-    scale = float(np.max(np.linalg.norm(w, axis=1)))
-    return float(np.max(defects)) / (scale if scale > 0 else 1.0)
+    return _relative_defect(lhs, rep1.apply(w), w)
 
 
 def _derivatives_central(states: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -286,13 +287,11 @@ def sindy_fit(traj, library: ObservableDictionary, threshold: float | None = Non
         / max(np.linalg.norm(targets), np.finfo(float).tiny)
     )
     spec = getattr(traj, "spec", None)
-    coord_names = spec.coord_names if spec is not None else None
-    if coord_names is None:
-        coord_names = tuple(f"x{i}" for i in range(states.shape[1]))
+    names = spec.coord_names if spec is not None else [f"x{i}" for i in range(states.shape[1])]
     coords = ObservableDictionary(
         tuple(
             Observable(name=nm, kind="coordinate", index=i)
-            for i, nm in enumerate(coord_names)
+            for i, nm in enumerate(names)
         )
     )
     return RepresentationModel(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import write_csv
+from ._artifacts import write_csv
 from .dmd import _pseudoinverse_and_rank
 from .errors import UsageError
 from .finite_section import _check_weights

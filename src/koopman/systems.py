@@ -34,6 +34,7 @@ from __future__ import annotations
 import ast
 import cmath
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -44,7 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._csv import write_csv
+from ._artifacts import write_csv
 from .errors import DivergenceError, UsageError
 
 TWO_PI = 2.0 * math.pi
@@ -212,12 +213,7 @@ class SystemSpec:
         return names
 
     def to_json(self) -> dict:
-        params = {}
-        for name, value in self.params.items():
-            if isinstance(value, np.ndarray):
-                params[name] = value.tolist()
-            else:
-                params[name] = value
+        params = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in self.params.items()}
         return {"kind": self.kind, "params": params}
 
     @classmethod
@@ -360,12 +356,17 @@ def _column_step(spec: SystemSpec, dt: float = None):
     return rk4
 
 
-def step_map(spec: SystemSpec, s) -> np.ndarray:
-    """One iterate of a discrete map at a single state."""
+def _state(spec: SystemSpec, s) -> np.ndarray:
+    """s as one float state of spec; UsageError unless it has spec.dim entries."""
     s = np.asarray(s, dtype=float)
     if s.shape != (spec.dim,):
         raise UsageError(f"{spec.kind} state must have dimension {spec.dim}")
-    return step_map_batch(spec, s[None, :])[0]
+    return s
+
+
+def step_map(spec: SystemSpec, s) -> np.ndarray:
+    """One iterate of a discrete map at a single state."""
+    return step_map_batch(spec, _state(spec, s)[None, :])[0]
 
 
 def step_map_batch(spec: SystemSpec, pts: np.ndarray) -> np.ndarray:
@@ -380,9 +381,7 @@ def vector_field(spec: SystemSpec, s) -> np.ndarray:
     """Time derivative of a continuous flow at a single state."""
     if spec.is_map:
         raise UsageError(f"vector_field needs a continuous flow, got {spec.kind!r}")
-    s = np.asarray(s, dtype=float)
-    if s.shape != (spec.dim,):
-        raise UsageError(f"{spec.kind} state must have dimension {spec.dim}")
+    s = _state(spec, s)
     return np.concatenate(np.broadcast_arrays(*_batch(spec)(*s[:, None])))
 
 
@@ -497,9 +496,7 @@ def integrate(spec: SystemSpec, s0, dt: float, n_steps: int) -> Trajectory:
     """
     if n_steps < 1:
         raise UsageError("n_steps must be >= 1")
-    s0 = np.asarray(s0, dtype=float)
-    if s0.shape != (spec.dim,):
-        raise UsageError(f"{spec.kind} state must have dimension {spec.dim}")
+    s0 = _state(spec, s0)
     dt = _step_size(spec, dt)
     args = {"f": _scalar(spec)} if spec.is_map else spec.params
     buf = _orbit_loop(spec.kind, spec.dim)(tuple(map(float, s0)), dt, n_steps, **args)
@@ -528,20 +525,13 @@ def spectral_lattice(omega: float, betas, N: int, M: int) -> np.ndarray:
     if N < 0 or M < 0:
         raise UsageError("lattice truncation requires N, M >= 0")
     betas = [complex(b) for b in betas]
-    values = []
-
-    def m_indices(k, budget):
-        if k == 0:
-            yield ()
-            return
-        for head in range(budget + 1):
-            for rest in m_indices(k - 1, budget - head):
-                yield (head,) + rest
-
-    for n in range(-N, N + 1):
-        for m in m_indices(len(betas), M):
-            values.append(1j * n * omega + sum(mj * bj for mj, bj in zip(m, betas)))
-    values = np.array(values, dtype=complex)
+    # lexicographic, as product gives them
+    ms = [m for m in itertools.product(range(M + 1), repeat=len(betas)) if sum(m) <= M]
+    values = np.array(
+        [1j * n * omega + sum(mj * bj for mj, bj in zip(m, betas))
+         for n in range(-N, N + 1) for m in ms],
+        dtype=complex,
+    )
     # dedupe: conjugate beta pairs generate coincident points
     rounded = np.round(values * 1e12) / 1e12
     _, keep = np.unique(rounded, return_index=True)

@@ -235,7 +235,7 @@ def test_number_beyond_the_float_range_in_a_config_file_exits_2(tmp_path, capsys
 
 
 def test_non_finite_artifact_value_exits_3_and_writes_no_file(tmp_path, capsys, monkeypatch):
-    def nan_result(config, spec, seed, stream):
+    def nan_result(config, spec, seed):
         return {"files": {"bad.json": {"value": float("nan")}}, "eigenvalues": [],
                 "residuals": {}}
 
@@ -245,6 +245,44 @@ def test_non_finite_artifact_value_exits_3_and_writes_no_file(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "bad.json" in err and "non-finite" in err and "Traceback" not in err
     assert not (tmp_path / "o" / "bad.json").exists()
+
+
+# a dictionary whose values overflow to inf on the orbit, for each method
+# that fits on them: the SVD of such data gives NaN singular values
+OVERFLOWING_FITS = {
+    "companion_dmd": ("torus_companion_dmd", [
+        'dictionary=[{"name":"m","type":"monomial","powers":[400,0]}]',
+    ]),
+    "pinv_dmd": ("torus_pinv_dmd", [
+        'dictionary=[{"name":"m","type":"monomial","powers":[400,0]},'
+        '{"name":"z","type":"phase","k":[1,0]}]',
+    ]),
+    "static": ("linear_static", [
+        "method_params.box=[-2,2]",
+        'dictionary=[{"name":"m","type":"monomial","powers":[4000,0,0,0]},'
+        '{"name":"x","type":"coordinate","index":0}]',
+    ]),
+    "edmd": ("limit_cycle_edmd", [
+        'dictionary=[{"name":"m","type":"monomial","powers":[4000,0]}]', "sampling.n=500",
+    ]),
+    "mz": ("lorenz_mz_memory", [
+        'dictionary=[{"name":"m","type":"monomial","powers":[400,0,0]}]',
+    ]),
+}
+
+
+@pytest.mark.parametrize("method", sorted(OVERFLOWING_FITS))
+def test_overflowing_fit_data_exits_3_without_traceback(tmp_path, capsys, method):
+    name, overrides = OVERFLOWING_FITS[method]
+    argv = ["run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--set", item]
+    with pytest.warns(RuntimeWarning, match="overflow"):  # the monomial's own
+        assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("PreconditionError: ") and "non-finite" in err
+    assert "Traceback" not in err and "condition number" not in err
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_observable_schema_types_every_json_parameter():
@@ -624,6 +662,15 @@ def test_lattice_zero_truncation_is_single_zero(capsys):
     assert len(lines) == 2
     re, im = (float(v) for v in lines[1].split(","))
     assert re == 0.0 and im == 0.0
+
+
+def test_lattice_stdout_is_its_out_file(tmp_path, capsys):
+    argv = ["lattice", "--c", "2.6457513", "--omega", "1.0", "--N", "4", "--M", "4"]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(argv + ["--out", str(tmp_path / "lattice.csv")]) == 0
+    assert printed.encode() == (tmp_path / "lattice.csv").read_bytes()
+    assert printed.count("\n") == 26
 
 
 def test_lattice_five_by_five_closed_and_within_catalogue(tmp_path):

@@ -1,18 +1,20 @@
 """The blocked CSV writer gives the bytes numpy's savetxt gives.
 
-Every CSV artifact goes through koopman._csv, so these tests compare it
+Every CSV artifact goes through koopman._artifacts, so these tests compare it
 with ``np.savetxt(..., delimiter=",", comments="")`` on awkward values and
 shapes, and compare the one-pass partition pair with savetxt of the
 stacked columns.
 """
 
+import io
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from koopman import _csv
-from koopman._csv import write_csv, write_csv_files
+from koopman import _artifacts
+from koopman._artifacts import complex_json, write_csv, write_csv_files
 from koopman.observables import Observable, ObservableDictionary
 from koopman.partitions import (
     RegularGrid,
@@ -36,7 +38,7 @@ TABLES = {
     "complex": (EDGE[:6] + 1j * EDGE[4:]).reshape(3, 2),
     "complex_one_dimensional": np.array([1 - 2j, -0.0 - 0.0j, np.nan + 1j * np.nan]),
     "no_rows": np.zeros((0, 3)),
-    "several_blocks": np.random.default_rng(0).standard_normal((2 * _csv._BLOCK_ROWS + 3, 3)),
+    "several_blocks": np.random.default_rng(0).standard_normal((2 * _artifacts._BLOCK_ROWS + 3, 3)),
 }
 
 
@@ -56,7 +58,7 @@ def test_writer_gives_savetxt_bytes(tmp_path, name, header):
 
 def test_distinct_value_columns_and_shared_files_match_plain_columns(tmp_path):
     rng = np.random.default_rng(1)
-    n = _csv._BLOCK_ROWS + 17
+    n = _artifacts._BLOCK_ROWS + 17
     axis, index = EDGE, rng.integers(0, EDGE.size, n)
     values, ids = rng.standard_normal(n), rng.integers(-1, 4, n)
     narrow, wide = tmp_path / "narrow.csv", tmp_path / "wide.csv"
@@ -70,6 +72,30 @@ def test_distinct_value_columns_and_shared_files_match_plain_columns(tmp_path):
     assert wide.read_bytes() == savetxt_bytes(
         tmp_path, np.column_stack([axis[index], values, ids]), "a,b,c"
     )
+
+
+def test_an_open_file_gets_the_bytes_of_a_path_and_stays_open(tmp_path):
+    table = TABLES["complex"]
+    write_csv(tmp_path / "path.csv", table, "a,b")
+    buffer = io.StringIO()
+    write_csv(buffer, table, "a,b")
+    assert not buffer.closed
+    assert buffer.getvalue().encode() == (tmp_path / "path.csv").read_bytes()
+
+
+def test_complex_json_encodes_arrays_and_lists_element_by_element():
+    rng = np.random.default_rng(3)
+    cube = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+    by_element = [
+        [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in plane]
+        for plane in cube
+    ]
+    assert complex_json(cube) == by_element
+    assert complex_json(list(cube[0])) == by_element[0]
+    assert complex_json(cube[1, 2, 3]) == by_element[1][2][3]
+    assert complex_json(np.arange(3.0)) == [{"re": v, "im": 0.0} for v in (0.0, 1.0, 2.0)]
+    assert complex_json([]) == []
+    assert json.dumps(complex_json(cube)) == json.dumps(by_element)
 
 
 def _dictionary(*entries):

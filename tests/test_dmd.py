@@ -81,6 +81,19 @@ def test_pinv_of_subnormal_scale_data_is_refused_not_overflowed():
         moore_penrose_pseudoinverse(np.array([[5e-324, 0.0], [0.0, 1e-323]]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_pinv_of_non_finite_data_is_refused_naming_the_sample(bad):
+    # an overflowed dictionary: its SVD gives NaN singular values, none kept
+    X = np.ones((2, 6))
+    X[1, 4] = X[0, 5] = bad
+    with pytest.raises(PreconditionError, match=r"non-finite .* sample \(column\) 4, row 1"):
+        _pseudoinverse_and_rank(X)
+    pair = SnapshotPair(X=X, Xp=np.ones((2, 6)))
+    for fit in (companion_dmd, pseudoinverse_dmd):
+        with pytest.raises(PreconditionError, match="non-finite"):
+            fit(pair)
+
+
 def test_companion_exact_period_gives_unit_vector():
     rng = np.random.default_rng(2)
     base = rng.normal(size=7)

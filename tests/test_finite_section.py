@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from koopman.dmd import continuous_time_eigenvalues, pseudoinverse_dmd
 from koopman.embedding import SnapshotPair
-from koopman.errors import DegenerateDictionaryError, UsageError
+from koopman.errors import DegenerateDictionaryError, PreconditionError, UsageError
 from koopman.finite_section import (
     FiniteSectionMatrix,
     compression,
@@ -77,6 +77,22 @@ def test_dual_basis_rejects_fewer_samples_than_entries():
     F = np.random.default_rng(4).normal(size=(3, 5))
     with pytest.raises(DegenerateDictionaryError, match="condition number inf"):
         dual_basis(F)
+
+
+@pytest.mark.parametrize("weights", [None, np.ones(6)])
+def test_dual_basis_refuses_non_finite_values_naming_the_sample(weights):
+    F = np.random.default_rng(5).normal(size=(6, 2)).astype(complex)
+    F[3, 1] = F[4, 0] = complex(np.inf, 0.0)
+    with pytest.raises(PreconditionError, match="non-finite .* in entry 1 at sample 3"):
+        dual_basis(F, weights=weights)
+
+
+def test_overflowing_dictionary_section_is_refused_not_called_dependent():
+    spec = SystemSpec("limit_cycle_polar", {"omega": 1.0})
+    traj = integrate(spec, (2.0, 0.0), 1e-3, 50)
+    big = _dict(Observable("r^4000", "monomial", powers=(4000.0, 0.0)), _phase("z", (0.0, 1.0)))
+    with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="at sample 0"):
+        finite_section_matrix(big, traj)
 
 
 def test_section_circle_rotation_single_mode():
@@ -309,6 +325,32 @@ def test_rotation_fits_on_phase_observables_recover_the_known_spectrum(omegas, s
     section = finite_section_matrix(phases, traj)
     assert _eigenvalue_error(truth, section.eigenvalues()) <= bound
     assert section.route_disagreement <= 1e-10
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+    st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2), st.integers(50, 500),
+)
+@example(1.0, np.sqrt(2.0), [0.2, 0.9], 200)  # the torus_rotation defaults
+def test_closed_phase_pair_of_a_drawn_torus_rotation_is_detected(w1, w2, start, n):
+    # z1, z2 and their product z3 are eigenfunctions, so the pair {z1, z2}
+    # is closed with A = diag(exp(i w)) and puts nothing on z3, up to
+    # rounding: the angles' (eps * |theta|) and exp's and the fit's (a few
+    # eps), amplified by cond(F).  In 8000 draws the worst was 1.7 times
+    # eps * max(|theta|, 1) * cond(F) (small angles) and the bound is 16
+    # times it.  Multipliers at least 0.1 apart keep the phases independent.
+    lams = np.exp(1j * np.array([w1, w2, w1 + w2]))
+    assume(np.abs(np.subtract.outer(lams, lams))[np.triu_indices(3, 1)].min() >= 0.1)
+    spec = SystemSpec("torus_rotation", {"omega1": w1, "omega2": w2})
+    traj = integrate(spec, start, 0.0, n)
+    phases = _dict(_phase("z1", (1.0, 0.0)), _phase("z2", (0.0, 1.0)), _phase("z3", (1.0, 1.0)))
+    section = finite_section_matrix(phases, traj)
+    bound = (16 * np.finfo(float).eps * max(np.abs(traj.states).max(), 1.0)
+             * np.linalg.cond(phases.evaluate(traj.states)))
+    found = detect_linear_subrepresentation(section, ["z1", "z2"])
+    assert found["is_linear"] and found["leakage"] <= bound
+    assert np.abs(found["A"] - np.diag(lams[:2])).max() <= bound
 
 
 # configs/limit_cycle_edmd.json

@@ -1,9 +1,11 @@
 """scipy is imported by the four functions that call it, never at import time.
 
 Each case runs in a fresh interpreter, since this process has long since
-loaded scipy through other tests.
+loaded scipy through other tests.  The last test checks the sources: only
+koopman._artifacts writes files.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -130,3 +132,33 @@ def test_small_config_runs_load_no_scipy_signal(tmp_path):
     loaded = scipy_modules_after(code)
     assert "scipy.fft" in loaded
     assert not [m for m in loaded if m.startswith("scipy.signal")]
+
+
+def _file_writes(tree) -> list:
+    """(line, call) of each call in tree that writes a file: open with a mode
+    that writes, appends or creates (or one not given as a literal),
+    json.dump and json.dumps, and a path's write_text or write_bytes."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        owner = getattr(func, "value", None)  # json in json.dumps; None for a bare name
+        if name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and set(str(mode.value)).isdisjoint("wax+")):
+                found.append((node.lineno, "open"))
+        elif name in ("dump", "dumps") and getattr(owner, "id", "json") == "json":
+            found.append((node.lineno, f"json.{name}"))
+        elif name in ("write_text", "write_bytes"):
+            found.append((node.lineno, name))
+    return found
+
+
+def test_only_the_artifacts_module_writes_files():
+    sources = sorted(Path(SRC, "koopman").glob("*.py"))
+    writes = {path.name: _file_writes(ast.parse(path.read_text())) for path in sources}
+    assert writes.pop("_artifacts.py")  # the owner does write
+    assert {name: found for name, found in writes.items() if found} == {}

@@ -657,6 +657,31 @@ def test_invariance_score_random_labels_on_point_array_near_chance():
     assert abs(score - 1.0 / K) < 0.05
 
 
+@pytest.mark.parametrize("kind", ["circle_rotation", "standard_map"])
+def test_invariance_score_refuses_an_orbit_sample_labeling(kind):
+    # its points are sample indices, not states of the system
+    phi = np.exp(1j * 0.7 * np.arange(50))
+    lab = eigenfunction_partition(phi, np.exp(0.7j), bins=3).labeling
+    assert lab.grid is None
+    with pytest.raises(UsageError, match="orbit-sample labeling"):
+        partition_invariance_score(lab, SystemSpec(kind), n_test=1)
+
+
+@pytest.mark.parametrize("as_points", [False, True])
+def test_invariance_score_refuses_a_grid_of_another_dimension(as_points):
+    grid = RegularGrid.unit_square(4)
+    lab = PartitionLabeling(
+        cell_id=np.zeros(16, dtype=int),
+        bin_edges=(np.array([]),),
+        channel_names=("c",),
+        channel_values=np.zeros((16, 1)),
+        grid=grid.points if as_points else grid,
+    )
+    spec = SystemSpec("linear_map", {"B": np.eye(3)})
+    with pytest.raises(UsageError, match="grid dimension 2 does not match linear_map"):
+        partition_invariance_score(lab, spec, n_test=1)
+
+
 def test_eigenfunction_partition_decay_labels():
     dt = 0.01
     spec = SystemSpec("limit_cycle_polar", {"omega": 1.0})

