@@ -116,14 +116,29 @@ def write_csv_files(table, files) -> None:
                 fh.write("\n".join(lines) + "\n")
 
 
+def strict_json(payload, name: str, **layout) -> str:
+    """payload as strict JSON text (json.dumps `layout`, compact by default);
+    a NaN or +-inf in it raises KoopmanError naming `name`."""
+    try:
+        return json.dumps(payload, allow_nan=False, **layout)
+    except ValueError:  # NaN or +-inf, which JSON has no number for
+        raise KoopmanError(f"{name} would hold a non-finite number") from None
+
+
+def json_writer(payload, name: str):
+    """writer(path) of payload as strict JSON, encoded now, before any file is opened."""
+    text = strict_json(payload, name, indent=2, sort_keys=True)
+
+    def write(path) -> None:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+    return write
+
+
 def write_json(path, payload) -> None:
     """Write payload as strict JSON; a NaN or +-inf in it raises KoopmanError."""
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:  # NaN or +-inf, which JSON has no number for
-        raise KoopmanError(f"{Path(path).name} would hold a non-finite number") from None
-    with open(path, "w") as fh:
-        fh.write(text)
+    json_writer(payload, Path(path).name)(path)
 
 
 def complex_json(z):

@@ -20,14 +20,15 @@ The argparse parser and one validator per method are built once per
 process, on first use.  A method's validator is `CONFIG_SCHEMA` with the
 per-method rules cut to that method's own, so it reports the errors the
 full schema would; a config whose method is missing, unknown or not a
-string is checked against the full schema.
+string fails every per-method rule's condition, so its validator has none.
 A runner opens no file: it returns the summary's eigenvalues and
 residuals plus `files`, a map from artifact name to either a JSON
 payload or a `writer(path)`; a tuple of names maps to a
 `writer(*paths)` that writes those artifacts together.  `run` is the
 only code that writes under the output directory, every file through
-`_artifacts`, and it reports the time spent in these writers as
-`runtimes.write_s`.
+`_artifacts` and only once the method has succeeded and every JSON
+document has encoded, so a failed run creates nothing.  It reports the
+time spent encoding and writing as `runtimes.write_s`.
 
 Fixed configs reproduce their artifacts byte for byte: every file name
 is static, CSV values are written with the fixed format `%.18e`, JSON is
@@ -49,7 +50,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from ._artifacts import complex_json, write_csv, write_json
+from ._artifacts import complex_json, json_writer, strict_json, write_csv, write_json
 from .dmd import (
     companion_dmd,
     continuous_time_eigenvalues,
@@ -131,7 +132,9 @@ def _build_grid(node) -> RegularGrid:
         return RegularGrid.unit_square(node["n"])
     axes, periods = [], []
     for ax in node["axes"]:
-        axes.append(np.linspace(ax["lo"], ax["hi"], ax["n"]))
+        # a span beyond the float range gives non-finite values, which RegularGrid refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            axes.append(np.linspace(ax["lo"], ax["hi"], ax["n"]))
         periods.append(ax.get("period"))
     return RegularGrid(axes=tuple(axes), periods=tuple(periods))
 
@@ -681,9 +684,8 @@ def _names(key) -> tuple:
 
 
 def run(config: dict, out_dir) -> dict:
-    """Execute one validated config; returns the summary dictionary."""
+    """Execute one validated config and return its summary; a failed run creates nothing."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     spec = SystemSpec(
         kind=config["system"]["kind"], params=config["system"].get("params", {})
     )
@@ -693,13 +695,6 @@ def run(config: dict, out_dir) -> dict:
     runner, _ = _RUNNERS[method]
     result = runner(config, spec, seed)
     t_write = time.perf_counter()
-    for names, content in result["files"].items():
-        if callable(content):
-            content(*(out_dir / name for name in _names(names)))
-        else:
-            write_json(out_dir / names, content)
-    t_end = time.perf_counter()
-
     summary = {
         "method": method,
         "system": spec.to_json(),
@@ -708,13 +703,19 @@ def run(config: dict, out_dir) -> dict:
             k: (v if isinstance(v, (bool, int)) else float(v))
             for k, v in result["residuals"].items()
         },
-        "runtimes": {"method_s": t_end - t0, "write_s": t_end - t_write},
         "seed": seed,
         "artifacts": sorted([*(n for names in result["files"] for n in _names(names)),
                              "summary.json"]),
     }
     if "tolerances" in config:
         summary["tolerances"] = config["tolerances"]
+    strict_json(summary, "summary.json")  # refused now; compact, as the text is dropped
+    writers = {k: v if callable(v) else json_writer(v, k) for k, v in result["files"].items()}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for names, write in writers.items():
+        write(*(out_dir / name for name in _names(names)))
+    t_end = time.perf_counter()
+    summary["runtimes"] = {"method_s": t_end - t0, "write_s": t_end - t_write}
     write_json(out_dir / "summary.json", summary)
     return summary
 
@@ -736,25 +737,22 @@ _ConfigValidator = jsonschema.validators.extend(
         "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)
     ),
 )
-_CONFIG_VALIDATOR = _ConfigValidator(CONFIG_SCHEMA)
 
 
 @cache
-def _method_validator(method: str):
+def _method_validator(method: str | None):
     """CONFIG_SCHEMA with its per-method rules cut to `method`'s own.
 
-    On a config whose method is `method` every other rule's `if` fails, so
-    this yields the errors of the full schema, in the same order, without
-    testing an `if` per method.
+    On a config whose method is `method`, or None for one missing, unknown or
+    not a string, every other rule's `if` fails, so this yields the errors of
+    the full schema, in the same order, without testing an `if` per method.
     """
-    return _ConfigValidator({**CONFIG_SCHEMA, "allOf": [_METHOD_RULES[method]]})
+    return _ConfigValidator({**CONFIG_SCHEMA, "allOf": [_METHOD_RULES[method]] if method else []})
 
 
 def _validate_config(config: dict) -> None:
     method = config.get("method")
-    # a missing, unknown or non-string method gets the full schema
-    known = isinstance(method, str) and method in _METHOD_RULES
-    validator = _method_validator(method) if known else _CONFIG_VALIDATOR
+    validator = _method_validator(method if method in METHODS else None)
     errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]

@@ -29,8 +29,8 @@ _COND_EIGVEC_LIMIT = 1e8
 def moore_penrose_pseudoinverse(M) -> np.ndarray:
     """Pseudoinverse by SVD; singular values below max(n,m)*eps*s_max drop.
 
-    Raises PreconditionError for non-finite data, and when a kept singular
-    value is subnormal: its reciprocal, and so the pseudoinverse, would overflow.
+    Raises PreconditionError for non-finite data, a largest singular value that
+    overflows (an inf cutoff keeps it alone) or a kept one that is subnormal.
     """
     return _pseudoinverse_and_rank(M)[0]
 
@@ -48,6 +48,8 @@ def _pseudoinverse_and_rank(M) -> tuple[np.ndarray, int]:
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros_like(M.conj().T), 0
+    if not np.isfinite(s[0]):
+        raise PreconditionError("the largest singular value overflows; rescale the data")
     cutoff = max(M.shape) * np.finfo(float).eps * s[0]
     kept = s >= cutoff
     smallest = s[kept][-1]
@@ -56,6 +58,15 @@ def _pseudoinverse_and_rank(M) -> tuple[np.ndarray, int]:
                                 f"value {smallest:.3g} is subnormal; rescale the data")
     inv = np.where(kept, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
     return (Vh.conj().T * inv) @ U.conj().T, int(np.count_nonzero(kept))
+
+
+def _fit_residual(target, left, right) -> float:
+    """||target - left @ right||_F; PreconditionError where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        residual = float(np.linalg.norm(target - left @ right))
+    if not np.isfinite(residual):
+        raise PreconditionError("fit residual exceeds the float range; rescale the data")
+    return residual
 
 
 @dataclass(frozen=True)
@@ -100,8 +111,7 @@ def companion_dmd(pair: SnapshotPair) -> CompanionModel:
         )
     C = np.eye(m, k=-1, dtype=complex)
     C[:, -1] = c
-    residual = float(np.linalg.norm(Xp - X @ C))
-    return CompanionModel(c=np.asarray(c, dtype=complex), C=C, residual=residual)
+    return CompanionModel(c=np.asarray(c, dtype=complex), C=C, residual=_fit_residual(Xp, X, C))
 
 
 def pseudoinverse_dmd(pair: SnapshotPair) -> np.ndarray:

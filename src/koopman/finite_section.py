@@ -30,20 +30,6 @@ _COND_GRAM_LIMIT = 1e12
 _ROUTE_TOL = 1e-10
 
 
-def evaluate_dictionary(dictionary: ObservableDictionary, traj) -> np.ndarray:
-    """m x N matrix F with F[l, j] = f_j(x_l); warns when m < N."""
-    states = _states_of(traj)
-    F = dictionary.evaluate(states)
-    if F.shape[0] < len(dictionary):
-        warnings.warn(
-            f"only {F.shape[0]} samples for {len(dictionary)} dictionary entries; "
-            "the section fit is underdetermined",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return F
-
-
 def _check_weights(weights, m):
     if weights is None:
         return None
@@ -59,11 +45,10 @@ def dual_basis(F, weights=None) -> np.ndarray:
     """Rows of G are the dual frame: G F = I at the sampled points.
 
     G = (F* W F)^-1 F* W with W = diag(weights), identity by default.
-    Near-dependent dictionary entries (condition number of the Gram matrix
-    above 1e12, or fewer samples than entries) raise
-    DegenerateDictionaryError naming the entries that load on the smallest
-    singular vector.  Non-finite values raise PreconditionError naming the
-    first sample that holds one.
+    Near-dependent dictionary entries (Gram condition number above 1e12, or
+    fewer samples than entries) raise DegenerateDictionaryError naming the
+    counts and the entries on the smallest singular vector.  Non-finite values
+    and an overflowing largest singular value raise PreconditionError.
     """
     F = np.atleast_2d(np.asarray(F))
     m, N = F.shape
@@ -74,17 +59,19 @@ def dual_basis(F, weights=None) -> np.ndarray:
     w = _check_weights(weights, m)
     Fw = F if w is None else F * np.sqrt(w)[:, None]
     svals = np.linalg.svd(Fw, compute_uv=False)
-    # fewer samples than entries leave N - m singular values of Fw at zero,
-    # though svd returns only the min(m, N) others
-    gram_cond = np.inf if m < N or svals[-1] == 0 else (svals[0] / svals[-1]) ** 2
-    if not np.isfinite(gram_cond) or gram_cond > _COND_GRAM_LIMIT:
+    if not np.isfinite(svals[0]):
+        raise PreconditionError("the largest singular value overflows; rescale the dictionary")
+    # fewer samples than entries leave N - m singular values of Fw at zero, though
+    # svd returns only the min(m, N) others; Python floats overflow to inf silently
+    ratio = np.inf if m < N or svals[-1] == 0 else float(svals[0]) / float(svals[-1])
+    if ratio * ratio > _COND_GRAM_LIMIT:
         _, _, Vh = np.linalg.svd(Fw)
         v = np.abs(Vh[-1])
         culprits = tuple(int(i) for i in np.flatnonzero(v >= 0.1 * v.max()))
         raise DegenerateDictionaryError(
             f"dictionary nearly dependent on the data: Gram condition number "
-            f"{gram_cond:.3g}; entries {list(culprits)} load on the smallest "
-            "singular vector",
+            f"{ratio * ratio:.3g} ({m} sample{'s' * (m != 1)} for {N} entries); entries "
+            f"{list(culprits)} load on the smallest singular vector",
             near_dependent=culprits,
         )
     FW = F.conj().T if w is None else F.conj().T * w
@@ -135,9 +122,7 @@ class FiniteSectionMatrix:
         }
 
 
-def finite_section_matrix(
-    dictionary: ObservableDictionary, traj, weights=None
-) -> FiniteSectionMatrix:
+def finite_section_matrix(dictionary: ObservableDictionary, traj) -> FiniteSectionMatrix:
     """Fit the section from one orbit: columns expand each f_j after a step.
 
     Average form G @ F_next and the direct least-squares solve are both
@@ -148,17 +133,10 @@ def finite_section_matrix(
     states = _states_of(traj)
     if states.shape[0] < 2:
         raise UsageError("need at least two states to fit a section")
-    F = evaluate_dictionary(dictionary, states)
+    F = dictionary.evaluate(states)
     F_head, F_next = F[:-1], F[1:]
-    w = _check_weights(weights, F_head.shape[0])
-
-    G = dual_basis(F_head, weights=w)
-    U_avg = G @ F_next
-
-    sw = None if w is None else np.sqrt(w)[:, None]
-    A_ls = F_head if sw is None else F_head * sw
-    B_ls = F_next if sw is None else F_next * sw
-    U_lsq, *_ = np.linalg.lstsq(A_ls, B_ls, rcond=None)
+    U_avg = dual_basis(F_head) @ F_next
+    U_lsq, *_ = np.linalg.lstsq(F_head, F_next, rcond=None)
 
     scale = max(np.max(np.abs(U_lsq)), 1.0)
     disagreement = float(np.max(np.abs(U_avg - U_lsq)) / scale)

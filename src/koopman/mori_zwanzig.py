@@ -190,10 +190,10 @@ class FourierObservable:
         return z[:, None] ** powers @ self.coefficients
 
 
-def _looks_rational(omega: float, q_max: int = 100, tol: float = 1e-8) -> int:
+def _looks_rational(omega: float) -> int:
     frac = omega / TWO_PI
-    for q in range(1, q_max + 1):
-        if abs(frac * q - round(frac * q)) < tol:
+    for q in range(1, 101):
+        if abs(frac * q - round(frac * q)) < 1e-8:
             return q
     return 0
 

@@ -66,6 +66,8 @@ class RegularGrid:
         axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
         if not axes or any(a.ndim != 1 or a.size < 1 for a in axes):
             raise UsageError("grid needs at least one non-empty 1D axis per dimension")
+        if not all(np.all(np.isfinite(a)) for a in axes):
+            raise UsageError("grid axis values must be finite")
         for a in axes:
             if a.size > 1:
                 steps = np.diff(a)

@@ -27,6 +27,9 @@ from .systems import _states_of
 
 MAP_KINDS = ("linear", "library_coeffs", "explicit")
 STLSQ_MAX_ITERATIONS = 20
+_FAITHFUL_MIN = 1e-6  # stability_certificate: a score at or below it glues states together
+_ZERO_RTOL = 1e-3  # an eigenfunction reaches zero within this fraction of its peak magnitude
+_RANK_RTOL = 1e-8  # efficiency_rank_heuristic: a singular value below it, relative, is dropped
 
 
 @dataclass(frozen=True)
@@ -305,11 +308,7 @@ def sindy_fit(traj, library: ObservableDictionary, threshold: float | None = Non
 
 
 def stability_certificate(
-    triple: SpectralTriple,
-    faithful_score: float,
-    dt: float | None = None,
-    faithful_threshold: float = 1e-6,
-    zero_range_rtol: float = 1e-3,
+    triple: SpectralTriple, faithful_score: float, dt: float | None = None
 ) -> str:
     """Check the hypotheses under which eigenfunctions certify stability.
 
@@ -325,16 +324,16 @@ def stability_certificate(
         lams = continuous_time_eigenvalues(lams, dt)
     if np.any(lams.real >= 0.0):
         return "not certified: spectrum"
-    if not (faithful_score > faithful_threshold):
+    if not (faithful_score > _FAITHFUL_MIN):
         return "not certified: faithfulness"
     mags = np.abs(triple.eigenfunction_samples)
-    reaches_zero = mags.min(axis=1) <= zero_range_rtol * np.maximum(mags.max(axis=1), 1e-300)
+    reaches_zero = mags.min(axis=1) <= _ZERO_RTOL * np.maximum(mags.max(axis=1), 1e-300)
     if not np.all(reaches_zero):
         return "not certified: range"
     return "certified"
 
 
-def efficiency_rank_heuristic(f_samples, rel_tol: float = 1e-8) -> dict:
+def efficiency_rank_heuristic(f_samples) -> dict:
     """Necessary-condition screen for redundant observables (heuristic).
 
     A rank drop of the centered sample matrix means some observable is a
@@ -346,7 +345,7 @@ def efficiency_rank_heuristic(f_samples, rel_tol: float = 1e-8) -> dict:
     centered = F - F.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
     top = svals[0] if svals.size and svals[0] > 0 else 1.0
-    rank = int(np.sum(svals >= rel_tol * top))
+    rank = int(np.sum(svals >= _RANK_RTOL * top))
     return {
         "rank": rank,
         "n_observables": int(F.shape[1]),

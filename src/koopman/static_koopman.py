@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._artifacts import write_csv
-from .dmd import _pseudoinverse_and_rank
+from .dmd import _fit_residual, _pseudoinverse_and_rank
 from .errors import UsageError
 from .finite_section import _check_weights
 from .observables import ObservableDictionary
@@ -123,7 +123,7 @@ def fit_static_linear(
     Y = dict_N.evaluate(pairs.outputs).T
     X_pinv, rank = _pseudoinverse_and_rank(X)
     A = Y @ X_pinv
-    residual = float(np.linalg.norm(Y - A @ X))
+    residual = _fit_residual(Y, A, X)
     deficient = rank < X.shape[0]
     if deficient:
         warnings.warn(

@@ -35,7 +35,6 @@ import ast
 import cmath
 import functools
 import itertools
-import json
 import math
 import numbers
 import sys
@@ -218,8 +217,6 @@ class SystemSpec:
 
     @classmethod
     def from_json(cls, obj) -> "SystemSpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         if not isinstance(obj, dict) or "kind" not in obj:
             raise UsageError("system spec JSON must be an object with a 'kind' field")
         return cls(kind=obj["kind"], params=dict(obj.get("params", {})))

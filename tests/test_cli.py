@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -282,7 +283,82 @@ def test_overflowing_fit_data_exits_3_without_traceback(tmp_path, capsys, method
     err = capsys.readouterr().err
     assert err.startswith("PreconditionError: ") and "non-finite" in err
     assert "Traceback" not in err and "condition number" not in err
-    assert list((tmp_path / "o").iterdir()) == []
+    assert not (tmp_path / "o").exists()
+
+
+# finite fit data whose largest singular value overflows; each run used to
+# fit zero (companion, static) or blame a dependence (edmd, through the
+# dual_basis that mz also calls)
+_ONE_COORDINATE_AT_1E308 = [
+    'system={"kind": "linear_map", "params": {"B": [[1.0]]}}',
+    "sampling.initial_state=[1e308]",
+    "sampling.n=10",
+]
+OVERFLOWING_SINGULAR_VALUES = {
+    "companion_dmd": ("torus_companion_dmd", [
+        *_ONE_COORDINATE_AT_1E308,
+        'dictionary=[{"name": "x", "type": "coordinate", "index": 0}]',
+    ]),
+    "edmd": ("limit_cycle_edmd", [
+        *_ONE_COORDINATE_AT_1E308,
+        'dictionary=[{"name": "1", "type": "constant"},'
+        '{"name": "x", "type": "coordinate", "index": 0}]',
+    ]),
+    "static": ("linear_static", ["method_params.box=[1.4e308, 1.5e308]"]),
+}
+
+
+@pytest.mark.parametrize("method", sorted(OVERFLOWING_SINGULAR_VALUES))
+def test_overflowing_largest_singular_value_exits_3_and_creates_nothing(
+    tmp_path, capsys, method
+):
+    name, overrides = OVERFLOWING_SINGULAR_VALUES[method]
+    argv = ["run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli.main(argv) == 3  # with no warning: the suite turns warnings into errors
+    err = capsys.readouterr().err
+    assert err.startswith("PreconditionError: ") and "largest singular value overflows" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "name, override, code, message",
+    [
+        # the method fails: nothing to write
+        ("circle_gla", 'method_params.lambda_target={"re": 0.5, "im": 0}', 3, "DivergenceError"),
+        # the fit succeeds on finite data, but its residual's norm overflows
+        ("linear_static", "method_params.box=[-1e300, 1e300]", 3, "fit residual exceeds"),
+        ("torus_companion_dmd", 'dictionary=[{"name":"m","type":"monomial","powers":[170,0]},'
+         '{"name":"z","type":"phase","k":[1,0]}]', 3, "fit residual exceeds"),
+        # fewer samples than dictionary entries: one error, no warning before it
+        ("limit_cycle_edmd", "sampling.n=1", 3,
+         "DegenerateDictionaryError: dictionary nearly dependent on the data: "
+         "Gram condition number inf (1 sample for 4 entries)"),
+        # refused by a bound the schema does not state
+        ("standard_map_partition", "system.params.eps=-1", 2, "standard_map requires eps >= 0"),
+        ("linear_static", "method_params.box=[1.0, -1.0]", 2, "low <= high"),
+        # the grid's span overflows: axis values that are not finite
+        ("standard_map_partition", 'sampling.grid.axes=[{"lo": -1.7e308, "hi": 1.7e308, "n": 3,'
+         '"period": 1.0}, {"lo": 0.0, "hi": 1.0, "n": 4}]', 2, "grid axis values must be finite"),
+    ],
+    ids=["gla-off-circle", "static-residual", "companion-residual", "one-sample",
+         "negative-eps", "reversed-box", "non-finite-axis"],
+)
+def test_failed_run_reports_once_and_creates_nothing(tmp_path, capsys, name, override, code,
+                                                     message):
+    out = tmp_path / "o"
+    argv = ["run", str(CONFIG_DIR / f"{name}.json"), "--set", override, "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == code
+    # only the program's own verdicts on the method's input, no numpy warning
+    assert all(
+        "off the unit circle" in str(w.message) or "ill-posed" in str(w.message) for w in caught
+    )
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_observable_schema_types_every_json_parameter():
@@ -383,20 +459,40 @@ def test_gla_overflowing_weights_exit_3(tmp_path, capsys, target, step):
     assert not (out / "harmonic.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # underdetermined fit, overflow
 @pytest.mark.parametrize(
     "name, override",
     [
         # fewer samples than dictionary entries: no dual basis exists
         ("limit_cycle_edmd.json", "sampling.n=1"),
-        # numpy's SVD does not converge on phases of order 1e308
-        ("torus_pinv_dmd.json", 'dictionary=[{"name": "z", "type": "phase", "k": [1e308, 1]}]'),
+        # phases of order 1e308: numpy's own overflow and invalid-value warnings
+        # precede the refusal of the non-finite values
+        pytest.param(
+            "torus_pinv_dmd.json", 'dictionary=[{"name": "z", "type": "phase", "k": [1e308, 1]}]',
+            marks=[
+                pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning"),
+                pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning"),
+            ],
+        ),
     ],
 )
 def test_numerical_breakdown_exits_3(tmp_path, capsys, name, override):
     path = str(CONFIG_DIR / name)
     assert cli.main(["run", path, "--set", override, "--out", str(tmp_path / "o")]) == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_set_value_that_is_not_json_is_taken_as_a_string(tmp_path, capsys):
+    target = tmp_path / "set dir"  # not a JSON literal
+    path = str(CONFIG_DIR / "circle_mz_closure.json")
+    assert cli.main(["run", path, "--set", f"output.dir={target}"]) == 0
+    assert (target / "summary.json").exists()
+
+
+def test_set_path_crossing_a_non_object_field_exits_2(tmp_path, capsys):
+    path = str(CONFIG_DIR / "circle_mz_closure.json")
+    assert cli.main(["run", path, "--set", "method.name=x", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "crosses a non-object field" in err and "Traceback" not in err
 
 
 def test_bad_set_override_exits_2(tmp_path, capsys):
@@ -820,6 +916,8 @@ def test_fuzzed_config_exits_0_2_or_3(tmp_path_factory, site, value):
     shutil.rmtree(out, ignore_errors=True)  # only this example's artifacts
     code = cli.main(["run", write_config(work, cfg), "--out", str(out)])
     assert code in (0, 2, 3)
+    if code != 0:  # a failed run creates nothing
+        assert not out.exists()
     if code == 0:  # every JSON artifact is strict JSON: no NaN, no +-Infinity
         for path in out.glob("*.json"):
             json.loads(path.read_text(), parse_constant=_refuse_constant)
@@ -843,7 +941,8 @@ def _validation_message(cfg):
 
 def _full_schema_message(cfg):
     """The same, with every config checked against the whole CONFIG_SCHEMA."""
-    with mock.patch.object(cli, "_method_validator", lambda method: cli._CONFIG_VALIDATOR):
+    full = cli._ConfigValidator(cli.CONFIG_SCHEMA)
+    with mock.patch.object(cli, "_method_validator", lambda method: full):
         return _validation_message(cfg)
 
 

@@ -81,6 +81,24 @@ def test_pinv_of_subnormal_scale_data_is_refused_not_overflowed():
         moore_penrose_pseudoinverse(np.array([[5e-324, 0.0], [0.0, 1e-323]]))
 
 
+def test_pinv_of_data_whose_largest_singular_value_overflows_is_refused():
+    # the cutoff would be inf and keep that value alone: a silent zero fit
+    with pytest.raises(PreconditionError, match="largest singular value overflows"):
+        _pseudoinverse_and_rank([[1.5e308, 1.5e308], [1.0, 2.0]])
+    pair = SnapshotPair(X=np.full((1, 60), 1e308), Xp=np.full((1, 60), 1e308))
+    for fit in (companion_dmd, pseudoinverse_dmd):
+        with pytest.raises(PreconditionError, match="largest singular value overflows"):
+            fit(pair)
+
+
+def test_companion_fit_whose_residual_overflows_is_refused_without_numpy_warning():
+    # finite data and a finite fit, but the residual's norm leaves the float range
+    X = np.array([[1e300, -1e300, 2e300], [2e300, 1e300, -1e300]])
+    pair = SnapshotPair(X=X, Xp=-X)
+    with pytest.raises(PreconditionError, match="fit residual exceeds the float range"):
+        companion_dmd(pair)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_pinv_of_non_finite_data_is_refused_naming_the_sample(bad):
     # an overflowed dictionary: its SVD gives NaN singular values, none kept
@@ -192,6 +210,16 @@ def test_spectral_triple_diagonal_matrix():
         ratio = row / src
         np.testing.assert_allclose(ratio, ratio[0], atol=1e-10)
     assert trip.reconstruction_residual < 1e-10
+
+
+def test_spectral_triple_leaves_an_eigenfunction_that_vanishes_on_the_data_unnormalized():
+    # a zero observable row: the eigenfunction paired with it is zero on every sample
+    X = np.vstack([np.random.default_rng(12).normal(size=20), np.zeros(20)])
+    A = np.diag([0.5, -0.25])
+    with pytest.warns(RuntimeWarning, match=r"eigenfunction \d vanishes on the data"):
+        trip = spectral_triple(A, SnapshotPair(X=X, Xp=A @ X))
+    zero = np.flatnonzero(~trip.eigenfunction_samples.any(axis=1))
+    assert trip.eigenvalues[zero].tolist() == [-0.25]
 
 
 def test_spectral_triple_normalization_and_phase():

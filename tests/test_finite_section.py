@@ -12,7 +12,6 @@ from koopman.finite_section import (
     detect_linear_subrepresentation,
     detect_nonlinear_representation,
     dual_basis,
-    evaluate_dictionary,
     finite_section_matrix,
 )
 from koopman.observables import Observable, ObservableDictionary
@@ -25,15 +24,6 @@ def _dict(*entries):
 
 def _phase(name, k):
     return Observable(name, "phase", k=k)
-
-
-def test_evaluate_dictionary_layout_and_warning():
-    d = _dict(Observable("one", "constant"), Observable("x", "coordinate", index=0))
-    states = np.array([[1.0], [2.0], [3.0]])
-    F = evaluate_dictionary(d, states)
-    np.testing.assert_allclose(F, [[1, 1], [1, 2], [1, 3]])
-    with pytest.warns(RuntimeWarning, match="underdetermined"):
-        evaluate_dictionary(d, np.array([[1.0]]))
 
 
 def test_dual_basis_orthonormal_columns_self_dual():
@@ -75,8 +65,31 @@ def test_dual_basis_rejects_fewer_samples_than_entries():
     # svd returns only min(m, N) singular values, all nonzero here; the
     # N - m missing ones are zero, so no G with G F = I exists
     F = np.random.default_rng(4).normal(size=(3, 5))
-    with pytest.raises(DegenerateDictionaryError, match="condition number inf"):
+    with pytest.raises(DegenerateDictionaryError, match=r"condition number inf \(3 samples for 5"):
         dual_basis(F)
+
+
+def test_dual_basis_refuses_an_overflowing_largest_singular_value():
+    # finite values whose SVD overflows: the condition number would read inf
+    # and blame a dependence the data does not have
+    with pytest.raises(PreconditionError, match="largest singular value overflows"):
+        dual_basis([[1.5e308, 1.5e308], [1.0, 2.0], [3.0, 4.0]])
+
+
+def test_dual_basis_condition_number_beyond_the_float_range_reads_inf_without_warning():
+    # singular values 1e160 and 1e-160: their ratio, let alone its square,
+    # overflows; the suite turns numpy's overflow warning into an error
+    F = np.array([[1e160, 0.0], [0.0, 1e-160], [0.0, 0.0]])
+    with pytest.raises(DegenerateDictionaryError, match=r"condition number inf \(3 samples"):
+        dual_basis(F)
+
+
+def test_section_with_fewer_samples_than_entries_fails_once_naming_the_counts():
+    # two states leave one sample for the fit: one error, no warning before it
+    d = _dict(_phase("z1", (1, 0)), _phase("z2", (0, 1)), _phase("w", (1, 1)))
+    states = np.array([[0.1, 0.2], [0.3, 0.5]])
+    with pytest.raises(DegenerateDictionaryError, match=r"\(1 sample for 3 entries\)"):
+        finite_section_matrix(d, states)
 
 
 @pytest.mark.parametrize("weights", [None, np.ones(6)])
@@ -164,7 +177,7 @@ def test_section_eigenfunction_coefficients_reproduce_samples():
     d = _dict(_phase("z1", (1, 0)), _phase("z2", (0, 1)))
     sec = finite_section_matrix(d, traj)
     lam, V = sec.eigenfunction_coefficients()
-    F = evaluate_dictionary(d, traj)
+    F = d.evaluate(traj.states)
     phi = F @ V
     # each recovered eigenfunction advances by its eigenvalue along the orbit
     for j in range(2):

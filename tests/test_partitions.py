@@ -64,6 +64,15 @@ def test_grid_axes_need_distinct_points_and_positive_periods():
     np.testing.assert_array_equal(grid.nearest_index(np.array([[0.4], [2.0]])), [1, 1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_axes_need_finite_values(bad):
+    # refused before the spacing check, whose subtraction would warn on them
+    with pytest.raises(UsageError, match="finite"):
+        RegularGrid(axes=(np.array([0.0, bad]),))
+    with pytest.raises(UsageError, match="finite"):
+        RegularGrid(axes=(np.array([0.0, 0.5]), np.array([bad])))
+
+
 def test_time_average_is_bit_identical_in_any_block_size(monkeypatch):
     from koopman import partitions
 

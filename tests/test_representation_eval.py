@@ -341,6 +341,15 @@ def test_linear_map_recovered_with_higher_terms_zeroed():
     assert model.target == "next_state"
 
 
+def test_next_state_sindy_model_has_a_rounding_one_step_residual():
+    # representation_residual applies the library model to the coordinate values
+    B = [[0.8, -0.3], [0.2, 0.7]]
+    traj = integrate(SystemSpec(kind="linear_map", params={"B": B}), (1.0, 0.5), dt=0.0, n_steps=30)
+    model = sindy_fit(traj, monomial_library(("x", "y"), 1), threshold=0.0)
+    assert model.map_kind == "library_coeffs" and model.target == "next_state"
+    assert representation_residual(model, traj) <= 1e-14
+
+
 def test_zero_threshold_is_plain_least_squares():
     spec = SystemSpec(kind="standard_map")
     traj = integrate(spec, (0.21, 0.34), dt=0.0, n_steps=60)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from koopman.errors import UsageError
+from koopman.errors import PreconditionError, UsageError
 from koopman.observables import Observable, ObservableDictionary
 from koopman.static_koopman import (
     PairedSamples,
@@ -111,6 +111,30 @@ def test_static_fit_csv_export(tmp_path):
     path = tmp_path / "A.csv"
     fit.to_csv(path)
     assert np.allclose(np.loadtxt(path, delimiter=","), B, atol=1e-8)
+
+
+def test_static_fit_csv_of_a_complex_matrix_interleaves_re_and_im(tmp_path):
+    rng = np.random.default_rng(6)
+    inputs = rng.uniform(0.0, 1.0, size=(30, 2))
+    phases = ObservableDictionary(
+        [Observable(name=f"z{i}", kind="phase", k=k) for i, k in enumerate([(1, 0), (0, 1)])]
+    )
+    fit = fit_static_linear(PairedSamples(inputs, inputs), coordinate_dictionary(2), phases)
+    assert np.any(fit.A.imag != 0)
+    fit.to_csv(tmp_path / "A.csv")
+    columns = [part[:, j] for j in range(2) for part in (fit.A.real, fit.A.imag)]
+    np.savetxt(tmp_path / "ref.csv", np.column_stack(columns), delimiter=",")
+    assert (tmp_path / "A.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_fit_whose_residual_overflows_is_refused():
+    # finite inputs and outputs; A is zero, and |Y| leaves the float range
+    inputs = np.array([[1e300], [-1e300], [1e300], [-1e300]])
+    outputs = np.full((4, 1), 1.5e308)
+    with pytest.raises(PreconditionError, match="fit residual exceeds the float range"):
+        fit_static_linear(
+            PairedSamples(inputs, outputs), coordinate_dictionary(1), coordinate_dictionary(1)
+        )
 
 
 def test_single_fiber_projects_to_global_mean():

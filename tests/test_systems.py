@@ -296,6 +296,20 @@ def test_system_spec_json_roundtrip():
     assert back2.params == {"g": 1.0, "l": 1.0}
 
 
+def test_spec_from_json_takes_an_object_only():
+    with pytest.raises(UsageError, match="must be an object"):
+        SystemSpec.from_json('{"kind": "pendulum"}')
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("standard_map", {"eps": -0.1}), ("pendulum", {"l": 0.0}), ("free_particle", {"mass": 0.0})],
+)
+def test_spec_refuses_parameters_outside_their_bounds(kind, params):
+    with pytest.raises(UsageError, match=f"{kind} requires {next(iter(params))} "):
+        SystemSpec(kind, params)
+
+
 def test_spec_rejects_bad_input():
     with pytest.raises(UsageError):
         SystemSpec("harmonic_oszillator")
