@@ -35,16 +35,21 @@ def moore_penrose_pseudoinverse(M) -> np.ndarray:
     return _pseudoinverse_and_rank(M)[0]
 
 
+def _refuse_non_finite(M: np.ndarray, what: str = "value") -> None:
+    """PreconditionError naming the first non-finite entry of M, whose rows are samples."""
+    if not np.all(np.isfinite(M)):  # an SVD or lstsq of it would give NaN or fail
+        l, j = np.argwhere(~np.isfinite(M))[0]
+        raise PreconditionError(f"non-finite {what} {M[l, j]} in entry {j} "
+                                f"at sample {l}; rescale the data")
+
+
 def _pseudoinverse_and_rank(M) -> tuple[np.ndarray, int]:
     """The pseudoinverse of M and its rank: the number of singular values kept.
 
     One SVD gives both, so a fit that reports rank(X) needs no second SVD.
     """
     M = np.atleast_2d(np.asarray(M))
-    if not np.all(np.isfinite(M)):  # its SVD would give NaN singular values
-        j, i = np.argwhere(~np.isfinite(M.T))[0]  # every caller's samples are columns
-        raise PreconditionError(f"pseudoinverse of non-finite data: {M[i, j]} at "
-                                f"sample (column) {j}, row {i}; rescale the data")
+    _refuse_non_finite(M.T)  # every caller's samples are columns
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros_like(M.conj().T), 0
@@ -103,15 +108,16 @@ def companion_dmd(pair: SnapshotPair) -> CompanionModel:
     m = X.shape[1]
     X_pinv, rank = _pseudoinverse_and_rank(X)
     c = X_pinv @ Xp[:, -1]
+    C = np.eye(m, k=-1, dtype=complex)
+    C[:, -1] = c
+    residual = _fit_residual(Xp, X, C)  # before the warning: no warning precedes an error
     if rank < m - 1:
         warnings.warn(
             f"companion fit ill-posed: rank(X)={rank} < m-1={m - 1}",
             RuntimeWarning,
             stacklevel=2,
         )
-    C = np.eye(m, k=-1, dtype=complex)
-    C[:, -1] = c
-    return CompanionModel(c=np.asarray(c, dtype=complex), C=C, residual=_fit_residual(Xp, X, C))
+    return CompanionModel(c=np.asarray(c, dtype=complex), C=C, residual=residual)
 
 
 def pseudoinverse_dmd(pair: SnapshotPair) -> np.ndarray:

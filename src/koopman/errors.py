@@ -25,13 +25,10 @@ class DivergenceError(KoopmanError):
 class ObservableDomainError(KoopmanError):
     """An observable was evaluated outside its domain (e.g. r^-2 at r=0)."""
 
-    def __init__(self, observable, step, message=None):
+    def __init__(self, observable, step):
         self.observable = observable
         self.step = step
-        super().__init__(
-            message
-            or f"observable {observable!r} undefined at sample {step}"
-        )
+        super().__init__(f"observable {observable!r} undefined at sample {step}")
 
 
 class DegenerateDictionaryError(KoopmanError):

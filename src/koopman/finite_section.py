@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._artifacts import complex_json, write_csv
+from .dmd import _refuse_non_finite
 from .errors import DegenerateDictionaryError, PreconditionError, UsageError
 from .observables import ObservableDictionary
 from .systems import _states_of
@@ -52,10 +53,7 @@ def dual_basis(F, weights=None) -> np.ndarray:
     """
     F = np.atleast_2d(np.asarray(F))
     m, N = F.shape
-    if not np.all(np.isfinite(F)):  # its SVD would give NaN singular values
-        l, j = np.argwhere(~np.isfinite(F))[0]
-        raise PreconditionError(f"non-finite dictionary value {F[l, j]} in entry {j} "
-                                f"at sample {l}; rescale the dictionary")
+    _refuse_non_finite(F, "dictionary value")
     w = _check_weights(weights, m)
     Fw = F if w is None else F * np.sqrt(w)[:, None]
     svals = np.linalg.svd(Fw, compute_uv=False)

@@ -345,24 +345,7 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
     """
     states, dt = _states_of(traj), getattr(traj, "dt", 0.0)
     lam = complex(lambda_target)
-    if dt > 0:
-        if abs(lam.real) > 1e-10:
-            warnings.warn(
-                "continuous eigenvalue has a real part; harmonic averages "
-                "assume a purely imaginary exponent",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        mu = np.exp(lam * dt)
-    else:
-        mu = lam
-    if abs(abs(mu) - 1.0) > 1e-8:
-        warnings.warn(
-            f"multiplier magnitude {abs(mu):.6g} is off the unit circle; "
-            "the weighted average will vanish or diverge",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    mu = np.exp(lam * dt) if dt > 0 else lam
     values = g(states) if callable(g) else np.asarray(g)
     values = np.asarray(values).reshape(-1)
     m = values.size
@@ -374,8 +357,8 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
     # The sliding sums are the "full" convolution of the values with the
     # reversed weights, formed by the calls scipy.signal.fftconvolve makes for
     # two 1-D inputs, so the samples keep its bits without loading
-    # scipy.signal: a length-1 input is a plain product, integers are cast to
-    # float64, and the complex FFT runs at next_fast_len(m + n - 1).
+    # scipy.signal: a length-1 input is a plain product, and the complex FFT
+    # (which takes integer values as float64) runs at next_fast_len(m + n - 1).
     k = np.arange(n)
     with np.errstate(all="ignore"):  # non-finite weights and samples are raised below
         # mu^-k built from the angle, not by repeated powers, to avoid drift
@@ -385,8 +368,6 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
         else:
             import scipy.fft  # deferred: scipy would dominate `import koopman`
 
-            if values.dtype.kind in "iu":
-                values = values.astype(np.float64)
             shape = [scipy.fft.next_fast_len(m + n - 1, False)]
             spectrum = scipy.fft.fftn(values, shape, axes=[0]) * scipy.fft.fftn(
                 weights[::-1], shape, axes=[0]
@@ -402,6 +383,21 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
                 f"harmonic {name} is not finite from index {step} "
                 f"for |mu|={abs(mu):.6g}, window {n}",
             )
+    # warned only once the averages exist, so no warning precedes an error
+    if dt > 0 and abs(lam.real) > 1e-10:
+        warnings.warn(
+            "continuous eigenvalue has a real part; harmonic averages "
+            "assume a purely imaginary exponent",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    if abs(abs(mu) - 1.0) > 1e-8:
+        warnings.warn(
+            f"multiplier magnitude {abs(mu):.6g} is off the unit circle; "
+            "the weighted average will vanish or diverge",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     if samples.size > 1:
         num = np.linalg.norm(samples[1:] - mu * samples[:-1])
         den = np.linalg.norm(samples)
@@ -441,11 +437,8 @@ class PartitionLabeling:
         columns, header = _table(points, list(self.channel_values.T))
         write_csv(path, columns + [_id_column(self.cell_id)], header + ",cell_id")
 
-    def to_json(self, invariance_score: float = None) -> dict:
-        obj = {"cells": self.n_cells}
-        if invariance_score is not None:
-            obj["invariance_score"] = float(invariance_score)
-        return obj
+    def to_json(self, invariance_score: float) -> dict:
+        return {"cells": self.n_cells, "invariance_score": float(invariance_score)}
 
 
 def _quantile_bins(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._artifacts import complex_json, write_json
-from .dmd import SpectralTriple, continuous_time_eigenvalues
+from .dmd import SpectralTriple, _refuse_non_finite, continuous_time_eigenvalues
 from .errors import DegenerateFitError, PreconditionError, UsageError
 from .observables import REAL_KINDS, Observable, ObservableDictionary
 from .systems import _states_of
@@ -51,7 +51,6 @@ class RepresentationModel:
     library: ObservableDictionary | None = None
     map_fn: object = None
     residual: float = float("nan")
-    faithful_score: float = float("nan")
     target: str = "next_state"
 
     def __post_init__(self):
@@ -131,8 +130,6 @@ class RepresentationModel:
             obj["coefficients"] = None
         if np.isfinite(self.residual):
             obj["residual"] = float(self.residual)
-        if np.isfinite(self.faithful_score):
-            obj["faithful_score"] = float(self.faithful_score)
         return obj
 
     def save_json(self, path) -> None:
@@ -151,6 +148,7 @@ def representation_residual(model: RepresentationModel, traj) -> float:
     if states.shape[0] < 2:
         raise UsageError("need at least two states to measure a step")
     values = model.observables.evaluate(states)
+    _refuse_non_finite(values, "observable value")
     return _relative_defect(values[1:], model.apply(values[:-1]), values)
 
 
@@ -175,6 +173,7 @@ def faithfulness_estimate(f_samples, state_samples) -> dict:
     n = S.shape[0]
     if n < 2:
         raise UsageError("need at least two samples")
+    _refuse_non_finite(F, "observable value")
     from scipy.spatial.distance import pdist  # deferred: scipy would dominate `import koopman`
 
     # complex observable values: pdist wants reals, split the parts
@@ -251,6 +250,8 @@ def sindy_fit(traj, library: ObservableDictionary, threshold: float | None = Non
         theta = np.real_if_close(library.evaluate(inputs))
         if np.iscomplexobj(theta):
             raise UsageError("sindy_fit needs a real-valued library")
+    _refuse_non_finite(theta, "library value")
+    _refuse_non_finite(targets, "target value")
 
     # lstsq's rank counts singular values above eps * max(M, N) * s_max,
     # the rule of np.linalg.matrix_rank, without a second SVD

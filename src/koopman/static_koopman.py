@@ -75,20 +75,6 @@ class PairedSamples:
         header = ",".join(["split"] + [f"c_{i}" for i in range(d)])
         write_csv(path, rows, header)
 
-    @classmethod
-    def from_csv(cls, path) -> "PairedSamples":
-        data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
-        split = data[:, 0]
-        ins, outs = data[split == 0.0, 1:], data[split == 1.0, 1:]
-
-        def trim(block):
-            keep = ~np.all(np.isnan(block), axis=0)
-            # only trailing all-nan padding columns are dropped
-            width = np.max(np.flatnonzero(keep)) + 1 if keep.any() else 0
-            return block[:, :width]
-
-        return cls(inputs=trim(ins), outputs=trim(outs))
-
 
 @dataclass(frozen=True)
 class StaticFit:

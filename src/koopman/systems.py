@@ -259,18 +259,6 @@ class Trajectory:
         header = ",".join(["t"] + [f"coord_{i}" for i in range(d)])
         write_csv(path, [self.times, *self.states.T], header)
 
-    @classmethod
-    def from_csv(cls, path, spec=None) -> "Trajectory":
-        data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
-        t, states = data[:, 0], data[:, 1:]
-        dt = float(t[1] - t[0]) if len(t) > 1 else 0.0
-        if spec is not None:
-            dt = 0.0 if spec.is_map else dt
-        elif np.allclose(t, np.round(t)) and (len(t) < 2 or abs(dt - 1.0) < 1e-12):
-            # integer step column: read as a map trajectory
-            dt = 0.0
-        return cls(states=states, dt=dt, spec=spec)
-
 
 @functools.cache
 def _flow_rhs(kind: str, sin):

@@ -17,6 +17,7 @@ from koopman import _artifacts
 from koopman._artifacts import complex_json, write_csv, write_csv_files
 from koopman.observables import Observable, ObservableDictionary
 from koopman.partitions import (
+    PartitionLabeling,
     RegularGrid,
     eigenfunction_partition,
     ergodic_partition_approx,
@@ -174,6 +175,23 @@ def test_orbit_labeling_gives_savetxt_bytes(tmp_path):
     rows = np.column_stack([np.arange(50), labeling.channel_values, labeling.cell_id])
     assert (tmp_path / "labeling.csv").read_bytes() == savetxt_bytes(
         tmp_path, rows, "x,g*_1,g*_2,cell_id"
+    )
+
+
+def test_grid_labeling_with_complex_channels_gives_savetxt_bytes(tmp_path):
+    # a complex table formats the grid axes and the cell ids, the distinct
+    # values of their columns, as complex numbers too
+    grid = RegularGrid(axes=(np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 0.5, 2)))
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
+    labeling = PartitionLabeling(
+        cell_id=np.array([-1, 0, 1, 1, 0, -1]), bin_edges=(np.array([]),),
+        channel_names=("z",), channel_values=values, grid=grid,
+    )
+    labeling.to_csv(tmp_path / "labeling.csv")
+    rows = np.column_stack([labeling.points, values, labeling.cell_id])
+    assert (tmp_path / "labeling.csv").read_bytes() == savetxt_bytes(
+        tmp_path, rows, "x,y,g*_1,cell_id"
     )
 
 

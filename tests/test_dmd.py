@@ -104,7 +104,7 @@ def test_pinv_of_non_finite_data_is_refused_naming_the_sample(bad):
     # an overflowed dictionary: its SVD gives NaN singular values, none kept
     X = np.ones((2, 6))
     X[1, 4] = X[0, 5] = bad
-    with pytest.raises(PreconditionError, match=r"non-finite .* sample \(column\) 4, row 1"):
+    with pytest.raises(PreconditionError, match=r"non-finite value .* in entry 1 at sample 4"):
         _pseudoinverse_and_rank(X)
     pair = SnapshotPair(X=X, Xp=np.ones((2, 6)))
     for fit in (companion_dmd, pseudoinverse_dmd):

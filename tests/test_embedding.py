@@ -86,3 +86,10 @@ def test_snapshot_pair_from_series():
     assert pair.n_observables == 2 and pair.n_samples == 3
     np.testing.assert_allclose(pair.X[:, 0], [0.0, 1.0])
     np.testing.assert_allclose(pair.Xp[:, -1], [6.0, 7.0])
+
+
+def test_snapshot_pair_from_a_one_dimensional_series_has_one_observable():
+    pair = SnapshotPair.from_series(np.arange(5.0))
+    assert pair.n_observables == 1 and pair.n_samples == 4
+    np.testing.assert_array_equal(pair.X, [[0.0, 1.0, 2.0, 3.0]])
+    np.testing.assert_array_equal(pair.Xp, [[1.0, 2.0, 3.0, 4.0]])

@@ -1,8 +1,9 @@
 """scipy is imported by the four functions that call it, never at import time.
 
 Each case runs in a fresh interpreter, since this process has long since
-loaded scipy through other tests.  The last test checks the sources: only
-koopman._artifacts writes files.
+loaded scipy through other tests.  The last two tests check the sources:
+only koopman._artifacts writes files, and only koopman.cli reads one (the
+config).
 """
 
 import ast
@@ -162,3 +163,33 @@ def test_only_the_artifacts_module_writes_files():
     writes = {path.name: _file_writes(ast.parse(path.read_text())) for path in sources}
     assert writes.pop("_artifacts.py")  # the owner does write
     assert {name: found for name, found in writes.items() if found} == {}
+
+
+def _file_reads(tree) -> list:
+    """(line, call) of each call in tree that reads a file: open with a mode
+    that reads (or none, or one not given as a literal), json.load,
+    np.load, loadtxt and genfromtxt, and a path's read_text or read_bytes."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        owner = getattr(getattr(func, "value", None), "id", None)  # np in np.load
+        if name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and set(str(mode.value)).isdisjoint("r+")):
+                found.append((node.lineno, "open"))
+        elif name == "load" and owner in ("json", "np", "numpy"):
+            found.append((node.lineno, f"{owner}.load"))
+        elif name in ("loadtxt", "genfromtxt", "read_text", "read_bytes"):
+            found.append((node.lineno, name))
+    return found
+
+
+def test_only_the_cli_reads_files():
+    sources = sorted(Path(SRC, "koopman").glob("*.py"))
+    reads = {path.name: _file_reads(ast.parse(path.read_text())) for path in sources}
+    assert reads.pop("cli.py")  # the config is the one file the package reads
+    assert {name: found for name, found in reads.items() if found} == {}

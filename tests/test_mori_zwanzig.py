@@ -202,6 +202,17 @@ def test_undersampled_grid_warns():
         circle_rotation_closure(f, GOLDEN_OMEGA, 0)
 
 
+def test_aliased_grid_warns_that_the_two_lambda_routes_disagree():
+    # two grid points for modes up to 2: the grid route misses lambda by 0.061
+    with pytest.warns(RuntimeWarning) as record:
+        res = circle_rotation_closure(FourierObservable([1.0, 1.0, 1.0]), 1.0, 2)
+    messages = [str(w.message) for w in record]
+    assert len(messages) == 2
+    assert "aliases modes up to 2" in messages[0]
+    assert "analytic and empirical lambda disagree by 0.0613" in messages[1]
+    assert abs(res["lambda"] - res["lambda_empirical"]) == pytest.approx(0.0613, abs=1e-4)
+
+
 def _far_from_rational(omega, q_max=100, gap=1e-6):
     """omega / 2pi is at least gap from every fraction with denominator <= q_max."""
     frac = omega / (2.0 * np.pi)

@@ -78,6 +78,14 @@ def test_dictionary_matrix_layout():
     np.testing.assert_allclose(F[1, 1], np.exp(0.5j * np.pi))
 
 
+def test_dictionary_indexes_its_entries():
+    entries = (Observable("one", "constant"), Observable("x", "coordinate", index=0))
+    d = ObservableDictionary(entries)
+    assert d[0] is entries[0] and d[1] is entries[1] and d[-1] is entries[1]
+    with pytest.raises(IndexError):
+        d[2]
+
+
 def test_dictionary_rejects_duplicate_names():
     with pytest.raises(UsageError):
         ObservableDictionary(

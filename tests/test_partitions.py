@@ -428,15 +428,28 @@ def test_gla_off_circle_warns():
         gla_eigenfunction(traj, 0.5, z, window=10)
 
 
+def test_gla_decaying_flow_exponent_warns_twice_and_returns():
+    # lambda = -0.1 + i at dt = 0.01: |mu| = 0.999, weights stay finite
+    traj = integrate(SystemSpec("limit_cycle_polar"), [1.0, 0.0], dt=0.01, n_steps=400)
+    z = Observable("z", "phase", k=(0, 1))
+    with pytest.warns(RuntimeWarning) as record:
+        out = gla_eigenfunction(traj, -0.1 + 1j, z, window=100)
+    messages = [str(w.message) for w in record]
+    assert len(messages) == 2
+    assert "real part" in messages[0] and "off the unit circle" in messages[1]
+    assert out.window == 100 and out.samples.size == 302
+    assert abs(out.multiplier) == pytest.approx(np.exp(-0.001))
+    assert np.all(np.isfinite(out.samples))
+
+
 @pytest.mark.parametrize("mu, step", [(0.5, 1024), (0.0, 1)])
 def test_gla_overflowing_weights_raise_divergence(mu, step):
     # 0.5^-k leaves the float range at k = 1024 and 0^-k at k = 1; the weights
     # used to turn into NaN and every sample with them, silently
     traj = integrate(SystemSpec("circle_rotation"), [0.2], dt=0.0, n_steps=3000)
     z = Observable("z", "phase", k=(1,))
-    with pytest.warns(RuntimeWarning, match="unit circle"):
-        with pytest.raises(DivergenceError, match="window 2000") as err:
-            gla_eigenfunction(traj, mu, z, window=2000)
+    with pytest.raises(DivergenceError, match="window 2000") as err:  # and no warning
+        gla_eigenfunction(traj, mu, z, window=2000)
     assert err.value.step == step
     assert f"|mu|={mu:g}" in str(err.value)
 

@@ -534,6 +534,31 @@ def test_model_json_roundtrip_values(tmp_path):
     assert "faithful_score" not in obj
 
 
+def test_fits_and_scores_refuse_non_finite_values_by_entry_and_sample():
+    # x^400 overflows from the sample where |x| first exceeds about 5.9
+    states = np.column_stack([np.linspace(0.0, 10.0, 11), np.zeros(11)])
+    big = ObservableDictionary([Observable("m", "monomial", powers=(0, 0)),
+                                Observable("b", "monomial", powers=(400, 0))])
+    model = RepresentationModel(observables=big, map_kind="linear", coefficients=np.eye(2))
+    where = r".* in entry 1 at sample 6; rescale the data"
+    with pytest.raises(PreconditionError, match="non-finite observable value" + where):
+        representation_residual(model, states)
+    with pytest.raises(PreconditionError, match="non-finite observable value" + where):
+        faithfulness_estimate(big.evaluate(states), states)
+    with pytest.raises(PreconditionError, match="non-finite library value" + where):
+        sindy_fit(states, big)
+
+
+def test_explicit_model_json_has_no_coefficients():
+    model = RepresentationModel(
+        observables=coords(["x"]), map_kind="explicit", map_fn=lambda v: 2.0 * v
+    )
+    assert model.to_json() == {
+        "map_kind": "explicit", "observables": ["x"], "target": "next_state",
+        "coefficients": None,
+    }
+
+
 def test_save_json_writes_the_bytes_of_a_run_model_json(tmp_path):
     path = Path(__file__).parents[1] / "configs" / "lorenz_sindy.json"
     config, n = json.loads(path.read_text()), 3000

