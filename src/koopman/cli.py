@@ -3,8 +3,8 @@
 Subcommands: `run <config.json>` executes one experiment and writes its
 artifacts plus a summary.json; `list-systems` prints the system
 catalogue; `lattice` emits the eigenvalue lattice of the cycle-with-
-spiral-sink flow as CSV; `repr <config.json>` runs a representation
-check and prints the residual/faithfulness table.
+spiral-sink flow as CSV.  A `repr_check` run also prints the
+residual/faithfulness table.
 
 Exit codes: 0 success, 2 unusable config (schema violation, bad JSON,
 missing file; the failing field path is printed), unusable `lattice` input
@@ -12,8 +12,9 @@ missing file; the failing field path is printed), unusable `lattice` input
 `--out` that cannot be created or written), 3 numerical failure inside a
 method, numpy's LinAlgError included (the error text is printed).
 
-Each method is declared once, in `_RUNNERS`: its runner and the config
-paths it requires, from which the schema's per-method rules are built.
+Each method is declared once, in `_RUNNERS`: its runner, the config paths
+it requires and the `method_params` keys it reads, from which the schema's
+per-method rules are built.
 Each dictionary builder is declared once, in `_BUILDERS`, and the schema
 of an observable entry is built from `observables.KINDS`.
 The argparse parser and one validator per method are built once per
@@ -377,32 +378,40 @@ def _run_repr_check(config, spec, seed):
 
 _ORBIT = ("sampling.initial_state", "sampling.n")
 
-# method name -> (runner, requirements).  runner(config, spec, seed)
-# returns the summary's eigenvalues and residuals and its files (artifact
-# name -> JSON payload or writer(path); a tuple of names -> writer(*paths)).
-# requirements lists alternatives, each a tuple of dotted config paths; a
-# config must supply one in full.
+# method name -> (runner, requirements, method_params keys).  runner(config,
+# spec, seed) returns the summary's eigenvalues and residuals and its files
+# (artifact name -> JSON payload or writer(path); a tuple of names ->
+# writer(*paths)).  requirements lists alternatives, each a tuple of dotted
+# config paths; a config must supply one in full.  method_params may hold
+# only the keys the runner reads.
 _RUNNERS = {
-    "companion_dmd": (_run_companion_dmd, [_ORBIT]),
-    "pinv_dmd": (_run_pinv_dmd, [_ORBIT]),
-    "edmd": (_run_edmd, [("dictionary", *_ORBIT)]),
+    "companion_dmd": (_run_companion_dmd, [_ORBIT], ()),
+    "pinv_dmd": (_run_pinv_dmd, [_ORBIT], ()),
+    "edmd": (_run_edmd, [("dictionary", *_ORBIT)], ()),
     "gla": (
         _run_gla,
         [(*_ORBIT, "method_params.lambda_target", "method_params.observable")],
+        ("lambda_target", "observable", "window"),
     ),
-    "partition": (_run_partition, [("dictionary", "sampling.grid")]),
-    "static": (_run_static, [("dictionary", "dictionary_out")]),
+    "partition": (
+        _run_partition,
+        [("dictionary", "sampling.grid")],
+        ("bins", "n_test", "sample_limit"),
+    ),
+    "static": (_run_static, [("dictionary", "dictionary_out")], ("box",)),
     "mz": (
         _run_mz,
         [
             ("dictionary", *_ORBIT),
             ("method_params.closure",),  # its schema requires coefficients and omega
         ],
+        ("k_max", "closure"),
     ),
-    "sindy": (_run_sindy, [("dictionary", *_ORBIT)]),
+    "sindy": (_run_sindy, [("dictionary", *_ORBIT)], ("threshold",)),
     "repr_check": (
         _run_repr_check,
         [("dictionary", *_ORBIT, "method_params.coefficients")],
+        ("coefficients",),
     ),
 }
 METHODS = tuple(_RUNNERS)
@@ -501,12 +510,18 @@ _DICTIONARY_SCHEMA = {
     },
 }
 
-# method -> the schema its config must also meet
+# method -> the schema its config must also meet: one set of required paths
+# in full, and no method_params key that the method does not read
 _METHOD_RULES = {
-    method: _requiring(alternatives[0])
-    if len(alternatives) == 1
-    else {"anyOf": [_requiring(paths) for paths in alternatives]}
-    for method, (_, alternatives) in _RUNNERS.items()
+    method: {
+        "allOf": [
+            _requiring(alternatives[0])
+            if len(alternatives) == 1
+            else {"anyOf": [_requiring(paths) for paths in alternatives]},
+            {"properties": {"method_params": {"propertyNames": {"enum": list(keys)}}}},
+        ]
+    }
+    for method, (_, alternatives, keys) in _RUNNERS.items()
 }
 
 CONFIG_SCHEMA = {
@@ -692,8 +707,7 @@ def run(config: dict, out_dir) -> dict:
     seed = int(config.get("sampling", {}).get("seed", 0)) & _MERSENNE_MASK
     method = config["method"]
     t0 = time.perf_counter()
-    runner, _ = _RUNNERS[method]
-    result = runner(config, spec, seed)
+    result = _RUNNERS[method][0](config, spec, seed)
     t_write = time.perf_counter()
     summary = {
         "method": method,
@@ -782,11 +796,6 @@ def _parser() -> argparse.ArgumentParser:
     p_lat.add_argument("--N", type=int, required=True)
     p_lat.add_argument("--M", type=int, required=True)
     p_lat.add_argument("--out", help="CSV file (default: stdout)")
-
-    p_repr = sub.add_parser("repr", help="representation check with printed table")
-    p_repr.add_argument("config", help="path to a repr_check JSON config")
-    p_repr.add_argument("--set", action="append", dest="overrides", metavar="PATH=VALUE")
-    p_repr.add_argument("--out", help="output directory")
     return parser
 
 
@@ -816,14 +825,10 @@ def main(argv=None) -> int:
             return 2
         return 0
 
-    # run / repr
     try:
         config = _apply_overrides(_load_config(args.config), args.overrides)
     except (OSError, json.JSONDecodeError, UsageError) as exc:
         print(f"config unusable: {exc}", file=sys.stderr)
-        return 2
-    if args.command == "repr" and config.get("method") != "repr_check":
-        print("config unusable: at method: repr expects method 'repr_check'", file=sys.stderr)
         return 2
     try:
         _validate_config(config)

@@ -31,21 +31,10 @@ _COND_GRAM_LIMIT = 1e12
 _ROUTE_TOL = 1e-10
 
 
-def _check_weights(weights, m):
-    if weights is None:
-        return None
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (m,):
-        raise UsageError(f"weights must have length {m}")
-    if not np.all(np.isfinite(w) & (w > 0)):
-        raise UsageError("weights must be finite and strictly positive")
-    return w
-
-
-def dual_basis(F, weights=None) -> np.ndarray:
+def dual_basis(F) -> np.ndarray:
     """Rows of G are the dual frame: G F = I at the sampled points.
 
-    G = (F* W F)^-1 F* W with W = diag(weights), identity by default.
+    G = (F* F)^-1 F*, every sample weighted alike.
     Near-dependent dictionary entries (Gram condition number above 1e12, or
     fewer samples than entries) raise DegenerateDictionaryError naming the
     counts and the entries on the smallest singular vector.  Non-finite values
@@ -54,16 +43,14 @@ def dual_basis(F, weights=None) -> np.ndarray:
     F = np.atleast_2d(np.asarray(F))
     m, N = F.shape
     _refuse_non_finite(F, "dictionary value")
-    w = _check_weights(weights, m)
-    Fw = F if w is None else F * np.sqrt(w)[:, None]
-    svals = np.linalg.svd(Fw, compute_uv=False)
+    svals = np.linalg.svd(F, compute_uv=False)
     if not np.isfinite(svals[0]):
         raise PreconditionError("the largest singular value overflows; rescale the dictionary")
-    # fewer samples than entries leave N - m singular values of Fw at zero, though
+    # fewer samples than entries leave N - m singular values of F at zero, though
     # svd returns only the min(m, N) others; Python floats overflow to inf silently
     ratio = np.inf if m < N or svals[-1] == 0 else float(svals[0]) / float(svals[-1])
     if ratio * ratio > _COND_GRAM_LIMIT:
-        _, _, Vh = np.linalg.svd(Fw)
+        _, _, Vh = np.linalg.svd(F)
         v = np.abs(Vh[-1])
         culprits = tuple(int(i) for i in np.flatnonzero(v >= 0.1 * v.max()))
         raise DegenerateDictionaryError(
@@ -72,8 +59,8 @@ def dual_basis(F, weights=None) -> np.ndarray:
             f"{list(culprits)} load on the smallest singular vector",
             near_dependent=culprits,
         )
-    FW = F.conj().T if w is None else F.conj().T * w
-    return np.linalg.solve(FW @ F, FW)
+    FH = F.conj().T
+    return np.linalg.solve(FH @ F, FH)
 
 
 @dataclass(frozen=True)

@@ -93,23 +93,21 @@ def _dot(obs, block) -> np.ndarray:
 
 def _monomial(obs, block) -> np.ndarray:
     out = np.ones(block.shape[0])
-    # an overflow stays inf (or nan, inf * 0): every fit and score refuses it by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, p in enumerate(obs.powers):
-            if p == 0.0:
-                continue
-            base = block.columns[i]
-            if p.is_integer():
-                if p < 0:
-                    bad = np.flatnonzero(base == 0.0)
-                    if bad.size:
-                        raise ObservableDomainError(obs.name, int(bad[0]))
-                out = out * base ** int(p)
-            else:
-                bad = np.flatnonzero(base <= 0.0 if p < 0 else base < 0.0)
+    for i, p in enumerate(obs.powers):
+        if p == 0.0:
+            continue
+        base = block.columns[i]
+        if p.is_integer():
+            if p < 0:
+                bad = np.flatnonzero(base == 0.0)
                 if bad.size:
                     raise ObservableDomainError(obs.name, int(bad[0]))
-                out = out * base ** p
+            out = out * base ** int(p)
+        else:
+            bad = np.flatnonzero(base <= 0.0 if p < 0 else base < 0.0)
+            if bad.size:
+                raise ObservableDomainError(obs.name, int(bad[0]))
+            out = out * base ** p
     return out
 
 
@@ -206,7 +204,9 @@ class Observable:
             raise UsageError(
                 f"{self.name}: expects dimension {len(value)}, states have dimension {d}"
             )
-        return kind.values(self, states)
+        # an overflow stays inf (or nan, inf * 0): every fit and score refuses it by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            return kind.values(self, states)
 
     def to_json(self) -> dict:
         param = KINDS[self.kind].param

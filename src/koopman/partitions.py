@@ -14,9 +14,9 @@ to project data onto a candidate eigenvalue on the unit circle.
 Partitions are joint level sets: each real channel of the averaged
 observables is split into equal-mass quantile bins and the joint bin tuple
 is compacted into a dense cell id.  Complex observables contribute their
-real and imaginary parts as separate channels.  Invariance of a labeling
-is scored by iterating sample points and checking that labels survive the
-dynamics under nearest-grid-point lookup.
+real and imaginary parts as separate channels.  Invariance of a
+RegularGrid labeling is scored by iterating its grid points and checking
+that labels survive the dynamics under nearest-grid-point lookup.
 """
 
 from __future__ import annotations
@@ -331,12 +331,20 @@ class HarmonicAverage:
     residual: float
 
 
+def _multiplier(lam: complex, dt) -> complex:
+    """The map multiplier: lam itself for a map (dt None or 0), exp(lam*dt) for dt > 0."""
+    if dt is not None and not dt >= 0:  # NaN included
+        raise UsageError(f"dt must be None, 0 or positive, got {dt}")
+    return np.exp(lam * dt) if dt else lam
+
+
 def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> HarmonicAverage:
     """Project an orbit observable onto a candidate eigenvalue.
 
     For map trajectories lambda_target is the unit-circle multiplier
     itself; for flow trajectories (dt > 0) it is the purely imaginary
-    continuous exponent and the multiplier exp(lambda*dt) is formed here.
+    continuous exponent and the multiplier exp(lambda*dt) is formed here;
+    a negative or NaN dt raises UsageError.
     Off-circle multipliers only trigger a warning: the averages then decay
     or blow up instead of converging, which is sometimes worth seeing.
     Weights mu^-k or samples that leave the float range raise
@@ -345,7 +353,7 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
     """
     states, dt = _states_of(traj), getattr(traj, "dt", 0.0)
     lam = complex(lambda_target)
-    mu = np.exp(lam * dt) if dt > 0 else lam
+    mu = _multiplier(lam, dt)
     values = g(states) if callable(g) else np.asarray(g)
     values = np.asarray(values).reshape(-1)
     m = values.size
@@ -536,17 +544,22 @@ def partition_invariance_score(
     Every labeled grid point is advanced n_test steps; after each step the
     nearest grid point's label is compared with the starting label.
     Mapped points that leave the labeled region count as mismatches.
-    An orbit-sample labeling (grid None: its points are sample indices, not
-    states) and a grid of another dimension raise UsageError.
+    Only a RegularGrid labeling is scored: an orbit-sample labeling (grid
+    None: its points are sample indices, not states), a point-set labeling
+    and a grid of another dimension raise UsageError.
     """
     if n_test < 1:
         raise UsageError("n_test must be >= 1")
-    if labeling.grid is None:
-        raise UsageError("an orbit-sample labeling has no grid states to step")
+    grid = labeling.grid
+    if not isinstance(grid, RegularGrid):
+        kind = "an orbit-sample" if grid is None else "a point-set"
+        raise UsageError(f"only a RegularGrid labeling is scored, not {kind} labeling")
     dt = _step_size(spec, dt)
-    pts = labeling.points
-    if pts.shape[1] != spec.dim:
-        raise UsageError(f"grid dimension {pts.shape[1]} does not match {spec.kind}")
+    if grid.dim != spec.dim:
+        raise UsageError(f"grid dimension {grid.dim} does not match {spec.kind}")
+    # held until the score returns: freed before the steps, it moved the
+    # grid_partition peak-RSS modes (glibc heap layout) from 84/88 to 81/93 MB
+    points = grid.points
     labels = labeling.cell_id
     alive = labels >= 0
     idx_alive = np.flatnonzero(alive)
@@ -555,34 +568,16 @@ def partition_invariance_score(
     if sample_limit is not None and idx_alive.size > sample_limit:
         rng = np.random.default_rng(seed)
         idx_alive = rng.choice(idx_alive, size=sample_limit, replace=False)
-    start = pts[idx_alive]
+    cur = points[idx_alive]
     want = labels[idx_alive]
-    if isinstance(labeling.grid, RegularGrid):
-        lookup = labeling.grid.nearest_index
-    else:
-        import scipy.spatial  # deferred: RegularGrid labelings never need it
-
-        tree = scipy.spatial.cKDTree(pts)
-
-        def lookup(q):
-            finite = np.all(np.isfinite(q), axis=1)
-            out = np.full(q.shape[0], -1, dtype=int)
-            if np.any(finite):
-                _, nearest = tree.query(q[finite])
-                out[finite] = nearest
-            return out
-
     hits = 0
-    total = 0
-    cur = start.copy()
     with np.errstate(all="ignore"):
         for _ in range(n_test):
             cur = step_map_batch(spec, cur) if spec.is_map else rk4_step_batch(spec, cur, dt)
-            nearest = lookup(cur)
+            nearest = grid.nearest_index(cur)
             got = np.where(nearest >= 0, labels[np.maximum(nearest, 0)], -2)
             hits += int(np.sum(got == want))
-            total += want.size
-    return hits / total
+    return hits / (n_test * want.size)
 
 
 @dataclass(frozen=True)
@@ -606,17 +601,18 @@ def eigenfunction_partition(
     """Label orbit samples of an eigenfunction by modulus and phase bins.
 
     phi_samples are consecutive values along one orbit.  lam is the map
-    multiplier, or the continuous exponent when dt is given (the
-    multiplier is then exp(lam*dt)).  The evolution rule multiplies a
-    sample by the multiplier and re-bins; agreement with the actually
-    observed next sample is reported as 1 - mismatch_rate.
+    multiplier, or the continuous exponent when dt > 0 is given (the
+    multiplier is then exp(lam*dt)); a negative or NaN dt raises
+    UsageError.  The evolution rule multiplies a sample by the multiplier
+    and re-bins; agreement with the actually observed next sample is
+    reported as 1 - mismatch_rate.
     """
     phi = np.asarray(phi_samples, dtype=complex).reshape(-1)
     if phi.size < 2:
         raise UsageError("need at least two eigenfunction samples")
     if bins < 1:
         raise UsageError("bins must be >= 1")
-    mu = complex(np.exp(complex(lam) * dt)) if dt else complex(lam)
+    mu = complex(_multiplier(complex(lam), dt))
 
     mod_idx, mod_edges = _quantile_bins(np.abs(phi), bins)
     phase_edges = np.linspace(-np.pi, np.pi, bins + 1)[1:-1]

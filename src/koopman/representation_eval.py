@@ -88,12 +88,14 @@ class RepresentationModel:
                 f"values have {V.shape[1]} columns, model has "
                 f"{len(self.observables)} observables"
             )
-        if self.map_kind == "linear":
-            return V @ self.coefficients.T
-        if self.map_kind == "library_coeffs":
-            theta = self.library.evaluate(np.real_if_close(V))
-            return theta @ self.coefficients
-        out = np.asarray(self.map_fn(V))
+        # an overflow stays inf (or nan): the residual or check that receives it names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.map_kind == "linear":
+                return V @ self.coefficients.T
+            if self.map_kind == "library_coeffs":
+                theta = self.library.evaluate(np.real_if_close(V))
+                return theta @ self.coefficients
+            out = np.asarray(self.map_fn(V))
         if out.shape != V.shape:
             raise UsageError(
                 f"explicit map returned shape {out.shape}, expected {V.shape}"
@@ -153,9 +155,16 @@ def representation_residual(model: RepresentationModel, traj) -> float:
 
 
 def _relative_defect(got, want, ref) -> float:
-    """max_k |got_k - want_k| / max_k |ref_k| over rows; an all-zero ref counts as 1."""
-    defects = np.linalg.norm(got - want, axis=1)
-    scale = float(np.max(np.linalg.norm(ref, axis=1)))
+    """max_k |got_k - want_k| / max_k |ref_k| over rows; an all-zero ref counts as 1.
+
+    A non-finite defect or norm raises PreconditionError naming its sample.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        defects = np.linalg.norm(got - want, axis=1)
+        norms = np.linalg.norm(ref, axis=1)
+    _refuse_non_finite(defects[:, None], "one-step defect")
+    _refuse_non_finite(norms[:, None], "observable norm")
+    scale = float(np.max(norms))
     return float(np.max(defects)) / (scale if scale > 0 else 1.0)
 
 

@@ -5,7 +5,7 @@ dictionaries from sample pairs (m_j, T(m_j)) by minimum-norm least squares.
 conditional_expectation_projection replaces every sample of a function by
 its fiber average, the empirical version of projecting onto functions
 pulled back from the target space; fibers arrive as integer or string
-labels.  Fiber means are computed so that a function already constant on
+labels, and every sample weighs the same.  Fiber means are computed so that a function already constant on
 fibers is returned bit-identically, which makes the projection exactly
 idempotent.
 """
@@ -20,7 +20,6 @@ import numpy as np
 from ._artifacts import write_csv
 from .dmd import _fit_residual, _pseudoinverse_and_rank
 from .errors import UsageError
-from .finite_section import _check_weights
 from .observables import ObservableDictionary
 
 
@@ -129,8 +128,8 @@ def _factorize(labels) -> tuple[np.ndarray, int]:
     return inverse.reshape(-1), int(inverse.max()) + 1
 
 
-def conditional_expectation_projection(f_samples, fiber_labels, weights=None) -> np.ndarray:
-    """Replace each sample by the weighted mean over its fiber.
+def conditional_expectation_projection(f_samples, fiber_labels) -> np.ndarray:
+    """Replace each sample by the mean over its fiber.
 
     Output is constant on fibers.  A fiber whose samples are already all
     identical is passed through bit-for-bit, so applying the projection
@@ -143,18 +142,17 @@ def conditional_expectation_projection(f_samples, fiber_labels, weights=None) ->
     inv, K = _factorize(fiber_labels)
     if inv.size != F.shape[0]:
         raise UsageError("labels and samples must have equal length")
-    w = np.ones(F.shape[0]) if weights is None else _check_weights(weights, F.shape[0])
-    wsum = np.bincount(inv, weights=w, minlength=K)
+    counts = np.bincount(inv, minlength=K)
     means = np.empty((K, F.shape[1]), dtype=F.dtype)
     for c in range(F.shape[1]):
         col = F[:, c]
         if np.iscomplexobj(col):
-            num = np.bincount(inv, weights=w * col.real, minlength=K) + 1j * np.bincount(
-                inv, weights=w * col.imag, minlength=K
+            num = np.bincount(inv, weights=col.real, minlength=K) + 1j * np.bincount(
+                inv, weights=col.imag, minlength=K
             )
         else:
-            num = np.bincount(inv, weights=w * col, minlength=K)
-        means[:, c] = num / wsum
+            num = np.bincount(inv, weights=col, minlength=K)
+        means[:, c] = num / counts
     # exactness: fibers whose samples already agree keep their value
     _, first_idx = np.unique(inv, return_index=True)
     firsts = F[first_idx]
@@ -175,15 +173,13 @@ def fiber_indicator_matrix(fiber_labels) -> np.ndarray:
     return E
 
 
-def fiber_mean_matrix(fiber_labels, weights=None) -> np.ndarray:
-    """W with W @ f = per-fiber weighted means (empirical pushforward).
+def fiber_mean_matrix(fiber_labels) -> np.ndarray:
+    """W with W @ f = per-fiber means (empirical pushforward).
 
     W @ E = I exactly in exact arithmetic, and E @ W is the projection
     matrix onto fiber-constant sample vectors.
     """
     inv, K = _factorize(fiber_labels)
-    w = np.ones(inv.size) if weights is None else _check_weights(weights, inv.size)
     W = np.zeros((K, inv.size))
-    wsum = np.bincount(inv, weights=w, minlength=K)
-    W[inv, np.arange(inv.size)] = w / wsum[inv]
+    W[inv, np.arange(inv.size)] = 1.0 / np.bincount(inv, minlength=K)[inv]
     return W

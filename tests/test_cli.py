@@ -149,6 +149,63 @@ def test_deleting_a_required_path_exits_2(tmp_path, capsys, name, path):
         assert f"'{leaf}' is a required property" in err
 
 
+# method -> the method_params keys its runner reads, and a valid value of each key
+READ_PARAMS = {
+    "companion_dmd": (),
+    "pinv_dmd": (),
+    "edmd": (),
+    "gla": ("lambda_target", "observable", "window"),
+    "partition": ("bins", "n_test", "sample_limit"),
+    "static": ("box",),
+    "mz": ("k_max", "closure"),
+    "sindy": ("threshold",),
+    "repr_check": ("coefficients",),
+}
+PARAM_VALUES = {
+    "lambda_target": 1.0,
+    "observable": {"name": "one", "type": "constant"},
+    "window": 10,
+    "bins": 3,
+    "n_test": 1,
+    "sample_limit": 10,
+    "box": [-1.0, 1.0],
+    "k_max": 5,
+    "closure": {"coefficients": [1.0], "omega": 1.0},
+    "threshold": 0.1,
+    "coefficients": [[1.0]],
+}
+CONFIG_OF_METHOD = {
+    json.loads((CONFIG_DIR / name).read_text())["method"]: name for name in REQUIRED_PATHS
+}
+
+
+def test_read_params_cover_every_method_and_key():
+    assert set(READ_PARAMS) == set(cli.METHODS)
+    read = {key for keys in READ_PARAMS.values() for key in keys}
+    schema = CONFIG_SCHEMA["properties"]["method_params"]["properties"]
+    assert read == set(PARAM_VALUES) == set(schema)
+
+
+@pytest.mark.parametrize("method", sorted(READ_PARAMS))
+def test_method_refuses_a_param_only_another_method_reads(tmp_path, capsys, method):
+    # a key another method reads used to be accepted and ignored, e.g. mz
+    # ran with threshold and an inverted box set
+    base = json.loads((CONFIG_DIR / CONFIG_OF_METHOD[method]).read_text())
+    foreign = sorted(set(PARAM_VALUES) - set(READ_PARAMS[method]))
+    for key in foreign:
+        cfg = copy.deepcopy(base)
+        cfg.setdefault("method_params", {})[key] = PARAM_VALUES[key]
+        out = tmp_path / key
+        assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2, key
+        err = capsys.readouterr().err
+        assert f"config invalid at method_params: '{key}' is not one of" in err
+        assert not out.exists()
+    for key in READ_PARAMS[method]:  # its own keys pass validation
+        cfg = copy.deepcopy(base)
+        cfg.setdefault("method_params", {})[key] = PARAM_VALUES[key]
+        cli._validate_config(cfg)
+
+
 _NON_FINITE_OVERRIDES = (
     ("standard_map_partition_integrable.json", "system.params.eps=NaN"),
     ("circle_gla.json", "method_params.lambda_target=NaN"),
@@ -277,6 +334,11 @@ OVERFLOWING_FITS = {
     "repr_check": ("torus_repr_check", [
         'dictionary=[{"name":"m","type":"monomial","powers":[400,0]},'
         '{"name":"z","type":"phase","k":[0,1]}]',
+    ]),
+    # finite observable values that overflow in the model's update: used to
+    # print numpy's warnings and a table of nan before refusing summary.json
+    "repr_check_update": ("torus_repr_check", [
+        "method_params.coefficients=[[1e308,1e308],[0,1]]",
     ]),
 }
 
@@ -408,7 +470,7 @@ def test_partition_domain_error_exits_3(tmp_path, capsys, n_grid):
     assert "'1/x' undefined at sample 0" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, extra", [("run", ["--set", "a=1"]), ("repr", [])])
+@pytest.mark.parametrize("command, extra", [("run", ["--set", "a=1"])])
 def test_non_object_config_exits_2(tmp_path, capsys, command, extra):
     assert cli.main([command, write_config(tmp_path, [1, 2]), *extra]) == 2
     err = capsys.readouterr().err
@@ -470,15 +532,9 @@ def test_gla_overflowing_weights_exit_3(tmp_path, capsys, target, step):
     [
         # fewer samples than dictionary entries: no dual basis exists
         ("limit_cycle_edmd.json", "sampling.n=1"),
-        # phases of order 1e308: numpy's own overflow and invalid-value warnings
-        # precede the refusal of the non-finite values
-        pytest.param(
-            "torus_pinv_dmd.json", 'dictionary=[{"name": "z", "type": "phase", "k": [1e308, 1]}]',
-            marks=[
-                pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning"),
-                pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning"),
-            ],
-        ),
+        # phases of order 1e308: the observable evaluates to NaN without a
+        # warning, and the fit refuses the non-finite values
+        ("torus_pinv_dmd.json", 'dictionary=[{"name": "z", "type": "phase", "k": [1e308, 1]}]'),
     ],
 )
 def test_numerical_breakdown_exits_3(tmp_path, capsys, name, override):
@@ -658,22 +714,21 @@ def test_sindy_run_keeps_seven_lorenz_terms(tmp_path):
     assert model["coefficients"]["y"]["x"] == pytest.approx(28.0, rel=1e-2)
 
 
-def test_repr_subcommand_prints_residual_table(tmp_path, capsys):
+def test_repr_check_run_prints_residual_table(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = json.loads((CONFIG_DIR / "torus_repr_check.json").read_text())
     cfg["output"]["dir"] = str(out)
     path = write_config(tmp_path, cfg)
-    assert cli.main(["repr", path]) == 0
+    assert cli.main(["run", path]) == 0
     stdout = capsys.readouterr().out
     assert "residual" in stdout and "faithfulness" in stdout
     report = json.loads((out / "report.json").read_text())
     assert report["residual"] <= 1e-10
-
-
-def test_repr_subcommand_rejects_other_methods(tmp_path, capsys):
-    path = write_config(tmp_path, torus_pinv_config(tmp_path / "out"))
-    assert cli.main(["repr", path]) == 2
-    assert "repr_check" in capsys.readouterr().err
+    # `run` prints the table; there is no `repr` subcommand beside it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["repr", path])
+    assert exc.value.code == 2
+    assert "invalid choice: 'repr'" in capsys.readouterr().err
 
 
 # -------------------------------------------------------- reproducibility
@@ -1007,10 +1062,6 @@ def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
     # the overrides of the call before are gone
     assert cli.main(["run", config, "--out", str(tmp_path / "run")]) == 0
     assert artifacts(tmp_path / "run") == expected
-    capsys.readouterr()
-    assert cli.main(["repr", config, "--out", str(tmp_path / "repr")]) == 0
-    assert "faithfulness" in capsys.readouterr().out
-    assert artifacts(tmp_path / "repr") == expected
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", config, "--no-such-option"])
     assert exc.value.code == 2

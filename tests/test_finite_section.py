@@ -44,15 +44,6 @@ def test_dual_basis_duality_random():
     np.testing.assert_allclose(dual_basis(F) @ F, np.eye(3), atol=1e-10)
 
 
-def test_dual_basis_weighted_duality():
-    rng = np.random.default_rng(2)
-    F = rng.normal(size=(30, 4)) + 1j * rng.normal(size=(30, 4))
-    w = rng.uniform(0.5, 2.0, size=30)
-    np.testing.assert_allclose(dual_basis(F, weights=w) @ F, np.eye(4), atol=1e-10)
-    with pytest.raises(UsageError):
-        dual_basis(F, weights=-w)
-
-
 def test_dual_basis_degenerate_names_culprits():
     x = np.random.default_rng(3).normal(size=20)
     F = np.column_stack([x, 2.0 * x, x**2])
@@ -92,12 +83,11 @@ def test_section_with_fewer_samples_than_entries_fails_once_naming_the_counts():
         finite_section_matrix(d, states)
 
 
-@pytest.mark.parametrize("weights", [None, np.ones(6)])
-def test_dual_basis_refuses_non_finite_values_naming_the_sample(weights):
+def test_dual_basis_refuses_non_finite_values_naming_the_sample():
     F = np.random.default_rng(5).normal(size=(6, 2)).astype(complex)
     F[3, 1] = F[4, 0] = complex(np.inf, 0.0)
     with pytest.raises(PreconditionError, match="non-finite .* in entry 1 at sample 3"):
-        dual_basis(F, weights=weights)
+        dual_basis(F)
 
 
 def test_overflowing_dictionary_section_is_refused_not_called_dependent():

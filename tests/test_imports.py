@@ -1,8 +1,9 @@
-"""scipy is imported by the four functions that call it, never at import time.
+"""scipy is imported by the three functions that call it, never at import time.
 
 Each case runs in a fresh interpreter, since this process has long since
-loaded scipy through other tests.  The last two tests check the sources:
-only koopman._artifacts writes files, and only koopman.cli reads one (the
+loaded scipy through other tests.  Three tests check the sources: the
+functions that import scipy are exactly the first-user cases, only
+koopman._artifacts writes files, and only koopman.cli reads one (the
 config).
 """
 
@@ -80,21 +81,6 @@ FIRST_CALLS = {
         """,
         "scipy.fft",
     ),
-    "partition_invariance_score": (
-        """
-        import numpy as np
-        from koopman.partitions import PartitionLabeling, RegularGrid, partition_invariance_score
-        from koopman.systems import SystemSpec
-        lab = PartitionLabeling(
-            cell_id=np.zeros(16, dtype=int), bin_edges=(np.array([]),),
-            channel_names=("c",), channel_values=np.zeros((16, 1)),
-            grid=RegularGrid.unit_square(4).points,
-        )
-        spec = SystemSpec("standard_map", {"eps": 0.0})
-        assert partition_invariance_score(lab, spec, n_test=1) == 1.0
-        """,
-        "scipy.spatial",
-    ),
     "faithfulness_estimate": (
         """
         import numpy as np
@@ -114,6 +100,36 @@ def test_deferred_scipy_call_works_as_first_user(name):
     assert module in loaded
     # scipy.signal loads some 340 modules more than the rest together
     assert not [m for m in loaded if m.startswith("scipy.signal")]
+
+
+def _scipy_importers(tree) -> set:
+    """Names of the functions whose own body imports scipy or a scipy module
+    (None for an import at module level)."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_deferred_scipy_import_has_a_first_user_case():
+    sources = sorted(Path(SRC, "koopman").glob("*.py"))
+    importers = set().union(*(_scipy_importers(ast.parse(p.read_text())) for p in sources))
+    assert importers == set(FIRST_CALLS)
 
 
 # the small configs a config sweep replays

@@ -19,7 +19,14 @@ from koopman.partitions import (
     partition_invariance_score,
     time_average,
 )
-from koopman.systems import SYSTEM_KINDS, SystemSpec, integrate, rk4_step_batch, step_map_batch
+from koopman.systems import (
+    SYSTEM_KINDS,
+    SystemSpec,
+    Trajectory,
+    integrate,
+    rk4_step_batch,
+    step_map_batch,
+)
 
 
 def _dict(*entries):
@@ -647,36 +654,17 @@ def test_invariance_score_single_cell_is_perfect():
     assert partition_invariance_score(lab, spec, n_test=3) == 1.0
 
 
-# a labeling over a raw point array (no RegularGrid) looks points up in a k-d tree
-
-
-def test_invariance_score_single_cell_on_point_array_is_perfect():
-    spec = SystemSpec("standard_map", {"eps": 0.3})
-    pts = RegularGrid.unit_square(20).points
+def test_invariance_score_refuses_a_point_set_labeling():
+    # a labeling over a raw point array has no grid to look labels up on
     lab = PartitionLabeling(
         cell_id=np.zeros(400, dtype=int),
         bin_edges=(np.array([]),),
         channel_names=("c",),
         channel_values=np.zeros((400, 1)),
-        grid=pts,
+        grid=RegularGrid.unit_square(20).points,
     )
-    assert partition_invariance_score(lab, spec, n_test=3) == 1.0
-
-
-def test_invariance_score_random_labels_on_point_array_near_chance():
-    spec = SystemSpec("standard_map", {"eps": 0.12})
-    pts = RegularGrid.unit_square(40).points
-    rng = np.random.default_rng(12)
-    K = 5
-    lab = PartitionLabeling(
-        cell_id=rng.integers(0, K, size=1600),
-        bin_edges=(np.array([]),),
-        channel_names=("noise",),
-        channel_values=rng.random((1600, 1)),
-        grid=pts,
-    )
-    score = partition_invariance_score(lab, spec, n_test=4)
-    assert abs(score - 1.0 / K) < 0.05
+    with pytest.raises(UsageError, match="point-set labeling"):
+        partition_invariance_score(lab, SystemSpec("standard_map", {"eps": 0.3}), n_test=3)
 
 
 @pytest.mark.parametrize("kind", ["circle_rotation", "standard_map"])
@@ -689,15 +677,13 @@ def test_invariance_score_refuses_an_orbit_sample_labeling(kind):
         partition_invariance_score(lab, SystemSpec(kind), n_test=1)
 
 
-@pytest.mark.parametrize("as_points", [False, True])
-def test_invariance_score_refuses_a_grid_of_another_dimension(as_points):
-    grid = RegularGrid.unit_square(4)
+def test_invariance_score_refuses_a_grid_of_another_dimension():
     lab = PartitionLabeling(
         cell_id=np.zeros(16, dtype=int),
         bin_edges=(np.array([]),),
         channel_names=("c",),
         channel_values=np.zeros((16, 1)),
-        grid=grid.points if as_points else grid,
+        grid=RegularGrid.unit_square(4),
     )
     spec = SystemSpec("linear_map", {"B": np.eye(3)})
     with pytest.raises(UsageError, match="grid dimension 2 does not match linear_map"):
@@ -730,6 +716,19 @@ def test_eigenfunction_partition_rotation_phases():
     phi = np.exp(1j * traj.states[:, 1])
     part = eigenfunction_partition(phi, 1.0j, bins=6, dt=dt)
     assert part.mismatch_rate <= 0.02
+
+
+@pytest.mark.parametrize("dt", [-0.1, float("nan")])
+def test_multiplier_refuses_a_step_that_is_negative_or_nan(dt):
+    # both functions form the multiplier one way: lam for dt None or 0,
+    # exp(lam * dt) for dt > 0, where a negative dt once gave exp(-0.1 lam)
+    # and a NaN one a NaN multiplier, both silently
+    phi = np.exp(1j * 0.7 * np.arange(50))
+    with pytest.raises(UsageError, match="dt must be None, 0 or positive"):
+        eigenfunction_partition(phi, 0.7j, bins=3, dt=dt)
+    traj = Trajectory(np.arange(8.0)[:, None], dt=dt)
+    with pytest.raises(UsageError, match="dt must be None, 0 or positive"):
+        gla_eigenfunction(traj, 0.7j, lambda s: np.ones(s.shape[0]), window=4)
 
 
 def test_labeling_csv_layout(tmp_path):

@@ -549,6 +549,22 @@ def test_fits_and_scores_refuse_non_finite_values_by_entry_and_sample():
         sindy_fit(states, big)
 
 
+def test_an_update_that_overflows_is_refused_by_sample_without_a_warning():
+    # finite observable values that the model's update carries past the
+    # float range: numpy's overflow warnings used to precede the refusal
+    # (the suite turns warnings into errors)
+    states = np.array([[1.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    update = RepresentationModel(observables=coords(["x", "y"]), map_kind="linear",
+                                 coefficients=np.array([[1e308, 1e308], [0.0, 1.0]]))
+    identity = RepresentationModel(observables=coords(["x", "y"]), map_kind="linear",
+                                   coefficients=np.eye(2))
+    where = r"non-finite one-step defect .* in entry 0 at sample 0; rescale the data"
+    with pytest.raises(PreconditionError, match=where):
+        representation_residual(update, states)
+    with pytest.raises(PreconditionError, match=where):
+        conjugacy_check(identity, update, lambda v: v, lambda v: v, states)
+
+
 def test_explicit_model_json_has_no_coefficients():
     model = RepresentationModel(
         observables=coords(["x"]), map_kind="explicit", map_fn=lambda v: 2.0 * v

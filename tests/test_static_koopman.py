@@ -186,13 +186,6 @@ def test_orthogonality_against_fiber_constant_observables():
         assert inner <= 1e-10 * np.linalg.norm(f) * np.linalg.norm(h)
 
 
-def test_weighted_fiber_means():
-    f = np.array([1.0, 3.0, 10.0])
-    labels = np.array([0, 0, 1])
-    out = conditional_expectation_projection(f, labels, weights=[1.0, 3.0, 2.0])
-    assert np.allclose(out, [2.5, 2.5, 10.0], atol=1e-14)
-
-
 def test_complex_samples_supported():
     f = np.array([1.0 + 1j, 3.0 - 1j, 2.0])
     out = conditional_expectation_projection(f, [0, 0, 1])
@@ -218,62 +211,46 @@ def test_pushforward_pullback_matrices():
     assert np.allclose(P @ f, conditional_expectation_projection(f, labels), atol=1e-12)
 
 
-def test_projection_matrix_matches_weighted_route():
+def test_projection_matrix_matches_the_fiber_mean_route():
     rng = np.random.default_rng(8)
     labels = rng.integers(0, 3, size=25)
-    w = rng.uniform(0.5, 2.0, size=25)
-    P = fiber_indicator_matrix(labels) @ fiber_mean_matrix(labels, weights=w)
+    P = fiber_indicator_matrix(labels) @ fiber_mean_matrix(labels)
     f = rng.normal(size=25)
-    assert np.allclose(
-        P @ f, conditional_expectation_projection(f, labels, weights=w), atol=1e-12
-    )
+    assert np.allclose(P @ f, conditional_expectation_projection(f, labels), atol=1e-12)
 
 
 @st.composite
 def _fibered_samples(draw):
-    """Fiber labels, positive weights and two real sample vectors, all of one length."""
+    """Fiber labels and two real sample vectors, all of one length."""
     labels = draw(st.lists(st.integers(0, 5), min_size=1, max_size=40))
     n = len(labels)
-    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
     f, g = (draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)) for _ in range(2))
-    return np.array(labels), np.array(weights), np.array(f), np.array(g)
+    return np.array(labels), np.array(f), np.array(g)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(_fibered_samples())
-@example((np.zeros(5, int), np.arange(1.0, 6.0), np.arange(5.0), -np.arange(5.0)))  # one fiber
-@example((np.arange(4), np.ones(4), np.array([1.0, -2.0, 3.0, 0.5]), np.ones(4)))  # singletons
-@example((np.array([0, 1, 0, 1]), np.array([0.1, 10.0, 10.0, 0.1]),
+@example((np.zeros(5, int), np.arange(5.0), -np.arange(5.0)))  # one fiber
+@example((np.arange(4), np.array([1.0, -2.0, 3.0, 0.5]), np.ones(4)))  # singletons
+@example((np.array([0, 1, 0, 1]),
           np.array([2.0, 3.0, 2.0, 3.0]), np.array([1.0, 0.0, -1.0, 0.0])))  # f fiber-constant
-def test_fiber_projection_is_a_weighted_orthogonal_projection(samples):
-    # E_w is idempotent (exactly: a fiber-constant input passes through) and
-    # self-adjoint in <a, b>_w = sum w a b, and it is E @ W.  Each weighted
-    # sum has rounding of order n * eps times its terms' magnitudes; in
-    # 20000 draws both gaps stayed below half of that.
-    labels, w, f, g = samples
+def test_fiber_projection_is_an_orthogonal_projection(samples):
+    # E is idempotent (exactly: a fiber-constant input passes through) and
+    # self-adjoint in <a, b> = sum a b, and it is E @ W.  Each sum has
+    # rounding of order n * eps times its terms' magnitudes; in 20000 draws
+    # both gaps stayed below a tenth of that.
+    labels, f, g = samples
     n, eps = labels.size, np.finfo(float).eps
 
     def project(v):
-        return conditional_expectation_projection(v, labels, weights=w)
+        return conditional_expectation_projection(v, labels)
 
     Pf, Pg = project(f), project(g)
     assert np.array_equal(project(Pf), Pf)
-    scale = np.sum(w) * np.abs(f).max() * np.abs(g).max()
-    assert abs(np.sum(w * Pf * g) - np.sum(w * f * Pg)) <= 4 * n * eps * scale
-    by_matrix = fiber_indicator_matrix(labels) @ fiber_mean_matrix(labels, weights=w) @ f
+    scale = n * np.abs(f).max() * np.abs(g).max()
+    assert abs(np.sum(Pf * g) - np.sum(f * Pg)) <= 4 * n * eps * scale
+    by_matrix = fiber_indicator_matrix(labels) @ fiber_mean_matrix(labels) @ f
     assert np.abs(by_matrix - Pf).max() <= 4 * n * eps * np.abs(f).max()
-
-
-@pytest.mark.parametrize(
-    "weights", [[1.0, -1.0, 1.0], [1.0, 0.0, 1.0], [1.0, np.nan, 1.0], [1.0, 1.0], [1.0] * 4]
-)
-def test_fiber_means_refuse_bad_weights(weights):
-    # [1, -1] on fiber 0 sums to zero, the divisor of its weighted mean
-    labels = [0, 0, 1]
-    with pytest.raises(UsageError, match="weights"):
-        fiber_mean_matrix(labels, weights=weights)
-    with pytest.raises(UsageError, match="weights"):
-        conditional_expectation_projection(np.arange(3.0), labels, weights=weights)
 
 
 @st.composite
