@@ -176,7 +176,7 @@ def _snapshot_pair(config, spec) -> SnapshotPair:
     series = traj.states
     if "dictionary" in config:
         series = _build_dictionary(config["dictionary"]).evaluate(series)
-    return SnapshotPair.from_series(series, dt=traj.dt)
+    return SnapshotPair.from_series(series)
 
 
 def _run_companion_dmd(config, spec, seed):

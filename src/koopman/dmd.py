@@ -207,7 +207,7 @@ def continuous_time_eigenvalues(discrete, dt: float) -> np.ndarray:
     Principal branch; a warning flags |Im log lambda| near pi where the
     recovered frequency may be aliased.
     """
-    if dt <= 0:
+    if not dt > 0:  # NaN included
         raise UsageError("dt must be positive")
     lam = np.atleast_1d(np.asarray(discrete, dtype=complex))
     if np.any(lam == 0):

@@ -20,13 +20,11 @@ from .errors import UsageError
 class SnapshotPair:
     """Matrices X, Xp of observable values at consecutive times.
 
-    Columns are time samples; Xp is X advanced one step.  dt = 0 marks a
-    discrete map time base.
+    Columns are time samples; Xp is X advanced one step.
     """
 
     X: np.ndarray
     Xp: np.ndarray
-    dt: float = 0.0
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X))
@@ -51,14 +49,14 @@ class SnapshotPair:
         write_csv(xp_path, self.Xp)
 
     @classmethod
-    def from_series(cls, series, dt: float = 0.0) -> "SnapshotPair":
+    def from_series(cls, series) -> "SnapshotPair":
         """Pair consecutive samples of a (m, n) series: X = rows 0..m-2."""
         arr = np.asarray(series)
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.shape[0] < 2:
             raise UsageError("need at least two samples to form a snapshot pair")
-        return cls(X=arr[:-1].T, Xp=arr[1:].T, dt=dt)
+        return cls(X=arr[:-1].T, Xp=arr[1:].T)
 
 
 def delay_embed(series, N: int, stride: int = 1) -> np.ndarray:
@@ -87,7 +85,7 @@ def delay_embed(series, N: int, stride: int = 1) -> np.ndarray:
     return out
 
 
-def hankel_pair(series, rows: int, dt: float = 0.0) -> SnapshotPair:
+def hankel_pair(series, rows: int) -> SnapshotPair:
     """Delay-vector snapshot matrices from a scalar or vector series.
 
     X columns are delay vectors of height `rows` starting at times
@@ -99,4 +97,4 @@ def hankel_pair(series, rows: int, dt: float = 0.0) -> SnapshotPair:
     length = arr.shape[0]
     if length < rows + 1:
         raise UsageError(f"series of length {length} too short for rows={rows}")
-    return SnapshotPair.from_series(delay_embed(arr, N=rows - 1, stride=1), dt)
+    return SnapshotPair.from_series(delay_embed(arr, N=rows - 1, stride=1))

@@ -1,22 +1,23 @@
 """Time averages, harmonic averages, and level-set partitions of state space.
 
-time_average pushes a whole grid of initial conditions through the system,
-in row blocks run on a small thread pool, and accumulates per-observable
-Cesaro sums; points whose orbit leaves the representable range are flagged
-and excluded from labeling downstream.  A block carries its states as a
-tuple of contiguous 1-D coordinate columns, built straight from the grid's
-axes: the system's column stepper advances them and the observables
-evaluate on them, so no step reads strided columns of an (m, d) array or
-stacks one back together.  gla_eigenfunction forms the weighted (harmonic) time average
-(1/n) sum_k lambda^-k g(T^k x) along a single long orbit, the standard way
-to project data onto a candidate eigenvalue on the unit circle.
+time_average pushes every point of a RegularGrid, its only kind of input,
+through the system, in row blocks run on a small thread pool, and
+accumulates per-observable Cesaro sums; points whose orbit leaves the
+representable range are flagged and excluded from labeling downstream.  A
+block carries its states as a tuple of contiguous 1-D coordinate columns,
+built straight from the grid's axes: the system's column stepper advances
+them and the observables evaluate on them, so no step reads strided columns
+of an (m, d) array or stacks one back together.  gla_eigenfunction forms the
+weighted (harmonic) time average (1/n) sum_k lambda^-k g(T^k x) along a
+single long orbit, the standard way to project data onto a candidate
+eigenvalue on the unit circle.
 
 Partitions are joint level sets: each real channel of the averaged
 observables is split into equal-mass quantile bins and the joint bin tuple
 is compacted into a dense cell id.  Complex observables contribute their
-real and imaginary parts as separate channels.  Invariance of a
-RegularGrid labeling is scored by iterating its grid points and checking
-that labels survive the dynamics under nearest-grid-point lookup.
+real and imaginary parts as separate channels.  A labeling's invariance is
+scored by iterating its grid points and checking that labels survive the
+dynamics under nearest-grid-point lookup.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._artifacts import write_csv, write_csv_files
+from .dmd import _refuse_non_finite
 from .errors import DivergenceError, ObservableDomainError, UsageError
 from .observables import REAL_KINDS as _REAL_KINDS  # kinds with a real accumulator
 from .observables import ObservableDictionary, StateColumns
-from .systems import SystemSpec, _column_step, _states_of, _step_size
+from .systems import SystemSpec, _column_step, _refuse_bad_dt, _states_of, _step_size
 from .systems import rk4_step_batch, step_map_batch
 
 # Orbits of different grid points never interact, so time_average runs the
@@ -127,15 +129,6 @@ class RegularGrid:
         return np.where(ok, flat, -1)
 
 
-def _grid_points(grid) -> np.ndarray:
-    if isinstance(grid, RegularGrid):
-        return grid.points
-    pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    if pts.shape[0] < 1:
-        raise UsageError("grid must contain at least one point")
-    return pts
-
-
 @dataclass(frozen=True)
 class TimeAverageField:
     """Per-grid-point observable averages g*(m) with convergence diagnostics.
@@ -147,15 +140,11 @@ class TimeAverageField:
     """
 
     values: np.ndarray
-    grid: object
+    grid: RegularGrid
     n_iterations: int
     cesaro: np.ndarray
     diverged: np.ndarray
     dictionary: ObservableDictionary
-
-    @property
-    def points(self) -> np.ndarray:
-        return _grid_points(self.grid)
 
     def channels(self) -> tuple[np.ndarray, list]:
         """Real labeling channels: one per real observable, two per complex."""
@@ -186,12 +175,10 @@ def _coord_names(d: int) -> list:
     return letters[:d] if d <= 4 else [f"coord_{i}" for i in range(d)]
 
 
-def _point_columns(grid) -> list:
-    """Coordinate columns of the grid points; a RegularGrid's as (axis, index) pairs."""
-    if isinstance(grid, RegularGrid):
-        index = np.unravel_index(np.arange(int(np.prod(grid.shape))), grid.shape)
-        return list(zip(grid.axes, index))
-    return list(_grid_points(grid).T)
+def _point_columns(grid: RegularGrid) -> list:
+    """Coordinate columns of the grid points, as (axis, index) pairs."""
+    index = np.unravel_index(np.arange(int(np.prod(grid.shape))), grid.shape)
+    return list(zip(grid.axes, index))
 
 
 def _table(points: list, channels: list) -> tuple[list, str]:
@@ -249,24 +236,27 @@ def _row_blocks(n_rows: int, entries) -> list:
 
 
 def time_average(
-    dictionary: ObservableDictionary, spec: SystemSpec, grid, n: int, dt: float = None
+    dictionary: ObservableDictionary, spec: SystemSpec, grid: RegularGrid, n: int, dt: float = None
 ) -> TimeAverageField:
     """Average each observable over the first n iterates of every grid point.
 
     Observables are evaluated before each step, so the sum runs over
-    T^0 .. T^(n-1).  Flows need a step size dt.  Non-finite orbits are
-    carried as NaN and reported in the diverged mask rather than aborting
-    the whole field.  An observable leaving its domain raises
-    ObservableDomainError for the earliest iteration, then the first entry,
-    then the first grid row that fails, whatever the blocking.
+    T^0 .. T^(n-1).  grid must be a RegularGrid of the system's dimension
+    (anything else raises UsageError).  Flows need a step size dt.
+    Non-finite orbits are carried as NaN and reported in the diverged mask.
+    An observable leaving its domain raises ObservableDomainError for the
+    earliest iteration, then the first entry, then the first grid row that
+    fails, whatever the blocking.
     """
     if n < 1:
         raise UsageError("n must be >= 1")
+    if not isinstance(grid, RegularGrid):
+        raise UsageError(f"time_average needs a RegularGrid, not {type(grid).__name__}")
     step = _column_step(spec, _step_size(spec, dt))
+    if grid.dim != spec.dim:
+        raise UsageError(f"grid dimension {grid.dim} does not match {spec.kind}")
     columns = _point_columns(grid)
-    if len(columns) != spec.dim:
-        raise UsageError(f"grid dimension {len(columns)} does not match {spec.kind}")
-    n_rows = int(np.prod(grid.shape)) if isinstance(grid, RegularGrid) else len(columns[0])
+    n_rows = int(np.prod(grid.shape))
     # Accumulate per entry in 1-D columns (real dtype when the entry is
     # real-valued) instead of materializing the full complex evaluation
     # matrix each step; the element-wise addition order is unchanged.
@@ -279,10 +269,8 @@ def time_average(
     failed = []
 
     def run(rows):
-        # contiguous copies of the block's coordinates: a RegularGrid's from
-        # its axes, a point array's from its (strided) columns
-        cols = tuple(c[0][c[1][rows]] if isinstance(c, tuple) else c[rows].copy()
-                     for c in columns)
+        # contiguous copies of the block's coordinates, taken from the axes
+        cols = tuple(axis[index[rows]] for axis, index in columns)
         _average_block(entries, step, cols, n, [t[rows] for t in sums],
                        [t[rows] for t in half_sums], finite_end[rows], rows.start, failed)
 
@@ -333,8 +321,7 @@ class HarmonicAverage:
 
 def _multiplier(lam: complex, dt) -> complex:
     """The map multiplier: lam itself for a map (dt None or 0), exp(lam*dt) for dt > 0."""
-    if dt is not None and not dt >= 0:  # NaN included
-        raise UsageError(f"dt must be None, 0 or positive, got {dt}")
+    _refuse_bad_dt(dt)
     return np.exp(lam * dt) if dt else lam
 
 
@@ -427,22 +414,14 @@ class PartitionLabeling:
     bin_edges: tuple
     channel_names: tuple
     channel_values: np.ndarray
-    grid: object
-
-    @property
-    def points(self) -> np.ndarray:
-        if self.grid is None:
-            # orbit-sample labeling: the coordinate is the sample index
-            return np.arange(len(self.cell_id), dtype=float)[:, None]
-        return _grid_points(self.grid)
+    grid: RegularGrid
 
     @property
     def n_cells(self) -> int:
         return int(self.cell_id.max()) + 1 if np.any(self.cell_id >= 0) else 0
 
     def to_csv(self, path) -> None:
-        points = [self.points[:, 0]] if self.grid is None else _point_columns(self.grid)
-        columns, header = _table(points, list(self.channel_values.T))
+        columns, header = _table(_point_columns(self.grid), list(self.channel_values.T))
         write_csv(path, columns + [_id_column(self.cell_id)], header + ",cell_id")
 
     def to_json(self, invariance_score: float) -> dict:
@@ -543,17 +522,12 @@ def partition_invariance_score(
 
     Every labeled grid point is advanced n_test steps; after each step the
     nearest grid point's label is compared with the starting label.
-    Mapped points that leave the labeled region count as mismatches.
-    Only a RegularGrid labeling is scored: an orbit-sample labeling (grid
-    None: its points are sample indices, not states), a point-set labeling
-    and a grid of another dimension raise UsageError.
+    Mapped points that leave the labeled region count as mismatches.  A
+    grid of another dimension than the system's raises UsageError.
     """
     if n_test < 1:
         raise UsageError("n_test must be >= 1")
     grid = labeling.grid
-    if not isinstance(grid, RegularGrid):
-        kind = "an orbit-sample" if grid is None else "a point-set"
-        raise UsageError(f"only a RegularGrid labeling is scored, not {kind} labeling")
     dt = _step_size(spec, dt)
     if grid.dim != spec.dim:
         raise UsageError(f"grid dimension {grid.dim} does not match {spec.kind}")
@@ -584,13 +558,14 @@ def partition_invariance_score(
 class EigenfunctionPartition:
     """Level sets of one eigenfunction plus their predicted evolution.
 
-    Labels combine |phi| quantile bins with equal-width phase bins.  Under
-    the dynamics a level alpha flows to alpha*multiplier; mismatch_rate is
-    the fraction of consecutive samples where the observed next label
-    differs from that prediction.
+    cell_id[k] is sample k's dense cell id, from |phi| quantile bins and
+    equal-width phase bins (interior edges in bin_edges).  A level alpha
+    flows to alpha*multiplier; mismatch_rate is the fraction of consecutive
+    samples where the observed next label differs from that prediction.
     """
 
-    labeling: PartitionLabeling
+    cell_id: np.ndarray
+    bin_edges: tuple
     multiplier: complex
     mismatch_rate: float
 
@@ -603,16 +578,18 @@ def eigenfunction_partition(
     phi_samples are consecutive values along one orbit.  lam is the map
     multiplier, or the continuous exponent when dt > 0 is given (the
     multiplier is then exp(lam*dt)); a negative or NaN dt raises
-    UsageError.  The evolution rule multiplies a sample by the multiplier
-    and re-bins; agreement with the actually observed next sample is
-    reported as 1 - mismatch_rate.
+    UsageError, and a NaN or +-inf sample PreconditionError.  The evolution
+    rule multiplies a sample by the multiplier and re-bins; agreement with
+    the actually observed next sample is reported as 1 - mismatch_rate.
     """
-    phi = np.asarray(phi_samples, dtype=complex).reshape(-1)
+    phi = np.asarray(phi_samples).reshape(-1)
     if phi.size < 2:
         raise UsageError("need at least two eigenfunction samples")
     if bins < 1:
         raise UsageError("bins must be >= 1")
     mu = complex(_multiplier(complex(lam), dt))
+    _refuse_non_finite(phi[:, None], "eigenfunction sample")
+    phi = phi.astype(complex)
 
     mod_idx, mod_edges = _quantile_bins(np.abs(phi), bins)
     phase_edges = np.linspace(-np.pi, np.pi, bins + 1)[1:-1]
@@ -628,11 +605,5 @@ def eigenfunction_partition(
     predicted = label_of(mu * phi[:-1])
     actual = codes[1:]
     mismatch = float(np.mean(predicted != actual))
-    labeling = PartitionLabeling(
-        cell_id=cell,
-        bin_edges=(mod_edges, phase_edges),
-        channel_names=("|phi|", "arg(phi)"),
-        channel_values=np.column_stack([np.abs(phi), np.angle(phi)]),
-        grid=None,
-    )
-    return EigenfunctionPartition(labeling=labeling, multiplier=mu, mismatch_rate=mismatch)
+    return EigenfunctionPartition(cell_id=cell, bin_edges=(mod_edges, phase_edges),
+                                  multiplier=mu, mismatch_rate=mismatch)

@@ -228,12 +228,19 @@ def _states_of(traj) -> np.ndarray:
     return np.atleast_2d(np.asarray(states, dtype=float))
 
 
+def _refuse_bad_dt(dt) -> None:
+    """UsageError unless dt is None (a map), 0 (a map) or positive (a flow)."""
+    if dt is not None and not dt >= 0:  # NaN included
+        raise UsageError(f"dt must be None, 0 or positive, got {dt}")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled states of one run: (m, d) array plus step size.
 
-    dt is 0.0 for maps (the time column is then the step index).  origin
-    metadata is optional so synthetic series can still use the type.
+    dt is 0.0 for maps (the time column is then the step index); a NaN or
+    negative dt raises UsageError.  origin metadata is optional so
+    synthetic series can still use the type.
     """
 
     states: np.ndarray
@@ -241,6 +248,7 @@ class Trajectory:
     spec: SystemSpec | None = None
 
     def __post_init__(self):
+        _refuse_bad_dt(self.dt)
         states = _states_of(self.states)
         if states.shape[0] < 1:
             raise UsageError("trajectory must contain at least one state")

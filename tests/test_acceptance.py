@@ -64,7 +64,7 @@ def test_c01_torus_rotation_spectrum_two_routes():
     t0 = time.perf_counter()
     traj = integrate(spec, (0.3, 1.1), dt=0.0, n_steps=200)
     series = dictionary.evaluate(traj.states)  # 201 states -> 200 snapshot pairs
-    pair = SnapshotPair.from_series(series, dt=0.0)
+    pair = SnapshotPair.from_series(series)
     eig_pinv = np.linalg.eigvals(pseudoinverse_dmd(pair))
     eig_section = finite_section_matrix(dictionary, traj).eigenvalues()
     runtime = time.perf_counter() - t0

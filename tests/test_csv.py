@@ -17,9 +17,7 @@ from koopman import _artifacts
 from koopman._artifacts import complex_json, write_csv, write_csv_files
 from koopman.observables import Observable, ObservableDictionary
 from koopman.partitions import (
-    PartitionLabeling,
     RegularGrid,
-    eigenfunction_partition,
     ergodic_partition_approx,
     time_average,
     write_partition_csv,
@@ -114,12 +112,6 @@ def _gap_grid():
     return SystemSpec("standard_map"), grid, dictionary, "x,y,g*_1,g*_2,g*_3"
 
 
-def _point_set():
-    grid = np.random.default_rng(2).uniform(size=(30, 2))
-    dictionary = _dictionary(Observable("sy", "sin", k=(0.0, 1.0)))
-    return SystemSpec("standard_map"), grid, dictionary, "x,y,g*_1"
-
-
 def _diverging():
     spec = SystemSpec("linear_map", {"B": [[2.0, 0.0], [0.0, 0.5]]})
     grid = RegularGrid(axes=(np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 3)))
@@ -143,7 +135,7 @@ def _five_dimensional():
 
 
 @pytest.mark.parametrize(
-    "case", [_gap_grid, _point_set, _diverging, _one_dimensional, _five_dimensional]
+    "case", [_gap_grid, _diverging, _one_dimensional, _five_dimensional]
 )
 def test_partition_files_give_savetxt_bytes(tmp_path, case):
     spec, grid, dictionary, header = case()
@@ -153,7 +145,7 @@ def test_partition_files_give_savetxt_bytes(tmp_path, case):
         assert field.diverged.any() and not field.diverged.all()
         assert (labeling.cell_id == -1).any()
     chan, _ = field.channels()
-    field_rows = np.column_stack([field.points, chan])
+    field_rows = np.column_stack([grid.points, chan])
     want_field = savetxt_bytes(tmp_path, field_rows, header)
     want_labeling = savetxt_bytes(
         tmp_path, np.column_stack([field_rows, labeling.cell_id]), header + ",cell_id"
@@ -167,29 +159,17 @@ def test_partition_files_give_savetxt_bytes(tmp_path, case):
     assert (tmp_path / "labeling_alone.csv").read_bytes() == want_labeling
 
 
-def test_orbit_labeling_gives_savetxt_bytes(tmp_path):
-    phi = 0.9 ** np.arange(50) * np.exp(0.3j * np.arange(50))
-    labeling = eigenfunction_partition(phi, 0.9 * np.exp(0.3j), bins=3).labeling
-    assert labeling.grid is None
-    labeling.to_csv(tmp_path / "labeling.csv")
-    rows = np.column_stack([np.arange(50), labeling.channel_values, labeling.cell_id])
-    assert (tmp_path / "labeling.csv").read_bytes() == savetxt_bytes(
-        tmp_path, rows, "x,g*_1,g*_2,cell_id"
-    )
-
-
-def test_grid_labeling_with_complex_channels_gives_savetxt_bytes(tmp_path):
+def test_distinct_value_columns_in_a_complex_table_give_savetxt_bytes(tmp_path):
     # a complex table formats the grid axes and the cell ids, the distinct
     # values of their columns, as complex numbers too
-    grid = RegularGrid(axes=(np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 0.5, 2)))
+    axes = (np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 0.5, 2))
+    index = np.unravel_index(np.arange(6), (3, 2))
     rng = np.random.default_rng(4)
-    values = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
-    labeling = PartitionLabeling(
-        cell_id=np.array([-1, 0, 1, 1, 0, -1]), bin_edges=(np.array([]),),
-        channel_names=("z",), channel_values=values, grid=grid,
-    )
-    labeling.to_csv(tmp_path / "labeling.csv")
-    rows = np.column_stack([labeling.points, values, labeling.cell_id])
+    values = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    cell_id = np.array([-1, 0, 1, 1, 0, -1])
+    table = [*zip(axes, index), values, (np.arange(-1, 2), cell_id + 1)]
+    write_csv_files(table, [(tmp_path / "labeling.csv", "x,y,g*_1,cell_id", None)])
+    rows = np.column_stack([RegularGrid(axes=axes).points, values, cell_id])
     assert (tmp_path / "labeling.csv").read_bytes() == savetxt_bytes(
         tmp_path, rows, "x,y,g*_1,cell_id"
     )

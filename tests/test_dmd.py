@@ -239,7 +239,7 @@ def test_spectral_triple_limit_cycle_eigenvalues():
     traj = integrate(spec, [0.5, 0.0], dt=dt, n_steps=3000)
     r, th = traj.states[:, 0], traj.states[:, 1]
     series = np.column_stack([(r**2 - 1) / r**2, np.exp(1j * th)])
-    pair = SnapshotPair.from_series(series, dt=dt)
+    pair = SnapshotPair.from_series(series)
     trip = spectral_triple(pseudoinverse_dmd(pair), pair)
     got = np.sort_complex(trip.eigenvalues)
     want = np.sort_complex(np.array([np.exp(-2 * dt), np.exp(1j * dt)]))
@@ -293,6 +293,12 @@ def test_continuous_time_eigenvalue_errors_and_warnings():
         continuous_time_eigenvalues([1.0], 0.0)
     with pytest.warns(RuntimeWarning, match="alias"):
         continuous_time_eigenvalues([-1.0], 0.1)
+
+
+def test_continuous_time_eigenvalues_refuse_a_nan_step():
+    # a dt <= 0 guard let NaN through, to NaN exponents and a numpy warning
+    with pytest.raises(UsageError, match="dt must be positive"):  # and no warning
+        continuous_time_eigenvalues([np.exp(-0.2)], float("nan"))
 
 
 def test_companion_model_validates_shapes():

@@ -82,7 +82,7 @@ def test_snapshot_pair_validation_and_csv(tmp_path):
 
 def test_snapshot_pair_from_series():
     series = np.arange(8.0).reshape(4, 2)
-    pair = SnapshotPair.from_series(series, dt=0.1)
+    pair = SnapshotPair.from_series(series)
     assert pair.n_observables == 2 and pair.n_samples == 3
     np.testing.assert_allclose(pair.X[:, 0], [0.0, 1.0])
     np.testing.assert_allclose(pair.Xp[:, -1], [6.0, 7.0])

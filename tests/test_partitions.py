@@ -6,7 +6,7 @@ import scipy.signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from koopman.errors import DivergenceError, UsageError
+from koopman.errors import DivergenceError, PreconditionError, UsageError
 from koopman.observables import Observable, ObservableDictionary
 from koopman.partitions import (
     HarmonicAverage,
@@ -25,6 +25,7 @@ from koopman.systems import (
     Trajectory,
     integrate,
     rk4_step_batch,
+    spectral_lattice,
     step_map_batch,
 )
 
@@ -171,50 +172,43 @@ def test_runner_systems_cover_every_kind():
 
 
 @pytest.mark.parametrize("kind", sorted(_RUNNER_SYSTEMS))
-@pytest.mark.parametrize("layout", ["points", "regular_grid"])
-def test_time_average_matches_a_plain_loop_bit_for_bit(monkeypatch, kind, layout):
+def test_time_average_matches_a_plain_loop_bit_for_bit(monkeypatch, kind):
     params, dt = _RUNNER_SYSTEMS[kind]
     spec = SystemSpec(kind, params)
-    if layout == "points":
-        grid = np.random.default_rng(5).uniform(-1.2, 1.2, (40, spec.dim))
-        pts = grid
-    else:
-        axis = np.linspace(-0.9, 1.1, 4 if spec.dim < 4 else 2)
-        grid = RegularGrid(axes=(axis,) * spec.dim)
-        pts = grid.points
+    axis = np.linspace(-0.9, 1.1, 4 if spec.dim < 4 else 2)
+    grid = RegularGrid(axes=(axis,) * spec.dim)
     dictionary = _every_kind(spec.dim)
     _blocked(monkeypatch)
     field = time_average(dictionary, spec, grid, n=9, dt=dt)
-    values, cesaro, diverged = _reference_time_average(dictionary, spec, pts, 9, dt)
+    values, cesaro, diverged = _reference_time_average(dictionary, spec, grid.points, 9, dt)
     assert not diverged.any()
     assert field.values.tobytes() == values.tobytes()
     assert field.cesaro.tobytes() == cesaro.tobytes()
     assert field.diverged.tobytes() == diverged.tobytes()
 
 
-_NON_FINITE_ROWS = [
-    (np.inf, 0.3), (-np.inf, 0.3), (np.nan, 0.3), (0.3, np.inf), (0.3, -np.inf),
-    (0.3, np.nan), (-0.0, 0.5), (0.5, -0.0), (-0.0, -0.0), (0.0, 0.25), (0.2, 0.7),
-]
-
-
 @pytest.mark.parametrize(
-    "kind, params, dt",
+    "kind, params, dt, axes",
     [
-        ("standard_map", {"eps": 0.3}, None),
         # x grows by 1e80 a step and overflows on the fourth; y decays
-        ("linear_map", {"B": [[1e80, 0.0], [0.0, 0.5]]}, None),
-        ("pendulum", {}, 0.05),
+        ("linear_map", {"B": [[1e80, 0.0], [0.0, 0.5]]}, None,
+         ([-0.0, 0.25, 0.5, 0.75], [-0.5, -0.0, 0.5])),
+        # r' = r (1 - r^2) overflows within the first RK4 step from r = 1e50
+        ("limit_cycle_polar", {}, 0.05, ([-0.0, 5e49, 1e50], [-0.0, 0.5, 1.0])),
+        # theta overflows on the second step, and sin(inf) is NaN
+        ("pendulum", {}, 0.05, ([-0.0, 0.85e308, 1.7e308], [-0.0, 1e308])),
     ],
 )
-def test_time_average_masks_rows_that_meet_non_finite_states(monkeypatch, kind, params, dt):
+def test_time_average_masks_rows_that_meet_non_finite_states(monkeypatch, kind, params, dt, axes):
     spec = SystemSpec(kind, params)
-    pts = np.array(_NON_FINITE_ROWS + [(x, -x) for x in np.linspace(-0.9, 0.9, 9)])
+    grid = RegularGrid(axes=tuple(np.array(a) for a in axes))
+    pts = grid.points
     dictionary = _every_kind(2)
     _blocked(monkeypatch)
-    field = time_average(dictionary, spec, pts, n=9, dt=dt)
+    field = time_average(dictionary, spec, grid, n=9, dt=dt)
     values, cesaro, diverged = _reference_time_average(dictionary, spec, pts, 9, dt)
-    assert diverged[:6].all() and not diverged[6:11].all()
+    assert diverged.any() and not diverged.all()
+    assert np.all(np.isfinite(pts))  # every row that diverges does so mid-orbit
     assert field.values.tobytes() == values.tobytes()
     assert field.diverged.tobytes() == diverged.tobytes()
     # one-nonzero k . x skips the 0 * inf of a matrix product, so diverged
@@ -248,27 +242,34 @@ def test_time_average_domain_error_names_the_grid_row(monkeypatch, blocked):
     if blocked:
         monkeypatch.setattr(partitions, "_BLOCK_ROWS", 7)
         monkeypatch.setattr(partitions, "_WORKERS", 2)
-    pts = np.full((50, 2), 0.5)
-    pts[37, 0] = 0.0
-    with pytest.raises(ObservableDomainError, match="sample 37"):
+        assert partitions._row_blocks(50, ())[3] == slice(18, 25)
+    # x = 0 on rows 20..29, the first of them row 2 of the block [18, 25)
+    grid = RegularGrid(axes=(np.array([1.0, 0.5, 0.0, -0.5, -1.0]), np.linspace(0.05, 0.95, 10)))
+    with pytest.raises(ObservableDomainError, match="sample 20"):
         time_average(_dict(Observable("inv", "monomial", powers=(-1, 0))),
-                     SystemSpec("standard_map"), pts, n=1)
+                     SystemSpec("standard_map"), grid, n=1)
+
+
+_COUNTS = np.arange(1.0, 26.0)  # a y axis of 1 .. 25
 
 
 @pytest.mark.parametrize(
-    "bad_rows, message",
+    "x_axis, y_axis, message",
     [
-        # row 3 (first block) fails at iteration 1, row 40 (second) at 0
-        ({3: (1.0, 1.0), 40: (0.0, 5.0)}, "'inv_x' undefined at sample 40"),
-        ({3: (0.0, 5.0), 40: (1.0, 1.0)}, "'inv_x' undefined at sample 3"),
-        # both fail at iteration 0: the earlier entry wins over the earlier row
-        ({3: (0.5, 0.0), 40: (0.0, 0.5)}, "'inv_x' undefined at sample 40"),
-        # same iteration and entry: the earlier row wins
-        ({3: (0.0, 0.5), 40: (0.0, 0.5)}, "'inv_x' undefined at sample 3"),
+        # rows 0..24 (first block) have x = x_axis[0], rows 25..49 x_axis[1];
+        # a row fails 1/x at iteration k where x = k y, and 1/y where y = 0.
+        # Row 4 (first block) fails at iteration 1, rows 25.. at 0
+        ((5.0, 0.0), _COUNTS, "'inv_x' undefined at sample 25"),
+        ((0.0, 5.0), _COUNTS, "'inv_x' undefined at sample 0"),
+        # both fail at iteration 0, row 12 (y = 0) in inv_y and rows 25.. in
+        # inv_x: the earlier entry wins over the earlier row
+        ((0.5, 0.0), np.arange(-12.0, 13.0), "'inv_x' undefined at sample 25"),
+        # both fail inv_x at iteration 1, rows 2 and 28: the earlier row wins
+        ((3.0, 4.0), _COUNTS, "'inv_x' undefined at sample 2"),
     ],
 )
 def test_time_average_domain_error_is_the_one_a_single_block_raises(
-    monkeypatch, bad_rows, message
+    monkeypatch, x_axis, y_axis, message
 ):
     from koopman import partitions
     from koopman.errors import ObservableDomainError
@@ -276,16 +277,14 @@ def test_time_average_domain_error_is_the_one_a_single_block_raises(
     d = _dict(Observable("inv_x", "monomial", powers=(-1, 0)),
               Observable("inv_y", "monomial", powers=(0, -1)))
     spec = SystemSpec("linear_map", {"B": [[1.0, -1.0], [0.0, 1.0]]})  # (x, y) -> (x - y, y)
-    pts = np.tile([0.5, -0.5], (50, 1))
-    for row, point in bad_rows.items():
-        pts[row] = point
+    grid = RegularGrid(axes=(np.array(x_axis), y_axis))
     with pytest.raises(ObservableDomainError) as whole:
-        time_average(d, spec, pts, n=4)
+        time_average(d, spec, grid, n=4)
     monkeypatch.setattr(partitions, "_BLOCK_ROWS", 25)
     monkeypatch.setattr(partitions, "_WORKERS", 2)
     assert partitions._row_blocks(50, d) == [slice(0, 25), slice(25, 50)]
     with pytest.raises(ObservableDomainError) as blocked:
-        time_average(d, spec, pts, n=4)
+        time_average(d, spec, grid, n=4)
     assert str(whole.value) == str(blocked.value) == f"observable {message}"
 
 
@@ -328,7 +327,7 @@ def test_time_average_rotation_decays_like_1_over_n():
     omega = 1.0
     spec = SystemSpec("circle_rotation", {"omega": omega})
     d = _dict(Observable("z", "phase", k=(1,)))
-    grid = np.linspace(0.0, 5.0, 7)[:, None]
+    grid = RegularGrid(axes=(np.linspace(0.0, 5.0, 7),))
     lam = np.exp(1j * omega)
     for n in (200, 400):
         field = time_average(d, spec, grid, n=n)
@@ -338,21 +337,33 @@ def test_time_average_rotation_decays_like_1_over_n():
 
 def test_time_average_flags_divergence():
     spec = SystemSpec("linear_map", {"B": [[2.0, 0.0], [0.0, 2.0]]})
-    grid = np.array([[1.0, 1.0], [0.0, 0.0]])
+    grid = RegularGrid(axes=(np.array([0.0, 1.0]), np.array([0.0, 1.0])))
     d = _dict(Observable("x", "coordinate", index=0))
     field = time_average(d, spec, grid, n=1500)
-    assert field.diverged[0] and not field.diverged[1]
+    # only the origin stays finite: 2^1500 overflows
+    np.testing.assert_array_equal(field.diverged, [False, True, True, True])
     lab = ergodic_partition_approx(field, bins_per_obs=3)
-    assert lab.cell_id[0] == -1 and lab.cell_id[1] >= 0
+    np.testing.assert_array_equal(lab.cell_id, [0, -1, -1, -1])
 
 
 def test_time_average_flow_needs_dt():
     spec = SystemSpec("lorenz")
     d = _dict(Observable("z", "coordinate", index=2))
+    grid = RegularGrid(axes=(np.array([1.0]),) * 3)
     with pytest.raises(UsageError):
-        time_average(d, spec, np.array([[1.0, 1.0, 1.0]]), n=10)
-    field = time_average(d, spec, np.array([[1.0, 1.0, 1.0]]), n=10, dt=0.01)
+        time_average(d, spec, grid, n=10)
+    field = time_average(d, spec, grid, n=10, dt=0.01)
     assert field.values.shape == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "grid", [np.array([[0.1, 0.2], [0.3, 0.4]]), [(0.1, 0.2)], None],
+    ids=["array", "list", "none"],
+)
+def test_time_average_refuses_anything_but_a_regular_grid(grid):
+    d = _dict(Observable("x", "coordinate", index=0))
+    with pytest.raises(UsageError, match="time_average needs a RegularGrid, not"):
+        time_average(d, SystemSpec("standard_map"), grid, n=3)
 
 
 @pytest.mark.parametrize("dt", [None, 0.0, -0.01, float("nan")])
@@ -567,7 +578,8 @@ def test_partition_cells_skip_diverged_rows_like_the_row_unique_route():
     diverged = np.zeros(400, dtype=bool)
     diverged[rng.choice(400, 37, replace=False)] = True
     d = ObservableDictionary(tuple(Observable(f"c{j}", "coordinate", index=0) for j in range(40)))
-    field = TimeAverageField(values=values.astype(complex), grid=np.zeros((400, 1)),
+    field = TimeAverageField(values=values.astype(complex),
+                             grid=RegularGrid(axes=(np.arange(400.0),)),
                              n_iterations=1, cesaro=np.zeros((400, 40)),
                              diverged=diverged, dictionary=d)
     lab = ergodic_partition_approx(field, bins_per_obs=5)
@@ -654,29 +666,6 @@ def test_invariance_score_single_cell_is_perfect():
     assert partition_invariance_score(lab, spec, n_test=3) == 1.0
 
 
-def test_invariance_score_refuses_a_point_set_labeling():
-    # a labeling over a raw point array has no grid to look labels up on
-    lab = PartitionLabeling(
-        cell_id=np.zeros(400, dtype=int),
-        bin_edges=(np.array([]),),
-        channel_names=("c",),
-        channel_values=np.zeros((400, 1)),
-        grid=RegularGrid.unit_square(20).points,
-    )
-    with pytest.raises(UsageError, match="point-set labeling"):
-        partition_invariance_score(lab, SystemSpec("standard_map", {"eps": 0.3}), n_test=3)
-
-
-@pytest.mark.parametrize("kind", ["circle_rotation", "standard_map"])
-def test_invariance_score_refuses_an_orbit_sample_labeling(kind):
-    # its points are sample indices, not states of the system
-    phi = np.exp(1j * 0.7 * np.arange(50))
-    lab = eigenfunction_partition(phi, np.exp(0.7j), bins=3).labeling
-    assert lab.grid is None
-    with pytest.raises(UsageError, match="orbit-sample labeling"):
-        partition_invariance_score(lab, SystemSpec(kind), n_test=1)
-
-
 def test_invariance_score_refuses_a_grid_of_another_dimension():
     lab = PartitionLabeling(
         cell_id=np.zeros(16, dtype=int),
@@ -699,14 +688,14 @@ def test_eigenfunction_partition_decay_labels():
     part = eigenfunction_partition(phi, -2.0, bins=4, dt=dt)
     assert part.multiplier == pytest.approx(np.exp(-2 * dt))
     assert part.mismatch_rate <= 0.02
-    assert part.labeling.n_cells >= 3
+    assert part.cell_id.max() + 1 >= 3
 
 
 def test_eigenfunction_partition_eigenvalue_one_fixed():
     phi = np.full(50, 0.7 + 0.1j)
     part = eigenfunction_partition(phi, 1.0, bins=5)
     assert part.mismatch_rate == 0.0
-    assert part.labeling.n_cells == 1
+    np.testing.assert_array_equal(part.cell_id, 0)
 
 
 def test_eigenfunction_partition_rotation_phases():
@@ -726,9 +715,76 @@ def test_multiplier_refuses_a_step_that_is_negative_or_nan(dt):
     phi = np.exp(1j * 0.7 * np.arange(50))
     with pytest.raises(UsageError, match="dt must be None, 0 or positive"):
         eigenfunction_partition(phi, 0.7j, bins=3, dt=dt)
-    traj = Trajectory(np.arange(8.0)[:, None], dt=dt)
     with pytest.raises(UsageError, match="dt must be None, 0 or positive"):
+        traj = Trajectory(np.arange(8.0)[:, None], dt=dt)
         gla_eigenfunction(traj, 0.7j, lambda s: np.ones(s.shape[0]), window=4)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.nan, r"non-finite eigenfunction sample \(nan\+0j\) in entry 0 at sample 5"),
+        (np.inf, r"non-finite eigenfunction sample \(inf\+0j\) in entry 0 at sample 5"),
+    ],
+    ids=["nan", "inf"],
+)
+def test_eigenfunction_partition_refuses_non_finite_samples(bad, message):
+    # the NaN sample used to land in cell 2 of this rotation and the inf one
+    # in cell 1, with no error
+    phi = np.exp(0.7j * np.arange(20))
+    phi[5] = bad
+    with pytest.raises(PreconditionError, match=message + "; rescale the data"):
+        eigenfunction_partition(phi, np.exp(0.7j), bins=3)
+    real = np.linspace(1.0, 0.1, 20)
+    real[5] = bad
+    with pytest.raises(PreconditionError, match=f"sample {bad} in entry 0 at sample 5"):
+        eigenfunction_partition(real, 0.9, bins=3)
+
+
+def _small_field(n=1):
+    return time_average(_dict(Observable("one", "constant")), SystemSpec("standard_map"),
+                        RegularGrid.unit_square(2), n=n)
+
+
+_AXIS = np.array([0.0, 0.5])
+# one case per UsageError guard on malformed counts and shapes
+_GUARDS = {
+    "grid_without_axes": (lambda: RegularGrid(axes=()), "at least one non-empty 1D axis"),
+    "grid_empty_axis": (lambda: RegularGrid(axes=(np.array([]),)),
+                        "at least one non-empty 1D axis"),
+    "grid_period_count": (lambda: RegularGrid(axes=(_AXIS, _AXIS), periods=(1.0,)),
+                          r"need one period entry \(or None\) per axis"),
+    "time_average_n": (lambda: _small_field(n=0), "n must be >= 1"),
+    "gla_value_count": (lambda: gla_eigenfunction(np.zeros((10, 1)), 1.0, np.ones(9)),
+                        "observable values must match trajectory length"),
+    "partition_bins": (lambda: ergodic_partition_approx(_small_field(), 0),
+                       "bins_per_obs must be >= 1"),
+    "invariance_n_test": (lambda: partition_invariance_score(
+        ergodic_partition_approx(_small_field(), 1), SystemSpec("standard_map"), n_test=0),
+        "n_test must be >= 1"),
+    "eigenfunction_samples": (lambda: eigenfunction_partition([1.0], 1.0, bins=2),
+                              "need at least two eigenfunction samples"),
+    "eigenfunction_bins": (lambda: eigenfunction_partition(np.ones(5), 1.0, bins=0),
+                           "bins must be >= 1"),
+    "empty_trajectory": (lambda: Trajectory(np.zeros((0, 2))),
+                         "trajectory must contain at least one state"),
+    "rk4_step_batch_on_a_map": (
+        lambda: rk4_step_batch(SystemSpec("standard_map"), np.zeros((1, 2)), 0.1),
+        "rk4_step_batch needs a continuous flow, got 'standard_map'"),
+    "integrate_n_steps": (lambda: integrate(SystemSpec("standard_map"), [0.1, 0.2], 0.0, 0),
+                          "n_steps must be >= 1"),
+    "lattice_N": (lambda: spectral_lattice(1.0, [-2.0], -1, 0),
+                  r"lattice truncation requires N, M >= 0"),
+    "lattice_M": (lambda: spectral_lattice(1.0, [-2.0], 0, -1),
+                  r"lattice truncation requires N, M >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_usage_guard_raises_its_message(case):
+    call, message = _GUARDS[case]
+    with pytest.raises(UsageError, match=message):
+        call()
 
 
 def test_labeling_csv_layout(tmp_path):

@@ -23,7 +23,7 @@ from koopman.representation_eval import (
     sindy_fit,
     stability_certificate,
 )
-from koopman.systems import SystemSpec, hamiltonian, integrate, step_map_batch
+from koopman.systems import SystemSpec, Trajectory, hamiltonian, integrate, step_map_batch
 
 
 def coords(names):
@@ -512,6 +512,27 @@ def test_discrete_spectrum_converted_when_dt_given():
     triple = make_triple([np.exp(lam_ct * 0.1)], np.exp(-t)[None, :])
     assert stability_certificate(triple, 1.0, dt=0.1) == "certified"
     assert stability_certificate(triple, 1.0) == "not certified: spectrum"
+
+
+def test_certificate_refuses_a_nan_step():
+    # NaN exponents compared as not >= 0, so an unstable eigenvalue 2.0
+    # (not certified at dt = 0.1) was certified at dt = NaN
+    t = np.linspace(0.0, 10.0, 50)
+    triple = make_triple([2.0], np.exp(-t)[None, :])
+    assert stability_certificate(triple, 1.0, dt=0.1) == "not certified: spectrum"
+    with pytest.raises(UsageError, match="dt must be positive"):
+        stability_certificate(triple, 1.0, dt=float("nan"))
+
+
+@pytest.mark.parametrize("dt", [-0.001, float("nan")])
+def test_sindy_never_sees_a_trajectory_with_a_negative_or_nan_step(dt):
+    # such a Trajectory was accepted, and sindy_fit then fitted the Lorenz
+    # flow as a next_state map (residual 0.0036) instead of a derivative
+    spec = SystemSpec("lorenz")
+    states = integrate(spec, (1.0, 1.0, 1.0), dt=0.001, n_steps=200).states
+    library = monomial_library(("x", "y", "z"), 2)
+    with pytest.raises(UsageError, match="dt must be None, 0 or positive, got"):
+        sindy_fit(Trajectory(states, dt=dt, spec=spec), library, threshold=0.1)
 
 
 # ------------------------------------------------------- export, heuristic
