@@ -28,7 +28,13 @@ from .errors import (
     PreconditionError,
     UsageError,
 )
-from .finite_section import FiniteSectionMatrix, dual_basis, finite_section_matrix
+from .finite_section import (
+    FiniteSectionMatrix,
+    detect_linear_subrepresentation,
+    detect_nonlinear_representation,
+    dual_basis,
+    finite_section_matrix,
+)
 from .mori_zwanzig import (
     FourierObservable,
     MzDecomposition,
@@ -42,10 +48,12 @@ from .observables import (
     monomial_library,
 )
 from .partitions import (
+    EigenfunctionPartition,
     HarmonicAverage,
     PartitionLabeling,
     RegularGrid,
     TimeAverageField,
+    eigenfunction_partition,
     ergodic_partition_approx,
     gla_eigenfunction,
     partition_invariance_score,
@@ -54,7 +62,6 @@ from .partitions import (
 from .representation_eval import (
     RepresentationModel,
     conjugacy_check,
-    efficiency_rank_heuristic,
     faithfulness_estimate,
     representation_residual,
     sindy_fit,
@@ -76,8 +83,6 @@ from .systems import (
     integrate,
     known_spectrum,
     spectral_lattice,
-    step_map,
-    vector_field,
 )
 
 __all__ = [
@@ -92,8 +97,6 @@ __all__ = [
     "SystemSpec",
     "Trajectory",
     "integrate",
-    "step_map",
-    "vector_field",
     "hamiltonian",
     "known_spectrum",
     "spectral_lattice",
@@ -115,6 +118,8 @@ __all__ = [
     "FiniteSectionMatrix",
     "finite_section_matrix",
     "dual_basis",
+    "detect_linear_subrepresentation",
+    "detect_nonlinear_representation",
     "RegularGrid",
     "TimeAverageField",
     "HarmonicAverage",
@@ -123,6 +128,8 @@ __all__ = [
     "gla_eigenfunction",
     "ergodic_partition_approx",
     "partition_invariance_score",
+    "EigenfunctionPartition",
+    "eigenfunction_partition",
     "PairedSamples",
     "StaticFit",
     "fit_static_linear",
@@ -139,7 +146,6 @@ __all__ = [
     "conjugacy_check",
     "sindy_fit",
     "stability_certificate",
-    "efficiency_rank_heuristic",
 ]
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._artifacts import write_csv
 from .errors import UsageError
 
 
@@ -39,14 +38,6 @@ class SnapshotPair:
     @property
     def n_observables(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.X.shape[1]
-
-    def to_csv(self, x_path, xp_path) -> None:
-        write_csv(x_path, self.X)
-        write_csv(xp_path, self.Xp)
 
     @classmethod
     def from_series(cls, series) -> "SnapshotPair":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._artifacts import complex_json, write_csv
+from ._artifacts import write_csv
 from .dmd import _refuse_non_finite
 from .errors import DegenerateDictionaryError, PreconditionError, UsageError
 from .observables import ObservableDictionary
@@ -65,7 +65,7 @@ def dual_basis(F) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FiniteSectionMatrix:
-    """N x N section U_tilde over a dictionary, fit from sample_count states.
+    """N x N section U_tilde over a dictionary.
 
     route_disagreement records the max entrywise gap between the
     average-form and least-squares computations of the same matrix.
@@ -73,7 +73,6 @@ class FiniteSectionMatrix:
 
     U_tilde: np.ndarray
     dictionary: ObservableDictionary
-    sample_count: int
     route_disagreement: float = 0.0
 
     def __post_init__(self):
@@ -98,13 +97,6 @@ class FiniteSectionMatrix:
         header = ",".join(f"re_{n},im_{n}" for n in names)
         # a C-ordered complex128 array viewed as float64 is re, im, re, im, ...
         write_csv(path, np.ascontiguousarray(self.U_tilde).view(float), header)
-
-    def to_json(self) -> dict:
-        return {
-            "dictionary": self.dictionary.to_json(),
-            "sample_count": self.sample_count,
-            "U_tilde": complex_json(self.U_tilde),
-        }
 
 
 def finite_section_matrix(dictionary: ObservableDictionary, traj) -> FiniteSectionMatrix:
@@ -132,12 +124,8 @@ def finite_section_matrix(dictionary: ObservableDictionary, traj) -> FiniteSecti
             RuntimeWarning,
             stacklevel=2,
         )
-    return FiniteSectionMatrix(
-        U_tilde=U_lsq,
-        dictionary=dictionary,
-        sample_count=states.shape[0],
-        route_disagreement=disagreement,
-    )
+    return FiniteSectionMatrix(U_tilde=U_lsq, dictionary=dictionary,
+                               route_disagreement=disagreement)
 
 
 def _resolve_indices(dictionary: ObservableDictionary, index_set) -> list:
@@ -159,18 +147,6 @@ def _resolve_indices(dictionary: ObservableDictionary, index_set) -> list:
     if len(set(indices)) != len(indices):
         raise UsageError("index set contains duplicates")
     return indices
-
-
-def compression(section: FiniteSectionMatrix, index_set) -> FiniteSectionMatrix:
-    """Principal submatrix on index_set (positions or entry names)."""
-    idx = _resolve_indices(section.dictionary, index_set)
-    sub = section.U_tilde[np.ix_(idx, idx)]
-    return FiniteSectionMatrix(
-        U_tilde=sub,
-        dictionary=section.dictionary.subset(idx),
-        sample_count=section.sample_count,
-        route_disagreement=section.route_disagreement,
-    )
 
 
 def detect_linear_subrepresentation(

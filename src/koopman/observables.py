@@ -24,7 +24,7 @@ A vector parameter (k, powers) has one entry per state coordinate.  The
 constructor checks each parameter against `_PARAMS` (index: an integer
 >= 0; k, powers: a non-empty sequence of real numbers; fn: a callable) and
 raises UsageError rather than coercing anything else.  Every kind but
-custom round-trips through JSON as {"name", "type", <parameter>}.
+custom reads from JSON as {"name", "type", <parameter>}.
 """
 
 from __future__ import annotations
@@ -208,16 +208,6 @@ class Observable:
         with np.errstate(over="ignore", invalid="ignore"):
             return kind.values(self, states)
 
-    def to_json(self) -> dict:
-        param = KINDS[self.kind].param
-        if param == "fn":
-            raise UsageError(f"{self.name}: custom observables are not JSON-serializable")
-        obj = {"name": self.name, "type": self.kind}
-        if param:
-            value = getattr(self, param)
-            obj[param] = list(value) if isinstance(value, tuple) else value
-        return obj
-
     @classmethod
     def from_json(cls, obj: dict) -> "Observable":
         if not isinstance(obj, dict) or "name" not in obj or "type" not in obj:
@@ -281,12 +271,6 @@ class ObservableDictionary:
         for j, entry in enumerate(self.entries):
             F[:, j] = entry(states)
         return F
-
-    def subset(self, indices) -> "ObservableDictionary":
-        return ObservableDictionary(tuple(self.entries[i] for i in indices))
-
-    def to_json(self) -> list:
-        return [e.to_json() for e in self.entries]
 
     @classmethod
     def from_json(cls, obj) -> "ObservableDictionary":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._artifacts import complex_json, write_json
+from ._artifacts import complex_json
 from .dmd import SpectralTriple, _refuse_non_finite, continuous_time_eigenvalues
 from .errors import DegenerateFitError, PreconditionError, UsageError
 from .observables import REAL_KINDS, Observable, ObservableDictionary
@@ -29,7 +29,6 @@ MAP_KINDS = ("linear", "library_coeffs", "explicit")
 STLSQ_MAX_ITERATIONS = 20
 _FAITHFUL_MIN = 1e-6  # stability_certificate: a score at or below it glues states together
 _ZERO_RTOL = 1e-3  # an eigenfunction reaches zero within this fraction of its peak magnitude
-_RANK_RTOL = 1e-8  # efficiency_rank_heuristic: a singular value below it, relative, is dropped
 
 
 @dataclass(frozen=True)
@@ -133,10 +132,6 @@ class RepresentationModel:
         if np.isfinite(self.residual):
             obj["residual"] = float(self.residual)
         return obj
-
-    def save_json(self, path) -> None:
-        """Write to_json() as strict JSON; a NaN or +-inf raises KoopmanError."""
-        write_json(path, self.to_json())
 
 
 def representation_residual(model: RepresentationModel, traj) -> float:
@@ -341,24 +336,3 @@ def stability_certificate(
     if not np.all(reaches_zero):
         return "not certified: range"
     return "certified"
-
-
-def efficiency_rank_heuristic(f_samples) -> dict:
-    """Necessary-condition screen for redundant observables (heuristic).
-
-    A rank drop of the centered sample matrix means some observable is a
-    linear combination of the others on the data, so the set is certainly
-    not minimal.  Full rank proves nothing: nonlinear redundancy is
-    invisible to this check, and no finite sample can decide minimality.
-    """
-    F = np.atleast_2d(np.asarray(f_samples))
-    centered = F - F.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    top = svals[0] if svals.size and svals[0] > 0 else 1.0
-    rank = int(np.sum(svals >= _RANK_RTOL * top))
-    return {
-        "rank": rank,
-        "n_observables": int(F.shape[1]),
-        "maybe_efficient": rank >= F.shape[1],
-        "smallest_singular_ratio": float(svals[-1] / top) if svals.size else 0.0,
-    }

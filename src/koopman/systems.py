@@ -44,7 +44,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._artifacts import write_csv
 from .errors import DivergenceError, UsageError
 
 TWO_PI = 2.0 * math.pi
@@ -215,12 +214,6 @@ class SystemSpec:
         params = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in self.params.items()}
         return {"kind": self.kind, "params": params}
 
-    @classmethod
-    def from_json(cls, obj) -> "SystemSpec":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise UsageError("system spec JSON must be an object with a 'kind' field")
-        return cls(kind=obj["kind"], params=dict(obj.get("params", {})))
-
 
 def _states_of(traj) -> np.ndarray:
     """(m, d) float states of a Trajectory or of a bare array of states."""
@@ -238,9 +231,9 @@ def _refuse_bad_dt(dt) -> None:
 class Trajectory:
     """Uniformly sampled states of one run: (m, d) array plus step size.
 
-    dt is 0.0 for maps (the time column is then the step index); a NaN or
-    negative dt raises UsageError.  origin metadata is optional so
-    synthetic series can still use the type.
+    dt is 0.0 for maps, and None reads as 0.0; a NaN or negative dt raises
+    UsageError.  spec is optional: sindy_fit names its model's coordinates
+    after it.
     """
 
     states: np.ndarray
@@ -249,23 +242,12 @@ class Trajectory:
 
     def __post_init__(self):
         _refuse_bad_dt(self.dt)
+        if self.dt is None:
+            object.__setattr__(self, "dt", 0.0)
         states = _states_of(self.states)
         if states.shape[0] < 1:
             raise UsageError("trajectory must contain at least one state")
         object.__setattr__(self, "states", states)
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def times(self) -> np.ndarray:
-        k = np.arange(len(self))
-        return k * self.dt if self.dt > 0 else k.astype(float)
-
-    def to_csv(self, path) -> None:
-        d = self.states.shape[1]
-        header = ",".join(["t"] + [f"coord_{i}" for i in range(d)])
-        write_csv(path, [self.times, *self.states.T], header)
 
 
 @functools.cache
@@ -357,25 +339,12 @@ def _state(spec: SystemSpec, s) -> np.ndarray:
     return s
 
 
-def step_map(spec: SystemSpec, s) -> np.ndarray:
-    """One iterate of a discrete map at a single state."""
-    return step_map_batch(spec, _state(spec, s)[None, :])[0]
-
-
 def step_map_batch(spec: SystemSpec, pts: np.ndarray) -> np.ndarray:
     """One iterate of a discrete map applied to a (P, d) batch of states."""
     if not spec.is_map:
         raise UsageError(f"step_map_batch needs a discrete map, got {spec.kind!r}")
     pts = np.asarray(pts, dtype=float)
     return np.column_stack(_column_step(spec)(tuple(pts.T)))
-
-
-def vector_field(spec: SystemSpec, s) -> np.ndarray:
-    """Time derivative of a continuous flow at a single state."""
-    if spec.is_map:
-        raise UsageError(f"vector_field needs a continuous flow, got {spec.kind!r}")
-    s = _state(spec, s)
-    return np.concatenate(np.broadcast_arrays(*_batch(spec)(*s[:, None])))
 
 
 def rk4_step_batch(spec: SystemSpec, pts: np.ndarray, dt: float) -> np.ndarray:

@@ -409,12 +409,14 @@ def test_overflowing_largest_singular_value_exits_3_and_creates_nothing(
         # refused by a bound the schema does not state
         ("standard_map_partition", "system.params.eps=-1", 2, "standard_map requires eps >= 0"),
         ("linear_static", "method_params.box=[1.0, -1.0]", 2, "low <= high"),
+        ("linear_static", 'system={"kind": "lorenz"}', 2,
+         "config invalid: static regression needs a discrete map system"),
         # the grid's span overflows: axis values that are not finite
         ("standard_map_partition", 'sampling.grid.axes=[{"lo": -1.7e308, "hi": 1.7e308, "n": 3,'
          '"period": 1.0}, {"lo": 0.0, "hi": 1.0, "n": 4}]', 2, "grid axis values must be finite"),
     ],
     ids=["gla-off-circle", "static-residual", "companion-residual", "one-sample",
-         "negative-eps", "reversed-box", "non-finite-axis"],
+         "negative-eps", "reversed-box", "static-on-a-flow", "non-finite-axis"],
 )
 def test_failed_run_reports_once_and_creates_nothing(tmp_path, capsys, name, override, code,
                                                      message):
@@ -427,6 +429,7 @@ def test_failed_run_reports_once_and_creates_nothing(tmp_path, capsys, name, ove
     assert caught == []
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -745,7 +748,7 @@ def test_partition_summary_reports_convergence_gaps_of_finite_rows(tmp_path):
             {"lo": 0.0, "hi": 1.0, "n": 3}, {"lo": -1.0, "hi": 1.0, "n": 5}]}},
     }
     grid = cli._build_grid(cfg["sampling"]["grid"])
-    spec = SystemSpec.from_json(cfg["system"])
+    spec = SystemSpec(**cfg["system"])
     field = cli.time_average(cli._build_dictionary(cfg["dictionary"]), spec, grid, n=40)
     finite = field.cesaro[~field.diverged]
     assert field.diverged.any() and finite.size  # x > 0 overflows, x = 0 stays

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from koopman.dmd import (
     CompanionModel,
+    SpectralTriple,
     _pseudoinverse_and_rank,
     companion_dmd,
     continuous_time_eigenvalues,
@@ -383,3 +384,22 @@ def test_square_krylov_fits_recover_the_known_spectrum(map_and_vectors, start):
     # the companion matrix's eigenvectors are the Vandermonde rows of its eigenvalues
     companion_bound = scale * np.linalg.cond(np.vander(truth)) * np.linalg.norm(model.C, 2)
     assert _eigenvalue_error(truth, model.eigenvalues) <= companion_bound
+
+
+_PAIR = SnapshotPair(np.ones((1, 3)), np.ones((1, 3)))
+# one case per UsageError guard on malformed shapes
+_GUARDS = {
+    "triple_count": (lambda: SpectralTriple(np.ones(2), np.ones((1, 3)), np.ones((2, 1)), 0.0),
+                     "triple components disagree on eigenvalue count"),
+    "eigenmatrix_square": (lambda: spectral_triple(np.ones((1, 2)), _PAIR),
+                           "eigenmatrix must be square"),
+    "eigenmatrix_size": (lambda: spectral_triple(np.eye(2), _PAIR),
+                         "eigenmatrix size must match number of observable rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_usage_guard_raises_its_message(case):
+    call, message = _GUARDS[case]
+    with pytest.raises(UsageError, match=message):
+        call()

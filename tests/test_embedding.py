@@ -71,25 +71,40 @@ def test_hankel_pair_linear_recurrence_blockwise():
     np.testing.assert_allclose(emb[1:], emb[:-1] @ blockB.T, atol=1e-10)
 
 
-def test_snapshot_pair_validation_and_csv(tmp_path):
-    with pytest.raises(UsageError):
-        SnapshotPair(X=np.ones((2, 3)), Xp=np.ones((2, 4)))
-    pair = hankel_pair(np.arange(6.0), rows=2)
-    pair.to_csv(tmp_path / "X.csv", tmp_path / "Xp.csv")
-    X = np.loadtxt(tmp_path / "X.csv", delimiter=",")
-    np.testing.assert_allclose(X, pair.X)
-
-
 def test_snapshot_pair_from_series():
     series = np.arange(8.0).reshape(4, 2)
     pair = SnapshotPair.from_series(series)
-    assert pair.n_observables == 2 and pair.n_samples == 3
+    assert pair.X.shape == pair.Xp.shape == (2, 3)
     np.testing.assert_allclose(pair.X[:, 0], [0.0, 1.0])
     np.testing.assert_allclose(pair.Xp[:, -1], [6.0, 7.0])
 
 
 def test_snapshot_pair_from_a_one_dimensional_series_has_one_observable():
     pair = SnapshotPair.from_series(np.arange(5.0))
-    assert pair.n_observables == 1 and pair.n_samples == 4
+    assert pair.n_observables == 1
     np.testing.assert_array_equal(pair.X, [[0.0, 1.0, 2.0, 3.0]])
     np.testing.assert_array_equal(pair.Xp, [[1.0, 2.0, 3.0, 4.0]])
+
+
+# one case per UsageError guard on malformed counts and shapes
+_GUARDS = {
+    "pair_shapes_differ": (lambda: SnapshotPair(X=np.ones((2, 3)), Xp=np.ones((2, 4))),
+                           r"snapshot shapes differ: \(2, 3\) vs \(2, 4\)"),
+    "pair_without_columns": (lambda: SnapshotPair(np.ones((2, 0)), np.ones((2, 0))),
+                             "snapshot pair needs at least one column"),
+    "series_of_one_sample": (lambda: SnapshotPair.from_series([1.0]),
+                             "need at least two samples to form a snapshot pair"),
+    "negative_delays": (lambda: delay_embed(np.arange(5.0), N=-1),
+                        "number of delays must be >= 0"),
+    "zero_stride": (lambda: delay_embed(np.arange(5.0), N=1, stride=0), "stride must be >= 1"),
+    "hankel_rows": (lambda: hankel_pair(np.arange(5.0), rows=0), "rows must be >= 1"),
+    "hankel_short_series": (lambda: hankel_pair(np.arange(3.0), rows=3),
+                            "series of length 3 too short for rows=3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_usage_guard_raises_its_message(case):
+    call, message = _GUARDS[case]
+    with pytest.raises(UsageError, match=message):
+        call()

@@ -3,14 +3,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from koopman import detect_linear_subrepresentation, detect_nonlinear_representation
 from koopman.dmd import continuous_time_eigenvalues, pseudoinverse_dmd
 from koopman.embedding import SnapshotPair
 from koopman.errors import DegenerateDictionaryError, PreconditionError, UsageError
 from koopman.finite_section import (
     FiniteSectionMatrix,
-    compression,
-    detect_linear_subrepresentation,
-    detect_nonlinear_representation,
     dual_basis,
     finite_section_matrix,
 )
@@ -104,7 +102,6 @@ def test_section_circle_rotation_single_mode():
     sec = finite_section_matrix(_dict(_phase("z", (1,))), traj)
     assert sec.U_tilde.shape == (1, 1)
     np.testing.assert_allclose(sec.U_tilde[0, 0], np.exp(0.9j), atol=1e-10)
-    assert sec.sample_count == 31
     assert sec.route_disagreement <= 1e-10
 
 
@@ -174,31 +171,6 @@ def test_section_eigenfunction_coefficients_reproduce_samples():
         np.testing.assert_allclose(phi[1:, j], lam[j] * phi[:-1, j], atol=1e-9)
 
 
-def test_compression_basics():
-    d = _dict(_phase("a", (1,)), _phase("b", (2,)), _phase("c", (3,)))
-    U = np.arange(9.0).reshape(3, 3)
-    sec = FiniteSectionMatrix(U_tilde=U, dictionary=d, sample_count=10)
-    full = compression(sec, ["a", "b", "c"])
-    np.testing.assert_allclose(full.U_tilde, U)
-    sub = compression(sec, [0, 2])
-    np.testing.assert_allclose(sub.U_tilde, [[0, 2], [6, 8]])
-    assert sub.dictionary.names == ("a", "c")
-    with pytest.raises(UsageError):
-        compression(sec, [])
-    with pytest.raises(UsageError):
-        compression(sec, [5])
-
-
-def test_compression_composes_by_name_intersection():
-    d = _dict(*(_phase(n, (i + 1,)) for i, n in enumerate("abcd")))
-    U = np.random.default_rng(4).normal(size=(4, 4))
-    sec = FiniteSectionMatrix(U_tilde=U, dictionary=d, sample_count=9)
-    two_step = compression(compression(sec, ["a", "b", "c"]), ["b", "c"])
-    direct = compression(sec, ["b", "c"])
-    np.testing.assert_allclose(two_step.U_tilde, direct.U_tilde)
-    assert two_step.dictionary.names == direct.dictionary.names
-
-
 def test_detect_linear_torus_pair_closed():
     spec = SystemSpec("torus_rotation", {"omega1": 0.3, "omega2": 0.7})
     traj = integrate(spec, [0.05, 0.6], dt=0.0, n_steps=80)
@@ -225,7 +197,7 @@ def test_detect_linear_shear_leaks():
 
 def test_detect_linear_full_dictionary_trivially_closed():
     d = _dict(_phase("a", (1,)), _phase("b", (2,)))
-    sec = FiniteSectionMatrix(np.ones((2, 2)), d, sample_count=5)
+    sec = FiniteSectionMatrix(np.ones((2, 2)), d)
     verdict = detect_linear_subrepresentation(sec, ["a", "b"])
     assert verdict["is_linear"] and verdict["leakage"] == 0.0
 
@@ -270,24 +242,21 @@ def test_detect_nonlinear_logistic_coefficients():
 
 def test_detect_nonlinear_rejects_overlap():
     d = _dict(_phase("a", (1,)), _phase("b", (2,)))
-    sec = FiniteSectionMatrix(np.eye(2), d, sample_count=4)
+    sec = FiniteSectionMatrix(np.eye(2), d)
     with pytest.raises(UsageError):
         detect_nonlinear_representation(sec, ["a"], ["a"])
 
 
-def test_section_csv_and_json(tmp_path):
+def test_section_csv(tmp_path):
     d = _dict(_phase("z1", (1,)), _phase("z2", (2,)))
     U = np.array([[1 + 2j, 0.0], [0.5j, -1.0]])
-    sec = FiniteSectionMatrix(U, d, sample_count=7)
+    sec = FiniteSectionMatrix(U, d)
     path = tmp_path / "sec.csv"
     sec.to_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "re_z1,im_z1,re_z2,im_z2"
     vals = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_allclose(vals[0], [1.0, 2.0, 0.0, 0.0])
-    obj = sec.to_json()
-    assert obj["sample_count"] == 7
-    assert obj["U_tilde"][1][0] == {"re": 0.0, "im": 0.5}
 
 
 def _eigenvalue_error(truth, got):
@@ -386,3 +355,31 @@ def test_limit_cycle_edmd_eigenvalues_lie_on_the_lattice(r0, theta0, n):
     err = np.abs(cont - nearest)
     assert err[nearest.imag == 0].max() <= 1e-3
     assert err[nearest.imag != 0].max() <= 1e-6
+
+
+_SECTION = FiniteSectionMatrix(np.eye(2), _dict(_phase("a", (1,)), _phase("b", (2,))))
+# one case per UsageError guard on malformed sections and index sets
+_GUARDS = {
+    "section_shape": (lambda: FiniteSectionMatrix(np.eye(3), _dict(_phase("a", (1,)))),
+                      r"section shape \(3, 3\) does not match dictionary size 1"),
+    "section_non_finite": (lambda: FiniteSectionMatrix([[np.nan]], _dict(_phase("a", (1,)))),
+                           "section matrix contains non-finite entries"),
+    "section_one_state": (lambda: finite_section_matrix(_dict(_phase("a", (1,))),
+                                                        np.zeros((1, 1))),
+                          "need at least two states to fit a section"),
+    "index_set_none": (lambda: detect_linear_subrepresentation(_SECTION, None),
+                       "index set must not be None"),
+    "index_set_empty": (lambda: detect_linear_subrepresentation(_SECTION, []),
+                        "index set must not be empty"),
+    "index_out_of_range": (lambda: detect_linear_subrepresentation(_SECTION, [5]),
+                           "index 5 out of range for dictionary of size 2"),
+    "index_set_duplicates": (lambda: detect_linear_subrepresentation(_SECTION, ["a", 0]),
+                             "index set contains duplicates"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_usage_guard_raises_its_message(case):
+    call, message = _GUARDS[case]
+    with pytest.raises(UsageError, match=message):
+        call()

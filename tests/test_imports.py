@@ -1,10 +1,10 @@
 """scipy is imported by the three functions that call it, never at import time.
 
 Each case runs in a fresh interpreter, since this process has long since
-loaded scipy through other tests.  Three tests check the sources: the
+loaded scipy through other tests.  Four tests check the sources: the
 functions that import scipy are exactly the first-user cases, only
-koopman._artifacts writes files, and only koopman.cli reads one (the
-config).
+koopman._artifacts writes files, only koopman.cli reads one (the
+config), and koopman.__all__ is the list of the names the package imports.
 """
 
 import ast
@@ -209,3 +209,14 @@ def test_only_the_cli_reads_files():
     reads = {path.name: _file_reads(ast.parse(path.read_text())) for path in sources}
     assert reads.pop("cli.py")  # the config is the one file the package reads
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_all_lists_each_name_the_package_imports_once():
+    # a name deleted from a module but left in __all__ would fail here too,
+    # since its import line goes with it
+    tree = ast.parse(Path(koopman.__file__).read_text())
+    imported = {alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
+    assert len(koopman.__all__) == len(set(koopman.__all__))
+    assert set(koopman.__all__) == {name for name in imported if not name.startswith("_")}

@@ -240,3 +240,17 @@ def test_closure_lambda_is_the_weighted_mean_of_the_mode_phases(coeffs, omega, e
     # in 3000 examples the worst error was 2 * c.size * eps
     assert abs(result["lambda"] - want) <= 8 * c.size * np.finfo(float).eps
     assert abs(result["lambda_empirical"] - want) <= 8 * c.size * np.finfo(float).eps
+
+
+# one case per UsageError guard no other test reaches
+_GUARDS = {
+    "fourier_non_finite": (lambda: FourierObservable([1.0, np.nan]),
+                           "coefficients must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_usage_guard_raises_its_message(case):
+    call, message = _GUARDS[case]
+    with pytest.raises(UsageError, match=message):
+        call()

@@ -10,6 +10,7 @@ from koopman.observables import (
     ObservableDictionary,
     StateColumns,
     fourier_box,
+    monomial_library,
 )
 
 
@@ -93,7 +94,7 @@ def test_dictionary_rejects_duplicate_names():
         )
 
 
-def test_dictionary_json_roundtrip():
+def test_dictionary_from_json():
     d = ObservableDictionary(
         (
             Observable("z1", "fourier", k=(1, 0)),
@@ -101,8 +102,12 @@ def test_dictionary_json_roundtrip():
             Observable("x", "coordinate", index=0),
         )
     )
-    back = ObservableDictionary.from_json(d.to_json())
-    assert back.names == d.names
+    back = ObservableDictionary.from_json([
+        {"name": "z1", "type": "fourier", "k": [1, 0]},
+        {"name": "r2", "type": "monomial", "powers": [2, 0]},
+        {"name": "x", "type": "coordinate", "index": 0},
+    ])
+    assert back == d
     states = np.random.default_rng(0).random((5, 2)) + 0.5
     np.testing.assert_allclose(back.evaluate(states), d.evaluate(states), atol=1e-15)
 
@@ -111,8 +116,8 @@ def test_custom_observable_not_serializable():
     c = Observable("norm", "custom", fn=lambda s: np.linalg.norm(s, axis=1))
     states = np.array([[3.0, 4.0]])
     np.testing.assert_allclose(c(states), [5.0])
-    with pytest.raises(UsageError):
-        c.to_json()
+    with pytest.raises(UsageError, match="custom needs a callable fn"):
+        Observable.from_json({"name": "norm", "type": "custom"})
 
 
 def test_dimension_mismatch_is_usage_error():
@@ -286,3 +291,30 @@ def test_state_columns_evaluate_like_their_array():
         assert entry(block).tobytes() == entry(states).tobytes()
     with pytest.raises(UsageError, match="dimension"):
         Observable("s", "sin", k=(1, 0))(block)
+
+
+_ONE = ObservableDictionary((Observable("a", "constant"),))
+# one case per UsageError guard on malformed observables and dictionaries
+_GUARDS = {
+    "custom_shape": (
+        lambda: Observable("bad", "custom", fn=lambda s: np.ones(2))(np.zeros((3, 1))),
+        r"bad: custom observable returned shape \(2,\), expected \(3,\)"),
+    "empty_name": (lambda: Observable("", "constant"), "observable needs a non-empty string name"),
+    "json_without_type": (lambda: Observable.from_json({"name": "a"}),
+                          "observable JSON needs 'name' and 'type' fields"),
+    "empty_dictionary": (lambda: ObservableDictionary(()),
+                         "observable dictionary must not be empty"),
+    "unknown_name": (lambda: _ONE.index_of("b"), "no observable named 'b'"),
+    "dictionary_json_object": (lambda: ObservableDictionary.from_json({"name": "a"}),
+                               "dictionary JSON must be a list of observable objects"),
+    "fourier_box_dim": (lambda: fourier_box(0, 1), "fourier_box needs dim >= 1 and kmax >= 1"),
+    "monomials_without_coords": (lambda: monomial_library((), 2),
+                                 "monomial_library needs coordinates and max_degree >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_usage_guard_raises_its_message(case):
+    call, message = _GUARDS[case]
+    with pytest.raises(UsageError, match=message):
+        call()

@@ -6,6 +6,7 @@ import scipy.signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from koopman import EigenfunctionPartition, eigenfunction_partition
 from koopman.errors import DivergenceError, PreconditionError, UsageError
 from koopman.observables import Observable, ObservableDictionary
 from koopman.partitions import (
@@ -13,7 +14,6 @@ from koopman.partitions import (
     PartitionLabeling,
     RegularGrid,
     TimeAverageField,
-    eigenfunction_partition,
     ergodic_partition_approx,
     gla_eigenfunction,
     partition_invariance_score,
@@ -686,6 +686,7 @@ def test_eigenfunction_partition_decay_labels():
     r = traj.states[:, 0]
     phi = (r**2 - 1.0) / r**2
     part = eigenfunction_partition(phi, -2.0, bins=4, dt=dt)
+    assert isinstance(part, EigenfunctionPartition)
     assert part.multiplier == pytest.approx(np.exp(-2 * dt))
     assert part.mismatch_rate <= 0.02
     assert part.cell_id.max() + 1 >= 3
@@ -718,6 +719,17 @@ def test_multiplier_refuses_a_step_that_is_negative_or_nan(dt):
     with pytest.raises(UsageError, match="dt must be None, 0 or positive"):
         traj = Trajectory(np.arange(8.0)[:, None], dt=dt)
         gla_eigenfunction(traj, 0.7j, lambda s: np.ones(s.shape[0]), window=4)
+
+
+def test_trajectory_reads_a_none_step_as_a_map():
+    # a None dt was kept, and gla_eigenfunction then failed on `dt > 0` with a TypeError
+    states = np.cos(0.7 * np.arange(40.0))[:, None]
+    traj = Trajectory(states, dt=None)
+    assert traj.dt == 0.0
+    got = gla_eigenfunction(traj, np.exp(0.7j), lambda s: s[:, 0], window=10)
+    want = gla_eigenfunction(Trajectory(states, dt=0.0), np.exp(0.7j), lambda s: s[:, 0],
+                             window=10)
+    np.testing.assert_array_equal(got.samples, want.samples)
 
 
 @pytest.mark.parametrize(

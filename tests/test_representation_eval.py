@@ -10,14 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from koopman import cli
+from koopman import _artifacts, cli
 from koopman.dmd import SpectralTriple
 from koopman.errors import DegenerateFitError, KoopmanError, PreconditionError, UsageError
 from koopman.observables import REAL_KINDS, Observable, ObservableDictionary, monomial_library
 from koopman.representation_eval import (
     RepresentationModel,
     conjugacy_check,
-    efficiency_rank_heuristic,
     faithfulness_estimate,
     representation_residual,
     sindy_fit,
@@ -535,7 +534,7 @@ def test_sindy_never_sees_a_trajectory_with_a_negative_or_nan_step(dt):
         sindy_fit(Trajectory(states, dt=dt, spec=spec), library, threshold=0.1)
 
 
-# ------------------------------------------------------- export, heuristic
+# ------------------------------------------------------------------ export
 
 
 def test_model_json_roundtrip_values(tmp_path):
@@ -544,7 +543,7 @@ def test_model_json_roundtrip_values(tmp_path):
         observables=coords(["x", "y"]), map_kind="linear", coefficients=A, residual=0.125
     )
     path = tmp_path / "model.json"
-    model.save_json(path)
+    _artifacts.write_json(path, model.to_json())
     with open(path) as fh:
         obj = json.load(fh)
     assert obj["map_kind"] == "linear"
@@ -596,7 +595,7 @@ def test_explicit_model_json_has_no_coefficients():
     }
 
 
-def test_save_json_writes_the_bytes_of_a_run_model_json(tmp_path):
+def test_run_model_json_holds_the_bytes_of_the_library_fit(tmp_path):
     path = Path(__file__).parents[1] / "configs" / "lorenz_sindy.json"
     config, n = json.loads(path.read_text()), 3000
     argv = ["run", str(path), "--set", f"sampling.n={n}", "--out", str(tmp_path / "run")]
@@ -606,16 +605,16 @@ def test_save_json_writes_the_bytes_of_a_run_model_json(tmp_path):
     traj = integrate(spec, sampling["initial_state"], sampling["dt"], n)
     library = monomial_library(("x", "y", "z"), 2)
     model = sindy_fit(traj, library, threshold=config["method_params"]["threshold"])
-    model.save_json(tmp_path / "saved.json")
+    _artifacts.write_json(tmp_path / "saved.json", model.to_json())
     assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "run" / "model.json").read_bytes()
 
 
-def test_save_json_refuses_a_non_finite_coefficient(tmp_path):
+def test_model_json_refuses_a_non_finite_coefficient(tmp_path):
     model = RepresentationModel(
         observables=coords(["x"]), map_kind="linear", coefficients=[[np.inf]]
     )
     with pytest.raises(KoopmanError, match="model.json would hold a non-finite number"):
-        model.save_json(tmp_path / "model.json")
+        _artifacts.write_json(tmp_path / "model.json", model.to_json())
     assert not (tmp_path / "model.json").exists()
 
 
@@ -632,12 +631,37 @@ def test_library_model_json_names_nonzero_terms_only():
     assert obj["library"] == ["1", "x", "x^2"]
 
 
-def test_efficiency_heuristic_flags_linear_redundancy():
-    rng = np.random.default_rng(3)
-    base = rng.normal(size=(50, 2))
-    redundant = np.column_stack([base, base @ [1.0, -2.0]])
-    res = efficiency_rank_heuristic(redundant)
-    assert not res["maybe_efficient"]
-    assert res["rank"] == 2
-    ok = efficiency_rank_heuristic(base)
-    assert ok["maybe_efficient"]
+_LINE = np.linspace(0.0, 1.0, 10)[:, None]
+# one case per UsageError guard on malformed models and fit inputs
+_GUARDS = {
+    "model_target": (lambda: RepresentationModel(coords(["x"]), "linear", coefficients=[[1.0]],
+                                                 target="rate"),
+                     "target must be 'next_state' or 'derivative'"),
+    "library_coefficient_shape": (
+        lambda: RepresentationModel(coords(["x"]), "library_coeffs", coefficients=np.ones((2, 1)),
+                                    library=monomial_library(("x",), 2)),
+        r"coefficient matrix must be \(3, 1\) \(library x observables\), got \(2, 1\)"),
+    "explicit_map_shape": (
+        lambda: RepresentationModel(coords(["x"]), "explicit",
+                                    map_fn=lambda v: v.ravel()).apply(np.ones((2, 1))),
+        r"explicit map returned shape \(2,\), expected \(2, 1\)"),
+    "faithfulness_rows": (lambda: faithfulness_estimate(np.ones((3, 1)), np.ones((2, 1))),
+                          "f_samples and state_samples must align row-wise"),
+    "sindy_flow_samples": (lambda: sindy_fit(Trajectory(_LINE[:4], dt=0.1),
+                                             monomial_library(("x",), 1)),
+                           "need at least five samples for 4th-order differences"),
+    "sindy_map_states": (lambda: sindy_fit(_LINE[:1], monomial_library(("x",), 1)),
+                         "need at least two states"),
+    "sindy_complex_library": (
+        lambda: sindy_fit(_LINE, ObservableDictionary((Observable("z", "phase", k=(1,)),))),
+        "sindy_fit needs a real-valued library"),
+    "sindy_threshold": (lambda: sindy_fit(_LINE, monomial_library(("x",), 1), threshold=-1.0),
+                        "threshold must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_usage_guard_raises_its_message(case):
+    call, message = _GUARDS[case]
+    with pytest.raises(UsageError, match=message):
+        call()

@@ -281,3 +281,21 @@ def test_static_fit_recovers_a_drawn_linear_map(B, seed, extra):
     bound = 32 * dim * np.finfo(float).eps * cond_x * np.linalg.cond(B)
     assert np.linalg.norm(E, 2) <= bound
     assert not fit.rank_deficient
+
+
+# one case per UsageError guard on malformed samples and labels
+_GUARDS = {
+    "no_sample_pairs": (lambda: PairedSamples([], []), "need at least one sample pair"),
+    "labels_not_one_dimensional": (
+        lambda: conditional_expectation_projection(np.ones(4), np.zeros((2, 2))),
+        "fiber labels must be one-dimensional"),
+    "labels_samples_length": (lambda: conditional_expectation_projection(np.ones(4), [0, 1, 0]),
+                              "labels and samples must have equal length"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_usage_guard_raises_its_message(case):
+    call, message = _GUARDS[case]
+    with pytest.raises(UsageError, match=message):
+        call()

@@ -19,9 +19,8 @@ from koopman.systems import (
     known_spectrum,
     rk4_step_batch,
     spectral_lattice,
-    step_map,
     step_map_batch,
-    vector_field,
+    _batch,
     _orbit_loop,
     _scalar,
     _SYSTEMS,
@@ -32,14 +31,14 @@ SQRT7 = math.sqrt(7.0)
 
 def test_standard_map_zero_kick():
     spec = SystemSpec("standard_map", {"eps": 0.0})
-    np.testing.assert_allclose(step_map(spec, [0.25, 0.5]), [0.75, 0.5], atol=1e-15)
+    np.testing.assert_allclose(step_map_batch(spec, [[0.25, 0.5]])[0], [0.75, 0.5], atol=1e-15)
 
 
 def test_standard_map_kick_formula():
     spec = SystemSpec("standard_map", {"eps": 0.12})
     x, y = 0.3, 0.41
     kick = 0.12 * math.sin(2.0 * math.pi * x)
-    got = step_map(spec, [x, y])
+    got = step_map_batch(spec, [[x, y]])[0]
     np.testing.assert_allclose(got, [(x + y + kick) % 1.0, (y + kick) % 1.0], atol=1e-15)
     assert np.all(got >= 0.0) and np.all(got < 1.0)
 
@@ -77,13 +76,13 @@ def test_torus_rotation_is_rigid_translation():
 def test_lorenz_field_point_value():
     spec = SystemSpec("lorenz")
     np.testing.assert_allclose(
-        vector_field(spec, [1.0, 1.0, 1.0]), [0.0, 26.0, 1.0 - 8.0 / 3.0], atol=1e-14
+        _batch(spec)(1.0, 1.0, 1.0), [0.0, 26.0, 1.0 - 8.0 / 3.0], atol=1e-14
     )
 
 
 def test_limit_cycle_field_on_cycle():
     spec = SystemSpec("limit_cycle_polar", {"omega": 2.0})
-    np.testing.assert_allclose(vector_field(spec, [1.0, 0.4]), [0.0, 2.0], atol=1e-14)
+    np.testing.assert_allclose(_batch(spec)(1.0, 0.4), [0.0, 2.0], atol=1e-14)
 
 
 def test_limit_cycle_radius_attracts():
@@ -139,7 +138,7 @@ def test_duffing_cycle_converges_to_circle_factor():
 def test_free_particle_is_exact_under_rk4():
     spec = SystemSpec("free_particle", {"mass": 2.0})
     traj = integrate(spec, [0.5, 3.0], dt=0.1, n_steps=100)
-    t = traj.times
+    t = 0.1 * np.arange(101)
     np.testing.assert_allclose(traj.states[:, 0], 0.5 + 1.5 * t, atol=1e-12)
     np.testing.assert_allclose(traj.states[:, 1], 3.0, atol=1e-15)
 
@@ -264,40 +263,13 @@ def test_a_last_coordinate_overflowing_is_a_divergence(kind, params, dt):
     assert err.value.step == 1
 
 
-def test_trajectory_csv_roundtrip(tmp_path):
-    spec = SystemSpec("lorenz")
-    traj = integrate(spec, [1.0, 1.0, 1.0], dt=0.01, n_steps=50)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,coord_0,coord_1,coord_2"
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    # %.18e keeps every bit of a float64
-    np.testing.assert_array_equal(rows, np.column_stack([traj.times, *traj.states.T]))
-
-
-def test_map_trajectory_csv_keeps_step_index(tmp_path):
-    spec = SystemSpec("circle_rotation", {"omega": 0.5})
-    traj = integrate(spec, [0.0], dt=0.0, n_steps=5)
-    path = tmp_path / "m.csv"
-    traj.to_csv(path)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(rows, np.column_stack([traj.times, *traj.states.T]))
-    np.testing.assert_array_equal(rows[:, 0], np.arange(6.0))
-
-
 def test_system_spec_json_roundtrip():
     spec = SystemSpec("linear_map", {"B": [[0.0, 1.0], [1.0, 1.0]]})
-    back = SystemSpec.from_json(spec.to_json())
-    np.testing.assert_allclose(back.params["B"], spec.params["B"])
-    spec2 = SystemSpec("pendulum", {"g": 1.0})
-    back2 = SystemSpec.from_json(spec2.to_json())
+    assert spec.to_json() == {"kind": "linear_map", "params": {"B": [[0.0, 1.0], [1.0, 1.0]]}}
+    back = SystemSpec(**spec.to_json())
+    np.testing.assert_array_equal(back.params["B"], spec.params["B"])
+    back2 = SystemSpec(**SystemSpec("pendulum", {"g": 1.0}).to_json())
     assert back2.params == {"g": 1.0, "l": 1.0}
-
-
-def test_spec_from_json_takes_an_object_only():
-    with pytest.raises(UsageError, match="must be an object"):
-        SystemSpec.from_json('{"kind": "pendulum"}')
 
 
 @pytest.mark.parametrize(
@@ -321,9 +293,7 @@ def test_spec_rejects_bad_input():
     with pytest.raises(UsageError):
         SystemSpec("linear_map", {"B": [[1.0, 2.0], [3.0]]})
     with pytest.raises(UsageError):
-        step_map(SystemSpec("lorenz"), [1.0, 1.0, 1.0])
-    with pytest.raises(UsageError):
-        vector_field(SystemSpec("circle_rotation"), [0.0])
+        step_map_batch(SystemSpec("lorenz"), [[1.0, 1.0, 1.0]])
 
 
 _MAP_SPECS = [
@@ -521,8 +491,6 @@ def test_flow_expressions_name_only_their_coordinates_parameters_and_sin(kind):
 def test_spec_refuses_parameters_that_are_not_finite_reals(kind, params):
     with pytest.raises(UsageError):
         SystemSpec(kind, params)
-    with pytest.raises(UsageError):
-        SystemSpec.from_json({"kind": kind, "params": params})
 
 
 def test_spec_reads_numpy_and_integer_parameters_as_floats():
