@@ -325,6 +325,50 @@ def _multiplier(lam: complex, dt) -> complex:
     return np.exp(lam * dt) if dt else lam
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= n, or n itself for n <= 12.
+
+    This is the length pocketfft pads a complex transform to (its
+    good_size_cmplx), which scipy.fft.next_fast_len(n, False) returns.
+    """
+    if n <= 12:
+        return n
+    best = 1 << (n - 1).bit_length()  # the next power of two
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p = p5  # each odd 3,5,7,11-smooth p, times the least 2^a reaching n
+                while p < best:
+                    padded = p << ((n - 1) // p).bit_length()
+                    if padded < best:
+                        best = padded
+                    p *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
+def _spectrum(x: np.ndarray, size: int) -> np.ndarray:
+    """The DFT of x zero-padded to size, with scipy.fft.fftn's bits.
+
+    Like pocketfft's complex transform in scipy, a real x takes the real
+    transform, and each entry k of that half spectrum is conjugated into
+    entry -k. Entry 0 (and size/2 for even sizes) is its own mirror, so its
+    zero imaginary part turns to -0.0.
+    """
+    if np.iscomplexobj(x):
+        return np.fft.fft(x, size)
+    half = np.fft.rfft(x, size)
+    full = np.empty(size, dtype=half.dtype)
+    full[: half.size] = half
+    full[-np.arange(half.size) % size] = np.conj(half)
+    return full
+
+
 def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> HarmonicAverage:
     """Project an orbit observable onto a candidate eigenvalue.
 
@@ -343,6 +387,8 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
     mu = _multiplier(lam, dt)
     values = g(states) if callable(g) else np.asarray(g)
     values = np.asarray(values).reshape(-1)
+    # integer and single-precision values are transformed as float64 (complex128)
+    values = values.astype(np.result_type(values.dtype, np.float64), copy=False)
     m = values.size
     if m != states.shape[0]:
         raise UsageError("observable values must match trajectory length")
@@ -350,10 +396,11 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
     if not 1 <= n <= m:
         raise UsageError(f"window must lie in [1, {m}]")
     # The sliding sums are the "full" convolution of the values with the
-    # reversed weights, formed by the calls scipy.signal.fftconvolve makes for
-    # two 1-D inputs, so the samples keep its bits without loading
-    # scipy.signal: a length-1 input is a plain product, and the complex FFT
-    # (which takes integer values as float64) runs at next_fast_len(m + n - 1).
+    # reversed weights, formed as scipy.signal.fftconvolve forms it for two
+    # 1-D inputs: a length-1 input is a plain product, and otherwise the
+    # complex FFTs run at the length next_fast_len(m + n - 1). numpy's
+    # pocketfft gives scipy.fft's bits on float64 and complex128 input, so
+    # the samples keep fftconvolve's bits without loading scipy.
     k = np.arange(n)
     with np.errstate(all="ignore"):  # non-finite weights and samples are raised below
         # mu^-k built from the angle, not by repeated powers, to avoid drift
@@ -361,13 +408,9 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
         if m == 1 or n == 1:
             conv = values * weights[::-1]
         else:
-            import scipy.fft  # deferred: scipy would dominate `import koopman`
-
-            shape = [scipy.fft.next_fast_len(m + n - 1, False)]
-            spectrum = scipy.fft.fftn(values, shape, axes=[0]) * scipy.fft.fftn(
-                weights[::-1], shape, axes=[0]
-            )
-            conv = scipy.fft.ifftn(spectrum, shape, axes=[0])
+            size = _next_fast_len(m + n - 1)
+            spectrum = _spectrum(values, size) * np.fft.fft(weights[::-1], size)
+            conv = np.fft.ifft(spectrum, size)
         samples = conv[n - 1 : m] / n
     for name, series in (("weight mu^-k", weights), ("average", samples)):
         finite = np.isfinite(series)

@@ -168,7 +168,9 @@ def faithfulness_estimate(f_samples, state_samples) -> dict:
 
     A score near zero means f glues distinct states together; the witness
     is the offending index pair.  Coincident states are excluded from the
-    ratio (they carry no information about injectivity).
+    ratio (they carry no information about injectivity).  Non-finite
+    values or states, and a pair distance that overflows, raise
+    PreconditionError.
     """
     F = np.atleast_2d(np.asarray(f_samples))
     S = _states_of(state_samples)
@@ -178,23 +180,46 @@ def faithfulness_estimate(f_samples, state_samples) -> dict:
     if n < 2:
         raise UsageError("need at least two samples")
     _refuse_non_finite(F, "observable value")
-    from scipy.spatial.distance import pdist  # deferred: scipy would dominate `import koopman`
-
-    # complex observable values: pdist wants reals, split the parts
+    _refuse_non_finite(S, "state")
+    # complex observable values: split the parts into real columns
     F_real = np.column_stack([F.real, F.imag]) if np.iscomplexobj(F) else F
-    fd = pdist(F_real)
-    sd = pdist(S)
+    i, j = np.triu_indices(n, k=1)
+    fd = _pair_distances(F_real, i, j, "observable value")
+    sd = _pair_distances(S, i, j, "state")
     valid = sd > 0.0
     if not np.any(valid):
         raise UsageError("all states coincide; no pair constrains injectivity")
     ratio = np.full(sd.shape, np.inf)
     np.divide(fd, sd, out=ratio, where=valid)
     flat = int(np.argmin(ratio))
-    i, j = np.triu_indices(n, k=1)
     return {
         "score": float(ratio[flat]),
         "witness": (int(i[flat]), int(j[flat])),
     }
+
+
+def _pair_distances(X, i, j, what: str) -> np.ndarray:
+    """Euclidean distances between the rows i and j of X, with the bits of
+    scipy's pdist: the squared differences summed over the columns in order.
+
+    X must be finite; PreconditionError names the first pair whose distance
+    overflows.
+    """
+    X = np.asarray(X, dtype=float)
+    total = np.zeros(i.size)
+    with np.errstate(over="ignore"):  # an overflowing pair is raised below
+        for col in X.T:
+            d = col[i]
+            d -= col[j]
+            d *= d
+            total += d
+    dist = np.sqrt(total)
+    overflow = np.isinf(dist)
+    if overflow.any():
+        flat = int(np.argmax(overflow))
+        raise PreconditionError(f"the {what} distance between samples {i[flat]} and "
+                                f"{j[flat]} overflows; rescale the data")
+    return dist
 
 
 def conjugacy_check(rep1, rep2, h, h_inv, samples) -> float:

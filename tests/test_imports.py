@@ -1,4 +1,4 @@
-"""scipy is imported by the three functions that call it, never at import time.
+"""scipy is imported by the one function that calls it, never at import time.
 
 Each case runs in a fresh interpreter, since this process has long since
 loaded scipy through other tests.  Four tests check the sources: the
@@ -71,25 +71,6 @@ FIRST_CALLS = {
         """,
         "scipy.linalg",
     ),
-    "gla_eigenfunction": (
-        """
-        import numpy as np
-        from koopman.partitions import gla_eigenfunction
-        states = np.arange(8.0)[:, None]
-        avg = gla_eigenfunction(states, 1.0, lambda s: np.ones(s.shape[0]), window=4)
-        assert np.allclose(avg.samples, 1.0)
-        """,
-        "scipy.fft",
-    ),
-    "faithfulness_estimate": (
-        """
-        import numpy as np
-        from koopman.representation_eval import faithfulness_estimate
-        states = np.array([[0.0], [1.0], [3.0]])
-        assert faithfulness_estimate(2.0 * states, states)["score"] == 2.0
-        """,
-        "scipy.spatial.distance",
-    ),
 }
 
 
@@ -139,16 +120,29 @@ SWEEP_CONFIGS = (
 )
 
 
-def test_small_config_runs_load_no_scipy_signal(tmp_path):
-    runs = [(str(CONFIG_DIR / f"{name}.json"), str(tmp_path / name)) for name in SWEEP_CONFIGS]
-    code = f"""
+# scipy packages no shipped config needs: spectral_triple loads scipy.linalg alone
+UNNEEDED_SCIPY = ("scipy.fft", "scipy.spatial", "scipy.sparse", "scipy.signal")
+
+
+def _runs(tmp_path, names) -> str:
+    """Code that runs each named config through the CLI in one process."""
+    runs = [(str(CONFIG_DIR / f"{name}.json"), str(tmp_path / name)) for name in names]
+    return f"""
     from koopman import cli
     for path, out in {runs!r}:
         assert cli.main(["run", path, "--out", out]) == 0, path
     """
-    loaded = scipy_modules_after(code)
-    assert "scipy.fft" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.signal")]
+
+
+def test_small_config_runs_load_only_what_spectral_triple_needs(tmp_path):
+    loaded = scipy_modules_after(_runs(tmp_path, SWEEP_CONFIGS))
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith(UNNEEDED_SCIPY)]
+
+
+@pytest.mark.parametrize("name", ["circle_gla", "torus_repr_check"])
+def test_gla_and_faithfulness_runs_load_no_scipy(tmp_path, name):
+    assert scipy_modules_after(_runs(tmp_path, [name])) == []
 
 
 def _file_writes(tree) -> list:

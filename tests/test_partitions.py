@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ from koopman.partitions import (
     PartitionLabeling,
     RegularGrid,
     TimeAverageField,
+    _next_fast_len,
+    _spectrum,
     ergodic_partition_approx,
     gla_eigenfunction,
     partition_invariance_score,
@@ -513,18 +516,59 @@ def _gla_values(kind, m, seed):
 @example(777, 0.5, "int", 1.0005, 4.0, 4)
 @example(2048, 0.25, "float32", 0.999, 5.0, 5)
 def test_gla_samples_keep_the_bits_of_fftconvolve(m, frac, kind, radius, angle, seed):
-    # gla_eigenfunction makes the scipy.fft calls that scipy.signal's
-    # fftconvolve makes for two 1-D inputs, so its samples must equal the
-    # fftconvolve route bit for bit, off the unit circle too
+    # gla_eigenfunction forms the convolution as scipy.signal's fftconvolve
+    # does for two 1-D inputs, with numpy transforms that give scipy.fft's
+    # bits, so its samples must equal the fftconvolve route bit for bit, off
+    # the unit circle too; float32 values are transformed as float64
     n = 1 + round(frac * (m - 1))
     mu = radius * np.exp(1j * angle)
     values = _gla_values(kind, m, seed)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "multiplier magnitude", RuntimeWarning)
         out = gla_eigenfunction(np.zeros((m, 1)), mu, values, window=n)
-    expect = scipy.signal.fftconvolve(values, _gla_weights(mu, n)[::-1])[n - 1 : m] / n
+    promoted = values.astype(np.float64) if kind == "float32" else values
+    expect = scipy.signal.fftconvolve(promoted, _gla_weights(mu, n)[::-1])[n - 1 : m] / n
     assert out.samples.dtype == expect.dtype
     assert out.samples.tobytes() == expect.tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    st.integers(1, 3000),
+    st.integers(0, 3000),
+    st.sampled_from(["float", "complex", "int"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(10, 6, "float", 0)  # even size: entries 0 and size/2 are their own mirrors
+@example(10, 7, "float", 1)  # odd size
+@example(1, 0, "float", 2)
+@example(50, 0, "int", 3)  # no padding
+def test_spectrum_keeps_the_bits_of_scipy_fftn(m, pad, kind, seed):
+    # scipy's complex transform of real input conjugates each entry of the
+    # half spectrum into its mirror, which gives entry 0 a -0.0 imaginary part
+    values = _gla_values(kind, m, seed)
+    size = m + pad
+    ours = _spectrum(values.astype(np.result_type(values.dtype, np.float64)), size)
+    assert ours.tobytes() == scipy.fft.fftn(values, [size], axes=[0]).tobytes()
+
+
+def test_next_fast_len_is_scipys_complex_length_up_to_20000():
+    # the padded length sets which FFT runs, so it must be pocketfft's own
+    ours = [_next_fast_len(n) for n in range(1, 20001)]
+    assert ours == [scipy.fft.next_fast_len(n, False) for n in range(1, 20001)]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.integers(20001, 10**15))
+@example(999983)  # primes
+@example(1000003)
+@example(2**31 - 1)
+@example(10**9 + 7)
+@example(999999999999989)
+@example(2**40)  # a power of two and an 11-smooth size are their own length
+@example(3**5 * 5**4 * 7**3 * 11**2)
+def test_next_fast_len_is_scipys_complex_length_for_large_n(n):
+    assert _next_fast_len(n) == scipy.fft.next_fast_len(n, False)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from koopman import _artifacts, cli
 from koopman.dmd import SpectralTriple
@@ -16,6 +17,7 @@ from koopman.errors import DegenerateFitError, KoopmanError, PreconditionError, 
 from koopman.observables import REAL_KINDS, Observable, ObservableDictionary, monomial_library
 from koopman.representation_eval import (
     RepresentationModel,
+    _pair_distances,
     conjugacy_check,
     faithfulness_estimate,
     representation_residual,
@@ -218,6 +220,35 @@ def test_complex_observable_values_supported():
     f = np.exp(1j * states)
     res = faithfulness_estimate(f, states)
     assert res["score"] > 0.5
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    st.integers(2, 30),
+    st.integers(1, 6),
+    st.sampled_from(["real", "complex split", "coincident", "rounded"]),
+    st.floats(-200.0, 150.0),
+    st.integers(0, 2**32 - 1),
+)
+@example(5, 1, "real", 0.0, 0)  # one column
+@example(7, 3, "complex split", 0.0, 1)  # the real and imaginary columns of complex values
+@example(6, 2, "coincident", 0.0, 2)
+@example(2, 4, "real", 0.0, 3)  # a single pair
+@example(9, 3, "real", -160.0, 4)  # squares in the subnormal range
+@example(9, 3, "real", 150.0, 5)  # squares near the top of the float range
+@example(12, 6, "rounded", 0.0, 6)
+def test_pair_distances_keep_the_bits_of_pdist(n, d, layout, exponent, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * 10.0**exponent
+    if layout == "complex split":
+        Z = X + 1j * rng.standard_normal((n, d)) * 10.0**exponent
+        X = np.column_stack([Z.real, Z.imag])
+    elif layout == "coincident":
+        X[-1] = X[0]
+    elif layout == "rounded":
+        X = np.round(X / 10.0**exponent, 1) * 10.0**exponent
+    i, j = np.triu_indices(n, k=1)
+    assert _pair_distances(X, i, j, "state").tobytes() == pdist(X).tobytes()
 
 
 # -------------------------------------------------------------- conjugacy
@@ -632,36 +663,52 @@ def test_library_model_json_names_nonzero_terms_only():
 
 
 _LINE = np.linspace(0.0, 1.0, 10)[:, None]
-# one case per UsageError guard on malformed models and fit inputs
+_FOUR = np.arange(4.0)[:, None]
+_APART = np.array([[1e300], [-1e300], [0.0], [1.0]])  # squared differences overflow
+# one case per guard on malformed models and fit inputs: the call, its error and message
 _GUARDS = {
     "model_target": (lambda: RepresentationModel(coords(["x"]), "linear", coefficients=[[1.0]],
                                                  target="rate"),
-                     "target must be 'next_state' or 'derivative'"),
+                     UsageError, "target must be 'next_state' or 'derivative'"),
     "library_coefficient_shape": (
         lambda: RepresentationModel(coords(["x"]), "library_coeffs", coefficients=np.ones((2, 1)),
                                     library=monomial_library(("x",), 2)),
-        r"coefficient matrix must be \(3, 1\) \(library x observables\), got \(2, 1\)"),
+        UsageError, r"coefficient matrix must be \(3, 1\) \(library x observables\), got \(2, 1\)"),
     "explicit_map_shape": (
         lambda: RepresentationModel(coords(["x"]), "explicit",
                                     map_fn=lambda v: v.ravel()).apply(np.ones((2, 1))),
-        r"explicit map returned shape \(2,\), expected \(2, 1\)"),
+        UsageError, r"explicit map returned shape \(2,\), expected \(2, 1\)"),
     "faithfulness_rows": (lambda: faithfulness_estimate(np.ones((3, 1)), np.ones((2, 1))),
-                          "f_samples and state_samples must align row-wise"),
+                          UsageError, "f_samples and state_samples must align row-wise"),
+    "faithfulness_inf_state": (
+        lambda: faithfulness_estimate(_FOUR, np.array([[0.0], [1.0], [2.0], [np.inf]])),
+        PreconditionError, "non-finite state inf in entry 0 at sample 3; rescale the data"),
+    "faithfulness_nan_state": (
+        lambda: faithfulness_estimate(_FOUR, np.array([[0.0], [np.nan], [2.0], [3.0]])),
+        PreconditionError, "non-finite state nan in entry 0 at sample 1; rescale the data"),
+    "faithfulness_state_distance_overflow": (
+        lambda: faithfulness_estimate(_FOUR, _APART),
+        PreconditionError,
+        "the state distance between samples 0 and 1 overflows; rescale the data"),
+    "faithfulness_value_distance_overflow": (
+        lambda: faithfulness_estimate(_APART, _FOUR),
+        PreconditionError,
+        "the observable value distance between samples 0 and 1 overflows; rescale the data"),
     "sindy_flow_samples": (lambda: sindy_fit(Trajectory(_LINE[:4], dt=0.1),
                                              monomial_library(("x",), 1)),
-                           "need at least five samples for 4th-order differences"),
+                           UsageError, "need at least five samples for 4th-order differences"),
     "sindy_map_states": (lambda: sindy_fit(_LINE[:1], monomial_library(("x",), 1)),
-                         "need at least two states"),
+                         UsageError, "need at least two states"),
     "sindy_complex_library": (
         lambda: sindy_fit(_LINE, ObservableDictionary((Observable("z", "phase", k=(1,)),))),
-        "sindy_fit needs a real-valued library"),
+        UsageError, "sindy_fit needs a real-valued library"),
     "sindy_threshold": (lambda: sindy_fit(_LINE, monomial_library(("x",), 1), threshold=-1.0),
-                        "threshold must be nonnegative"),
+                        UsageError, "threshold must be nonnegative"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_GUARDS))
 def test_usage_guard_raises_its_message(case):
-    call, message = _GUARDS[case]
-    with pytest.raises(UsageError, match=message):
+    call, error, message = _GUARDS[case]
+    with pytest.raises(error, match=message):
         call()
