@@ -33,9 +33,11 @@ time spent encoding and writing as `runtimes.write_s`.
 
 Fixed configs reproduce their artifacts byte for byte: every file name
 is static, CSV values are written with the fixed format `%.18e`, JSON is
-dumped with sorted keys, and all sampling randomness comes from the one
-recorded 64-bit seed.  The only non-reproducible values are the runtimes
-inside summary.json.
+encoded by `_artifacts.strict_json` (json.dumps' text with two-space
+indents and sorted keys; a complex number is the object {"im": ...,
+"re": ...}), and all sampling randomness comes from the one recorded
+64-bit seed.  The only non-reproducible values are the runtimes inside
+summary.json.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from ._artifacts import complex_json, json_writer, strict_json, write_csv, write_json
+from ._artifacts import json_writer, strict_json, write_csv, write_json
 from .dmd import (
     companion_dmd,
     continuous_time_eigenvalues,
@@ -315,8 +317,8 @@ def _run_mz(config, spec, seed):
             f, closure["omega"], closure.get("m_samples", 4096)
         )
         payload = {
-            "lambda": complex_json(result["lambda"]),
-            "lambda_empirical": complex_json(result["lambda_empirical"]),
+            "lambda": complex(result["lambda"]),
+            "lambda_empirical": complex(result["lambda_empirical"]),
             "residual_markov": result["residual_markov"],
             "orthogonal_fraction": result["orthogonal_fraction"],
         }
@@ -712,7 +714,7 @@ def run(config: dict, out_dir) -> dict:
     summary = {
         "method": method,
         "system": spec.to_json(),
-        "eigenvalues": complex_json(result["eigenvalues"]),
+        "eigenvalues": np.asarray(result["eigenvalues"], dtype=complex),
         "residuals": {
             k: (v if isinstance(v, (bool, int)) else float(v))
             for k, v in result["residuals"].items()
@@ -723,7 +725,7 @@ def run(config: dict, out_dir) -> dict:
     }
     if "tolerances" in config:
         summary["tolerances"] = config["tolerances"]
-    strict_json(summary, "summary.json")  # refused now; compact, as the text is dropped
+    strict_json(summary, "summary.json")  # refused now, before any file is made
     writers = {k: v if callable(v) else json_writer(v, k) for k, v in result["files"].items()}
     out_dir.mkdir(parents=True, exist_ok=True)
     for names, write in writers.items():

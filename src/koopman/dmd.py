@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._artifacts import complex_json
 from .embedding import SnapshotPair
 from .errors import DefectiveMatrixError, PreconditionError, UsageError
 
@@ -146,9 +145,9 @@ class SpectralTriple:
 
     def to_json(self) -> dict:
         return {
-            "eigenvalues": complex_json(self.eigenvalues),
-            "modes": complex_json(self.modes),
-            "eigenfunction_samples": complex_json(self.eigenfunction_samples),
+            "eigenvalues": np.asarray(self.eigenvalues, dtype=complex),
+            "modes": np.asarray(self.modes, dtype=complex),
+            "eigenfunction_samples": np.asarray(self.eigenfunction_samples, dtype=complex),
         }
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._artifacts import complex_json
 from .dmd import SpectralTriple, _refuse_non_finite, continuous_time_eigenvalues
 from .errors import DegenerateFitError, PreconditionError, UsageError
 from .observables import REAL_KINDS, Observable, ObservableDictionary
@@ -104,7 +103,7 @@ class RepresentationModel:
     def to_json(self) -> dict:
         def num(z):
             z = complex(z)
-            return float(z.real) if z.imag == 0.0 else complex_json(z)
+            return z.real if z.imag == 0.0 else z
 
         obj = {
             "map_kind": self.map_kind,
@@ -169,7 +168,8 @@ def faithfulness_estimate(f_samples, state_samples) -> dict:
     A score near zero means f glues distinct states together; the witness
     is the offending index pair.  Coincident states are excluded from the
     ratio (they carry no information about injectivity).  Non-finite
-    values or states, and a pair distance that overflows, raise
+    values or states, a pair distance that overflows or underflows to 0.0
+    between distinct rows, and a smallest ratio that overflows raise
     PreconditionError.
     """
     F = np.atleast_2d(np.asarray(f_samples))
@@ -190,8 +190,13 @@ def faithfulness_estimate(f_samples, state_samples) -> dict:
     if not np.any(valid):
         raise UsageError("all states coincide; no pair constrains injectivity")
     ratio = np.full(sd.shape, np.inf)
-    np.divide(fd, sd, out=ratio, where=valid)
+    with np.errstate(over="ignore"):  # an overflowing smallest ratio is raised below
+        np.divide(fd, sd, out=ratio, where=valid)
     flat = int(np.argmin(ratio))
+    if np.isinf(ratio[flat]):  # every valid ratio overflowed
+        flat = int(np.argmax(valid))
+        raise PreconditionError(f"the ratio of observable value to state distance between "
+                                f"samples {i[flat]} and {j[flat]} overflows; rescale the data")
     return {
         "score": float(ratio[flat]),
         "witness": (int(i[flat]), int(j[flat])),
@@ -203,7 +208,7 @@ def _pair_distances(X, i, j, what: str) -> np.ndarray:
     scipy's pdist: the squared differences summed over the columns in order.
 
     X must be finite; PreconditionError names the first pair whose distance
-    overflows.
+    overflows, or underflows to 0.0 although its rows differ.
     """
     X = np.asarray(X, dtype=float)
     total = np.zeros(i.size)
@@ -219,6 +224,12 @@ def _pair_distances(X, i, j, what: str) -> np.ndarray:
         flat = int(np.argmax(overflow))
         raise PreconditionError(f"the {what} distance between samples {i[flat]} and "
                                 f"{j[flat]} overflows; rescale the data")
+    zero = np.flatnonzero(dist == 0.0)
+    differ = (X[i[zero]] != X[j[zero]]).any(axis=1)
+    if differ.any():
+        flat = zero[np.argmax(differ)]
+        raise PreconditionError(f"the {what} distance between samples {i[flat]} and "
+                                f"{j[flat]} underflows; rescale the data")
     return dist
 
 

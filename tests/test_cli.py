@@ -913,6 +913,39 @@ def test_shipped_config_validates(config_path):
     jsonschema.validate(config, CONFIG_SCHEMA)
 
 
+@pytest.mark.filterwarnings("ignore:companion fit ill-posed:RuntimeWarning")
+@pytest.mark.parametrize(
+    "config_path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name
+)
+def test_shipped_config_json_artifacts_have_the_json_dumps_layout(tmp_path, capsys, config_path):
+    argv = ["run", str(config_path), "--out", str(tmp_path)]
+    if "partition" in config_path.name:
+        argv += ["--set", "sampling.n=30"]
+    assert cli.main(argv) == 0
+    documents = sorted(tmp_path.glob("*.json"))
+    assert "summary.json" in [path.name for path in documents]
+    for path in documents:
+        text = path.read_text()
+        assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text, path.name
+
+
+def test_a_real_spectrum_stays_complex_objects_in_the_summary(tmp_path):
+    cfg = {
+        "method": "edmd",
+        "system": {"kind": "linear_map", "params": {"B": [[0.5, 0.0], [0.0, 0.2]]}},
+        "dictionary": [
+            {"name": "x0", "type": "coordinate", "index": 0},
+            {"name": "x1", "type": "coordinate", "index": 1},
+        ],
+        "sampling": {"n": 20, "initial_state": [1.0, 1.0]},
+    }
+    assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+    eigenvalues = load_summary(tmp_path / "o")["eigenvalues"]
+    assert [set(z) for z in eigenvalues] == [{"re", "im"}] * 2
+    assert [z["im"] for z in eigenvalues] == [0.0, 0.0]
+    np.testing.assert_allclose(sorted(z["re"] for z in eigenvalues), [0.2, 0.5], atol=1e-12)
+
+
 # ------------------------------------------------------------------ fuzz
 
 FUZZ_VALUES = (None, -1, 0, 1, 1.5, "x", [], {}, [1], [[1]], True, 1e308, -1e308)

@@ -1,9 +1,11 @@
-"""The blocked CSV writer gives the bytes numpy's savetxt gives.
+"""The blocked CSV writer gives the bytes numpy's savetxt gives, and the
+JSON encoder the text json.dumps gives.
 
-Every CSV artifact goes through koopman._artifacts, so these tests compare it
-with ``np.savetxt(..., delimiter=",", comments="")`` on awkward values and
-shapes, and compare the one-pass partition pair with savetxt of the
-stacked columns.
+Every artifact goes through koopman._artifacts, so these tests compare its
+CSV writer with ``np.savetxt(..., delimiter=",", comments="")`` on awkward
+values and shapes, compare the one-pass partition pair with savetxt of the
+stacked columns, and compare strict_json with json.dumps of the tree of
+{"re", "im"} dicts the package used to build for it.
 """
 
 import io
@@ -12,9 +14,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from koopman import _artifacts
-from koopman._artifacts import complex_json, write_csv, write_csv_files
+from koopman._artifacts import strict_json, write_csv, write_csv_files
+from koopman.errors import KoopmanError
 from koopman.observables import Observable, ObservableDictionary
 from koopman.partitions import (
     RegularGrid,
@@ -82,19 +88,124 @@ def test_an_open_file_gets_the_bytes_of_a_path_and_stays_open(tmp_path):
     assert buffer.getvalue().encode() == (tmp_path / "path.csv").read_bytes()
 
 
-def test_complex_json_encodes_arrays_and_lists_element_by_element():
+def complex_json(z):
+    """A complex number as {"re": ..., "im": ...}; an array or a list as nested
+    lists: the tree the package built for json.dumps before strict_json
+    wrote complex numbers itself, kept here as the reference."""
+    if isinstance(z, np.ndarray):
+        z = z.tolist()
+    if isinstance(z, list):
+        return [complex_json(v) for v in z]
+    z = complex(z)
+    return {"re": z.real, "im": z.imag}
+
+
+def reference_tree(o):
+    """payload as the tree json.dumps was given: complex_json of each complex
+    number and complex array, .tolist() of every other array."""
+    if isinstance(o, np.ndarray):
+        return complex_json(o) if np.iscomplexobj(o) else o.tolist()
+    if isinstance(o, dict):
+        return {k: reference_tree(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [reference_tree(v) for v in o]
+    return complex_json(o) if isinstance(o, complex) else o
+
+
+def _reference(payload):
+    try:
+        return json.dumps(reference_tree(payload), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # json's refusal of NaN and +-inf
+        raise KoopmanError("payload.json would hold a non-finite number") from None
+
+
+def _outcome(encode, payload):
+    """The text encode(payload) gives, or the type and message of what it raises."""
+    try:
+        return encode(payload)
+    except (KoopmanError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_complex_arrays_and_lists_are_encoded_element_by_element():
     rng = np.random.default_rng(3)
     cube = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
     by_element = [
         [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in plane]
         for plane in cube
     ]
-    assert complex_json(cube) == by_element
-    assert complex_json(list(cube[0])) == by_element[0]
-    assert complex_json(cube[1, 2, 3]) == by_element[1][2][3]
-    assert complex_json(np.arange(3.0)) == [{"re": v, "im": 0.0} for v in (0.0, 1.0, 2.0)]
-    assert complex_json([]) == []
-    assert json.dumps(complex_json(cube)) == json.dumps(by_element)
+
+    def text(tree):
+        return json.dumps(tree, indent=2, sort_keys=True)
+
+    assert strict_json(cube, "c") == text(by_element)
+    assert strict_json(list(cube[0]), "c") == text(by_element[0])
+    assert strict_json(cube[1, 2, 3], "c") == text(by_element[1][2][3])
+    assert strict_json(np.arange(3.0, dtype=complex), "c") == text(
+        [{"re": v, "im": 0.0} for v in (0.0, 1.0, 2.0)])
+    assert strict_json(np.arange(3.0), "c") == text([0.0, 1.0, 2.0])  # a float stays a number
+    assert strict_json([], "c") == "[]"
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**70), 2**70), _FLOATS,
+    st.text(), st.complex_numbers(allow_nan=False, allow_infinity=False),
+    _FLOATS.map(np.float64), st.complex_numbers(allow_nan=False, allow_infinity=False).map(
+        np.complex128),
+)
+_ARRAYS = st.one_of(*(
+    hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+               elements=elements)
+    for dtype, elements in (
+        (np.float64, _FLOATS),
+        (np.complex128, st.complex_numbers(allow_nan=False, allow_infinity=False)),
+        (np.int64, st.integers(-(2**63), 2**63 - 1)),
+        (np.bool_, st.booleans()),
+    )
+))
+_PAYLOADS = st.recursive(
+    st.one_of(_LEAVES, _ARRAYS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+_REAL_SPECTRUM = np.linalg.eigvals(np.diag([0.5, 0.2]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(payload=_PAYLOADS)
+@example(payload=[-0.0, 1e16, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                  complex(-0.0, 1e16)])
+@example(payload={"a": [], "b": {}, "c": (), "d": np.zeros(0), "e": np.zeros((2, 0), complex),
+                  "": "\u00e9\U0001f600\n\"", "f": 2**70})
+@example(payload={"eigenvalues": np.asarray(_REAL_SPECTRUM, dtype=complex)})
+@example(payload=[np.float64(0.1), np.complex128(1 - 2j), np.float64(-0.0)])
+@example(payload={"a": 1.0, "n": np.int64(3)})
+@example(payload=[np.float32(0.5)])
+@example(payload=[np.bool_(True)])
+@example(payload={"x": [1.0, float("nan")]})
+@example(payload={"x": complex(1.0, float("inf"))})
+@example(payload=np.array([[1 + 1j, complex(-np.inf, 0.0)]]))
+@example(payload=np.array([-np.inf]))
+def test_strict_json_gives_the_text_of_json_dumps_of_the_reference_tree(payload):
+    encoded = _outcome(lambda p: strict_json(p, "payload.json"), payload)
+    assert encoded == _outcome(_reference, payload)
+
+
+def test_a_real_spectrum_passed_as_complex_is_written_as_objects():
+    assert _REAL_SPECTRUM.dtype == np.float64  # numpy returns a real spectrum real
+    text = strict_json(np.asarray(_REAL_SPECTRUM, dtype=complex), "eigenvalues")
+    assert json.loads(text) == [{"im": 0.0, "re": 0.5}, {"im": 0.0, "re": 0.2}]
+    assert text == json.dumps(complex_json(_REAL_SPECTRUM), indent=2, sort_keys=True)
+
+
+def test_a_key_that_is_not_a_string_raises_type_error():
+    with pytest.raises(TypeError, match="keys must be str"):
+        strict_json({1: 2.0}, "payload.json")
 
 
 def _dictionary(*entries):

@@ -3,6 +3,7 @@ models, sparse library regression, and the stability certificate."""
 
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,7 @@ def test_complex_observable_values_supported():
 @example(9, 3, "real", -160.0, 4)  # squares in the subnormal range
 @example(9, 3, "real", 150.0, 5)  # squares near the top of the float range
 @example(12, 6, "rounded", 0.0, 6)
+@example(4, 2, "real", -200.0, 7)  # squares below the subnormal range: refused
 def test_pair_distances_keep_the_bits_of_pdist(n, d, layout, exponent, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d)) * 10.0**exponent
@@ -248,7 +250,12 @@ def test_pair_distances_keep_the_bits_of_pdist(n, d, layout, exponent, seed):
     elif layout == "rounded":
         X = np.round(X / 10.0**exponent, 1) * 10.0**exponent
     i, j = np.triu_indices(n, k=1)
-    assert _pair_distances(X, i, j, "state").tobytes() == pdist(X).tobytes()
+    want = pdist(X)
+    if np.any((want == 0.0) & np.any(X[i] != X[j], axis=1)):  # distinct rows at distance 0.0
+        with pytest.raises(PreconditionError, match="underflows; rescale the data"):
+            _pair_distances(X, i, j, "state")
+        return
+    assert _pair_distances(X, i, j, "state").tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------------- conjugacy
@@ -694,6 +701,26 @@ _GUARDS = {
         lambda: faithfulness_estimate(_APART, _FOUR),
         PreconditionError,
         "the observable value distance between samples 0 and 1 overflows; rescale the data"),
+    # squared differences below the smallest subnormal sum to 0.0, which
+    # used to count as coincident states (or glued values) and drop the pair
+    "faithfulness_state_distance_underflow": (
+        lambda: faithfulness_estimate([[0.0], [1e150]], [[0.0], [1e-200]]),
+        PreconditionError,
+        "the state distance between samples 0 and 1 underflows; rescale the data"),
+    "faithfulness_one_state_distance_underflows": (
+        lambda: faithfulness_estimate(_FOUR, [[0.0], [1.0], [1e-200], [2e-200]]),
+        PreconditionError,
+        "the state distance between samples 0 and 2 underflows; rescale the data"),
+    "faithfulness_value_distance_underflow": (
+        lambda: faithfulness_estimate([[0.0], [1e-200], [1.0], [2.0]], _FOUR),
+        PreconditionError,
+        "the observable value distance between samples 0 and 1 underflows; rescale the data"),
+    # used to print numpy's overflow warning and return a score of inf
+    "faithfulness_ratio_overflow": (
+        lambda: faithfulness_estimate([[0.0], [1e154]], [[0.0], [1e-160]]),
+        PreconditionError,
+        "the ratio of observable value to state distance between samples 0 and 1 overflows; "
+        "rescale the data"),
     "sindy_flow_samples": (lambda: sindy_fit(Trajectory(_LINE[:4], dt=0.1),
                                              monomial_library(("x",), 1)),
                            UsageError, "need at least five samples for 4th-order differences"),
@@ -710,5 +737,7 @@ _GUARDS = {
 @pytest.mark.parametrize("case", sorted(_GUARDS))
 def test_usage_guard_raises_its_message(case):
     call, error, message = _GUARDS[case]
-    with pytest.raises(error, match=message):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning before the refusal fails
+        with pytest.raises(error, match=message):
+            call()
