@@ -13,8 +13,9 @@ missing file; the failing field path is printed), unusable `lattice` input
 method, numpy's LinAlgError included (the error text is printed).
 
 Each method is declared once, in `_RUNNERS`: its runner, the config paths
-it requires and the `method_params` keys it reads, from which the schema's
-per-method rules are built.
+it requires and the `method_params` keys it reads with their schemas, from
+which the schema's `method_params` properties and per-method rules are
+built.
 Each dictionary builder is declared once, in `_BUILDERS`, and the schema
 of an observable entry is built from `observables.KINDS`.
 The argparse parser and one validator per method are built once per
@@ -378,47 +379,6 @@ def _run_repr_check(config, spec, seed):
     }
 
 
-_ORBIT = ("sampling.initial_state", "sampling.n")
-
-# method name -> (runner, requirements, method_params keys).  runner(config,
-# spec, seed) returns the summary's eigenvalues and residuals and its files
-# (artifact name -> JSON payload or writer(path); a tuple of names ->
-# writer(*paths)).  requirements lists alternatives, each a tuple of dotted
-# config paths; a config must supply one in full.  method_params may hold
-# only the keys the runner reads.
-_RUNNERS = {
-    "companion_dmd": (_run_companion_dmd, [_ORBIT], ()),
-    "pinv_dmd": (_run_pinv_dmd, [_ORBIT], ()),
-    "edmd": (_run_edmd, [("dictionary", *_ORBIT)], ()),
-    "gla": (
-        _run_gla,
-        [(*_ORBIT, "method_params.lambda_target", "method_params.observable")],
-        ("lambda_target", "observable", "window"),
-    ),
-    "partition": (
-        _run_partition,
-        [("dictionary", "sampling.grid")],
-        ("bins", "n_test", "sample_limit"),
-    ),
-    "static": (_run_static, [("dictionary", "dictionary_out")], ("box",)),
-    "mz": (
-        _run_mz,
-        [
-            ("dictionary", *_ORBIT),
-            ("method_params.closure",),  # its schema requires coefficients and omega
-        ],
-        ("k_max", "closure"),
-    ),
-    "sindy": (_run_sindy, [("dictionary", *_ORBIT)], ("threshold",)),
-    "repr_check": (
-        _run_repr_check,
-        [("dictionary", *_ORBIT, "method_params.coefficients")],
-        ("coefficients",),
-    ),
-}
-METHODS = tuple(_RUNNERS)
-
-
 # ---------------------------------------------------------------- schemas
 
 
@@ -512,6 +472,65 @@ _DICTIONARY_SCHEMA = {
     },
 }
 
+_ORBIT = ("sampling.initial_state", "sampling.n")
+
+# method name -> (runner, requirements, method_params keys).  runner(config,
+# spec, seed) returns the summary's eigenvalues and residuals and its files
+# (artifact name -> JSON payload or writer(path); a tuple of names ->
+# writer(*paths)).  requirements lists alternatives, each a tuple of dotted
+# config paths; a config must supply one in full.  method_params may hold
+# only the keys the runner reads, each mapped to the schema of its value.
+_COUNT_OR_NULL = {"type": ["integer", "null"], "minimum": 1}
+_CLOSURE = {
+    "type": "object",
+    "required": ["coefficients", "omega"],
+    "additionalProperties": False,
+    "properties": {
+        "coefficients": {"type": "array", "items": _COMPLEX},
+        "omega": _NUMBER,
+        "m_samples": _COUNT,
+    },
+}
+_RUNNERS = {
+    "companion_dmd": (_run_companion_dmd, [_ORBIT], {}),
+    "pinv_dmd": (_run_pinv_dmd, [_ORBIT], {}),
+    "edmd": (_run_edmd, [("dictionary", *_ORBIT)], {}),
+    "gla": (
+        _run_gla,
+        [(*_ORBIT, "method_params.lambda_target", "method_params.observable")],
+        {"lambda_target": _COMPLEX, "observable": _OBSERVABLE, "window": _COUNT_OR_NULL},
+    ),
+    "partition": (
+        _run_partition,
+        [("dictionary", "sampling.grid")],
+        {"bins": _COUNT, "n_test": _COUNT, "sample_limit": _COUNT_OR_NULL},
+    ),
+    "static": (
+        _run_static,
+        [("dictionary", "dictionary_out")],
+        {"box": {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}},
+    ),
+    "mz": (
+        _run_mz,
+        [
+            ("dictionary", *_ORBIT),
+            ("method_params.closure",),  # its schema requires coefficients and omega
+        ],
+        {"k_max": _COUNT, "closure": _CLOSURE},
+    ),
+    "sindy": (
+        _run_sindy,
+        [("dictionary", *_ORBIT)],
+        {"threshold": {"type": ["number", "null"], "minimum": 0}},
+    ),
+    "repr_check": (
+        _run_repr_check,
+        [("dictionary", *_ORBIT, "method_params.coefficients")],
+        {"coefficients": _matrix(_COMPLEX)},
+    ),
+}
+METHODS = tuple(_RUNNERS)
+
 # method -> the schema its config must also meet: one set of required paths
 # in full, and no method_params key that the method does not read
 _METHOD_RULES = {
@@ -587,28 +606,9 @@ CONFIG_SCHEMA = {
         "method_params": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "bins": _COUNT,
-                "n_test": _COUNT,
-                "sample_limit": {"type": ["integer", "null"], "minimum": 1},
-                "k_max": _COUNT,
-                "window": {"type": ["integer", "null"], "minimum": 1},
-                "threshold": {"type": ["number", "null"], "minimum": 0},
-                "box": {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2},
-                "lambda_target": _COMPLEX,
-                "observable": _OBSERVABLE,
-                "coefficients": _matrix(_COMPLEX),
-                "closure": {
-                    "type": "object",
-                    "required": ["coefficients", "omega"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "coefficients": {"type": "array", "items": _COMPLEX},
-                        "omega": _NUMBER,
-                        "m_samples": _COUNT,
-                    },
-                },
-            },
+            # no key is read by two methods
+            "properties": {key: schema for _, _, keys in _RUNNERS.values()
+                           for key, schema in keys.items()},
         },
         "output": {
             "type": "object",

@@ -16,8 +16,9 @@ Partitions are joint level sets: each real channel of the averaged
 observables is split into equal-mass quantile bins and the joint bin tuple
 is compacted into a dense cell id.  Complex observables contribute their
 real and imaginary parts as separate channels.  A labeling's invariance is
-scored by iterating its grid points and checking that labels survive the
-dynamics under nearest-grid-point lookup.
+scored by stepping the coordinate columns of its labeled grid points with
+the same column stepper and checking that labels survive the dynamics under
+nearest-grid-point lookup.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .errors import DivergenceError, ObservableDomainError, UsageError
 from .observables import REAL_KINDS as _REAL_KINDS  # kinds with a real accumulator
 from .observables import ObservableDictionary, StateColumns
 from .systems import SystemSpec, _column_step, _refuse_bad_dt, _states_of, _step_size
-from .systems import rk4_step_batch, step_map_batch
 
 # Orbits of different grid points never interact, so time_average runs the
 # grid in row blocks on a small thread pool (numpy's ufuncs release the GIL).
@@ -93,40 +93,42 @@ class RegularGrid:
     def dim(self) -> int:
         return len(self.axes)
 
-    @property
-    def points(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
     @classmethod
     def unit_square(cls, n: int) -> "RegularGrid":
         """n x n cell-centered grid on [0,1)^2 with both axes periodic."""
         centers = (np.arange(n) + 0.5) / n
         return cls(axes=(centers, centers), periods=(1.0, 1.0))
 
-    def nearest_index(self, pts) -> np.ndarray:
-        """Flat index of the nearest grid point; -1 for non-finite input."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        idx = np.zeros((pts.shape[0], self.dim), dtype=int)
-        ok = np.all(np.isfinite(pts), axis=1)
-        for d, (axis, period) in enumerate(zip(self.axes, self.periods)):
+    def nearest_index(self, cols: tuple) -> np.ndarray:
+        """Flat index of the grid point nearest each point of cols, a tuple of
+        1-D coordinate columns, one per axis; -1 where a coordinate is not finite.
+
+        Indices are rounded, wrapped and clipped as floats and cast last: a
+        point far past a clipped axis takes its end point, and a periodic
+        coordinate whose offset overflows (it has no phase left) index 0.
+        """
+        if not isinstance(cols, tuple) or len(cols) != self.dim:
+            raise UsageError(f"nearest_index needs a tuple of {self.dim} coordinate columns")
+        cols = [np.asarray(c, dtype=float) for c in cols]
+        ok = np.logical_and.reduce([np.isfinite(c) for c in cols])
+        idx = []
+        for vals, axis, period in zip(cols, self.axes, self.periods):
             # a Python float, so that period / h overflows to inf silently
             h = float(axis[1] - axis[0]) if axis.size > 1 else 1.0
-            vals = np.where(ok, pts[:, d], axis[0])
-            i = np.round((vals - axis[0]) / h).astype(int)
-            if period is not None and np.rint(period / h) == axis.size:
-                i %= axis.size
-            elif period is not None:
-                # the axis leaves a gap before the period wraps: past the
-                # last point, the wrapped first point may be the nearer one
-                offset = (vals - axis[0]) % period
-                i = np.minimum(np.round(offset / h).astype(int), axis.size - 1)
-                i[period - offset < offset - (axis[-1] - axis[0])] = 0
-            else:
-                i = np.clip(i, 0, axis.size - 1)
-            idx[:, d] = i
-        flat = np.ravel_multi_index(idx.T, self.shape, mode="clip")
-        return np.where(ok, flat, -1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                offset = np.where(ok, vals, axis[0]) - axis[0]
+                if period is not None and np.rint(period / h) == axis.size:
+                    i = np.round(offset / h) % axis.size
+                elif period is not None:
+                    # the axis leaves a gap before the period wraps: past the
+                    # last point, the wrapped first point may be the nearer one
+                    offset %= period
+                    i = np.minimum(np.round(offset / h), axis.size - 1)
+                    i[period - offset < offset - (axis[-1] - axis[0])] = 0
+                else:
+                    i = np.clip(np.round(offset / h), 0, axis.size - 1)
+            idx.append(np.nan_to_num(i).astype(int))
+        return np.where(ok, np.ravel_multi_index(idx, self.shape, mode="clip"), -1)
 
 
 @dataclass(frozen=True)
@@ -141,33 +143,25 @@ class TimeAverageField:
 
     values: np.ndarray
     grid: RegularGrid
-    n_iterations: int
     cesaro: np.ndarray
     diverged: np.ndarray
     dictionary: ObservableDictionary
 
-    def channels(self) -> tuple[np.ndarray, list]:
-        """Real labeling channels: one per real observable, two per complex."""
-        cols, names = self._channel_columns()
-        return np.column_stack(cols), names
+    def channels(self) -> np.ndarray:
+        """Real labeling channels: one per real observable, re and im per complex."""
+        return np.column_stack(self._channel_columns())
 
-    def _channel_columns(self) -> tuple[list, list]:
-        """The channels as views of values, one 1-D array each, and their names."""
-        cols, names = [], []
+    def _channel_columns(self) -> list:
+        """The channels as views of values, one 1-D array each."""
+        cols = []
         for j, obs in enumerate(self.dictionary):
-            if obs.kind in _REAL_KINDS:
-                cols.append(self.values[:, j].real)
-                names.append(obs.name)
-            else:
-                cols.append(self.values[:, j].real)
-                names.append(f"re({obs.name})")
+            cols.append(self.values[:, j].real)
+            if obs.kind not in _REAL_KINDS:
                 cols.append(self.values[:, j].imag)
-                names.append(f"im({obs.name})")
-        return cols, names
+        return cols
 
     def to_csv(self, path) -> None:
-        chan, _ = self._channel_columns()
-        write_csv(path, *_table(_point_columns(self.grid), chan))
+        write_csv(path, *_table(_point_columns(self.grid), self._channel_columns()))
 
 
 def _coord_names(d: int) -> list:
@@ -191,6 +185,17 @@ def _id_column(ids: np.ndarray) -> tuple:
     """Integer ids as a (distinct values, index) column."""
     low = int(ids.min())
     return np.arange(low, int(ids.max()) + 1), ids - low
+
+
+def _grid_stepper(spec: SystemSpec, dt, grid: RegularGrid):
+    """The column stepper of spec at its step size, for a grid of spec's dimension.
+
+    The step size is checked first, then the grid's dimension (UsageError).
+    """
+    step = _column_step(spec, _step_size(spec, dt))
+    if grid.dim != spec.dim:
+        raise UsageError(f"grid dimension {grid.dim} does not match {spec.kind}")
+    return step
 
 
 def _average_block(entries, step, cols: tuple, n: int, sums, half_sums, finite_end,
@@ -252,9 +257,7 @@ def time_average(
         raise UsageError("n must be >= 1")
     if not isinstance(grid, RegularGrid):
         raise UsageError(f"time_average needs a RegularGrid, not {type(grid).__name__}")
-    step = _column_step(spec, _step_size(spec, dt))
-    if grid.dim != spec.dim:
-        raise UsageError(f"grid dimension {grid.dim} does not match {spec.kind}")
+    step = _grid_stepper(spec, dt, grid)
     columns = _point_columns(grid)
     n_rows = int(np.prod(grid.shape))
     # Accumulate per entry in 1-D columns (real dtype when the entry is
@@ -297,7 +300,6 @@ def time_average(
     return TimeAverageField(
         values=np.where(diverged[:, None], np.nan + 0j, values),
         grid=grid,
-        n_iterations=n,
         cesaro=np.where(diverged[:, None], np.nan, cesaro),
         diverged=diverged,
         dictionary=dictionary,
@@ -455,7 +457,6 @@ class PartitionLabeling:
 
     cell_id: np.ndarray
     bin_edges: tuple
-    channel_names: tuple
     channel_values: np.ndarray
     grid: RegularGrid
 
@@ -517,7 +518,7 @@ def ergodic_partition_approx(field: TimeAverageField, bins_per_obs: int) -> Part
     """
     if bins_per_obs < 1:
         raise UsageError("bins_per_obs must be >= 1")
-    chan, names = field.channels()
+    chan = field.channels()
     ok = ~field.diverged
     codes = np.zeros((chan.shape[0], chan.shape[1]), dtype=int)
     edges_all = []
@@ -531,7 +532,6 @@ def ergodic_partition_approx(field: TimeAverageField, bins_per_obs: int) -> Part
     return PartitionLabeling(
         cell_id=cell,
         bin_edges=tuple(edges_all),
-        channel_names=tuple(names),
         channel_values=chan,
         grid=field.grid,
     )
@@ -545,8 +545,7 @@ def write_partition_csv(field: TimeAverageField, labeling: PartitionLabeling,
     repeats every column of field.csv and adds cell_id, so each shared row
     is formatted once, written to field.csv and extended for labeling.csv.
     """
-    chan, _ = field._channel_columns()
-    columns, header = _table(_point_columns(field.grid), chan)
+    columns, header = _table(_point_columns(field.grid), field._channel_columns())
     write_csv_files(
         columns + [_id_column(labeling.cell_id)],
         [(field_path, header, len(columns)), (labeling_path, header + ",cell_id", None)],
@@ -563,35 +562,31 @@ def partition_invariance_score(
 ) -> float:
     """Fraction of (point, step) pairs whose label survives the dynamics.
 
-    Every labeled grid point is advanced n_test steps; after each step the
-    nearest grid point's label is compared with the starting label.
-    Mapped points that leave the labeled region count as mismatches.  A
+    The coordinate columns of every labeled grid point (or of sample_limit
+    of them, drawn with seed) are advanced n_test steps; after each step
+    the nearest grid point's label is compared with the starting label.
+    Mapped points that leave the labeled region count as mismatches; on a
+    clipped axis, points mapped far off take its last (or first) point.  A
     grid of another dimension than the system's raises UsageError.
     """
     if n_test < 1:
         raise UsageError("n_test must be >= 1")
     grid = labeling.grid
-    dt = _step_size(spec, dt)
-    if grid.dim != spec.dim:
-        raise UsageError(f"grid dimension {grid.dim} does not match {spec.kind}")
-    # held until the score returns: freed before the steps, it moved the
-    # grid_partition peak-RSS modes (glibc heap layout) from 84/88 to 81/93 MB
-    points = grid.points
+    step = _grid_stepper(spec, dt, grid)
     labels = labeling.cell_id
-    alive = labels >= 0
-    idx_alive = np.flatnonzero(alive)
-    if idx_alive.size == 0:
+    rows = np.flatnonzero(labels >= 0)
+    if rows.size == 0:
         return 0.0
-    if sample_limit is not None and idx_alive.size > sample_limit:
+    if sample_limit is not None and rows.size > sample_limit:
         rng = np.random.default_rng(seed)
-        idx_alive = rng.choice(idx_alive, size=sample_limit, replace=False)
-    cur = points[idx_alive]
-    want = labels[idx_alive]
+        rows = rng.choice(rows, size=sample_limit, replace=False)
+    cols = tuple(axis[index[rows]] for axis, index in _point_columns(grid))
+    want = labels[rows]
     hits = 0
     with np.errstate(all="ignore"):
         for _ in range(n_test):
-            cur = step_map_batch(spec, cur) if spec.is_map else rk4_step_batch(spec, cur, dt)
-            nearest = grid.nearest_index(cur)
+            cols = step(cols)
+            nearest = grid.nearest_index(cols)
             got = np.where(nearest >= 0, labels[np.maximum(nearest, 0)], -2)
             hits += int(np.sum(got == want))
     return hits / (n_test * want.size)

@@ -13,8 +13,8 @@ known_spectrum reads.  The scalar path runs the definition on python floats
 coordinate columns (grids of initial conditions), so both paths do the same
 arithmetic.  One column stepper (_column_step: a map iterate, or one RK4 step
 of a flow) does all batch stepping: time_average steps its blocks of columns
-with it, and the public (P, d) APIs step_map_batch and rk4_step_batch wrap
-it.  All scalar stepping runs one orbit loop generated once per system kind
+with it, partition_invariance_score its labeled points' columns, and
+step_map_batch, the one (P, d) API, wraps it for maps.  All scalar stepping runs one orbit loop generated once per system kind
 (_orbit_loop), with every coordinate a plain local: a map's step calls its
 definition once, and a flow's RK4 step has the flow's expressions written
 into it, with the parameters as arguments of the loop.  A loop over state
@@ -345,14 +345,6 @@ def step_map_batch(spec: SystemSpec, pts: np.ndarray) -> np.ndarray:
         raise UsageError(f"step_map_batch needs a discrete map, got {spec.kind!r}")
     pts = np.asarray(pts, dtype=float)
     return np.column_stack(_column_step(spec)(tuple(pts.T)))
-
-
-def rk4_step_batch(spec: SystemSpec, pts: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of a flow on a (P, d) batch of states."""
-    if spec.is_map:
-        raise UsageError(f"rk4_step_batch needs a continuous flow, got {spec.kind!r}")
-    pts = np.asarray(pts, dtype=float)
-    return np.column_stack(_column_step(spec, _step_size(spec, dt))(tuple(pts.T)))
 
 
 # The scalar orbit loop, written out per coordinate: _x0, _x1, ... hold the

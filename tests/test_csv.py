@@ -47,6 +47,11 @@ TABLES = {
 }
 
 
+def grid_points(grid):
+    """The grid points as a (P, d) array, in the grid's 'ij' raveled order."""
+    return np.column_stack([m.ravel() for m in np.meshgrid(*grid.axes, indexing="ij")])
+
+
 def savetxt_bytes(tmp_path, table, header="") -> bytes:
     path = tmp_path / "reference.csv"
     np.savetxt(path, table, delimiter=",", header=header, comments="")
@@ -255,8 +260,7 @@ def test_partition_files_give_savetxt_bytes(tmp_path, case):
     if case is _diverging:
         assert field.diverged.any() and not field.diverged.all()
         assert (labeling.cell_id == -1).any()
-    chan, _ = field.channels()
-    field_rows = np.column_stack([grid.points, chan])
+    field_rows = np.column_stack([grid_points(grid), field.channels()])
     want_field = savetxt_bytes(tmp_path, field_rows, header)
     want_labeling = savetxt_bytes(
         tmp_path, np.column_stack([field_rows, labeling.cell_id]), header + ",cell_id"
@@ -280,7 +284,7 @@ def test_distinct_value_columns_in_a_complex_table_give_savetxt_bytes(tmp_path):
     cell_id = np.array([-1, 0, 1, 1, 0, -1])
     table = [*zip(axes, index), values, (np.arange(-1, 2), cell_id + 1)]
     write_csv_files(table, [(tmp_path / "labeling.csv", "x,y,g*_1,cell_id", None)])
-    rows = np.column_stack([RegularGrid(axes=axes).points, values, cell_id])
+    rows = np.column_stack([grid_points(RegularGrid(axes=axes)), values, cell_id])
     assert (tmp_path / "labeling.csv").read_bytes() == savetxt_bytes(
         tmp_path, rows, "x,y,g*_1,cell_id"
     )

@@ -26,10 +26,9 @@ from koopman.systems import (
     SYSTEM_KINDS,
     SystemSpec,
     Trajectory,
+    _column_step,
     integrate,
-    rk4_step_batch,
     spectral_lattice,
-    step_map_batch,
 )
 
 
@@ -37,16 +36,72 @@ def _dict(*entries):
     return ObservableDictionary(tuple(entries))
 
 
+def _points(grid):
+    """The grid points as a (P, d) array, in the grid's 'ij' raveled order."""
+    return np.column_stack([m.ravel() for m in np.meshgrid(*grid.axes, indexing="ij")])
+
+
+def _step(spec, pts, dt=None):
+    """One step of a (P, d) batch of states, through the column stepper."""
+    return np.column_stack(_column_step(spec, dt)(tuple(pts.T)))
+
+
 def test_regular_grid_points_and_lookup():
     g = RegularGrid.unit_square(10)
-    pts = g.points
+    pts = _points(g)
     assert pts.shape == (100, 2)
     np.testing.assert_allclose(pts[0], [0.05, 0.05])
     # wrap-around: 1.02 is nearest to the 0.05 row after mod 1
-    idx = g.nearest_index(np.array([[1.02, 0.05], [0.99, 0.01], [np.nan, 0.5]]))
+    idx = g.nearest_index((np.array([1.02, 0.99, np.nan]), np.array([0.05, 0.01, 0.5])))
     assert idx[0] == 0
     np.testing.assert_allclose(pts[idx[1]], [0.95, 0.05])
     assert idx[2] == -1
+
+
+_FAR = [1e300, -1e300, 2e18, -2e18]
+
+
+@pytest.mark.parametrize(
+    "axis, period, points, expected",
+    [
+        # a clipped axis: far off takes the last or first point, however far
+        (np.linspace(0.0, 1.0, 11), None, _FAR + [0.96, -0.04], [10, 0, 10, 0, 10, 0]),
+        # a periodic axis that tiles its period: far off lands on some point
+        ((np.arange(320) + 0.5) / 320, 1.0, _FAR + [1.7e308, -1.7e308], None),
+        # a periodic axis with a gap before the period wraps
+        (np.array([0.0, 0.3, 0.6, 0.9]), 1.0, _FAR + [1.7e308, -1.7e308], None),
+        # a decreasing periodic axis
+        (np.linspace(1.0, 0.0, 11), 1.0, _FAR + [0.5, 1.7e308], None),
+        # non-finite coordinates are not looked up
+        (np.linspace(0.0, 1.0, 11), None, [np.nan, np.inf, -np.inf], [-1, -1, -1]),
+        ((np.arange(320) + 0.5) / 320, 1.0, [np.nan, np.inf, -np.inf], [-1, -1, -1]),
+    ],
+    ids=["clipped", "tiled", "gap", "decreasing", "non_finite_clipped", "non_finite_tiled"],
+)
+def test_nearest_index_of_far_off_points(axis, period, points, expected):
+    # the index used to be cast to int before it was clipped or wrapped:
+    # beyond about 2**63 steps it became INT64_MIN, with a numpy warning, and
+    # took the first point of a clipped axis or a far cell of a tiled one
+    grid = RegularGrid(axes=(axis,), periods=(period,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx = grid.nearest_index((np.array(points),))
+    if expected is None:
+        assert np.all((idx >= 0) & (idx < axis.size))
+    else:
+        np.testing.assert_array_equal(idx, expected)
+
+
+def test_invariance_score_sends_far_off_images_to_the_last_grid_point():
+    # on [0, 1] x = 0 has label 0 and every other point label 1; B maps the
+    # points 0.1 .. 1 past the end of the clipped axis, onto label 1
+    grid = RegularGrid(axes=(np.linspace(0.0, 1.0, 11),))
+    cell_id = np.array([0] + [1] * 10)
+    lab = PartitionLabeling(cell_id=cell_id, bin_edges=(np.array([0.5]),),
+                            channel_values=cell_id[:, None].astype(float), grid=grid)
+    for b in (1e17, 1e20, 1e300, 1e308):
+        spec = SystemSpec("linear_map", {"B": [[b]]})
+        assert partition_invariance_score(lab, spec, n_test=1) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -60,8 +115,8 @@ def test_nearest_index_wraps_axes_that_do_not_tile_their_period(axis, points, ne
     # period 1 leaves a gap after the last point: 0.97 is nearer the
     # wrapped 1.0 than 0.9, and 0.8 nearer the wrapped 1.0 than 0.5
     grid = RegularGrid(axes=(np.array(axis),), periods=(1.0,))
-    idx = grid.nearest_index(np.array(points)[:, None])
-    np.testing.assert_allclose(grid.points[idx, 0], nearest)
+    idx = grid.nearest_index((np.array(points),))
+    np.testing.assert_allclose(grid.axes[0][idx], nearest)
 
 
 def test_grid_axes_need_distinct_points_and_positive_periods():
@@ -72,7 +127,7 @@ def test_grid_axes_need_distinct_points_and_positive_periods():
         with pytest.raises(UsageError, match="positive"):
             RegularGrid(axes=(axis,), periods=(period,))
     grid = RegularGrid(axes=(axis,), periods=(1e308,))  # period / step overflows
-    np.testing.assert_array_equal(grid.nearest_index(np.array([[0.4], [2.0]])), [1, 1])
+    np.testing.assert_array_equal(grid.nearest_index((np.array([0.4, 2.0]),)), [1, 1])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -126,7 +181,7 @@ def _reference_time_average(dictionary, spec, pts, n, dt):
             if i + 1 == half:
                 half_sums = [total.copy() for total in sums]
             if i + 1 < n:
-                pts = step_map_batch(spec, pts) if spec.is_map else rk4_step_batch(spec, pts, dt)
+                pts = _step(spec, pts, dt)
         values = np.stack(sums, axis=1).astype(complex) / n
         cesaro = np.abs(values - np.stack(half_sums, axis=1) / half)
     diverged = ~np.all(np.isfinite(pts), axis=1) | ~np.all(
@@ -183,7 +238,7 @@ def test_time_average_matches_a_plain_loop_bit_for_bit(monkeypatch, kind):
     dictionary = _every_kind(spec.dim)
     _blocked(monkeypatch)
     field = time_average(dictionary, spec, grid, n=9, dt=dt)
-    values, cesaro, diverged = _reference_time_average(dictionary, spec, grid.points, 9, dt)
+    values, cesaro, diverged = _reference_time_average(dictionary, spec, _points(grid), 9, dt)
     assert not diverged.any()
     assert field.values.tobytes() == values.tobytes()
     assert field.cesaro.tobytes() == cesaro.tobytes()
@@ -205,7 +260,7 @@ def test_time_average_matches_a_plain_loop_bit_for_bit(monkeypatch, kind):
 def test_time_average_masks_rows_that_meet_non_finite_states(monkeypatch, kind, params, dt, axes):
     spec = SystemSpec(kind, params)
     grid = RegularGrid(axes=tuple(np.array(a) for a in axes))
-    pts = grid.points
+    pts = _points(grid)
     dictionary = _every_kind(2)
     _blocked(monkeypatch)
     field = time_average(dictionary, spec, grid, n=9, dt=dt)
@@ -322,7 +377,7 @@ def test_time_average_integrable_map_keeps_y():
     d = _dict(Observable("sy", "sin", k=(0, 1)))
     field = time_average(d, spec, grid, n=400)
     np.testing.assert_allclose(
-        field.values[:, 0].real, np.sin(2 * np.pi * grid.points[:, 1]), atol=1e-12
+        field.values[:, 0].real, np.sin(2 * np.pi * _points(grid)[:, 1]), atol=1e-12
     )
 
 
@@ -372,7 +427,7 @@ def test_time_average_refuses_anything_but_a_regular_grid(grid):
 @pytest.mark.parametrize("dt", [None, 0.0, -0.01, float("nan")])
 def test_every_flow_entry_point_refuses_a_step_that_is_not_positive(dt):
     # a flow's step size is decided in one place; each entry point refuses
-    # the same values, where rk4_step_batch used to step backward or not at all
+    # the same values
     spec = SystemSpec("limit_cycle_polar")
     d = _dict(Observable("r", "coordinate", index=0))
     grid = RegularGrid(axes=(np.linspace(0.5, 1.5, 3), np.linspace(0.0, 6.0, 3)),
@@ -380,7 +435,6 @@ def test_every_flow_entry_point_refuses_a_step_that_is_not_positive(dt):
     labeling = ergodic_partition_approx(time_average(d, spec, grid, n=4, dt=0.1), bins_per_obs=2)
     calls = {
         "integrate": lambda: integrate(spec, [1.0, 0.0], dt, 5),
-        "rk4_step_batch": lambda: rk4_step_batch(spec, grid.points, dt),
         "time_average": lambda: time_average(d, spec, grid, n=4, dt=dt),
         "partition_invariance_score": lambda: partition_invariance_score(
             labeling, spec, n_test=1, dt=dt),
@@ -397,9 +451,11 @@ def test_channels_split_complex_observables():
         Observable("c", "cos", k=(1, 0)),
     )
     field = time_average(d, spec, RegularGrid.unit_square(4), n=20)
-    chan, names = field.channels()
+    chan = field.channels()
     assert chan.shape == (16, 3)
-    assert names == ["re(f)", "im(f)", "c"]
+    # re(f), im(f), then c
+    assert chan.tobytes() == np.column_stack(
+        [field.values[:, 0].real, field.values[:, 0].imag, field.values[:, 1].real]).tobytes()
 
 
 def test_gla_exact_eigenfunction_is_reproduced():
@@ -624,7 +680,7 @@ def test_partition_cells_skip_diverged_rows_like_the_row_unique_route():
     d = ObservableDictionary(tuple(Observable(f"c{j}", "coordinate", index=0) for j in range(40)))
     field = TimeAverageField(values=values.astype(complex),
                              grid=RegularGrid(axes=(np.arange(400.0),)),
-                             n_iterations=1, cesaro=np.zeros((400, 40)),
+                             cesaro=np.zeros((400, 40)),
                              diverged=diverged, dictionary=d)
     lab = ergodic_partition_approx(field, bins_per_obs=5)
     codes = np.column_stack([np.searchsorted(e, values[:, c], side="right")
@@ -651,7 +707,7 @@ def test_partition_integrable_map_gives_bands():
     field = time_average(d, spec, grid, n=300)
     lab = ergodic_partition_approx(field, bins_per_obs=10)
     # cells are unions of grid rows: every (cell, y) pair is row-complete
-    y = grid.points[:, 1]
+    y = _points(grid)[:, 1]
     for cell in range(lab.n_cells):
         ys = np.unique(y[lab.cell_id == cell])
         for yv in ys:
@@ -681,6 +737,48 @@ def test_invariance_score_integrable_bands():
     assert score >= 0.99
 
 
+def _reference_score(labeling, spec, n_test, dt=None, sample_limit=None, seed=0):
+    """partition_invariance_score as a loop over a (P, d) array of grid points."""
+    grid, labels = labeling.grid, labeling.cell_id
+    rows = np.flatnonzero(labels >= 0)
+    if sample_limit is not None and rows.size > sample_limit:
+        rows = np.random.default_rng(seed).choice(rows, size=sample_limit, replace=False)
+    pts = _points(grid)[rows]
+    hits = 0
+    with np.errstate(all="ignore"):
+        for _ in range(n_test):
+            pts = _step(spec, pts, dt)
+            nearest = grid.nearest_index(tuple(pts.T))
+            hits += int(np.sum(np.where(nearest >= 0, labels[nearest], -2) == labels[rows]))
+    return hits / (n_test * rows.size)
+
+
+@pytest.mark.parametrize(
+    "kind, grid, dictionary, dt, n_test, sample_limit, seed",
+    [
+        ("standard_map", RegularGrid.unit_square(30),
+         _dict(Observable("c", "cos", k=(0, 1)), Observable("f", "fourier", k=(1, 1))),
+         None, 4, 200, 5),
+        ("limit_cycle_polar",
+         RegularGrid(axes=(np.linspace(0.2, 1.6, 15), np.linspace(0.0, 6.0, 16)),
+                     periods=(None, 2 * np.pi)),
+         _dict(Observable("r", "coordinate", index=0), Observable("z", "phase", k=(0, 1))),
+         0.3, 3, None, 0),
+    ],
+    ids=["standard_map_sampled", "limit_cycle_polar"],
+)
+def test_invariance_score_matches_a_loop_over_grid_points(
+    kind, grid, dictionary, dt, n_test, sample_limit, seed
+):
+    spec = SystemSpec(kind)
+    field = time_average(dictionary, spec, grid, n=20, dt=dt)
+    lab = ergodic_partition_approx(field, bins_per_obs=3)
+    score = partition_invariance_score(lab, spec, n_test=n_test, dt=dt,
+                                       sample_limit=sample_limit, seed=seed)
+    assert 0.0 < score < 1.0
+    assert score == _reference_score(lab, spec, n_test, dt, sample_limit, seed)
+
+
 def test_invariance_score_random_labels_near_chance():
     spec = SystemSpec("standard_map", {"eps": 0.12})
     grid = RegularGrid.unit_square(40)
@@ -689,7 +787,6 @@ def test_invariance_score_random_labels_near_chance():
     lab = PartitionLabeling(
         cell_id=rng.integers(0, K, size=1600),
         bin_edges=(np.array([]),),
-        channel_names=("noise",),
         channel_values=rng.random((1600, 1)),
         grid=grid,
     )
@@ -703,7 +800,6 @@ def test_invariance_score_single_cell_is_perfect():
     lab = PartitionLabeling(
         cell_id=np.zeros(100, dtype=int),
         bin_edges=(np.array([]),),
-        channel_names=("c",),
         channel_values=np.zeros((100, 1)),
         grid=grid,
     )
@@ -714,7 +810,6 @@ def test_invariance_score_refuses_a_grid_of_another_dimension():
     lab = PartitionLabeling(
         cell_id=np.zeros(16, dtype=int),
         bin_edges=(np.array([]),),
-        channel_names=("c",),
         channel_values=np.zeros((16, 1)),
         grid=RegularGrid.unit_square(4),
     )
@@ -810,6 +905,9 @@ _GUARDS = {
                         "at least one non-empty 1D axis"),
     "grid_period_count": (lambda: RegularGrid(axes=(_AXIS, _AXIS), periods=(1.0,)),
                           r"need one period entry \(or None\) per axis"),
+    # an (m, d) array of points, which nearest_index would read as m columns
+    "nearest_index_points": (lambda: RegularGrid(axes=(_AXIS, _AXIS)).nearest_index(
+        np.zeros((2, 2))), "nearest_index needs a tuple of 2 coordinate columns"),
     "time_average_n": (lambda: _small_field(n=0), "n must be >= 1"),
     "gla_value_count": (lambda: gla_eigenfunction(np.zeros((10, 1)), 1.0, np.ones(9)),
                         "observable values must match trajectory length"),
@@ -824,9 +922,6 @@ _GUARDS = {
                            "bins must be >= 1"),
     "empty_trajectory": (lambda: Trajectory(np.zeros((0, 2))),
                          "trajectory must contain at least one state"),
-    "rk4_step_batch_on_a_map": (
-        lambda: rk4_step_batch(SystemSpec("standard_map"), np.zeros((1, 2)), 0.1),
-        "rk4_step_batch needs a continuous flow, got 'standard_map'"),
     "integrate_n_steps": (lambda: integrate(SystemSpec("standard_map"), [0.1, 0.2], 0.0, 0),
                           "n_steps must be >= 1"),
     "lattice_N": (lambda: spectral_lattice(1.0, [-2.0], -1, 0),
