@@ -2,18 +2,19 @@
 complex numbers included.  Callers choose the layout (which columns, which
 keys); every artifact file of the package is written here.
 
-CSV bytes are those numpy's text-table writer gives with ``delimiter=","``
-and ``comments=""``: each value as ``%.18e`` (`` (%.18e+%.18ej)`` for every
-value of a complex table), values joined by commas, rows ended by a newline,
-and the header line only when it is not empty.  A column is either an array
-or a ``(distinct_values, index)`` pair that stands for
-``distinct_values[index]``; each distinct value is then formatted once,
-however many rows repeat it (the coordinates of a regular grid, a handful of
-cell ids).  Rows are formatted in blocks of at most _BLOCK_ROWS rows with one
-``%`` per block, so memory stays bounded by a block, not by the file.
-Several files may share leading columns: each shared row is formatted once,
-and a wider file appends its extra columns to the narrower file's row
-strings.
+CSV has one rule for complex values: a complex column is written as two
+columns, its real part and then its imaginary part.  The bytes are those
+numpy's text-table writer gives for the table so split, with
+``delimiter=","`` and ``comments=""``: each value as ``%.18e``, values joined
+by commas, rows ended by a newline, and the header line only when it is not
+empty.  A column is either an array or a ``(distinct_values, index)`` pair
+that stands for ``distinct_values[index]``; each distinct value is then
+formatted once, both parts of a complex one, however many rows repeat it
+(the coordinates of a regular grid, a handful of cell ids).  Rows are
+formatted in blocks of at most _BLOCK_ROWS rows with one ``%`` per block, so
+memory stays bounded by a block, not by the file.  Several files may share
+leading columns: each shared row is formatted once, and a wider file
+appends its extra columns to the narrower file's row strings.
 
 JSON text comes from one encoder, strict_json: the text json.dumps gives
 with ``indent=2, sort_keys=True, allow_nan=False``, but written straight
@@ -45,25 +46,22 @@ from .errors import KoopmanError
 # 145 MB RSS that way, and at 70 MB (as before this writer) in 4096-row
 # blocks (numpy 2.4.6, Python 3.11).
 _BLOCK_ROWS = 4096
-_TEMPLATES = {float: "%.18e", complex: " (%.18e+%.18ej)"}
 
 
-def _fill(kind, value) -> str:
-    if kind is complex:
-        # numpy writes a negative imaginary part as "-", not "+-"
-        return (_TEMPLATES[kind] % (value.real, value.imag)).replace("+-", "-")
-    return _TEMPLATES[kind] % value
+def _column(column):
+    """(row template, value arrays, formatted distinct values or None).
 
-
-def _column(column, kind):
-    """(row template, value arrays, formatted distinct values or None)."""
+    A complex column fills two slots of the row, its .real and then its .imag.
+    """
     if isinstance(column, tuple):
         values, index = column
-        values = np.asarray(values, dtype=kind).ravel().tolist()
-        strings = np.array([_fill(kind, v) for v in values], dtype=object)
-        return "%s", [np.asarray(index).reshape(-1)], strings
-    data = np.asarray(column, dtype=kind).reshape(-1)  # a view where ravel would copy
-    return _TEMPLATES[kind], [data.real, data.imag] if kind is complex else [data], None
+        template, parts, _ = _column(values)
+        strings = [template % cell for cell in zip(*[p.tolist() for p in parts])]
+        return "%s", [np.asarray(index).reshape(-1)], np.array(strings, dtype=object)
+    data = np.asarray(column).reshape(-1)  # a view where ravel would copy
+    if np.iscomplexobj(data):
+        return "%.18e,%.18e", [data.real, data.imag], None
+    return "%.18e", [data.astype(float, copy=False)], None
 
 
 def _columns(table) -> list:
@@ -73,7 +71,7 @@ def _columns(table) -> list:
     return list(table)
 
 
-def _block_rows(run, rows: slice, lead: str, kind) -> list:
+def _block_rows(run, rows: slice, lead: str) -> list:
     """Row strings of one block of a run of columns, each prefixed by `lead`."""
     if len(run) == 1 and run[0][2] is not None:
         _, (index,), strings = run[0]
@@ -87,10 +85,7 @@ def _block_rows(run, rows: slice, lead: str, kind) -> list:
     for j, slot in enumerate(slots):
         cells[:, j] = slot
     row = lead + ",".join(template for template, _, _ in run)
-    text = "\n".join([row] * n) % tuple(cells.ravel().tolist())
-    if kind is complex:
-        text = text.replace("+-", "-")
-    return text.split("\n")
+    return ("\n".join([row] * n) % tuple(cells.ravel().tolist())).split("\n")
 
 
 def write_csv(path, table, header: str = "") -> None:
@@ -105,11 +100,7 @@ def write_csv_files(table, files) -> None:
     holds the first `width` columns of `table` (None: all of them).  A path
     may be an open text file, which is written as it is and left open.
     """
-    raw = _columns(table)
-    kind = complex if any(
-        np.iscomplexobj(c[0] if isinstance(c, tuple) else c) for c in raw
-    ) else float
-    columns = [_column(c, kind) for c in raw]
+    columns = [_column(c) for c in _columns(table)]
     widths = [len(columns) if width is None else width for _, _, width in files]
     runs = [columns[a:b] for a, b in zip([0] + widths, widths)]
     n_rows = len(columns[0][1][0]) if columns else 0
@@ -124,7 +115,7 @@ def write_csv_files(table, files) -> None:
             lines = None
             for fh, run in zip(handles, runs):
                 if run:
-                    more = _block_rows(run, rows, "" if lines is None else ",", kind)
+                    more = _block_rows(run, rows, "" if lines is None else ",")
                     lines = more if lines is None else list(map(str.__add__, lines, more))
                 fh.write("\n".join(lines) + "\n")
 

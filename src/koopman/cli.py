@@ -144,8 +144,7 @@ def _build_grid(node) -> RegularGrid:
 
 
 def _write_complex_csv(path, values) -> None:
-    values = np.asarray(values, dtype=complex).ravel()
-    write_csv(path, [values.real, values.imag], "re,im")
+    write_csv(path, [np.asarray(values, dtype=complex).ravel()], "re,im")
 
 
 def _make_trajectory(spec: SystemSpec, sampling: dict):
@@ -234,7 +233,7 @@ def _run_gla(config, spec, seed):
     lam = _decode_number(params["lambda_target"])
     g = Observable.from_json(params["observable"])
     avg = gla_eigenfunction(traj, lam, g, window=params.get("window"))
-    rows = [np.arange(avg.samples.size), avg.samples.real, avg.samples.imag]
+    rows = [np.arange(avg.samples.size), avg.samples]
     return {
         "eigenvalues": [avg.multiplier],
         "residuals": {"harmonic_residual": avg.residual},

@@ -95,8 +95,7 @@ class FiniteSectionMatrix:
     def to_csv(self, path) -> None:
         names = self.dictionary.names
         header = ",".join(f"re_{n},im_{n}" for n in names)
-        # a C-ordered complex128 array viewed as float64 is re, im, re, im, ...
-        write_csv(path, np.ascontiguousarray(self.U_tilde).view(float), header)
+        write_csv(path, self.U_tilde, header)
 
 
 def finite_section_matrix(dictionary: ObservableDictionary, traj) -> FiniteSectionMatrix:

@@ -117,14 +117,15 @@ class RegularGrid:
             h = float(axis[1] - axis[0]) if axis.size > 1 else 1.0
             with np.errstate(over="ignore", invalid="ignore"):
                 offset = np.where(ok, vals, axis[0]) - axis[0]
-                if period is not None and np.rint(period / h) == axis.size:
+                if period is not None and np.rint(period / abs(h)) == axis.size:
                     i = np.round(offset / h) % axis.size
                 elif period is not None:
                     # the axis leaves a gap before the period wraps: past the
-                    # last point, the wrapped first point may be the nearer one
-                    offset %= period
-                    i = np.minimum(np.round(offset / h), axis.size - 1)
-                    i[period - offset < offset - (axis[-1] - axis[0])] = 0
+                    # last point, the wrapped first point may be the nearer one;
+                    # offsets are taken along the axis, which may decrease
+                    offset = (offset if h > 0 else -offset) % period
+                    i = np.minimum(np.round(offset / abs(h)), axis.size - 1)
+                    i[period - offset < offset - abs(axis[-1] - axis[0])] = 0
                 else:
                     i = np.clip(np.round(offset / h), 0, axis.size - 1)
             idx.append(np.nan_to_num(i).astype(int))

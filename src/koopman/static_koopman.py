@@ -86,12 +86,7 @@ class StaticFit:
 
     def to_csv(self, path) -> None:
         A = np.atleast_2d(self.A)
-        if np.iscomplexobj(A) and np.any(A.imag != 0):
-            # interleaved re, im columns: the float64 view of complex128
-            out = np.ascontiguousarray(A, dtype=complex).view(float)
-        else:
-            out = np.real(A)
-        write_csv(path, out)
+        write_csv(path, A if np.any(A.imag != 0) else A.real)
 
 
 def fit_static_linear(

@@ -2,15 +2,20 @@
 JSON encoder the text json.dumps gives.
 
 Every artifact goes through koopman._artifacts, so these tests compare its
-CSV writer with ``np.savetxt(..., delimiter=",", comments="")`` on awkward
-values and shapes, compare the one-pass partition pair with savetxt of the
-stacked columns, and compare strict_json with json.dumps of the tree of
-{"re", "im"} dicts the package used to build for it.
+CSV writer with ``np.savetxt(..., delimiter=",", comments="")`` of the table
+split into real columns (a complex column as its .real, then its .imag) on
+awkward values and shapes and on each artifact with complex columns, compare
+the one-pass partition pair with savetxt of the stacked columns, and compare
+strict_json with json.dumps of the tree of {"re", "im"} dicts the package
+used to build for it.
 """
 
 import io
 import json
 import tracemalloc
+from contextlib import redirect_stdout
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,17 +23,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from koopman import _artifacts
+from koopman import _artifacts, cli
 from koopman._artifacts import strict_json, write_csv, write_csv_files
+from koopman.dmd import companion_dmd
 from koopman.errors import KoopmanError
+from koopman.finite_section import finite_section_matrix
 from koopman.observables import Observable, ObservableDictionary
 from koopman.partitions import (
     RegularGrid,
     ergodic_partition_approx,
+    gla_eigenfunction,
     time_average,
     write_partition_csv,
 )
 from koopman.systems import SystemSpec
+
+CONFIG_DIR = Path(__file__).parents[1] / "configs"
 
 EDGE = np.array(
     [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.797e308, -1.797e308, 1.0, -2.5e-7]
@@ -58,12 +68,94 @@ def savetxt_bytes(tmp_path, table, header="") -> bytes:
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("header", ["", "a,b,c"])
-@pytest.mark.parametrize("name", sorted(TABLES))
-def test_writer_gives_savetxt_bytes(tmp_path, name, header):
-    path = tmp_path / "written.csv"
-    write_csv(path, TABLES[name], header)
-    assert path.read_bytes() == savetxt_bytes(tmp_path, TABLES[name], header)
+def split(columns) -> np.ndarray:
+    """The real table savetxt is given for a list of columns: a
+    (distinct_values, index) column as distinct_values[index], and a complex
+    column as its .real column, then its .imag column."""
+    parts = []
+    for column in columns:
+        column = np.asarray(column[0])[column[1]] if isinstance(column, tuple) else column
+        parts += [column.real, column.imag] if np.iscomplexobj(column) else [column]
+    return np.column_stack(parts)
+
+
+def _table(tmp_path, name, header):
+    table = TABLES[name]
+    write_csv(tmp_path / "written.csv", table, header)
+    columns = [table] if table.ndim == 1 else list(table.T)
+    return (tmp_path / "written.csv").read_bytes(), columns, header
+
+
+def _complex_distinct_values(tmp_path):
+    values = EDGE[:6] + 1j * EDGE[4:]  # NaN, -0.0 and a negative imaginary part
+    index = np.random.default_rng(2).integers(0, values.size, _artifacts._BLOCK_ROWS + 5)
+    columns = [np.arange(index.size), (values, index), values[index]]
+    write_csv(tmp_path / "written.csv", columns, "k,re,im,re,im")
+    return (tmp_path / "written.csv").read_bytes(), columns, "k,re,im,re,im"
+
+
+def _shipped(tmp_path, name, n, **method_params):
+    """The shipped config `name`, run at sampling.n = n (and the given
+    method_params) into tmp_path, and its system."""
+    config = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    config["sampling"]["n"] = n
+    config.get("method_params", {}).update(method_params)
+    cli.run(config, tmp_path)
+    system = config["system"]
+    return config, SystemSpec(system["kind"], system.get("params", {}))
+
+
+def _section(tmp_path):
+    config, spec = _shipped(tmp_path, "limit_cycle_edmd", 2000)
+    dictionary = cli._build_dictionary(config["dictionary"])
+    section = finite_section_matrix(dictionary, cli._make_trajectory(spec, config["sampling"]))
+    header = ",".join(f"re_{n},im_{n}" for n in dictionary.names)
+    return (tmp_path / "section.csv").read_bytes(), list(section.U_tilde.T), header
+
+
+def _companion(tmp_path, name, attribute):
+    # from n = 10 on, rank(X) = 8 falls below m - 1 and the fit warns
+    config, spec = _shipped(tmp_path, "torus_companion_dmd", 9)
+    model = companion_dmd(cli._snapshot_pair(config, spec))
+    return (tmp_path / name).read_bytes(), [getattr(model, attribute)], "re,im"
+
+
+def _harmonic(tmp_path):
+    config, spec = _shipped(tmp_path, "circle_gla", 300, window=100)
+    params = config["method_params"]
+    avg = gla_eigenfunction(
+        cli._make_trajectory(spec, config["sampling"]),
+        cli._decode_number(params["lambda_target"]),
+        Observable.from_json(params["observable"]),
+        window=params["window"],
+    )
+    return (tmp_path / "harmonic.csv").read_bytes(), [np.arange(avg.samples.size),
+                                                      avg.samples], "k,re,im"
+
+
+def _lattice_stdout(tmp_path):
+    c, stdout = 2.6457513110645907, io.StringIO()
+    with redirect_stdout(stdout):
+        assert cli.main(["lattice", "--c", str(c), "--omega", "1", "--N", "4", "--M", "4"]) == 0
+    return stdout.getvalue().encode(), [cli.emit_lattice(c, 1.0, 4, 4)], "re,im"
+
+
+CASES = {
+    **{f"{name}-{header}": partial(_table, name=name, header=header)
+       for name in sorted(TABLES) for header in ("", "a,b,c")},
+    "complex_distinct_values": _complex_distinct_values,
+    "section": _section,
+    "companion_eigenvalues": partial(_companion, name="eigenvalues.csv", attribute="eigenvalues"),
+    "companion_c": partial(_companion, name="companion_c.csv", attribute="c"),
+    "harmonic": _harmonic,
+    "lattice_stdout": _lattice_stdout,
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_writer_gives_savetxt_bytes(tmp_path, case):
+    written, columns, header = CASES[case](tmp_path)
+    assert written == savetxt_bytes(tmp_path, split(columns), header)
 
 
 def test_distinct_value_columns_and_shared_files_match_plain_columns(tmp_path):
@@ -275,18 +367,18 @@ def test_partition_files_give_savetxt_bytes(tmp_path, case):
 
 
 def test_distinct_value_columns_in_a_complex_table_give_savetxt_bytes(tmp_path):
-    # a complex table formats the grid axes and the cell ids, the distinct
-    # values of their columns, as complex numbers too
+    # a complex column beside them leaves the grid axes and the cell ids,
+    # the distinct values of their columns, with their real bytes
     axes = (np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 0.5, 2))
     index = np.unravel_index(np.arange(6), (3, 2))
     rng = np.random.default_rng(4)
     values = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     cell_id = np.array([-1, 0, 1, 1, 0, -1])
     table = [*zip(axes, index), values, (np.arange(-1, 2), cell_id + 1)]
-    write_csv_files(table, [(tmp_path / "labeling.csv", "x,y,g*_1,cell_id", None)])
-    rows = np.column_stack([grid_points(RegularGrid(axes=axes)), values, cell_id])
+    write_csv_files(table, [(tmp_path / "labeling.csv", "x,y,re,im,cell_id", None)])
+    rows = split([*grid_points(RegularGrid(axes=axes)).T, values, cell_id])
     assert (tmp_path / "labeling.csv").read_bytes() == savetxt_bytes(
-        tmp_path, rows, "x,y,g*_1,cell_id"
+        tmp_path, rows, "x,y,re,im,cell_id"
     )
 
 

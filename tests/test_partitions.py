@@ -119,6 +119,32 @@ def test_nearest_index_wraps_axes_that_do_not_tile_their_period(axis, points, ne
     np.testing.assert_allclose(grid.axes[0][idx], nearest)
 
 
+def test_nearest_index_on_a_decreasing_periodic_axis():
+    # these points were all looked up at index 0: the tiling test failed on
+    # the negative step, and the gap branch divided a wrapped, non-negative
+    # offset by it
+    grid = RegularGrid(axes=(np.linspace(0.9, 0.0, 10),), periods=(1.0,))
+    idx = grid.nearest_index((np.array([0.9, 0.6, 0.3, 0.97, 0.84]),))
+    np.testing.assert_array_equal(idx, [0, 3, 6, 9, 1])
+
+
+@pytest.mark.parametrize(
+    "axis, period",
+    [
+        ((np.arange(10) + 0.5) / 10, 1.0),
+        (np.array([0.0, 0.3, 0.6, 0.9]), 1.0),
+        (np.linspace(0.0, 1.0, 11), None),
+    ],
+    ids=["tiled", "gap", "clipped"],
+)
+def test_nearest_index_on_a_reversed_axis_is_mirrored(axis, period):
+    # point i of the axis is point n - 1 - i of the reversed axis
+    points = np.random.default_rng(8).uniform(-1.5, 2.5, 2000)
+    forward = RegularGrid(axes=(axis,), periods=(period,)).nearest_index((points,))
+    backward = RegularGrid(axes=(axis[::-1],), periods=(period,)).nearest_index((points,))
+    np.testing.assert_array_equal(backward, axis.size - 1 - forward)
+
+
 def test_grid_axes_need_distinct_points_and_positive_periods():
     with pytest.raises(UsageError, match="distinct"):
         RegularGrid(axes=(np.full(3, 0.5),))
