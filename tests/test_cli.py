@@ -621,6 +621,25 @@ def test_partition_run_writes_field_labels_and_score(tmp_path):
     assert labeling["invariance_score"] >= 0.99
 
 
+def test_only_a_partition_run_trims_the_heap(tmp_path, monkeypatch):
+    assert cli._malloc_trim()(0) in (0, 1)  # glibc's, or the no-op elsewhere
+    with mock.patch("ctypes.CDLL", side_effect=OSError):
+        assert cli._malloc_trim.__wrapped__()(0) == 0
+    pads = []
+    monkeypatch.setattr(cli, "_malloc_trim", lambda: pads.append)
+    assert cli.main(["run", write_config(tmp_path, torus_pinv_config(tmp_path / "dmd"))]) == 0
+    assert pads == []
+    cfg = {
+        "method": "partition",
+        "system": {"kind": "standard_map", "params": {"eps": 0.0}},
+        "dictionary": [{"name": "siny", "type": "sin", "k": [0.0, 1.0]}],
+        "sampling": {"n": 20, "grid": {"kind": "unit_square", "n": 8}},
+    }
+    out = tmp_path / "partition"
+    assert cli.main(["run", write_config(tmp_path, cfg, "p.json"), "--out", str(out)]) == 0
+    assert pads == [0] and (out / "field.csv").is_file()
+
+
 def test_mz_closure_run_matches_analytic_compression(tmp_path):
     out = tmp_path / "out"
     omega = 2.0 * np.pi * (np.sqrt(5.0) - 1.0) / 2.0
