@@ -316,19 +316,13 @@ def _run_mz(config, spec, seed):
         result = circle_rotation_closure(
             f, closure["omega"], closure.get("m_samples", 4096)
         )
-        payload = {
-            "lambda": complex(result["lambda"]),
-            "lambda_empirical": complex(result["lambda_empirical"]),
-            "residual_markov": result["residual_markov"],
-            "orthogonal_fraction": result["orthogonal_fraction"],
-        }
         return {
             "eigenvalues": [result["lambda"]],
             "residuals": {
                 "residual_markov": result["residual_markov"],
                 "lambda_route_gap": abs(result["lambda"] - result["lambda_empirical"]),
             },
-            "files": {"closure.json": payload},
+            "files": {"closure.json": result},
         }
     traj = _make_trajectory(spec, config["sampling"])
     dictionary = _build_dictionary(config["dictionary"])

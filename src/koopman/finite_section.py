@@ -38,17 +38,18 @@ def dual_basis(F) -> np.ndarray:
     Near-dependent dictionary entries (Gram condition number above 1e12, or
     fewer samples than entries) raise DegenerateDictionaryError naming the
     counts and the entries on the smallest singular vector.  Non-finite values
-    and an overflowing largest singular value raise PreconditionError.
+    and a largest singular value whose square overflows raise PreconditionError.
     """
     F = np.atleast_2d(np.asarray(F))
     m, N = F.shape
     _refuse_non_finite(F, "dictionary value")
     svals = np.linalg.svd(F, compute_uv=False)
-    if not np.isfinite(svals[0]):
+    sigma = float(svals[0])
+    if not np.isfinite(sigma):
         raise PreconditionError("the largest singular value overflows; rescale the dictionary")
     # fewer samples than entries leave N - m singular values of F at zero, though
     # svd returns only the min(m, N) others; Python floats overflow to inf silently
-    ratio = np.inf if m < N or svals[-1] == 0 else float(svals[0]) / float(svals[-1])
+    ratio = np.inf if m < N or svals[-1] == 0 else sigma / float(svals[-1])
     if ratio * ratio > _COND_GRAM_LIMIT:
         _, _, Vh = np.linalg.svd(F)
         v = np.abs(Vh[-1])
@@ -59,6 +60,9 @@ def dual_basis(F) -> np.ndarray:
             f"{list(culprits)} load on the smallest singular vector",
             near_dependent=culprits,
         )
+    if not np.isfinite(sigma * sigma):  # F* F would overflow, and G F lose the identity
+        raise PreconditionError(f"the Gram matrix F* F overflows: largest singular value "
+                                f"{sigma:.3g}; rescale the dictionary")
     FH = F.conj().T
     return np.linalg.solve(FH @ F, FH)
 

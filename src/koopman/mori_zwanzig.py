@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._artifacts import write_csv
-from .errors import UsageError
+from .errors import PreconditionError, UsageError
 from .finite_section import dual_basis
 from .observables import ObservableDictionary
 from .systems import TWO_PI, _states_of
@@ -31,26 +31,22 @@ from .systems import TWO_PI, _states_of
 
 @dataclass(frozen=True)
 class MzDecomposition:
-    """Exact split of U^k f over a base window, k = 0..k_max.
+    """Norms of the exact split U^k f = P U^k f + Q U^k f, k = 0..k_max.
 
-    resolved[k] and orthogonal[k] are (window, N) sample blocks with
-    resolved + orthogonal == U^k f exactly.  Aggregate norms are Frobenius
-    over the window divided by sqrt(window), the l2 of the per-entry
-    empirical function norms; orthogonal_norms_per_entry keeps the
-    per-observable resolution for span-nesting comparisons.
-    section_matrix is the one-step section used for the memoryless power
-    model.  The k = 0 cross norm is zero by convention.
+    Aggregate norms are Frobenius over the base window divided by
+    sqrt(window), the l2 of the per-entry empirical function norms;
+    orthogonal_norms_per_entry keeps the per-observable resolution for
+    span-nesting comparisons.  section_matrix is the one-step section used
+    for the memoryless power model.  The k = 0 cross norm is zero by
+    convention.
     """
 
-    resolved: np.ndarray
-    orthogonal: np.ndarray
     resolved_norms: np.ndarray
     orthogonal_norms: np.ndarray
     cross_norms: np.ndarray
     orthogonal_norms_per_entry: np.ndarray
     section_matrix: np.ndarray
     window: int
-    dictionary: ObservableDictionary
 
     @property
     def k_max(self) -> int:
@@ -58,14 +54,8 @@ class MzDecomposition:
 
     def to_csv(self, path) -> None:
         header = "k,resolved_norm,orthogonal_norm,cross_norm"
-        rows = np.column_stack(
-            [
-                np.arange(self.k_max + 1),
-                self.resolved_norms,
-                self.orthogonal_norms,
-                self.cross_norms,
-            ]
-        )
+        rows = np.column_stack([np.arange(self.k_max + 1), self.resolved_norms,
+                                self.orthogonal_norms, self.cross_norms])
         write_csv(path, rows, header)
 
 
@@ -82,7 +72,8 @@ def mz_decompose(dict_span: ObservableDictionary, traj, k_max: int) -> MzDecompo
     U^k is available as data.  P projects onto the span of the dictionary
     samples over that window; projections of shifted blocks are extended
     back to full sample range through their dictionary coordinates when
-    the iterated (QU)^k terms need them.
+    the iterated (QU)^k terms need them.  One pass over k keeps only the
+    current (QU)^k block.  A norm that overflows raises PreconditionError.
     """
     if k_max < 1:
         raise UsageError("k_max must be >= 1")
@@ -104,54 +95,33 @@ def mz_decompose(dict_span: ObservableDictionary, traj, k_max: int) -> MzDecompo
     section = project_coeffs(Phi[1 : 1 + L])
 
     N = len(dict_span)
-    resolved = np.empty((k_max + 1, L, N), dtype=complex)
-    orthogonal = np.empty_like(resolved)
-    resolved_norms = np.empty(k_max + 1)
-    orthogonal_norms = np.empty(k_max + 1)
-    cross_norms = np.empty(k_max + 1)
+    norms = np.zeros((k_max + 1, 3))  # resolved, orthogonal, cross
     per_entry = np.empty((k_max + 1, N))
-
     # iterated pure-orthogonal power (QU)^k f, carried on shrinking sample
     # ranges; the projection is extended via dictionary coordinates
-    qu = Phi.copy()
-    qu_windows = [qu[:L]]
-    for j in range(1, k_max + 1):
-        shifted = qu[1:]
-        # (QU)^1 f starts from the same block as the section
-        coeffs = section if j == 1 else project_coeffs(shifted[:L])
-        qu = shifted - Phi[: shifted.shape[0]] @ coeffs
-        qu_windows.append(qu[:L])
-
+    qu = Phi
     markov = np.eye(N, dtype=complex)
-    for k in range(k_max + 1):
-        total = Phi[k : k + L]
-        res = base @ (section if k == 1 else project_coeffs(total))
-        orth = total - res
-        resolved[k] = res
-        orthogonal[k] = orth
-        resolved_norms[k] = _window_norm(res)
-        orthogonal_norms[k] = _window_norm(orth)
-        per_entry[k] = np.sqrt(np.mean(np.abs(orth) ** 2, axis=0))
-        if k == 0:
-            # no dynamics applied yet: the identity has a single term, so
-            # the cross (memory) contribution is zero by convention
-            cross_norms[0] = 0.0
-        else:
-            cross = total - base @ markov - qu_windows[k]
-            cross_norms[k] = _window_norm(cross)
-        markov = markov @ section
-
-    return MzDecomposition(
-        resolved=resolved,
-        orthogonal=orthogonal,
-        resolved_norms=resolved_norms,
-        orthogonal_norms=orthogonal_norms,
-        cross_norms=cross_norms,
-        orthogonal_norms_per_entry=per_entry,
-        section_matrix=section,
-        window=L,
-        dictionary=dict_span,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused after the loop
+        for k in range(k_max + 1):
+            total = Phi[k : k + L]
+            res = base @ (section if k == 1 else project_coeffs(total))
+            orth = total - res
+            norms[k, :2] = _window_norm(res), _window_norm(orth)
+            per_entry[k] = np.sqrt(np.mean(np.abs(orth) ** 2, axis=0))
+            # no dynamics applied at k = 0: the identity has a single term,
+            # so the cross (memory) contribution is zero by convention
+            if k:
+                shifted = qu[1:]
+                # (QU)^1 f starts from the same block as the section
+                coeffs = section if k == 1 else project_coeffs(shifted[:L])
+                qu = shifted - Phi[: shifted.shape[0]] @ coeffs
+                norms[k, 2] = _window_norm(total - base @ markov - qu[:L])
+            markov = markov @ section
+    k_bad = np.flatnonzero(~np.isfinite(np.column_stack([norms, per_entry])).all(axis=1))
+    if k_bad.size:
+        raise PreconditionError(f"the window norms at k = {k_bad[0]} overflow; "
+                                "rescale the dictionary")
+    return MzDecomposition(*norms.T, per_entry, section, window=L)
 
 
 @dataclass(frozen=True)
@@ -207,25 +177,16 @@ def circle_rotation_closure(f: FourierObservable, omega: float, m_samples: int) 
     the bandwidth, so the two must agree to 1e-10.  residual_markov
     measures the defect of the per-mode closure QUf = (1 - lambda) Uf.
     orthogonal_fraction reports ||Uf - lambda f|| / ||Uf||, the honest
-    size of the component of Uf off the f direction.
+    size of the component of Uf off the f direction.  A mode phase
+    n * omega that is not finite raises PreconditionError; the warnings about
+    aliasing, a rational angle and a gap between the two lambdas come once
+    both lambdas and the residuals exist.
     """
     if m_samples < 1:
         raise UsageError("m_samples must be positive")
-    if m_samples <= f.n_max:
-        warnings.warn(
-            f"m_samples={m_samples} aliases modes up to {f.n_max}; grid "
-            "quadrature is no longer exact (4x the bandwidth is comfortable)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    q = _looks_rational(omega)
-    if q:
-        warnings.warn(
-            f"omega/2pi is within 1e-8 of a rational with denominator {q}; "
-            "rotation-average arguments assume an irrational angle",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    if not np.isfinite(f.n_max * float(omega)):
+        raise PreconditionError(f"the mode phase {f.n_max} * omega is not finite for "
+                                f"omega = {omega!r}; reduce omega modulo 2 pi")
     fu = f.unit_normalized()
     c = fu.coefficients
     n = np.arange(c.size)
@@ -240,25 +201,28 @@ def circle_rotation_closure(f: FourierObservable, omega: float, m_samples: int) 
         return np.mean(a * np.conj(b))
 
     lam_empirical = complex(inner(uf_grid, f_grid) / inner(f_grid, f_grid))
-    gap = abs(lam_analytic - lam_empirical)
-    if gap > 1e-10:
-        warnings.warn(
-            f"analytic and empirical lambda disagree by {gap:.3g}; "
-            "the sampling grid does not integrate the modes exactly",
-            RuntimeWarning,
-            stacklevel=2,
-        )
 
     # per-mode closure: each mode of Uf keeps the factor (1 - lambda)
     z = np.exp(1j * theta)
     qu_modewise = (z[:, None] ** n) @ (c * (1.0 - lam_analytic) * phases)
     uf_norm = np.linalg.norm(uf_grid)
-    residual_markov = float(
-        np.linalg.norm(qu_modewise - (1.0 - lam_analytic) * uf_grid) / uf_norm
-    )
-    orthogonal_fraction = float(
-        np.linalg.norm(uf_grid - lam_analytic * f_grid) / uf_norm
-    )
+    residual_markov = float(np.linalg.norm(qu_modewise - (1.0 - lam_analytic) * uf_grid)
+                            / uf_norm)
+    orthogonal_fraction = float(np.linalg.norm(uf_grid - lam_analytic * f_grid) / uf_norm)
+    notes = []
+    if m_samples <= f.n_max:
+        notes.append(f"m_samples={m_samples} aliases modes up to {f.n_max}; grid quadrature "
+                     "is no longer exact (4x the bandwidth is comfortable)")
+    q = _looks_rational(omega)
+    if q:
+        notes.append(f"omega/2pi is within 1e-8 of a rational with denominator {q}; "
+                     "rotation-average arguments assume an irrational angle")
+    gap = abs(lam_analytic - lam_empirical)
+    if gap > 1e-10:
+        notes.append(f"analytic and empirical lambda disagree by {gap:.3g}; "
+                     "the sampling grid does not integrate the modes exactly")
+    for note in notes:
+        warnings.warn(note, RuntimeWarning, stacklevel=2)
     return {
         "lambda": lam_analytic,
         "lambda_empirical": lam_empirical,

@@ -572,6 +572,8 @@ def partition_invariance_score(
     """
     if n_test < 1:
         raise UsageError("n_test must be >= 1")
+    if sample_limit is not None and sample_limit < 1:
+        raise UsageError("sample_limit must be >= 1")
     grid = labeling.grid
     step = _grid_stepper(spec, dt, grid)
     labels = labeling.cell_id

@@ -433,6 +433,44 @@ def test_failed_run_reports_once_and_creates_nothing(tmp_path, capsys, name, ove
     assert not out.exists()
 
 
+# finite data whose evaluation overflows later: each run used to print
+# numpy's warnings first, and the edmd one exited 0 with route_disagreement=1
+_GROWING_LINEAR_MAP = ['system={"kind": "linear_map", "params": {"B": [[1.5]]}}',
+                       "sampling.n=1000"]
+OVERFLOWING_RUNS = {
+    "edmd-gram": ("limit_cycle_edmd", [
+        *_GROWING_LINEAR_MAP, "sampling.initial_state=[1.0]", "sampling.dt=0",
+        'dictionary=[{"name": "x", "type": "coordinate", "index": 0}]',
+    ], "PreconditionError: the Gram matrix F* F overflows: largest singular value 1.1e+176"),
+    "mz-gram": ("lorenz_mz_memory", [*_GROWING_LINEAR_MAP, "sampling.initial_state=[1.0]"],
+                "PreconditionError: the Gram matrix F* F overflows: largest singular value"),
+    # the base window passes, the windows 9 and more shifts on do not
+    "mz-window-norms": ("lorenz_mz_memory", [
+        *_GROWING_LINEAR_MAP, "sampling.initial_state=[1e-20]",
+    ], "PreconditionError: the window norms at k = 9 overflow; rescale the dictionary"),
+    # used to warn about a rational angle before failing
+    "closure-phase": ("circle_mz_closure", ["method_params.closure.omega=1e308"],
+                      "PreconditionError: the mode phase 2 * omega is not finite for "
+                      "omega = 1e+308"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_RUNS))
+def test_overflow_exits_3_with_one_line_and_creates_nothing(tmp_path, capsys, case):
+    name, overrides, message = OVERFLOWING_RUNS[case]
+    out = tmp_path / "o"
+    argv = ["run", str(CONFIG_DIR / f"{name}.json"), "--out", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_observable_schema_types_every_json_parameter():
     params = {KINDS[kind].param for kind in JSON_KINDS} - {None}
     assert params == set(cli._OBSERVABLE_PARAMS)
@@ -816,6 +854,25 @@ def test_partition_artifacts_keep_their_bytes(tmp_path, name):
     assert summary["artifacts"] == [
         "field.csv", "labeling.csv", "labeling.json", "summary.json"
     ]
+
+
+# the shipped Mori-Zwanzig runs; perfbench/digests.json holds the same digests
+MZ_DIGESTS = {
+    "lorenz_mz_memory": (
+        "mz.csv", "603f0d7f1897f0c0fb0f26c8001f25b8e9523492ae79fda16772d15d84cefc26"
+    ),
+    "circle_mz_closure": (
+        "closure.json", "68a52111131628051bbe6999dfc0dd138d5fcb569a36f2a2f1c649b725eac246"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MZ_DIGESTS))
+def test_mz_artifacts_keep_their_bytes(tmp_path, name):
+    artifact, sha = MZ_DIGESTS[name]
+    assert cli.main(["run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == sha
+    assert load_summary(tmp_path)["artifacts"] == [artifact, "summary.json"]
 
 
 def test_rerun_reproduces_artifacts_byte_for_byte(tmp_path):

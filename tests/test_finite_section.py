@@ -65,6 +65,21 @@ def test_dual_basis_refuses_an_overflowing_largest_singular_value():
         dual_basis([[1.5e308, 1.5e308], [1.0, 2.0], [3.0, 4.0]])
 
 
+@pytest.mark.parametrize("F", [(1.5 ** np.arange(1000.0))[:, None], [[1.4e154]]],
+                         ids=["growing-orbit", "one-sample"])
+def test_dual_basis_refuses_a_gram_matrix_that_overflows(F):
+    # a finite largest singular value whose square overflows: F* F used to
+    # overflow with a numpy warning and return G with G F = [[0.]]
+    with pytest.raises(PreconditionError, match=r"the Gram matrix F\* F overflows: largest "
+                                                r"singular value .*; rescale the dictionary"):
+        dual_basis(F)
+
+
+def test_dual_basis_keeps_the_identity_just_below_the_gram_overflow():
+    F = np.array([[1.3e154], [1.0]])
+    np.testing.assert_allclose(dual_basis(F) @ F, [[1.0]], rtol=1e-15)
+
+
 def test_dual_basis_condition_number_beyond_the_float_range_reads_inf_without_warning():
     # singular values 1e160 and 1e-160: their ratio, let alone its square,
     # overflows; the suite turns numpy's overflow warning into an error

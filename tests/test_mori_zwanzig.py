@@ -1,6 +1,7 @@
 """Resolved/orthogonal splitting of observable evolution and the
 no-memory closure for rotations acting on truncated mode expansions."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from koopman.errors import DegenerateDictionaryError, UsageError
+from koopman.errors import DegenerateDictionaryError, PreconditionError, UsageError
 from koopman.mori_zwanzig import (
     FourierObservable,
     circle_rotation_closure,
     mz_decompose,
 )
-from koopman.observables import Observable, ObservableDictionary
+from koopman.observables import Observable, ObservableDictionary, fourier_box
 from koopman.systems import SystemSpec, integrate
 
 GOLDEN_OMEGA = 2.0 * np.pi * (np.sqrt(5.0) - 1.0) / 2.0
@@ -59,14 +60,130 @@ def test_full_sample_space_span_is_fully_resolved():
     assert np.all(dec.orthogonal_norms <= 1e-10)
 
 
-def test_decomposition_is_exact_and_orthogonal_part_nonzero():
-    traj = lorenz_traj()
-    dec = mz_decompose(coords("x"), traj, k_max=20)
-    for k in range(dec.k_max + 1):
-        total = dec.resolved[k] + dec.orthogonal[k]
-        expected = traj.states[k : k + dec.window, 0][:, None]
-        assert np.max(np.abs(total - expected)) <= 1e-10
+def _reference_decompose(dictionary, states, k_max):
+    """The two-pass algorithm mz_decompose ran before its one-pass loop.
+
+    It builds every (QU)^k window first and then every projection (it also
+    kept the (k_max + 1, window, N) resolved and orthogonal blocks); the
+    one-pass loop must give the same bits.
+    """
+    m = states.shape[0]
+    L = m - k_max
+    Phi = dictionary.evaluate(states)
+    base = Phi[:L]
+
+    def project_coeffs(block):
+        coeffs, *_ = np.linalg.lstsq(base, block, rcond=None)
+        return coeffs
+
+    def window_norm(block):
+        return float(np.linalg.norm(block) / np.sqrt(block.shape[0]))
+
+    section = project_coeffs(Phi[1 : 1 + L])
+    N = len(dictionary)
+    out = {
+        "resolved_norms": np.empty(k_max + 1),
+        "orthogonal_norms": np.empty(k_max + 1),
+        "cross_norms": np.empty(k_max + 1),
+        "orthogonal_norms_per_entry": np.empty((k_max + 1, N)),
+        "section_matrix": section,
+    }
+    qu = Phi.copy()
+    qu_windows = [qu[:L]]
+    for j in range(1, k_max + 1):
+        shifted = qu[1:]
+        coeffs = section if j == 1 else project_coeffs(shifted[:L])
+        qu = shifted - Phi[: shifted.shape[0]] @ coeffs
+        qu_windows.append(qu[:L])
+    markov = np.eye(N, dtype=complex)
+    for k in range(k_max + 1):
+        total = Phi[k : k + L]
+        res = base @ (section if k == 1 else project_coeffs(total))
+        orth = total - res
+        out["resolved_norms"][k] = window_norm(res)
+        out["orthogonal_norms"][k] = window_norm(orth)
+        out["orthogonal_norms_per_entry"][k] = np.sqrt(np.mean(np.abs(orth) ** 2, axis=0))
+        if k == 0:
+            out["cross_norms"][0] = 0.0
+        else:
+            out["cross_norms"][k] = window_norm(total - base @ markov - qu_windows[k])
+        markov = markov @ section
+    return out
+
+
+def _monomials(*powers):
+    return ObservableDictionary(
+        [Observable(name=f"m{i}", kind="monomial", powers=p) for i, p in enumerate(powers)]
+    )
+
+
+def _trig(kind_k_pairs):
+    return ObservableDictionary(
+        [Observable(name=f"t{i}", kind=kind, k=k) for i, (kind, k) in enumerate(kind_k_pairs)]
+    )
+
+
+# family -> (system, dt, initial state from a generator, dictionaries drawn from)
+_MZ_FAMILIES = {
+    "lorenz": (SystemSpec("lorenz"), 0.01,
+               lambda rng: rng.uniform(-10.0, 10.0, 3) + (0.0, 0.0, 25.0),
+               [coords("x"), coords("xy"), coords("xyz"),
+                _monomials((1, 0, 0), (0, 1, 0), (1, 1, 0)),
+                _monomials((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 0, 1))]),
+    "limit_cycle": (SystemSpec("limit_cycle_polar"), 0.01,
+                    lambda rng: (rng.uniform(0.2, 0.5), rng.uniform(0.0, 6.0)),
+                    [coords("r"), coords(["r", "theta"]),
+                     _monomials((0, 0), (1, 0), (2, 0)), _monomials((1, 0), (-2, 0), (1, 1))]),
+    "duffing": (SystemSpec("duffing_cycle"), 0.01,
+                lambda rng: (rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0), 0.0),
+                [coords("x"), coords("xy"), _monomials((1, 0, 0), (0, 1, 0), (3, 0, 0)),
+                 _monomials((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 2, 0))]),
+    "torus_phase_box": (SystemSpec("torus_rotation"), 0.0,
+                        lambda rng: rng.uniform(0.0, 6.0, 2),
+                        [fourier_box(2, 1, "phase")]),
+    "standard_map_trig": (SystemSpec("standard_map"), 0.0,
+                          lambda rng: rng.uniform(0.0, 1.0, 2),
+                          [_trig([("sin", (0, 1)), ("cos", (0, 1))]),
+                           _trig([("sin", (1, 0)), ("cos", (1, 0)), ("sin", (1, 1)),
+                                  ("cos", (0, 2))])]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_MZ_FAMILIES))
+def test_one_pass_matches_the_two_pass_reference_bit_for_bit(family):
+    # 24 drawn orbits per family, one per k_max in 1..24: 120 cases
+    spec, dt, draw_state, dictionaries = _MZ_FAMILIES[family]
+    rng = np.random.default_rng(sorted(_MZ_FAMILIES).index(family))
+    for k_max in range(1, 25):
+        dictionary = dictionaries[rng.integers(len(dictionaries))]
+        n = int(rng.integers(40, 160)) + k_max
+        states = integrate(spec, draw_state(rng), dt=dt, n_steps=n).states
+        dec = mz_decompose(dictionary, states, k_max)
+        want = _reference_decompose(dictionary, states, k_max)
+        assert dec.k_max == k_max and dec.window == n + 1 - k_max
+        for name, value in want.items():
+            got = getattr(dec, name)
+            assert got.dtype == value.dtype and got.shape == value.shape, (k_max, name)
+            assert got.tobytes() == value.tobytes(), (k_max, name)
+
+
+def test_orthogonal_part_is_nonzero_off_an_invariant_span():
+    dec = mz_decompose(coords("x"), lorenz_traj(), k_max=20)
     assert np.any(dec.orthogonal_norms > 1e-6)
+
+
+def test_long_orbit_keeps_no_sample_blocks():
+    # 20,020 samples of 8 complex phase entries at k_max = 20: the two-pass
+    # algorithm held two (21, 20000, 8) blocks and peaked at 177 MB
+    traj = integrate(SystemSpec("torus_rotation"), (0.3, 1.1), dt=0.0, n_steps=20_019)
+    tracemalloc.start()
+    try:
+        dec = mz_decompose(fourier_box(2, 1, "phase"), traj, k_max=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dec.window == 20_000
+    assert peak < 25e6, peak
 
 
 def test_cross_term_vanishes_through_first_step():
@@ -97,6 +214,17 @@ def test_degenerate_span_raises():
     )
     with pytest.raises(DegenerateDictionaryError):
         mz_decompose(dictionary, lorenz_traj(50), k_max=2)
+
+
+def test_window_norms_that_overflow_are_refused_without_warning():
+    # the base window passes the dual-basis gate (largest singular value
+    # 5.0e152), but later windows outgrow it by 1.5 per shift; the suite
+    # turns numpy's overflow warnings into errors
+    spec = SystemSpec("linear_map", {"B": [[1.5]]})
+    states = integrate(spec, [1e-20], dt=0.0, n_steps=1000).states
+    with pytest.raises(PreconditionError,
+                       match="the window norms at k = 9 overflow; rescale the dictionary"):
+        mz_decompose(coords("x"), states, k_max=20)
 
 
 def test_usage_errors():
@@ -179,6 +307,15 @@ def test_closure_identity_for_random_truncations():
         c = rng.normal(size=rng.integers(2, 9)) + 1j * rng.normal(size=1)
         res = circle_rotation_closure(FourierObservable(c), 1.0, 256)
         assert res["residual_markov"] <= 1e-10
+
+
+@pytest.mark.parametrize("omega", [1e308, -1e308, np.inf, np.nan])
+def test_closure_refuses_a_mode_phase_that_is_not_finite(omega):
+    # 2 * 1e308 used to overflow in exp's argument, after the rational-angle
+    # warning and with numpy's overflow and invalid-value warnings
+    with pytest.raises(PreconditionError, match=r"the mode phase 2 \* omega is not finite for "
+                                                r"omega = .*; reduce omega modulo 2 pi"):
+        circle_rotation_closure(FourierObservable([0.0, 1.0, 1.0]), omega, 64)
 
 
 def test_rational_angle_warns():

@@ -942,6 +942,13 @@ _GUARDS = {
     "invariance_n_test": (lambda: partition_invariance_score(
         ergodic_partition_approx(_small_field(), 1), SystemSpec("standard_map"), n_test=0),
         "n_test must be >= 1"),
+    # sample_limit 0 used to divide by zero and -1 to fail in numpy's choice
+    "invariance_sample_limit_0": (lambda: partition_invariance_score(
+        ergodic_partition_approx(_small_field(), 1), SystemSpec("standard_map"), n_test=1,
+        sample_limit=0), "sample_limit must be >= 1"),
+    "invariance_sample_limit_negative": (lambda: partition_invariance_score(
+        ergodic_partition_approx(_small_field(), 1), SystemSpec("standard_map"), n_test=1,
+        sample_limit=-1), "sample_limit must be >= 1"),
     "eigenfunction_samples": (lambda: eigenfunction_partition([1.0], 1.0, bins=2),
                               "need at least two eigenfunction samples"),
     "eigenfunction_bins": (lambda: eigenfunction_partition(np.ones(5), 1.0, bins=0),
