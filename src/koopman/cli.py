@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 unusable config (schema violation, bad JSON,
 missing file; the failing field path is printed), unusable `lattice` input
 (N or M < 0, a non-finite c or omega) or unusable output location (an
 `--out` that cannot be created or written), 3 numerical failure inside a
-method, numpy's LinAlgError included (the error text is printed).
+method, numpy's LinAlgError included (the error text is printed), or an
+array too large to allocate (`MemoryError: <message>`).
 
 Each method is declared once, in `_RUNNERS`: its runner, the config paths
 it requires and the `method_params` keys it reads with their schemas, from
@@ -273,7 +274,7 @@ def _run_partition(config, spec, seed):
         "eigenvalues": [],
         "residuals": residuals,
         "files": {
-            ("field.csv", "labeling.csv"): partial(write_partition_csv, field, labeling),
+            ("field.csv", "labeling.csv"): partial(write_partition_csv, labeling),
             "labeling.json": labeling.to_json(invariance_score=score),
         },
     }
@@ -288,6 +289,11 @@ def _run_static(config, spec, seed):
     lo, hi = params.get("box", [-1.0, 1.0])
     if lo > hi:
         raise UsageError(f"method_params.box needs low <= high, got [{lo}, {hi}]")
+    # the draw needs both bounds and their span as floats (an integer bound
+    # may lie beyond the float range)
+    if not all(abs(v) <= sys.float_info.max for v in (lo, hi, hi - lo)):
+        raise UsageError(f"method_params.box needs a span high - low within the float "
+                         f"range, got [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(lo, hi, size=(n, spec.dim))
     outputs = step_map_batch(spec, inputs)
@@ -863,6 +869,9 @@ def main(argv=None) -> int:
         return 2
     except (KoopmanError, np.linalg.LinAlgError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's subclass has a private name
+        print(f"MemoryError: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:  # the output directory or a file in it cannot be written
         print(f"output unusable: {exc}", file=sys.stderr)

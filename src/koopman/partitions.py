@@ -148,12 +148,9 @@ class TimeAverageField:
     diverged: np.ndarray
     dictionary: ObservableDictionary
 
-    def channels(self) -> np.ndarray:
-        """Real labeling channels: one per real observable, re and im per complex."""
-        return np.column_stack(self._channel_columns())
-
-    def _channel_columns(self) -> list:
-        """The channels as views of values, one 1-D array each."""
+    def channels(self) -> list:
+        """Real labeling channels as 1-D views of values: one per real
+        observable, re and im per complex one."""
         cols = []
         for j, obs in enumerate(self.dictionary):
             cols.append(self.values[:, j].real)
@@ -162,7 +159,7 @@ class TimeAverageField:
         return cols
 
     def to_csv(self, path) -> None:
-        write_csv(path, *_table(_point_columns(self.grid), self._channel_columns()))
+        write_csv(path, *_table(_point_columns(self.grid), self.channels()))
 
 
 def _coord_names(d: int) -> list:
@@ -450,23 +447,27 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
 
 @dataclass(frozen=True)
 class PartitionLabeling:
-    """Dense cell ids from joint quantile bins of labeling channels.
+    """Dense cell ids from joint quantile bins of the channels of field.
 
     cell_id[p] in 0..n_cells-1, or -1 for excluded (diverged) points.
-    bin_edges[c] holds the interior quantile edges of channel c.
+    bin_edges[c] holds the interior quantile edges of channel c of
+    field.channels(); field is the time-average field the cells were cut from.
     """
 
     cell_id: np.ndarray
     bin_edges: tuple
-    channel_values: np.ndarray
-    grid: RegularGrid
+    field: TimeAverageField
+
+    @property
+    def grid(self) -> RegularGrid:
+        return self.field.grid
 
     @property
     def n_cells(self) -> int:
         return int(self.cell_id.max()) + 1 if np.any(self.cell_id >= 0) else 0
 
     def to_csv(self, path) -> None:
-        columns, header = _table(_point_columns(self.grid), list(self.channel_values.T))
+        columns, header = _table(_point_columns(self.grid), self.field.channels())
         write_csv(path, columns + [_id_column(self.cell_id)], header + ",cell_id")
 
     def to_json(self, invariance_score: float) -> dict:
@@ -493,15 +494,16 @@ def _quantile_bins(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarra
     return idx, edges
 
 
-def _cell_ids(codes: np.ndarray, bins: int) -> np.ndarray:
-    """Dense ids of the distinct rows of an (m, c) code matrix, by first occurrence.
+def _cell_ids(codes, bins: int) -> np.ndarray:
+    """Dense ids of the distinct code tuples across equal-length 1-D code
+    columns, by first occurrence.
 
-    Codes lie in 0..bins-1.  The channels are folded into one 1-D joint code
+    Codes lie in 0..bins-1.  The columns are folded into one 1-D joint code
     one at a time, renumbered densely after each fold, so the code stays
-    below m * bins however many channels there are.
+    below m * bins however many columns there are.
     """
-    joint = np.zeros(codes.shape[0], dtype=np.int64)
-    for column in codes.T:
+    joint = np.zeros(codes[0].size, dtype=np.int64)
+    for column in codes:
         _, first_pos, joint = np.unique(
             joint * bins + column, return_index=True, return_inverse=True
         )
@@ -519,34 +521,22 @@ def ergodic_partition_approx(field: TimeAverageField, bins_per_obs: int) -> Part
     """
     if bins_per_obs < 1:
         raise UsageError("bins_per_obs must be >= 1")
-    chan = field.channels()
-    ok = ~field.diverged
-    codes = np.zeros((chan.shape[0], chan.shape[1]), dtype=int)
-    edges_all = []
-    for c in range(chan.shape[1]):
-        col = np.where(ok, chan[:, c], np.nan)
-        codes[:, c], edges = _quantile_bins(col, bins_per_obs)
-        edges_all.append(edges)
-    cell = np.full(chan.shape[0], -1, dtype=int)
+    ok = ~field.diverged  # the rows left are finite
+    codes, edges = zip(*[_quantile_bins(chan[ok], bins_per_obs) for chan in field.channels()])
+    cell = np.full(ok.size, -1, dtype=int)
     if np.any(ok):
-        cell[ok] = _cell_ids(codes[ok], bins_per_obs)
-    return PartitionLabeling(
-        cell_id=cell,
-        bin_edges=tuple(edges_all),
-        channel_values=chan,
-        grid=field.grid,
-    )
+        cell[ok] = _cell_ids(codes, bins_per_obs)
+    return PartitionLabeling(cell_id=cell, bin_edges=edges, field=field)
 
 
-def write_partition_csv(field: TimeAverageField, labeling: PartitionLabeling,
-                        field_path, labeling_path) -> None:
-    """Write field.to_csv and labeling.to_csv in one pass over the rows.
+def write_partition_csv(labeling: PartitionLabeling, field_path, labeling_path) -> None:
+    """Write labeling.field.to_csv and labeling.to_csv in one pass over the rows.
 
-    labeling must be ergodic_partition_approx(field): labeling.csv then
-    repeats every column of field.csv and adds cell_id, so each shared row
-    is formatted once, written to field.csv and extended for labeling.csv.
+    labeling.csv repeats every column of field.csv and adds cell_id, so each
+    shared row is formatted once, written to field.csv and extended for
+    labeling.csv.
     """
-    columns, header = _table(_point_columns(field.grid), field._channel_columns())
+    columns, header = _table(_point_columns(labeling.grid), labeling.field.channels())
     write_csv_files(
         columns + [_id_column(labeling.cell_id)],
         [(field_path, header, len(columns)), (labeling_path, header + ",cell_id", None)],

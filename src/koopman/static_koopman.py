@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._artifacts import write_csv
-from .dmd import _fit_residual, _pseudoinverse_and_rank
+from .dmd import _fit_residual, _pseudoinverse_and_rank, _refuse_non_finite
 from .errors import UsageError
 from .observables import ObservableDictionary
 
@@ -98,10 +98,13 @@ def fit_static_linear(
     not fatal).  Row k of A expands the k-th output observable, pulled
     back through T, over the input dictionary.  The reported rank is the
     pseudoinverse's own: the number of singular values of X it keeps.
+    A non-finite dictionary value, input or output, raises
+    PreconditionError naming its sample.
     """
     X = dict_M.evaluate(pairs.inputs).T
     Y = dict_N.evaluate(pairs.outputs).T
     X_pinv, rank = _pseudoinverse_and_rank(X)
+    _refuse_non_finite(Y.T, "output value")
     A = Y @ X_pinv
     residual = _fit_residual(Y, A, X)
     deficient = rank < X.shape[0]

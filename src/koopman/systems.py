@@ -344,7 +344,9 @@ def step_map_batch(spec: SystemSpec, pts: np.ndarray) -> np.ndarray:
     if not spec.is_map:
         raise UsageError(f"step_map_batch needs a discrete map, got {spec.kind!r}")
     pts = np.asarray(pts, dtype=float)
-    return np.column_stack(_column_step(spec)(tuple(pts.T)))
+    # an overflowing step gives inf or NaN, which the caller's checks name
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.column_stack(_column_step(spec)(tuple(pts.T)))
 
 
 # The scalar orbit loop, written out per coordinate: _x0, _x1, ... hold the
@@ -453,7 +455,10 @@ def integrate(spec: SystemSpec, s0, dt: float, n_steps: int) -> Trajectory:
     s0 = _state(spec, s0)
     dt = _step_size(spec, dt)
     args = {"f": _scalar(spec)} if spec.is_map else spec.params
-    buf = _orbit_loop(spec.kind, spec.dim)(tuple(map(float, s0)), dt, n_steps, **args)
+    # linear_map's step is a numpy product: its overflow is named by the
+    # loop's finite check, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        buf = _orbit_loop(spec.kind, spec.dim)(tuple(map(float, s0)), dt, n_steps, **args)
     states = np.frombuffer(buf, dtype=float).reshape(n_steps + 1, spec.dim)
     return Trajectory(states=states, dt=dt, spec=spec)
 

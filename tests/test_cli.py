@@ -414,9 +414,18 @@ def test_overflowing_largest_singular_value_exits_3_and_creates_nothing(
         # the grid's span overflows: axis values that are not finite
         ("standard_map_partition", 'sampling.grid.axes=[{"lo": -1.7e308, "hi": 1.7e308, "n": 3,'
          '"period": 1.0}, {"lo": 0.0, "hi": 1.0, "n": 4}]', 2, "grid axis values must be finite"),
+        # the static draw's span, or an integer bound, beyond the float range
+        ("linear_static", "method_params.box=[-1.7e308, 1.7e308]", 2,
+         "config invalid: method_params.box needs a span high - low within the float range"),
+        ("linear_static", f"method_params.box=[0, {10 ** 400}]", 2,
+         "config invalid: method_params.box needs a span high - low within the float range"),
+        # 7 PiB of closure samples cannot be allocated
+        ("circle_mz_closure", "method_params.closure.m_samples=1000000000000000", 3,
+         "MemoryError: Unable to allocate"),
     ],
     ids=["gla-off-circle", "static-residual", "companion-residual", "one-sample",
-         "negative-eps", "reversed-box", "static-on-a-flow", "non-finite-axis"],
+         "negative-eps", "reversed-box", "static-on-a-flow", "non-finite-axis",
+         "box-span-overflow", "box-bound-beyond-float", "closure-memory"],
 )
 def test_failed_run_reports_once_and_creates_nothing(tmp_path, capsys, name, override, code,
                                                      message):
@@ -437,6 +446,8 @@ def test_failed_run_reports_once_and_creates_nothing(tmp_path, capsys, name, ove
 # numpy's warnings first, and the edmd one exited 0 with route_disagreement=1
 _GROWING_LINEAR_MAP = ['system={"kind": "linear_map", "params": {"B": [[1.5]]}}',
                        "sampling.n=1000"]
+_PLANE = ('[{"name": "x0", "type": "coordinate", "index": 0},'
+          ' {"name": "x1", "type": "coordinate", "index": 1}]')
 OVERFLOWING_RUNS = {
     "edmd-gram": ("limit_cycle_edmd", [
         *_GROWING_LINEAR_MAP, "sampling.initial_state=[1.0]", "sampling.dt=0",
@@ -452,6 +463,19 @@ OVERFLOWING_RUNS = {
     "closure-phase": ("circle_mz_closure", ["method_params.closure.omega=1e308"],
                       "PreconditionError: the mode phase 2 * omega is not finite for "
                       "omega = 1e+308"),
+    # a map step that overflows: the scalar orbit loop, then the batch step of
+    # a static run (whose output values the fit refuses)
+    "linear-map-orbit": ("lorenz_mz_memory", [
+        _GROWING_LINEAR_MAP[0], "sampling.initial_state=[1.0]", "sampling.n=2000",
+    ], "DivergenceError: trajectory diverged at step 1751"),
+    "map-batch-add": ("linear_static", [
+        'system={"kind": "torus_rotation", "params": {"omega1": 1.7e308}}',
+        "method_params.box=[1e308, 1.7e308]", f"dictionary={_PLANE}", f"dictionary_out={_PLANE}",
+    ], "PreconditionError: the largest singular value overflows"),
+    "static-output-values": ("linear_static", [
+        'system={"kind": "linear_map", "params": {"B": [[1e308, 1e308], [1e308, 1e308]]}}',
+        f"dictionary={_PLANE}", f"dictionary_out={_PLANE}",
+    ], "PreconditionError: non-finite output value"),
 }
 
 
@@ -987,6 +1011,15 @@ def test_list_systems_names_every_kind(capsys):
 def test_shipped_config_validates(config_path):
     config = json.loads(config_path.read_text())
     jsonschema.validate(config, CONFIG_SCHEMA)
+
+
+def test_shipped_configs_are_the_benchmark_copies():
+    # the benchmark runs its own frozen copies of the configs: a shipped
+    # config that drifts from them is no longer the one measured
+    def files(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    assert files(CONFIG_DIR) == files(CONFIG_DIR.parent / "perfbench" / "configs")
 
 
 @pytest.mark.filterwarnings("ignore:companion fit ill-posed:RuntimeWarning")

@@ -352,12 +352,12 @@ def test_partition_files_give_savetxt_bytes(tmp_path, case):
     if case is _diverging:
         assert field.diverged.any() and not field.diverged.all()
         assert (labeling.cell_id == -1).any()
-    field_rows = np.column_stack([grid_points(grid), field.channels()])
+    field_rows = np.column_stack([grid_points(grid), *field.channels()])
     want_field = savetxt_bytes(tmp_path, field_rows, header)
     want_labeling = savetxt_bytes(
         tmp_path, np.column_stack([field_rows, labeling.cell_id]), header + ",cell_id"
     )
-    write_partition_csv(field, labeling, tmp_path / "field.csv", tmp_path / "labeling.csv")
+    write_partition_csv(labeling, tmp_path / "field.csv", tmp_path / "labeling.csv")
     assert (tmp_path / "field.csv").read_bytes() == want_field
     assert (tmp_path / "labeling.csv").read_bytes() == want_labeling
     field.to_csv(tmp_path / "field_alone.csv")
@@ -391,9 +391,7 @@ def test_partition_pair_allocates_blocks_not_the_file(tmp_path):
     labeling = ergodic_partition_approx(field, bins_per_obs=3)
     tracemalloc.start()
     try:
-        write_partition_csv(
-            field, labeling, tmp_path / "field.csv", tmp_path / "labeling.csv"
-        )
+        write_partition_csv(labeling, tmp_path / "field.csv", tmp_path / "labeling.csv")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
