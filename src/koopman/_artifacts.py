@@ -25,8 +25,7 @@ them as complex (an eigenvalue array that numpy returned real, say).
 json.dumps falls back to its pure-Python encoder whenever it indents, and
 the {"re", "im"} dict it would need per complex number cost more than the
 number's text: a 35 kB spectral triple took 2.1 ms that way and 0.65 ms here
-(Python 3.11.7, numpy 2.4.6, 2-core host).  A complex array is checked for
-NaN and +-inf once, then written number by number.
+(Python 3.11.7, numpy 2.4.6, 2-core host).
 """
 
 from __future__ import annotations
@@ -73,10 +72,6 @@ def _columns(table) -> list:
 
 def _block_rows(run, rows: slice, lead: str) -> list:
     """Row strings of one block of a run of columns, each prefixed by `lead`."""
-    if len(run) == 1 and run[0][2] is not None:
-        _, (index,), strings = run[0]
-        cells = strings[index[rows]].tolist()
-        return [lead + s for s in cells] if lead else cells
     slots = []
     for _, parts, strings in run:
         slots += [p[rows] for p in parts] if strings is None else [strings[parts[0][rows]]]
@@ -134,6 +129,15 @@ def strict_json(payload, name: str) -> str:
 
 def _json(o, nl: str, name: str) -> str:
     """o as JSON text whose own lines are indented by `nl` (a newline and spaces)."""
+    # numbers first: they are most of the values (a bool is an int, not a float)
+    if isinstance(o, complex):
+        if not cmath.isfinite(o):
+            raise _non_finite(name)
+        return _complex(o, nl)
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise _non_finite(name)
+        return float.__repr__(o)
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None:
@@ -144,19 +148,7 @@ def _json(o, nl: str, name: str) -> str:
         return "false"
     if isinstance(o, int):
         return int.__repr__(o)
-    if isinstance(o, float):
-        if not math.isfinite(o):
-            raise _non_finite(name)
-        return float.__repr__(o)
-    if isinstance(o, complex):
-        if not cmath.isfinite(o):
-            raise _non_finite(name)
-        return _complex(o, nl)
     if isinstance(o, np.ndarray):
-        if o.dtype.kind == "c" and o.ndim:
-            if not np.isfinite(o).all():
-                raise _non_finite(name)
-            return _complex_lists(o.tolist(), o.ndim, nl)
         return _json(o.tolist(), nl, name)
     inner = nl + "  "
     if isinstance(o, (list, tuple)):
@@ -177,18 +169,6 @@ def _complex(z: complex, nl: str) -> str:
     """A finite complex number as the JSON object {"im": ..., "re": ...}."""
     inner = nl + "  "
     return f'{{{inner}"im": {float.__repr__(z.imag)},{inner}"re": {float.__repr__(z.real)}{nl}}}'
-
-
-def _complex_lists(rows: list, depth: int, nl: str) -> str:
-    """_json of the .tolist() of a finite complex array with `depth` axes."""
-    if not rows:
-        return "[]"
-    inner = nl + "  "
-    if depth > 1:
-        items = [_complex_lists(row, depth - 1, inner) for row in rows]
-    else:
-        items = [_complex(z, inner) for z in rows]
-    return f"[{inner}{(',' + inner).join(items)}{nl}]"
 
 
 def _non_finite(name: str) -> KoopmanError:

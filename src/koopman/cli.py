@@ -24,14 +24,18 @@ process, on first use.  A method's validator is `CONFIG_SCHEMA` with the
 per-method rules cut to that method's own, so it reports the errors the
 full schema would; a config whose method is missing, unknown or not a
 string fails every per-method rule's condition, so its validator has none.
-A runner opens no file: it returns the summary's eigenvalues and
-residuals plus `files`, a map from artifact name to either a JSON
-payload or a `writer(path)`; a tuple of names maps to a
-`writer(*paths)` that writes those artifacts together.  `run` is the
+A runner opens no file and prints nothing: it returns the summary's
+eigenvalues and residuals plus `files`, a map from artifact name to either
+a JSON payload or a `writer(path)` (a tuple of names maps to a
+`writer(*paths)` that writes those artifacts together), and may return
+`stdout`, the lines `main` prints once the run has succeeded.  `run` is the
 only code that writes under the output directory, every file through
 `_artifacts` and only once the method has succeeded and every JSON
 document has encoded, so a failed run creates nothing.  It reports the
-time spent encoding and writing as `runtimes.write_s`.
+time spent encoding and writing as `runtimes.write_s`.  Only `main` writes
+to stdout; a reader that closes it early makes `list-systems` and `lattice`
+exit 2 (`output unusable: [Errno 32] Broken pipe`), and a `run`, whose
+artifacts are complete by then, exit 0.
 
 Fixed configs reproduce their artifacts byte for byte: every file name
 is static, CSV values are written with the fixed format `%.18e`, JSON is
@@ -49,6 +53,7 @@ import json
 import math
 import sys
 import time
+from contextlib import suppress
 from functools import cache, partial
 from pathlib import Path
 
@@ -367,14 +372,16 @@ def _run_repr_check(config, spec, seed):
     values = dictionary.evaluate(traj.states)
     faith = faithfulness_estimate(values, traj.states)
     i, j = faith["witness"]
-    print("check           value")
-    print(f"residual        {residual:.6e}")
-    print(f"faithfulness    {faith['score']:.6e}  (witness samples {i}, {j})")
     report = {"residual": residual, "faithfulness": faith["score"], "witness": [i, j]}
     return {
         "eigenvalues": [],
         "residuals": {"representation": residual, "faithfulness": faith["score"]},
         "files": {"report.json": report},
+        "stdout": [
+            "check           value",
+            f"residual        {residual:.6e}",
+            f"faithfulness    {faith['score']:.6e}  (witness samples {i}, {j})",
+        ],
     }
 
 
@@ -426,23 +433,35 @@ _OBSERVABLE_PARAMS = {
     "powers": _VECTOR,
     "index": {"type": "integer", "minimum": 0},
 }
+
+
+def _kind_fields(params) -> dict:
+    """if/then/else chain: the kinds whose parameter field is params[0] (None
+    for none) need that field and hold no other; other kinds go on to the
+    rule of params[1:].  Each `if` costs an evolved validator, so an entry
+    meets only those up to its own kind's."""
+    param = params[0]
+    fields = ["name", "type"] + ([param] if param else [])
+    rule = _when("type", [kind for kind in JSON_KINDS if KINDS[kind].param == param], {
+        "required": fields[2:],
+        "properties": dict.fromkeys(fields, True),
+        "additionalProperties": False,
+    })
+    if params[1:]:
+        rule["else"] = _kind_fields(params[1:])
+    return rule
+
+
+# the fields an entry may hold are its kind's own (see _kind_fields)
 _OBSERVABLE = {
     "type": "object",
     "required": ["name", "type"],
-    "additionalProperties": False,
     "properties": {
         "name": {"type": "string", "minLength": 1},
         "type": {"enum": list(JSON_KINDS)},
         **_OBSERVABLE_PARAMS,
     },
-    "allOf": [
-        _when(
-            "type",
-            [kind for kind in JSON_KINDS if KINDS[kind].param == param],
-            {"required": [param]},
-        )
-        for param in _OBSERVABLE_PARAMS
-    ],
+    **_kind_fields((*_OBSERVABLE_PARAMS, None)),
 }
 
 _DICTIONARY_SCHEMA = {
@@ -721,8 +740,9 @@ def _malloc_trim():
         return lambda pad: 0
 
 
-def run(config: dict, out_dir) -> dict:
-    """Execute one validated config and return its summary; a failed run creates nothing."""
+def run(config: dict, out_dir) -> tuple[dict, list]:
+    """Execute one validated config; return its summary and the lines it
+    reports on stdout.  A failed run creates nothing."""
     out_dir = Path(out_dir)
     spec = SystemSpec(
         kind=config["system"]["kind"], params=config["system"].get("params", {})
@@ -756,7 +776,7 @@ def run(config: dict, out_dir) -> dict:
     write_json(out_dir / "summary.json", summary)
     if method == "partition":
         _malloc_trim()(0)
-    return summary
+    return summary, result.get("stdout", [])
 
 
 def _load_config(path: str) -> dict:
@@ -824,17 +844,44 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _to_stdout(write) -> None:
+    """Call write(file=sys.stdout), then flush stdout.
+
+    Where stdout cannot be written (its reader has gone, say) the OSError is
+    raised once stdout is closed, which drops what it still buffers, so the
+    flush at interpreter exit has nothing left to fail on.
+    """
+    try:
+        write(file=sys.stdout)
+        sys.stdout.flush()
+    except OSError:
+        with suppress(OSError):  # the same error, from the flush that closing makes
+            sys.stdout.close()
+        raise
+
+
+def _system_catalogue() -> list:
+    """The lines `list-systems` prints, one per system kind."""
+    lines = []
+    for kind in SYSTEM_KINDS:
+        if kind == "linear_map":
+            lines.append("linear_map: coords by matrix B (params: B, required)")
+            continue
+        spec = SystemSpec(kind=kind)
+        params = ", ".join(f"{k}={v:g}" for k, v in spec.params.items())
+        lines.append(f"{kind}: coords ({', '.join(spec.coord_names)}); params {params}")
+    return lines
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     if args.command == "list-systems":
-        for kind in SYSTEM_KINDS:
-            if kind == "linear_map":
-                print("linear_map: coords by matrix B (params: B, required)")
-                continue
-            spec = SystemSpec(kind=kind)
-            params = ", ".join(f"{k}={v:g}" for k, v in spec.params.items())
-            print(f"{kind}: coords ({', '.join(spec.coord_names)}); params {params}")
+        try:
+            _to_stdout(partial(print, *_system_catalogue(), sep="\n"))
+        except OSError as exc:
+            print(f"output unusable: {exc}", file=sys.stderr)
+            return 2
         return 0
 
     if args.command == "lattice":
@@ -844,7 +891,10 @@ def main(argv=None) -> int:
             print(f"lattice: {exc}", file=sys.stderr)
             return 2
         try:
-            _write_complex_csv(args.out or sys.stdout, values)
+            if args.out:
+                _write_complex_csv(args.out, values)
+            else:
+                _to_stdout(lambda file: _write_complex_csv(file, values))
         except OSError as exc:
             print(f"output unusable: {exc}", file=sys.stderr)
             return 2
@@ -863,7 +913,7 @@ def main(argv=None) -> int:
 
     out_dir = args.out or config.get("output", {}).get("dir", ".")
     try:
-        summary = run(config, out_dir)
+        summary, lines = run(config, out_dir)
     except UsageError as exc:  # a value the schema cannot check, e.g. a ragged matrix
         print(f"config invalid: {exc}", file=sys.stderr)
         return 2
@@ -877,7 +927,11 @@ def main(argv=None) -> int:
         print(f"output unusable: {exc}", file=sys.stderr)
         return 2
     residuals = ", ".join(f"{k}={v:.3g}" for k, v in summary["residuals"].items())
-    print(f"{summary['method']}: wrote {out_dir} ({residuals})")
+    try:
+        _to_stdout(partial(print, *lines, f"{summary['method']}: wrote {out_dir} ({residuals})",
+                           sep="\n"))
+    except OSError:  # the artifacts are complete; only the report went unread
+        pass
     return 0
 
 

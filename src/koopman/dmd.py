@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .embedding import SnapshotPair
+from .embedding import SnapshotPair, _refuse_non_finite
 from .errors import DefectiveMatrixError, PreconditionError, UsageError
 
 _COND_EIGVEC_LIMIT = 1e8
@@ -32,14 +32,6 @@ def moore_penrose_pseudoinverse(M) -> np.ndarray:
     overflows (an inf cutoff keeps it alone) or a kept one that is subnormal.
     """
     return _pseudoinverse_and_rank(M)[0]
-
-
-def _refuse_non_finite(M: np.ndarray, what: str = "value") -> None:
-    """PreconditionError naming the first non-finite entry of M, whose rows are samples."""
-    if not np.all(np.isfinite(M)):  # an SVD or lstsq of it would give NaN or fail
-        l, j = np.argwhere(~np.isfinite(M))[0]
-        raise PreconditionError(f"non-finite {what} {M[l, j]} in entry {j} "
-                                f"at sample {l}; rescale the data")
 
 
 def _pseudoinverse_and_rank(M) -> tuple[np.ndarray, int]:

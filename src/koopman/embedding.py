@@ -12,14 +12,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import PreconditionError, UsageError
+
+
+def _refuse_non_finite(M: np.ndarray, what: str = "value") -> None:
+    """PreconditionError naming the first non-finite entry of M, whose rows are samples."""
+    if not np.all(np.isfinite(M)):  # an SVD or lstsq of it would give NaN or fail
+        l, j = np.argwhere(~np.isfinite(M))[0]
+        raise PreconditionError(f"non-finite {what} {M[l, j]} in entry {j} "
+                                f"at sample {l}; rescale the data")
 
 
 @dataclass(frozen=True)
 class SnapshotPair:
     """Matrices X, Xp of observable values at consecutive times.
 
-    Columns are time samples; Xp is X advanced one step.
+    Columns are time samples; Xp is X advanced one step.  A non-finite
+    value in either raises PreconditionError naming its column.
     """
 
     X: np.ndarray
@@ -32,6 +41,8 @@ class SnapshotPair:
             raise UsageError(f"snapshot shapes differ: {X.shape} vs {Xp.shape}")
         if X.shape[1] < 1:
             raise UsageError("snapshot pair needs at least one column")
+        _refuse_non_finite(X.T, "X value")
+        _refuse_non_finite(Xp.T, "Xp value")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Xp", Xp)
 
@@ -41,12 +52,16 @@ class SnapshotPair:
 
     @classmethod
     def from_series(cls, series) -> "SnapshotPair":
-        """Pair consecutive samples of a (m, n) series: X = rows 0..m-2."""
+        """Pair consecutive samples of a (m, n) series: X = rows 0..m-2.
+
+        A non-finite value raises PreconditionError naming its series sample.
+        """
         arr = np.asarray(series)
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.shape[0] < 2:
             raise UsageError("need at least two samples to form a snapshot pair")
+        _refuse_non_finite(arr)
         return cls(X=arr[:-1].T, Xp=arr[1:].T)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._artifacts import write_csv
-from .dmd import _refuse_non_finite
+from .embedding import _refuse_non_finite
 from .errors import DegenerateDictionaryError, PreconditionError, UsageError
 from .observables import ObservableDictionary
 from .systems import _states_of
@@ -108,12 +108,14 @@ def finite_section_matrix(dictionary: ObservableDictionary, traj) -> FiniteSecti
     Average form G @ F_next and the direct least-squares solve are both
     computed; the least-squares result is kept as U_tilde together with
     the disagreement between the two, and a warning fires if they differ
-    beyond 1e-10 relative.
+    beyond 1e-10 relative.  A non-finite dictionary value on any sample, the
+    last one included, raises PreconditionError naming the sample.
     """
     states = _states_of(traj)
     if states.shape[0] < 2:
         raise UsageError("need at least two states to fit a section")
     F = dictionary.evaluate(states)
+    _refuse_non_finite(F, "dictionary value")  # F_next holds the last sample
     F_head, F_next = F[:-1], F[1:]
     U_avg = dual_basis(F_head) @ F_next
     U_lsq, *_ = np.linalg.lstsq(F_head, F_next, rcond=None)

@@ -23,13 +23,13 @@ times k otherwise.
 A vector parameter (k, powers) has one entry per state coordinate.  The
 constructor checks each parameter against `_PARAMS` (index: an integer
 >= 0; k, powers: a non-empty sequence of real numbers; fn: a callable) and
-raises UsageError rather than coercing anything else.  Every kind but
+raises UsageError rather than coercing anything else, or storing a
+parameter field that its kind does not read.  Every kind but
 custom reads from JSON as {"name", "type", <parameter>}.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import numbers
 from collections.abc import Sequence
@@ -66,7 +66,6 @@ class StateColumns:
         return self.matrix if self.matrix is not None else np.column_stack(self.columns)
 
 
-@functools.cache
 def _single_nonzero(k: tuple):
     """The index of k's only nonzero entry, or None."""
     nonzero = [j for j, kj in enumerate(k) if kj != 0.0]
@@ -182,6 +181,9 @@ class Observable:
         if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise UsageError(f"{self.name}: unknown observable type {self.kind!r}")
         param = KINDS[self.kind].param
+        for field in _PARAMS:
+            if field != param and getattr(self, field) is not None:
+                raise UsageError(f"{self.name}: {self.kind} takes no {field}")
         if param:
             check, valid = _PARAMS[param]
             value = check(getattr(self, param))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._artifacts import write_csv, write_csv_files
-from .dmd import _refuse_non_finite
+from .embedding import _refuse_non_finite
 from .errors import DivergenceError, ObservableDomainError, UsageError
 from .observables import REAL_KINDS as _REAL_KINDS  # kinds with a real accumulator
 from .observables import ObservableDictionary, StateColumns
@@ -44,7 +44,11 @@ from .systems import SystemSpec, _column_step, _refuse_bad_dt, _states_of, _step
 # a 2-core host at n = 300, blocks of 16384, 32768 and 65536 rows took a
 # median 1.82, 1.80 and 1.77 s on the 160k-point standard-map grid (inside
 # one another's quartiles) and 0.231, 0.207 and 0.336 s on the 40k-point
-# one, which 65536 leaves as a single block on one thread.
+# one, which 65536 leaves as a single block on one thread.  Every host runs
+# the blocks, a one-CPU host on its one thread: pinned to one CPU (n = 300,
+# 10 runs each), the 160k-point grid took 2.17-2.56 s in 5 blocks and
+# 2.60-2.79 s as one block, the 40k-point one 0.23-0.29 s in 2 blocks and
+# 0.24-0.29 s as one, with the same bits.
 _BLOCK_ROWS = 32768
 _WORKERS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
@@ -196,41 +200,13 @@ def _grid_stepper(spec: SystemSpec, dt, grid: RegularGrid):
     return step
 
 
-def _average_block(entries, step, cols: tuple, n: int, sums, half_sums, finite_end,
-                   first_row: int, failed: list):
-    """Add one block's orbit sums into views of the outputs, in place.
-
-    cols are the block's start columns; step advances a tuple of columns.
-    An ObservableDomainError is recorded in failed as (iteration, entry,
-    grid row, error) and ends the block; a block also stops once it has run
-    past an iteration at which another block failed.
-    """
-    half = n // 2
-    block = StateColumns(cols)
-    with np.errstate(all="ignore"):
-        for i in range(n):
-            if failed and i > min(f[0] for f in failed):
-                return
-            for j, (total, entry) in enumerate(zip(sums, entries)):
-                try:
-                    total += entry(block)
-                except ObservableDomainError as err:
-                    if first_row:  # name the grid row, not the block row
-                        err = ObservableDomainError(err.observable, first_row + err.step)
-                    failed.append((i, j, err.step, err))
-                    return
-            if i + 1 == half:
-                for copy, total in zip(half_sums, sums):
-                    copy[...] = total
-            if i + 1 < n:
-                block = StateColumns(step(block.columns))
-    finite_end[...] = np.logical_and.reduce([np.isfinite(c) for c in block.columns])
-
-
 def _row_blocks(n_rows: int, entries) -> list:
-    """Near-equal row slices, at most _BLOCK_ROWS long, in a multiple of _WORKERS."""
+    """Near-equal row slices, at most _BLOCK_ROWS long, in a multiple of _WORKERS.
+
+    A one-CPU host gets the blocks too (see _BLOCK_ROWS for its timings).
+    """
     # a custom observable may look at the whole batch or not be thread-safe
-    if _WORKERS == 1 or n_rows <= _BLOCK_ROWS or any(e.kind == "custom" for e in entries):
+    if n_rows <= _BLOCK_ROWS or any(e.kind == "custom" for e in entries):
         return [slice(0, n_rows)]
     count = -(-n_rows // _BLOCK_ROWS)
     count += -count % _WORKERS
@@ -267,13 +243,33 @@ def time_average(
     ]
     half_sums = [np.empty_like(total) for total in sums]
     finite_end = np.empty(n_rows, dtype=bool)
-    failed = []
+    failed = []  # (iteration, entry, grid row, ObservableDomainError)
+    half = n // 2
 
     def run(rows):
-        # contiguous copies of the block's coordinates, taken from the axes
-        cols = tuple(axis[index[rows]] for axis, index in columns)
-        _average_block(entries, step, cols, n, [t[rows] for t in sums],
-                       [t[rows] for t in half_sums], finite_end[rows], rows.start, failed)
+        # Adds one block's orbit sums into views of the outputs.  A domain error
+        # ends the block, which also stops past an iteration where another failed.
+        # The start columns are contiguous copies taken from the axes.
+        block = StateColumns(tuple(axis[index[rows]] for axis, index in columns))
+        totals = [t[rows] for t in sums]
+        with np.errstate(all="ignore"):
+            for i in range(n):
+                if failed and i > min(f[0] for f in failed):
+                    return
+                for j, (total, entry) in enumerate(zip(totals, entries)):
+                    try:
+                        total += entry(block)
+                    except ObservableDomainError as err:
+                        if rows.start:  # name the grid row, not the block row
+                            err = ObservableDomainError(err.observable, rows.start + err.step)
+                        failed.append((i, j, err.step, err))
+                        return
+                if i + 1 == half:
+                    for copy, total in zip(half_sums, totals):
+                        copy[rows] = total
+                if i + 1 < n:
+                    block = StateColumns(step(block.columns))
+        finite_end[rows] = np.logical_and.reduce([np.isfinite(c) for c in block.columns])
 
     # a pool starts a thread per pending block, so a custom observable's single
     # block (see _row_blocks) runs on one thread and sees the whole grid
@@ -281,7 +277,6 @@ def time_average(
         list(pool.map(run, _row_blocks(n_rows, entries)))
     if failed:
         raise min(failed, key=lambda f: f[:3])[3]
-    half = n // 2
     # an inf sum makes complex division warn; its row is diverged and masked
     with np.errstate(all="ignore"):
         values = np.stack(sums, axis=1).astype(complex) / n
@@ -404,7 +399,7 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
     k = np.arange(n)
     with np.errstate(all="ignore"):  # non-finite weights and samples are raised below
         # mu^-k built from the angle, not by repeated powers, to avoid drift
-        weights = np.exp(-1j * k * np.angle(mu)) * (abs(mu) ** (-k) if abs(mu) != 1.0 else 1.0)
+        weights = np.exp(-1j * k * np.angle(mu)) * abs(mu) ** (-k)
         if m == 1 or n == 1:
             conv = values * weights[::-1]
         else:

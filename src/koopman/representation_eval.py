@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmd import SpectralTriple, _refuse_non_finite, continuous_time_eigenvalues
+from .dmd import SpectralTriple, _fit_residual, continuous_time_eigenvalues
+from .embedding import _refuse_non_finite
 from .errors import DegenerateFitError, PreconditionError, UsageError
 from .observables import REAL_KINDS, Observable, ObservableDictionary
 from .systems import _states_of
@@ -271,7 +272,8 @@ def sindy_fit(traj, library: ObservableDictionary, threshold: float | None = Non
     thresholded least squares: solve, zero small coefficients, re-solve
     on the surviving support until it stabilizes.  threshold None means
     0.05 * max |initial coefficients|; pass 0.0 to keep plain least
-    squares.
+    squares.  A residual or target norm beyond the float range raises
+    PreconditionError.
     """
     states = _states_of(traj)
     dt = float(getattr(traj, "dt", 0.0) or 0.0)
@@ -326,10 +328,11 @@ def sindy_fit(traj, library: ObservableDictionary, threshold: float | None = Non
             "thresholding removed every library term; lower the threshold"
         )
 
-    residual = float(
-        np.linalg.norm(targets - theta @ C)
-        / max(np.linalg.norm(targets), np.finfo(float).tiny)
-    )
+    with np.errstate(over="ignore"):  # refused below
+        scale = float(np.linalg.norm(targets))
+    if not np.isfinite(scale):
+        raise PreconditionError("fit residual exceeds the float range; rescale the data")
+    residual = _fit_residual(targets, theta, C) / max(scale, np.finfo(float).tiny)
     spec = getattr(traj, "spec", None)
     names = spec.coord_names if spec is not None else [f"x{i}" for i in range(states.shape[1])]
     coords = ObservableDictionary(

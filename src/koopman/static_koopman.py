@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._artifacts import write_csv
-from .dmd import _fit_residual, _pseudoinverse_and_rank, _refuse_non_finite
+from .dmd import _fit_residual, _pseudoinverse_and_rank
+from .embedding import _refuse_non_finite
 from .errors import UsageError
 from .observables import ObservableDictionary
 

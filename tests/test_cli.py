@@ -448,7 +448,23 @@ _GROWING_LINEAR_MAP = ['system={"kind": "linear_map", "params": {"B": [[1.5]]}}'
                        "sampling.n=1000"]
 _PLANE = ('[{"name": "x0", "type": "coordinate", "index": 0},'
           ' {"name": "x1", "type": "coordinate", "index": 1}]')
+# finite states 1e-130, 1e-30, 1e70, 1e170 whose u^2 overflows at the last
+# sample only, which enters only Xp or F_next: the fits used to meet it
+# there (a scipy traceback, numpy warnings, or a message naming no sample)
+_LAST_SAMPLE = ['system={"kind": "linear_map", "params": {"B": [[1e100]]}}',
+                "sampling.initial_state=[1e-130]", "sampling.n=3",
+                'dictionary=[{"name": "u2", "type": "monomial", "powers": [2.0]}]']
 OVERFLOWING_RUNS = {
+    "pinv-last-sample": ("torus_pinv_dmd", _LAST_SAMPLE,
+                         "PreconditionError: non-finite value (inf+0j) in entry 0 at sample 3;"),
+    "companion-last-sample": ("torus_companion_dmd", _LAST_SAMPLE,
+                              "PreconditionError: non-finite value (inf+0j) in entry 0 at sample 3;"),
+    "edmd-last-sample": ("limit_cycle_edmd", [*_LAST_SAMPLE, "sampling.dt=0"],
+                         "PreconditionError: non-finite dictionary value (inf+0j) in entry 0 "
+                         "at sample 3;"),
+    # the targets reach 1e170, so their norm overflows; the ratio used to read 0
+    "sindy-target-norm": ("lorenz_sindy", [*_LAST_SAMPLE, "method_params.threshold=0"],
+                          "PreconditionError: fit residual exceeds the float range"),
     "edmd-gram": ("limit_cycle_edmd", [
         *_GROWING_LINEAR_MAP, "sampling.initial_state=[1.0]", "sampling.dt=0",
         'dictionary=[{"name": "x", "type": "coordinate", "index": 0}]',
@@ -492,6 +508,24 @@ def test_overflow_exits_3_with_one_line_and_creates_nothing(tmp_path, capsys, ca
     assert caught == []
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, override, message", [
+    ("torus_pinv_dmd", 'dictionary=[{"name": "z", "type": "phase", "k": [1, 0], "index": 1}]',
+     "at dictionary/0: Additional properties are not allowed ('index' was unexpected)"),
+    ("linear_static", 'dictionary_out=[{"name": "c", "type": "constant", "powers": [1]}]',
+     "at dictionary_out/0: Additional properties are not allowed ('powers' was unexpected)"),
+    ("circle_gla", 'method_params.observable={"name": "x", "type": "coordinate", "index": 0, '
+                   '"k": [1]}',
+     "at method_params/observable: Additional properties are not allowed ('k' was unexpected)"),
+])
+def test_observable_entry_refuses_a_field_its_kind_does_not_take(tmp_path, capsys, name,
+                                                                 override, message):
+    out = tmp_path / "o"
+    argv = ["run", str(CONFIG_DIR / f"{name}.json"), "--set", override, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config invalid {message}\n"
     assert not out.exists()
 
 
@@ -813,6 +847,51 @@ def test_repr_check_run_prints_residual_table(tmp_path, capsys):
         cli.main(["repr", path])
     assert exc.value.code == 2
     assert "invalid choice: 'repr'" in capsys.readouterr().err
+
+
+def test_repr_check_prints_no_table_when_its_output_is_unusable(tmp_path, capsys):
+    taken = tmp_path / "file"
+    taken.write_text("")
+    assert cli.main(["run", str(CONFIG_DIR / "torus_repr_check.json"), "--out", str(taken)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # the table is printed only once the run has succeeded
+    assert err.startswith("output unusable: ") and err.count("\n") == 1
+
+
+def _run_with_closed_stdout(*args):
+    """Run the console entry point in a child whose stdout pipe has no reader."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    read, write = os.pipe()
+    os.close(read)  # closed before the child writes anything
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", "import sys; from koopman import cli; sys.exit(cli.main())",
+             *args],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("args", [
+    ["list-systems"],
+    ["lattice", "--c", "3", "--omega", "1", "--N", "2", "--M", "1"],
+])
+def test_closed_stdout_exits_2_with_one_line(args):
+    done = _run_with_closed_stdout(*args)
+    # no traceback, and no `Exception ignored ... BrokenPipeError` at exit
+    assert (done.returncode, done.stderr) == (2, "output unusable: [Errno 32] Broken pipe\n")
+
+
+def test_run_whose_stdout_closed_exits_0_with_its_artifacts(tmp_path):
+    out = tmp_path / "o"
+    done = _run_with_closed_stdout("run", str(CONFIG_DIR / "torus_repr_check.json"),
+                                   "--out", str(out))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert load_summary(out)["artifacts"] == sorted(p.name for p in out.iterdir())
 
 
 # -------------------------------------------------------- reproducibility

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from koopman.embedding import SnapshotPair, delay_embed, hankel_pair
-from koopman.errors import UsageError
+from koopman.errors import PreconditionError, UsageError
 from koopman.systems import SystemSpec, integrate
 
 
@@ -84,6 +84,18 @@ def test_snapshot_pair_from_a_one_dimensional_series_has_one_observable():
     assert pair.n_observables == 1
     np.testing.assert_array_equal(pair.X, [[0.0, 1.0, 2.0, 3.0]])
     np.testing.assert_array_equal(pair.Xp, [[1.0, 2.0, 3.0, 4.0]])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_snapshot_pair_from_series_names_the_non_finite_series_sample(bad):
+    # the last sample enters only Xp; it is named by its place in the series
+    series = np.ones((5, 2))
+    series[4, 1] = bad
+    with pytest.raises(PreconditionError, match=rf"non-finite value {bad} in entry 1 at sample 4;"):
+        SnapshotPair.from_series(series)
+    # a delay pair names the delay vector: vector 3 holds series[4] as its entry 1
+    with pytest.raises(PreconditionError, match=r"in entry 1 at sample 3;"):
+        hankel_pair(series[:, 1], rows=2)
 
 
 # one case per UsageError guard on malformed counts and shapes

@@ -103,6 +103,15 @@ def test_dual_basis_refuses_non_finite_values_naming_the_sample():
         dual_basis(F)
 
 
+def test_section_refuses_a_non_finite_value_in_the_last_sample():
+    # the last sample enters only F_next, which the dual basis does not check
+    d = _dict(Observable("u2", "monomial", powers=(2.0,)))
+    states = np.array([[1.0], [2.0], [3.0], [1e200]])
+    with pytest.raises(PreconditionError,
+                       match=r"non-finite dictionary value \(inf\+0j\) in entry 0 at sample 3"):
+        finite_section_matrix(d, states)
+
+
 def test_overflowing_dictionary_section_is_refused_not_called_dependent():
     spec = SystemSpec("limit_cycle_polar", {"omega": 1.0})
     traj = integrate(spec, (2.0, 0.0), 1e-3, 50)

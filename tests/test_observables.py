@@ -310,6 +310,17 @@ _GUARDS = {
     "fourier_box_dim": (lambda: fourier_box(0, 1), "fourier_box needs dim >= 1 and kmax >= 1"),
     "monomials_without_coords": (lambda: monomial_library((), 2),
                                  "monomial_library needs coordinates and max_degree >= 0"),
+    # a parameter field the kind does not read is refused, not stored unread
+    "phase_with_index": (lambda: Observable("z", "phase", k=(1.0, 0.0), index=1),
+                         "z: phase takes no index"),
+    "constant_with_k": (lambda: Observable("c", "constant", k=(1.0,)), "c: constant takes no k"),
+    "coordinate_with_fn": (lambda: Observable("x", "coordinate", index=0, fn=len),
+                           "x: coordinate takes no fn"),
+    "custom_with_powers": (lambda: Observable("f", "custom", powers=(1.0,), fn=len),
+                           "f: custom takes no powers"),
+    "json_phase_with_powers": (
+        lambda: Observable.from_json({"name": "z", "type": "phase", "k": [0, 1], "powers": [3, 3]}),
+        "z: phase takes no powers"),
 }
 
 

@@ -391,7 +391,7 @@ def test_row_blocks_are_even_and_a_multiple_of_the_workers(monkeypatch):
     custom = _dict(Observable("x", "custom", fn=lambda s: s[:, 0]))
     assert partitions._row_blocks(250, custom) == [slice(0, 250)]
     monkeypatch.setattr(partitions, "_WORKERS", 1)
-    assert partitions._row_blocks(250, d) == [slice(0, 250)]
+    assert partitions._row_blocks(250, d) == [slice(0, 83), slice(83, 166), slice(166, 250)]
 
 
 def test_time_average_constant_observable():

@@ -427,6 +427,15 @@ def test_excessive_threshold_raises_degenerate_fit():
         sindy_fit(traj, monomial_library(("x", "y"), 2), threshold=1e6)
 
 
+def test_sindy_refuses_a_target_norm_beyond_the_float_range():
+    # targets up to 1e170: the norm of the targets overflows, though the fit
+    # and its residual are finite; the ratio used to read 0
+    traj = integrate(SystemSpec("linear_map", {"B": [[1e100]]}), (1e-130,), dt=0.0, n_steps=3)
+    library = ObservableDictionary([Observable("u2", "monomial", powers=(2.0,))])
+    with pytest.raises(PreconditionError, match="fit residual exceeds the float range"):
+        sindy_fit(traj, library, threshold=0.0)
+
+
 def test_rank_deficient_library_warns():
     spec = SystemSpec(kind="linear_map", params={"B": [[0.5, 0.0], [0.0, 0.5]]})
     traj = integrate(spec, (1.0, 1.0), dt=0.0, n_steps=20)
