@@ -8,7 +8,8 @@ residual/faithfulness table.
 
 Exit codes: 0 success, 2 unusable config (schema violation, bad JSON,
 missing file; the failing field path is printed), unusable `lattice` input
-(N or M < 0, a non-finite c or omega) or unusable output location (an
+(N or M < 0, a non-finite c or omega, or lattice values that leave the
+float range) or unusable output location (an
 `--out` that cannot be created or written), 3 numerical failure inside a
 method, numpy's LinAlgError included (the error text is printed), or an
 array too large to allocate (`MemoryError: <message>`).
@@ -85,7 +86,6 @@ from .partitions import (
     gla_eigenfunction,
     partition_invariance_score,
     time_average,
-    write_partition_csv,
 )
 from .representation_eval import (
     RepresentationModel,
@@ -162,17 +162,21 @@ def emit_lattice(c: float, omega: float, N: int, M: int) -> np.ndarray:
 
     beta is the decaying spiral exponent (-c + sqrt(c^2-8))/2, the root
     with nonnegative imaginary part.  Rows come out in (n, m) loop order.
-    Raises UsageError for N or M < 0 and for a non-finite c or omega.
+    Raises UsageError for N or M < 0, for a non-finite c or omega, and for
+    lattice values that leave the float range (c*c or n*omega overflows).
     """
     if N < 0 or M < 0:
         raise UsageError("lattice truncation requires N, M >= 0")
     if not np.all(np.isfinite([c, omega])):
         raise UsageError(f"lattice needs finite c and omega, got c={c}, omega={omega}")
     beta = duffing_fixed_point_eigenvalues(c)[0]
-    return np.array(
+    values = np.array(
         [1j * n * omega + m * beta for n in range(N + 1) for m in range(M + 1)],
         dtype=complex,
     )
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"lattice values leave the float range for c={c}, omega={omega}")
+    return values
 
 
 # ---------------------------------------------------------------- methods
@@ -189,11 +193,12 @@ def _snapshot_pair(config, spec) -> SnapshotPair:
 
 def _run_companion_dmd(config, spec, seed):
     model = companion_dmd(_snapshot_pair(config, spec))
+    eigs = model.eigenvalues
     return {
-        "eigenvalues": model.eigenvalues,
+        "eigenvalues": eigs,
         "residuals": {"companion_residual": model.residual},
         "files": {
-            "eigenvalues.csv": partial(_write_complex_csv, values=model.eigenvalues),
+            "eigenvalues.csv": partial(_write_complex_csv, values=eigs),
             "companion_c.csv": partial(_write_complex_csv, values=model.c),
         },
     }
@@ -279,7 +284,7 @@ def _run_partition(config, spec, seed):
         "eigenvalues": [],
         "residuals": residuals,
         "files": {
-            ("field.csv", "labeling.csv"): partial(write_partition_csv, labeling),
+            ("field.csv", "labeling.csv"): labeling.to_csv,
             "labeling.json": labeling.to_json(invariance_score=score),
         },
     }

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -78,12 +77,10 @@ class CompanionModel:
         if self.C.shape != (m, m):
             raise UsageError("companion matrix shape must match len(c)")
 
-    @cached_property
+    @property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of C, solved on first access and kept (read-only)."""
-        values = np.linalg.eigvals(self.C)
-        values.flags.writeable = False  # every read gets this one array
-        return values
+        """Eigenvalues of C, solved on each read."""
+        return np.linalg.eigvals(self.C)
 
 
 def companion_dmd(pair: SnapshotPair) -> CompanionModel:

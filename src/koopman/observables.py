@@ -215,6 +215,9 @@ class Observable:
         if not isinstance(obj, dict) or "name" not in obj or "type" not in obj:
             raise UsageError("observable JSON needs 'name' and 'type' fields")
         params = {key: obj[key] for key in ("k", "powers", "index") if key in obj}
+        unknown = [key for key in obj if key not in params and key not in ("name", "type")]
+        if unknown:  # "fn" included: a callable is no JSON
+            raise UsageError(f"{obj['name']}: unknown observable JSON field {unknown[0]!r}")
         return cls(name=obj["name"], kind=obj["type"], **params)
 
 

@@ -18,7 +18,12 @@ is compacted into a dense cell id.  Complex observables contribute their
 real and imaginary parts as separate channels.  A labeling's invariance is
 scored by stepping the coordinate columns of its labeled grid points with
 the same column stepper and checking that labels survive the dynamics under
-nearest-grid-point lookup.
+nearest-grid-point lookup.  PartitionLabeling.to_csv is the one writer of
+field.csv and labeling.csv: it formats each shared row once for both files.
+
+eigenfunction_partition cuts orbit samples of one eigenfunction into
+modulus-quantile and phase bins with one labeler, which labels the samples
+and their predicted images mu * phi alike.
 """
 
 from __future__ import annotations
@@ -461,9 +466,18 @@ class PartitionLabeling:
     def n_cells(self) -> int:
         return int(self.cell_id.max()) + 1 if np.any(self.cell_id >= 0) else 0
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, field_path, labeling_path) -> None:
+        """Write field.csv and labeling.csv in one pass over the rows.
+
+        labeling.csv repeats every column of field.csv and adds cell_id, so
+        each shared row is formatted once, written to field.csv and extended
+        for labeling.csv.
+        """
         columns, header = _table(_point_columns(self.grid), self.field.channels())
-        write_csv(path, columns + [_id_column(self.cell_id)], header + ",cell_id")
+        write_csv_files(
+            columns + [_id_column(self.cell_id)],
+            [(field_path, header, len(columns)), (labeling_path, header + ",cell_id", None)],
+        )
 
     def to_json(self, invariance_score: float) -> dict:
         return {"cells": self.n_cells, "invariance_score": float(invariance_score)}
@@ -477,10 +491,7 @@ def _quantile_bins(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarra
     so such channels collapse to a single bin.
     """
     finite = values[np.isfinite(values)]
-    if finite.size == 0:
-        return np.zeros(values.shape, dtype=int), np.array([])
-    lo, hi = finite.min(), finite.max()
-    if hi - lo <= 1e-9 * max(1.0, abs(hi), abs(lo)):
+    if finite.size == 0 or np.ptp(finite) <= 1e-9 * max(1.0, np.abs(finite).max()):
         return np.zeros(values.shape, dtype=int), np.array([])
     qs = np.arange(1, bins) / bins
     edges = np.quantile(finite, qs)
@@ -522,20 +533,6 @@ def ergodic_partition_approx(field: TimeAverageField, bins_per_obs: int) -> Part
     if np.any(ok):
         cell[ok] = _cell_ids(codes, bins_per_obs)
     return PartitionLabeling(cell_id=cell, bin_edges=edges, field=field)
-
-
-def write_partition_csv(labeling: PartitionLabeling, field_path, labeling_path) -> None:
-    """Write labeling.field.to_csv and labeling.to_csv in one pass over the rows.
-
-    labeling.csv repeats every column of field.csv and adds cell_id, so each
-    shared row is formatted once, written to field.csv and extended for
-    labeling.csv.
-    """
-    columns, header = _table(_point_columns(labeling.grid), labeling.field.channels())
-    write_csv_files(
-        columns + [_id_column(labeling.cell_id)],
-        [(field_path, header, len(columns)), (labeling_path, header + ",cell_id", None)],
-    )
 
 
 def partition_invariance_score(
@@ -606,7 +603,10 @@ def eigenfunction_partition(
     multiplier is then exp(lam*dt)); a negative or NaN dt raises
     UsageError, and a NaN or +-inf sample PreconditionError.  The evolution
     rule multiplies a sample by the multiplier and re-bins; agreement with
-    the actually observed next sample is reported as 1 - mismatch_rate.
+    the actually observed next sample is reported as 1 - mismatch_rate.  A
+    prediction within 1e-9 |phi_{k+1}| of the next sample is a match whatever
+    its bin: there the labels differ only by the rounding of a sample that
+    lies on a bin edge.
     """
     phi = np.asarray(phi_samples).reshape(-1)
     if phi.size < 2:
@@ -617,19 +617,19 @@ def eigenfunction_partition(
     _refuse_non_finite(phi[:, None], "eigenfunction sample")
     phi = phi.astype(complex)
 
-    mod_idx, mod_edges = _quantile_bins(np.abs(phi), bins)
+    mod_edges = _quantile_bins(np.abs(phi), bins)[1]
     phase_edges = np.linspace(-np.pi, np.pi, bins + 1)[1:-1]
-    ph_idx = np.searchsorted(phase_edges, np.angle(phi), side="right")
-    codes = mod_idx * bins + ph_idx
-    _, cell = np.unique(codes, return_inverse=True)
 
     def label_of(values):
         mi = np.searchsorted(mod_edges, np.abs(values), side="right")
         pi = np.searchsorted(phase_edges, np.angle(values), side="right")
         return mi * bins + pi
 
-    predicted = label_of(mu * phi[:-1])
-    actual = codes[1:]
-    mismatch = float(np.mean(predicted != actual))
+    codes = label_of(phi)
+    _, cell = np.unique(codes, return_inverse=True)
+    predicted = mu * phi[:-1]
+    with np.errstate(over="ignore"):  # an overflowed gap is inf: not a rounding
+        rounding = np.abs(predicted - phi[1:]) <= 1e-9 * np.abs(phi[1:])
+    mismatch = float(np.mean((label_of(predicted) != codes[1:]) & ~rounding))
     return EigenfunctionPartition(cell_id=cell, bin_edges=(mod_edges, phase_edges),
                                   multiplier=mu, mismatch_rate=mismatch)

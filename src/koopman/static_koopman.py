@@ -141,17 +141,9 @@ def conditional_expectation_projection(f_samples, fiber_labels) -> np.ndarray:
     inv, K = _factorize(fiber_labels)
     if inv.size != F.shape[0]:
         raise UsageError("labels and samples must have equal length")
-    counts = np.bincount(inv, minlength=K)
-    means = np.empty((K, F.shape[1]), dtype=F.dtype)
-    for c in range(F.shape[1]):
-        col = F[:, c]
-        if np.iscomplexobj(col):
-            num = np.bincount(inv, weights=col.real, minlength=K) + 1j * np.bincount(
-                inv, weights=col.imag, minlength=K
-            )
-        else:
-            num = np.bincount(inv, weights=col, minlength=K)
-        means[:, c] = num / counts
+    means = np.zeros((K, F.shape[1]), dtype=F.dtype)
+    np.add.at(means, inv, F)  # in sample order, real and imaginary parts alike
+    means /= np.bincount(inv, minlength=K)[:, None]
     # exactness: fibers whose samples already agree keep their value
     _, first_idx = np.unique(inv, return_index=True)
     firsts = F[first_idx]

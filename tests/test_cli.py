@@ -1043,11 +1043,20 @@ def test_emit_lattice_rejects_negative_truncation():
 
 
 @pytest.mark.parametrize(
-    "flag, value",
-    [("--c", "nan"), ("--c", "inf"), ("--omega", "nan"), ("--omega", "-inf"), ("--N", "-1")],
+    "flags",
+    [
+        {"--c": "nan"},
+        {"--c": "inf"},
+        {"--omega": "nan"},
+        {"--omega": "-inf"},
+        {"--N": "-1"},
+        {"--c": "1e155"},  # c*c overflows, and 0 * inf gave nan rows
+        {"--omega": "1e308", "--N": "2"},  # 2 * omega overflows, which gave an inf row
+    ],
+    ids=lambda flags: "-".join(f"{k}-{v}" for k, v in flags.items()),
 )
-def test_lattice_refuses_unusable_input_with_exit_2(tmp_path, capsys, flag, value):
-    args = {"--c": str(SQRT7), "--omega": "1.0", "--N": "1", "--M": "1", flag: value}
+def test_lattice_refuses_unusable_input_with_exit_2(tmp_path, capsys, flags):
+    args = {"--c": str(SQRT7), "--omega": "1.0", "--N": "1", "--M": "1", **flags}
     out_file = tmp_path / "lattice.csv"
     argv = ["lattice", *(f"{k}={v}" for k, v in args.items()), "--out", str(out_file)]
     assert cli.main(argv) == 2

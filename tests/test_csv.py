@@ -34,7 +34,6 @@ from koopman.partitions import (
     ergodic_partition_approx,
     gla_eigenfunction,
     time_average,
-    write_partition_csv,
 )
 from koopman.systems import SystemSpec
 
@@ -357,13 +356,11 @@ def test_partition_files_give_savetxt_bytes(tmp_path, case):
     want_labeling = savetxt_bytes(
         tmp_path, np.column_stack([field_rows, labeling.cell_id]), header + ",cell_id"
     )
-    write_partition_csv(labeling, tmp_path / "field.csv", tmp_path / "labeling.csv")
+    labeling.to_csv(tmp_path / "field.csv", tmp_path / "labeling.csv")
     assert (tmp_path / "field.csv").read_bytes() == want_field
     assert (tmp_path / "labeling.csv").read_bytes() == want_labeling
     field.to_csv(tmp_path / "field_alone.csv")
-    labeling.to_csv(tmp_path / "labeling_alone.csv")
     assert (tmp_path / "field_alone.csv").read_bytes() == want_field
-    assert (tmp_path / "labeling_alone.csv").read_bytes() == want_labeling
 
 
 def test_distinct_value_columns_in_a_complex_table_give_savetxt_bytes(tmp_path):
@@ -391,7 +388,7 @@ def test_partition_pair_allocates_blocks_not_the_file(tmp_path):
     labeling = ergodic_partition_approx(field, bins_per_obs=3)
     tracemalloc.start()
     try:
-        write_partition_csv(labeling, tmp_path / "field.csv", tmp_path / "labeling.csv")
+        labeling.to_csv(tmp_path / "field.csv", tmp_path / "labeling.csv")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

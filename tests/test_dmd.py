@@ -146,13 +146,6 @@ def test_companion_fibonacci_recurrence():
     )
 
 
-def test_companion_eigenvalues_are_solved_once_and_read_only():
-    model = companion_dmd(SnapshotPair(X=[[1.0, 1.0]], Xp=[[1.0, 2.0]]))
-    assert model.eigenvalues is model.eigenvalues
-    with pytest.raises(ValueError, match="read-only"):
-        model.eigenvalues[0] = 0.0
-
-
 def test_companion_structure_and_rank_warning():
     pair = SnapshotPair(X=np.ones((1, 3)), Xp=np.ones((1, 3)))
     with pytest.warns(RuntimeWarning, match="ill-posed"):

@@ -321,6 +321,10 @@ _GUARDS = {
     "json_phase_with_powers": (
         lambda: Observable.from_json({"name": "z", "type": "phase", "k": [0, 1], "powers": [3, 3]}),
         "z: phase takes no powers"),
+    # the schema refuses any other field of a config entry, and so does from_json
+    "json_unknown_field": (
+        lambda: Observable.from_json({"name": "z", "type": "phase", "k": [1.0], "kk": [2.0]}),
+        "z: unknown observable JSON field 'kk'"),
 }
 
 

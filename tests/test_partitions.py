@@ -891,6 +891,7 @@ def test_eigenfunction_partition_rotation_phases():
 @example(0.3, 0.0, 2, 50, 0.3, -1.0)  # the smallest rotation and offset
 @example(3.0, 6.28, 8, 600, np.pi, 1.0)
 @example(np.pi / 2, 0.1, 4, 100, np.pi / 2, 1.0)  # off by exactly one phase bin
+@example(np.pi / 2, 0.0, 4, 100, np.pi / 2, 1.0)  # every sample on a phase-bin edge
 @example(1.0, np.pi, 3, 200, 2 * np.pi / 3, -1.0)  # theta0 on the angle's branch cut
 def test_eigenfunction_level_sets_move_by_the_exact_multiplier_only(
     omega, theta0, bins, n, delta, sign
@@ -1013,7 +1014,7 @@ def test_labeling_csv_layout(tmp_path):
     field = time_average(d, spec, grid, n=50)
     lab = ergodic_partition_approx(field, bins_per_obs=3)
     path = tmp_path / "part.csv"
-    lab.to_csv(path)
+    lab.to_csv(tmp_path / "field.csv", path)
     header = path.read_text().splitlines()[0]
     assert header == "x,y,g*_1,cell_id"
     rows = np.loadtxt(path, delimiter=",", skiprows=1)

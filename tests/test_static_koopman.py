@@ -253,6 +253,59 @@ def test_fiber_projection_is_an_orthogonal_projection(samples):
     assert np.abs(by_matrix - Pf).max() <= 4 * n * eps * np.abs(f).max()
 
 
+def _fiber_means_by_column(f, labels):
+    """conditional_expectation_projection as one bincount per column, a
+    complex column as two (its real and imaginary parts): the reference for
+    the one-block accumulation."""
+    F = f[:, None] if f.ndim == 1 else f
+    _, inv = np.unique(labels, return_inverse=True)
+    K = int(inv.max()) + 1
+    counts = np.bincount(inv, minlength=K)
+    means = np.empty((K, F.shape[1]), dtype=F.dtype)
+    for c in range(F.shape[1]):
+        col = F[:, c]
+        if np.iscomplexobj(col):
+            num = np.bincount(inv, weights=col.real, minlength=K) + 1j * np.bincount(
+                inv, weights=col.imag, minlength=K
+            )
+        else:
+            num = np.bincount(inv, weights=col, minlength=K)
+        means[:, c] = num / counts
+    _, first_idx = np.unique(inv, return_index=True)
+    firsts = F[first_idx]
+    same = ~np.isin(np.arange(K), inv[np.any(F != firsts[inv], axis=1)])
+    means[same] = firsts[same]
+    out = means[inv]
+    return out[:, 0] if f.ndim == 1 else out
+
+
+@st.composite
+def _fiber_blocks(draw):
+    """Fiber labels and a real or complex, 1-D or 2-D sample block drawn at
+    a scale from 1e-5 to 1e4."""
+    labels = np.array(draw(st.lists(st.integers(0, 5), min_size=1, max_size=40)))
+    width = draw(st.integers(0, 3))  # 0: a 1-D block
+    shape = (labels.size,) if width == 0 else (labels.size, width)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        f = f + 1j * rng.standard_normal(shape)
+    return labels, f * 10.0 ** draw(st.integers(-5, 4))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_fiber_blocks())
+@example((np.arange(4), np.array([1.0, -2.0, 3.0, 0.5])))  # fibers of one sample
+@example((np.array([2, 0, 2, 1]), np.array([[1.0 + 2j, 3.0], [-1j, 0.5], [7.0, -2.0],
+                                            [0.25, 1j]])))  # one singleton, complex 2-D
+def test_fiber_means_keep_the_bits_of_the_per_column_route(samples):
+    labels, f = samples
+    got = conditional_expectation_projection(f, labels)
+    want = _fiber_means_by_column(f, labels)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @st.composite
 def _conditioned_maps(draw):
     """A 1-5-D real matrix B with normal-float entries and cond(B) <= 1e6."""
