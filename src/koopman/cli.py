@@ -20,11 +20,14 @@ which the schema's `method_params` properties and per-method rules are
 built.
 Each dictionary builder is declared once, in `_BUILDERS`, and the schema
 of an observable entry is built from `observables.KINDS`.
-The argparse parser and one validator per method are built once per
-process, on first use.  A method's validator is `CONFIG_SCHEMA` with the
+A config is checked against `CONFIG_SCHEMA` by a small walker of the
+Draft 7 keywords the schema uses, which gives jsonschema's verdict and
+message; jsonschema itself is needed only by the tests.
+The argparse parser and one schema per method are built once per
+process, on first use.  A method's schema is `CONFIG_SCHEMA` with the
 per-method rules cut to that method's own, so it reports the errors the
 full schema would; a config whose method is missing, unknown or not a
-string fails every per-method rule's condition, so its validator has none.
+string fails every per-method rule's condition, so its schema has none.
 A runner opens no file and prints nothing: it returns the summary's
 eigenvalues and residuals plus `files`, a map from artifact name to either
 a JSON payload or a `writer(path)` (a tuple of names maps to a
@@ -58,7 +61,6 @@ from contextlib import suppress
 from functools import cache, partial
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from ._artifacts import json_writer, strict_json, write_csv, write_json
@@ -793,35 +795,173 @@ def _load_config(path: str) -> dict:
     return config
 
 
-# Draft 7 counts 3.0 as an integer, which would then fail where the value
-# is used as a count or an index; here an integer is a JSON integer.
-_ConfigValidator = jsonschema.validators.extend(
-    jsonschema.Draft7Validator,
-    type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)
-    ),
-)
+# ------------------------------------------------------------- validation
+#
+# _schema_errors interprets the Draft 7 keywords CONFIG_SCHEMA uses, with
+# jsonschema's messages, in its order: each schema's keywords in dict order.
+# A keyword it does not know raises KeyError.  An integer is a JSON integer:
+# Draft 7 counts 3.0 as one, which would then fail where the value is used as
+# a count or an index.
+
+
+_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+
+
+def _schema_errors(instance, schema, path=()):
+    """(path, message) of each way `instance` fails `schema`; a path is the
+    tuple of keys and indices from the config's root."""
+    if schema is True:
+        return
+    for keyword, value in schema.items():
+        yield from _KEYWORDS[keyword](value, instance, schema, path)
+
+
+def _fails(instance, schema) -> bool:
+    return next(_schema_errors(instance, schema), None) is not None
+
+
+def _type(types, instance, schema, path):
+    types = [types] if isinstance(types, str) else types
+    if not any(_TYPES[t](instance) for t in types):
+        yield path, f"{instance!r} is not of type {', '.join(map(repr, types))}"
+
+
+def _enum(values, instance, schema, path):
+    # every enum lists strings, which `in` compares as jsonschema does
+    if instance not in values:
+        yield path, f"{instance!r} is not one of {values!r}"
+
+
+def _required(names, instance, schema, path):
+    if isinstance(instance, dict):
+        for name in names:
+            if name not in instance:
+                yield path, f"{name!r} is a required property"
+
+
+def _properties(schemas, instance, schema, path):
+    if isinstance(instance, dict):
+        for name, sub in schemas.items():
+            if name in instance:
+                yield from _schema_errors(instance[name], sub, (*path, name))
+
+
+def _additional_properties(extra, instance, schema, path):
+    if not isinstance(instance, dict):
+        return
+    declared = schema.get("properties", {})
+    extras = [name for name in instance if name not in declared]
+    if isinstance(extra, dict):
+        for name in extras:
+            yield from _schema_errors(instance[name], extra, (*path, name))
+    elif not extra and extras:
+        verb = "was" if len(extras) == 1 else "were"
+        names = ", ".join(map(repr, sorted(extras)))
+        yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+
+
+def _items(sub, instance, schema, path):
+    if isinstance(instance, list):
+        for i, item in enumerate(instance):
+            yield from _schema_errors(item, sub, (*path, i))
+
+
+def _min_size(kind):
+    """minItems or minLength: at least that many items of an array, or
+    characters of a string."""
+    def check(least, instance, schema, path):
+        if _TYPES[kind](instance) and len(instance) < least:
+            yield path, f"{instance!r} {'should be non-empty' if least == 1 else 'is too short'}"
+    return check
+
+
+def _max_items(most, instance, schema, path):
+    if isinstance(instance, list) and len(instance) > most:
+        yield path, f"{instance!r} {'is expected to be empty' if most == 0 else 'is too long'}"
+
+
+def _minimum(least, instance, schema, path):
+    if _TYPES["number"](instance) and instance < least:
+        yield path, f"{instance!r} is less than the minimum of {least!r}"
+
+
+def _property_names(sub, instance, schema, path):
+    if isinstance(instance, dict):
+        for name in instance:  # an error is the object's, not the name's
+            yield from _schema_errors(name, sub, path)
+
+
+def _all_of(schemas, instance, schema, path):
+    for sub in schemas:
+        yield from _schema_errors(instance, sub, path)
+
+
+def _any_of(schemas, instance, schema, path):
+    if all(_fails(instance, sub) for sub in schemas):
+        yield path, f"{instance!r} is not valid under any of the given schemas"
+
+
+def _if(condition, instance, schema, path):
+    branch = "else" if _fails(instance, condition) else "then"
+    if branch in schema:
+        yield from _schema_errors(instance, schema[branch], path)
+
+
+def _no_check(value, instance, schema, path):
+    return ()
+
+
+# keyword -> check(value, instance, schema, path), yielding (path, message)
+_KEYWORDS = {
+    "$schema": _no_check,
+    "type": _type,
+    "enum": _enum,
+    "required": _required,
+    "properties": _properties,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "minItems": _min_size("array"),
+    "maxItems": _max_items,
+    "minLength": _min_size("string"),
+    "minimum": _minimum,
+    "propertyNames": _property_names,
+    "allOf": _all_of,
+    "anyOf": _any_of,
+    "if": _if,
+    "then": _no_check,  # read by "if"
+    "else": _no_check,
+}
 
 
 @cache
-def _method_validator(method: str | None):
+def _method_schema(method: str | None) -> dict:
     """CONFIG_SCHEMA with its per-method rules cut to `method`'s own.
 
     On a config whose method is `method`, or None for one missing, unknown or
     not a string, every other rule's `if` fails, so this yields the errors of
     the full schema, in the same order, without testing an `if` per method.
     """
-    return _ConfigValidator({**CONFIG_SCHEMA, "allOf": [_METHOD_RULES[method]] if method else []})
+    return {**CONFIG_SCHEMA, "allOf": [_METHOD_RULES[method]] if method else []}
 
 
 def _validate_config(config: dict) -> None:
+    """Raise UsageError('at <path>: <message>') for the first error by path,
+    the one jsonschema's errors sorted by path would start with."""
     method = config.get("method")
-    validator = _method_validator(method if method in METHODS else None)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise jsonschema.ValidationError(f"at {where}: {err.message}")
+    schema = _method_schema(method if method in METHODS else None)
+    # min keeps the first of equal paths, as a stable sort does
+    error = min(_schema_errors(config, schema), key=lambda e: e[0], default=None)
+    if error:
+        path, message = error
+        raise UsageError(f"at {'/'.join(map(str, path)) or '<root>'}: {message}")
 
 
 @cache
@@ -912,8 +1052,8 @@ def main(argv=None) -> int:
         return 2
     try:
         _validate_config(config)
-    except jsonschema.ValidationError as exc:
-        print(f"config invalid {exc.message}", file=sys.stderr)
+    except UsageError as exc:
+        print(f"config invalid {exc}", file=sys.stderr)
         return 2
 
     out_dir = args.out or config.get("output", {}).get("dir", ".")

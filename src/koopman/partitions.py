@@ -491,7 +491,9 @@ def _quantile_bins(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarra
     so such channels collapse to a single bin.
     """
     finite = values[np.isfinite(values)]
-    if finite.size == 0 or np.ptp(finite) <= 1e-9 * max(1.0, np.abs(finite).max()):
+    with np.errstate(over="ignore"):  # a range beyond the float range is inf: not flat
+        flat = finite.size == 0 or np.ptp(finite) <= 1e-9 * max(1.0, np.abs(finite).max())
+    if flat:
         return np.zeros(values.shape, dtype=int), np.array([])
     qs = np.arange(1, bins) / bins
     edges = np.quantile(finite, qs)
@@ -606,7 +608,8 @@ def eigenfunction_partition(
     the actually observed next sample is reported as 1 - mismatch_rate.  A
     prediction within 1e-9 |phi_{k+1}| of the next sample is a match whatever
     its bin: there the labels differ only by the rounding of a sample that
-    lies on a bin edge.
+    lies on a bin edge.  A prediction that leaves the float range is a
+    mismatch.
     """
     phi = np.asarray(phi_samples).reshape(-1)
     if phi.size < 2:
@@ -627,9 +630,12 @@ def eigenfunction_partition(
 
     codes = label_of(phi)
     _, cell = np.unique(codes, return_inverse=True)
-    predicted = mu * phi[:-1]
-    with np.errstate(over="ignore"):  # an overflowed gap is inf: not a rounding
+    # a prediction past the float range (inf, or nan from inf - inf inside a
+    # complex product) is a mismatch, and an overflowed gap no rounding
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = mu * phi[:-1]
         rounding = np.abs(predicted - phi[1:]) <= 1e-9 * np.abs(phi[1:])
-    mismatch = float(np.mean((label_of(predicted) != codes[1:]) & ~rounding))
+    missed = (label_of(predicted) != codes[1:]) | ~np.isfinite(predicted)
+    mismatch = float(np.mean(missed & ~rounding))
     return EigenfunctionPartition(cell_id=cell, bin_edges=(mod_edges, phase_edges),
                                   multiplier=mu, mismatch_rate=mismatch)

@@ -717,6 +717,21 @@ def test_partition_run_writes_field_labels_and_score(tmp_path):
     assert labeling["invariance_score"] >= 0.99
 
 
+def test_partition_channel_whose_range_passes_the_float_range_runs_without_warning(tmp_path):
+    # x**3 on this axis spans -1.76e308..1.76e308: the channel's range is
+    # inf, which is not flat, and numpy used to warn "overflow encountered in
+    # subtract" while finding that out (an error under the suite's filter)
+    cfg = {
+        "method": "partition",
+        "system": {"kind": "linear_map", "params": {"B": [[1.0]]}},
+        "dictionary": [{"name": "cube", "type": "monomial", "powers": [3]}],
+        "sampling": {"n": 1, "grid": {"axes": [{"lo": -5.6e102, "hi": 5.6e102, "n": 3}]}},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert load_summary(out)["residuals"]["n_cells"] == 3
+
+
 def test_only_a_partition_run_trims_the_heap(tmp_path, monkeypatch):
     assert cli._malloc_trim()(0) in (0, 1)  # glibc's, or the no-op elsewhere
     with mock.patch("ctypes.CDLL", side_effect=OSError):
@@ -1228,16 +1243,30 @@ def _validation_message(cfg):
     """The message `_validate_config` refuses `cfg` with, or None."""
     try:
         cli._validate_config(cfg)
-    except jsonschema.ValidationError as exc:
-        return exc.message
+    except UsageError as exc:
+        return str(exc)
     return None
 
 
-def _full_schema_message(cfg):
-    """The same, with every config checked against the whole CONFIG_SCHEMA."""
-    full = cli._ConfigValidator(cli.CONFIG_SCHEMA)
-    with mock.patch.object(cli, "_method_validator", lambda method: full):
-        return _validation_message(cfg)
+# jsonschema's Draft 7 validator, with an integer a JSON integer as in the
+# package (Draft 7 counts 3.0 as one)
+_JsonschemaValidator = jsonschema.validators.extend(
+    jsonschema.Draft7Validator,
+    type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)
+    ),
+)
+
+
+def _jsonschema_message(cfg):
+    """The same message from jsonschema over the whole CONFIG_SCHEMA: its
+    first error after a stable sort by path."""
+    errors = sorted(_JsonschemaValidator(CONFIG_SCHEMA).iter_errors(cfg),
+                    key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    where = "/".join(str(p) for p in errors[0].absolute_path) or "<root>"
+    return f"at {where}: {errors[0].message}"
 
 
 _METHOD_SITE = ("torus_pinv_dmd.json", ("method",))
@@ -1261,10 +1290,75 @@ def _pinned(test):
 @given(site=st.sampled_from(FUZZ_SITES), value=st.sampled_from((DELETE, *FUZZ_VALUES)))
 @_pinned
 def test_method_validator_gives_the_full_schema_verdict(site, value):
+    # two routes: the package's walker over the schema cut to the config's
+    # method, and jsonschema over the whole schema
     name, path = site
     cfg = copy.deepcopy(FUZZ_CONFIGS[name])
     _mutate(cfg, path, value)
-    assert _validation_message(cfg) == _full_schema_message(cfg)
+    assert _validation_message(cfg) == _jsonschema_message(cfg)
+
+
+# single-field mutations mostly fail at one path; these fail at two, or
+# twice at one, where the first by path wins and, of two at one path, the
+# one jsonschema meets first
+_MULTI_FAULT = {
+    "two-paths": ("torus_pinv_dmd.json", {("sampling", "n"): 0, ("system", "kind"): "x"}),
+    "deep-before-shallow": ("limit_cycle_edmd.json",
+                            {("dictionary", 1, "name"): "", ("sampling", "zz"): 1}),
+    "root-twice": ("torus_pinv_dmd.json", {("system",): DELETE, ("zz",): 1}),
+    "one-name-twice": ("circle_gla.json",
+                       {("method_params", "bins"): 3, ("method_params", "threshold"): 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MULTI_FAULT))
+def test_validator_reports_the_error_jsonschema_sorts_first(case):
+    name, faults = _MULTI_FAULT[case]
+    cfg = copy.deepcopy(FUZZ_CONFIGS[name])
+    for path, value in faults.items():
+        _mutate(cfg, path, value)
+    assert len(list(_JsonschemaValidator(CONFIG_SCHEMA).iter_errors(cfg))) >= 2
+    assert _validation_message(cfg) == _jsonschema_message(cfg)
+
+
+def _schema_keywords(schema):
+    """(keyword, value) of `schema` and of every schema inside it."""
+    assert schema is True or isinstance(schema, dict), schema  # the walker's two forms
+    if schema is True:
+        return
+    for keyword, value in schema.items():
+        yield keyword, value
+        if keyword == "properties":
+            inner = list(value.values())
+        elif keyword in ("allOf", "anyOf"):
+            inner = value
+        elif keyword == "additionalProperties":  # False or True: no schema, read as a flag
+            inner = [value] if isinstance(value, dict) else []
+        elif keyword in ("items", "propertyNames", "if", "then", "else"):
+            inner = [value]
+        else:
+            inner = []
+        for sub in inner:
+            yield from _schema_keywords(sub)
+
+
+def test_validator_knows_every_keyword_the_config_schema_uses():
+    # a keyword the walker does not interpret raises only where a config
+    # reaches it, so every branch is walked here: each method's rules and
+    # each observable kind's fields
+    used = [pair for schema in (CONFIG_SCHEMA, *cli._METHOD_RULES.values())
+            for pair in _schema_keywords(schema)]
+    assert {keyword for keyword, _ in used} <= set(cli._KEYWORDS)
+    assert {t for keyword, types in used if keyword == "type"
+            for t in ([types] if isinstance(types, str) else types)} <= set(cli._TYPES)
+    # the walker tests an enum with `in`, which is jsonschema's equality for strings
+    assert all(isinstance(v, str) for keyword, values in used if keyword == "enum"
+               for v in values)
+    kinds = {kind for keyword, cond in _schema_keywords(cli._OBSERVABLE) if keyword == "if"
+             for kind in cond["properties"]["type"]["enum"]}
+    assert kinds == set(JSON_KINDS)
+    with pytest.raises(KeyError, match="not"):
+        list(cli._schema_errors({}, {"not": {}}))
 
 
 def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):

@@ -1,9 +1,10 @@
-"""scipy is imported by the one function that calls it, never at import time.
+"""scipy is imported by the one function that calls it, never at import time,
+and jsonschema, which only the tests use, not at all.
 
 Each case runs in a fresh interpreter, since this process has long since
-loaded scipy through other tests.  Four tests check the sources: the
-functions that import scipy are exactly the first-user cases, only
-koopman._artifacts writes files, only koopman.cli reads one (the
+loaded scipy and jsonschema through other tests.  Four tests check the
+sources: the functions that import scipy are exactly the first-user cases,
+only koopman._artifacts writes files, only koopman.cli reads one (the
 config), and koopman.__all__ is the list of the names the package imports.
 """
 
@@ -22,19 +23,20 @@ import koopman
 SRC = str(Path(koopman.__file__).resolve().parents[1])
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
-REPORT_SCIPY = """
+REPORT_MODULES = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))
 """
 
 
-def scipy_modules_after(code: str) -> list:
-    """Names of the scipy modules loaded by `code` in a fresh interpreter."""
+def scipy_modules_after(code: str, prefix: str = "scipy") -> list:
+    """Names of the modules starting with `prefix` that `code` loads in a
+    fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     ))
     done = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code) + REPORT_SCIPY],
+        [sys.executable, "-c", textwrap.dedent(code) + REPORT_MODULES.format(prefix=prefix)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -143,6 +145,12 @@ def test_small_config_runs_load_only_what_spectral_triple_needs(tmp_path):
 @pytest.mark.parametrize("name", ["circle_gla", "torus_repr_check"])
 def test_gla_and_faithfulness_runs_load_no_scipy(tmp_path, name):
     assert scipy_modules_after(_runs(tmp_path, [name])) == []
+
+
+def test_importing_the_cli_and_running_a_config_load_no_jsonschema(tmp_path):
+    # configs are checked by the package's own schema walker
+    assert scipy_modules_after("import koopman.cli\n", "jsonschema") == []
+    assert scipy_modules_after(_runs(tmp_path, ["torus_repr_check"]), "jsonschema") == []
 
 
 def _file_writes(tree) -> list:

@@ -909,6 +909,14 @@ def test_eigenfunction_level_sets_move_by_the_exact_multiplier_only(
         assert wrong.mismatch_rate > 0.0
 
 
+def test_eigenfunction_prediction_beyond_the_float_range_is_a_mismatch():
+    # 3 * 1e308 overflows: numpy used to warn (an error under the suite's
+    # filter), and the inf prediction fell in the one modulus bin of the
+    # flat samples, so it counted as a match
+    part = eigenfunction_partition(np.full(3, 1e308), 3.0, bins=2)
+    assert part.mismatch_rate == 1.0
+
+
 @pytest.mark.parametrize("dt", [-0.1, float("nan")])
 def test_multiplier_refuses_a_step_that_is_negative_or_nan(dt):
     # both functions form the multiplier one way: lam for dt None or 0,
