@@ -24,6 +24,7 @@ from .errors import (
     DegenerateFitError,
     DivergenceError,
     KoopmanError,
+    KoopmanWarning,
     ObservableDomainError,
     PreconditionError,
     UsageError,
@@ -94,6 +95,7 @@ __all__ = [
     "DefectiveMatrixError",
     "DegenerateFitError",
     "PreconditionError",
+    "KoopmanWarning",
     "SystemSpec",
     "Trajectory",
     "integrate",

@@ -119,24 +119,29 @@ def strict_json(payload, name: str) -> str:
     """payload as the text of json.dumps(tree, indent=2, sort_keys=True,
     allow_nan=False), tree being payload with each complex number, numpy's
     complex128 included, replaced by {"re": ..., "im": ...} and each ndarray
-    by its .tolist(); a NaN or +-inf in it raises KoopmanError naming `name`.
+    by its .tolist().  A NaN or +-inf raises KoopmanError naming `name` and
+    the first such number's key path (`summary.json residuals.x`, `eigenvalues[3]`).
 
     Dicts need str keys.  Like json.dumps, a type JSON has no value for
     (np.int64, np.float32, np.bool_, ...) raises TypeError.
     """
-    return _json(payload, "\n", name)
+    try:
+        return _json(payload, "\n")
+    except ValueError:  # the path is looked for only now: encoding pays nothing for it
+        where = " ".join(filter(None, (name, _non_finite_path(payload))))
+        raise KoopmanError(f"{where} would hold a non-finite number") from None
 
 
-def _json(o, nl: str, name: str) -> str:
+def _json(o, nl: str) -> str:
     """o as JSON text whose own lines are indented by `nl` (a newline and spaces)."""
     # numbers first: they are most of the values (a bool is an int, not a float)
     if isinstance(o, complex):
         if not cmath.isfinite(o):
-            raise _non_finite(name)
+            raise ValueError  # as json.dumps(allow_nan=False) does
         return _complex(o, nl)
     if isinstance(o, float):
         if not math.isfinite(o):
-            raise _non_finite(name)
+            raise ValueError
         return float.__repr__(o)
     if isinstance(o, str):
         return encode_basestring_ascii(o)
@@ -149,18 +154,18 @@ def _json(o, nl: str, name: str) -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, np.ndarray):
-        return _json(o.tolist(), nl, name)
+        return _json(o.tolist(), nl)
     inner = nl + "  "
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        return f"[{inner}{(',' + inner).join([_json(v, inner, name) for v in o])}{nl}]"
+        return f"[{inner}{(',' + inner).join([_json(v, inner) for v in o])}{nl}]"
     if isinstance(o, dict):
         if not o:
             return "{}"
         if not all(isinstance(k, str) for k in o):
             raise TypeError("JSON object keys must be str")
-        items = [f"{encode_basestring_ascii(k)}: {_json(o[k], inner, name)}" for k in sorted(o)]
+        items = [f"{encode_basestring_ascii(k)}: {_json(o[k], inner)}" for k in sorted(o)]
         return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -171,8 +176,19 @@ def _complex(z: complex, nl: str) -> str:
     return f'{{{inner}"im": {float.__repr__(z.imag)},{inner}"re": {float.__repr__(z.real)}{nl}}}'
 
 
-def _non_finite(name: str) -> KoopmanError:
-    return KoopmanError(f"{name} would hold a non-finite number")  # JSON has no NaN or inf
+def _non_finite_path(o, path: str = ""):
+    """The key path of the first NaN or +-inf in o, in the order _json writes
+    o (`.key` for a dict entry, `[i]` for an item), or None."""
+    if isinstance(o, np.ndarray):
+        o = o.tolist()
+    if isinstance(o, dict):
+        children = [(f"{path}.{k}" if path else k, o[k]) for k in sorted(o)]
+    elif isinstance(o, (list, tuple)):
+        children = [(f"{path}[{i}]", v) for i, v in enumerate(o)]
+    else:
+        return path if isinstance(o, (float, complex)) and not cmath.isfinite(o) else None
+    paths = (_non_finite_path(v, sub) for sub, v in children)
+    return next((p for p in paths if p is not None), None)
 
 
 def json_writer(payload, name: str):

@@ -104,8 +104,6 @@ from .systems import (
     step_map_batch,
 )
 
-_MERSENNE_MASK = (1 << 64) - 1
-
 
 def _decode_number(v):
     if isinstance(v, dict):
@@ -301,9 +299,7 @@ def _run_static(config, spec, seed):
     lo, hi = params.get("box", [-1.0, 1.0])
     if lo > hi:
         raise UsageError(f"method_params.box needs low <= high, got [{lo}, {hi}]")
-    # the draw needs both bounds and their span as floats (an integer bound
-    # may lie beyond the float range)
-    if not all(abs(v) <= sys.float_info.max for v in (lo, hi, hi - lo)):
+    if not abs(hi - lo) <= sys.float_info.max:  # the draw needs its span as a float
         raise UsageError(f"method_params.box needs a span high - low within the float "
                          f"range, got [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
@@ -701,13 +697,26 @@ def _finite_float(literal: str) -> float:
     return value
 
 
+def _json_int(literal: str) -> int | float:
+    """An integer literal below 2**64 in magnitude as an int, any other as a float,
+    which no count accepts; the digits are counted first, so int() meets no digit limit."""
+    digits = len(literal) - literal.startswith("-")
+    if digits < 20 or (digits == 20 and abs(int(literal)) < 1 << 64):
+        return int(literal)
+    value = float(literal)
+    if not math.isfinite(value):
+        raise UsageError(f"integer of {digits} digits is beyond the float range")
+    return value
+
+
 def _apply_overrides(config: dict, overrides) -> dict:
     for item in overrides or []:
         if "=" not in item:
             raise UsageError(f"--set needs path=value, got {item!r}")
         path, raw = item.split("=", 1)
         try:
-            value = json.loads(raw, parse_float=_finite_float, parse_constant=_reject_constant)
+            value = json.loads(raw, parse_float=_finite_float, parse_int=_json_int,
+                               parse_constant=_reject_constant)
         except json.JSONDecodeError:
             value = raw
         keys = path.split(".")
@@ -754,7 +763,7 @@ def run(config: dict, out_dir) -> tuple[dict, list]:
     spec = SystemSpec(
         kind=config["system"]["kind"], params=config["system"].get("params", {})
     )
-    seed = int(config.get("sampling", {}).get("seed", 0)) & _MERSENNE_MASK
+    seed = config.get("sampling", {}).get("seed", 0)  # validated: an integer in [0, 2**64)
     method = config["method"]
     t0 = time.perf_counter()
     result = _RUNNERS[method][0](config, spec, seed)
@@ -788,7 +797,8 @@ def run(config: dict, out_dir) -> tuple[dict, list]:
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        config = json.load(fh, parse_float=_finite_float, parse_constant=_reject_constant)
+        config = json.load(fh, parse_float=_finite_float, parse_int=_json_int,
+                           parse_constant=_reject_constant)
     if not isinstance(config, dict):
         kind = type(config).__name__
         raise UsageError(f"top level must be a JSON object, got {kind}")

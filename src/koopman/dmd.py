@@ -13,13 +13,12 @@ coefficients of the data in the eigenfunction frame.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import SnapshotPair, _refuse_non_finite
-from .errors import DefectiveMatrixError, PreconditionError, UsageError
+from .errors import DefectiveMatrixError, PreconditionError, UsageError, warn
 
 _COND_EIGVEC_LIMIT = 1e8
 
@@ -100,11 +99,7 @@ def companion_dmd(pair: SnapshotPair) -> CompanionModel:
     C[:, -1] = c
     residual = _fit_residual(Xp, X, C)  # before the warning: no warning precedes an error
     if rank < m - 1:
-        warnings.warn(
-            f"companion fit ill-posed: rank(X)={rank} < m-1={m - 1}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warn(f"companion fit ill-posed: rank(X)={rank} < m-1={m - 1}")
     return CompanionModel(c=np.asarray(c, dtype=complex), C=C, residual=residual)
 
 
@@ -168,11 +163,7 @@ def spectral_triple(A, pair: SnapshotPair) -> SpectralTriple:
     rms = np.sqrt(np.mean(np.abs(Phi) ** 2, axis=1))
     for j in range(Phi.shape[0]):
         if rms[j] == 0.0:
-            warnings.warn(
-                f"eigenfunction {j} vanishes on the data; left unnormalized",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            warn(f"eigenfunction {j} vanishes on the data; left unnormalized")
             continue
         Phi[j] /= rms[j]
         peak = Phi[j, np.argmax(np.abs(Phi[j]))]
@@ -202,10 +193,6 @@ def continuous_time_eigenvalues(discrete, dt: float) -> np.ndarray:
         raise PreconditionError("eigenvalue 0 has no logarithm")
     logs = np.log(lam)
     if np.any(np.abs(logs.imag) > 0.9 * np.pi):
-        warnings.warn(
-            "discrete eigenvalue phase near +-pi: continuous frequency may be "
-            "aliased at this sampling step",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warn("discrete eigenvalue phase near +-pi: continuous frequency may be "
+             "aliased at this sampling step")
     return logs / dt

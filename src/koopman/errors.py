@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception and warning types shared across the package.
 
 Everything numerical raises a subclass of KoopmanError so the CLI can map
 library failures to a single exit code while argument/config mistakes stay
-distinguishable.
+distinguishable; every warning it issues is a KoopmanWarning, through `warn`.
 """
+
+import warnings
 
 
 class KoopmanError(Exception):
@@ -49,3 +51,12 @@ class DegenerateFitError(KoopmanError):
 
 class PreconditionError(KoopmanError):
     """A declared precondition failed (e.g. h o h_inv is not the identity)."""
+
+
+class KoopmanWarning(RuntimeWarning):
+    """A caveat on a result that exists: an ill-posed fit, an off-circle multiplier."""
+
+
+def warn(message: str) -> None:
+    """Issue message as a KoopmanWarning naming the line that called warn's caller."""
+    warnings.warn(message, KoopmanWarning, stacklevel=3)

@@ -16,14 +16,13 @@ nonlinearly when the only mass outside lands on declared library entries
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._artifacts import write_csv
 from .embedding import _refuse_non_finite
-from .errors import DegenerateDictionaryError, PreconditionError, UsageError
+from .errors import DegenerateDictionaryError, PreconditionError, UsageError, warn
 from .observables import ObservableDictionary
 from .systems import _states_of
 
@@ -123,12 +122,8 @@ def finite_section_matrix(dictionary: ObservableDictionary, traj) -> FiniteSecti
     scale = max(np.max(np.abs(U_lsq)), 1.0)
     disagreement = float(np.max(np.abs(U_avg - U_lsq)) / scale)
     if disagreement > _ROUTE_TOL:
-        warnings.warn(
-            f"average-form and least-squares section disagree by {disagreement:.3g}; "
-            "the dictionary is poorly conditioned on this data",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warn(f"average-form and least-squares section disagree by {disagreement:.3g}; "
+             "the dictionary is poorly conditioned on this data")
     return FiniteSectionMatrix(U_tilde=U_lsq, dictionary=dictionary,
                                route_disagreement=disagreement)
 

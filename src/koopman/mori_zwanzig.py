@@ -17,13 +17,12 @@ form that an exact grid quadrature must reproduce.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._artifacts import write_csv
-from .errors import PreconditionError, UsageError
+from .errors import PreconditionError, UsageError, warn
 from .finite_section import dual_basis
 from .observables import ObservableDictionary
 from .systems import TWO_PI, _states_of
@@ -222,7 +221,7 @@ def circle_rotation_closure(f: FourierObservable, omega: float, m_samples: int) 
         notes.append(f"analytic and empirical lambda disagree by {gap:.3g}; "
                      "the sampling grid does not integrate the modes exactly")
     for note in notes:
-        warnings.warn(note, RuntimeWarning, stacklevel=2)
+        warn(note)
     return {
         "lambda": lam_analytic,
         "lambda_empirical": lam_empirical,

@@ -3,11 +3,11 @@
 An observable maps an (m, d) block of states to m complex values.  Each
 kind is declared once, in `KINDS`: the field holding its parameter, whether
 its values are real, and the function that evaluates it.  Every kind
-evaluates on the block's coordinate columns (`StateColumns`): an (m, d)
-array is taken apart into views of its columns, and time_average hands its
-contiguous columns over as they are.  The k-kinds form k . x on the
-columns as k_j * x_j when k has one nonzero entry, and as the (m, d) array
-times k otherwise.
+evaluates on the block's d coordinate columns: an (m, d) array is handed
+over as its transpose, whose rows are views of its columns, and
+time_average hands over its tuple of contiguous columns as it is.  The
+k-kinds form k . x on the columns as k_j * x_j when k has one nonzero
+entry, and as the (m, d) matrix times k otherwise.
 
   kind        parameter  real  value
   constant    -          yes   1
@@ -42,28 +42,9 @@ from .errors import ObservableDomainError, UsageError
 from .systems import TWO_PI
 
 
-class StateColumns:
-    """An (m, d) block of states, read by its d coordinate columns.
-
-    `columns[j]` is coordinate j as a 1-D array and `shape` is (m, d).
-    `matrix` is the (m, d) array the columns are views of, or None when the
-    block holds only its columns (time_average's contiguous ones).
-    """
-
-    __slots__ = ("columns", "matrix", "shape")
-
-    def __init__(self, columns, matrix: np.ndarray = None):
-        self.columns = columns
-        self.matrix = matrix
-        self.shape = matrix.shape if matrix is not None else (len(columns[0]), len(columns))
-
-    @classmethod
-    def of(cls, states: np.ndarray) -> "StateColumns":
-        return cls(states.T, states)
-
-    def stacked(self) -> np.ndarray:
-        """The block as an (m, d) array: `matrix`, or the columns stacked in C order."""
-        return self.matrix if self.matrix is not None else np.column_stack(self.columns)
+def _matrix(cols) -> np.ndarray:
+    """The (m, d) states of d columns: the array cols transposes, or the tuple stacked."""
+    return cols.T if isinstance(cols, np.ndarray) else np.column_stack(cols)
 
 
 def _single_nonzero(k: tuple):
@@ -72,7 +53,7 @@ def _single_nonzero(k: tuple):
     return nonzero[0] if len(nonzero) == 1 else None
 
 
-def _dot(obs, block) -> np.ndarray:
+def _dot(obs, cols) -> np.ndarray:
     """k . x for every state of the block.
 
     With one nonzero k_j this is k_j * x_j, which on finite states has the
@@ -84,18 +65,18 @@ def _dot(obs, block) -> np.ndarray:
     """
     j = _single_nonzero(obs.k)
     if j is None:
-        return block.stacked() @ np.asarray(obs.k)
-    out = obs.k[j] * block.columns[j]
+        return _matrix(cols) @ np.asarray(obs.k)
+    out = obs.k[j] * cols[j]
     out += 0.0
     return out
 
 
-def _monomial(obs, block) -> np.ndarray:
-    out = np.ones(block.shape[0])
+def _monomial(obs, cols) -> np.ndarray:
+    out = np.ones(len(cols[0]))
     for i, p in enumerate(obs.powers):
         if p == 0.0:
             continue
-        base = block.columns[i]
+        base = cols[i]
         if p.is_integer():
             if p < 0:
                 bad = np.flatnonzero(base == 0.0)
@@ -110,9 +91,10 @@ def _monomial(obs, block) -> np.ndarray:
     return out
 
 
-def _custom(obs, block) -> np.ndarray:
-    values = np.asarray(obs.fn(block.stacked()))
-    m = block.shape[0]
+def _custom(obs, cols) -> np.ndarray:
+    states = _matrix(cols)
+    values = np.asarray(obs.fn(states))
+    m = states.shape[0]
     if values.shape != (m,):
         raise UsageError(
             f"{obs.name}: custom observable returned shape {values.shape}, expected ({m},)"
@@ -123,12 +105,12 @@ def _custom(obs, block) -> np.ndarray:
 class Kind(NamedTuple):
     param: str | None  # the Observable field holding the kind's parameter
     real: bool  # values are real, so one real channel/accumulator suffices
-    values: Callable  # values(observable, StateColumns) -> (m,) array
+    values: Callable  # values(observable, d columns of m states) -> (m,) array
 
 
 KINDS = {
-    "constant": Kind(None, True, lambda o, c: np.ones(c.shape[0])),
-    "coordinate": Kind("index", True, lambda o, c: c.columns[o.index].copy()),
+    "constant": Kind(None, True, lambda o, c: np.ones(len(c[0]))),
+    "coordinate": Kind("index", True, lambda o, c: c[o.index].copy()),
     "monomial": Kind("powers", True, _monomial),
     "fourier": Kind("k", False, lambda o, c: np.exp(1j * TWO_PI * _dot(o, c))),
     "phase": Kind("k", False, lambda o, c: np.exp(1j * _dot(o, c))),
@@ -194,10 +176,11 @@ class Observable:
             object.__setattr__(self, param, value)
 
     def __call__(self, states) -> np.ndarray:
-        """Values at an (m, d) array of states, or at a StateColumns block."""
-        if not isinstance(states, StateColumns):
-            states = StateColumns.of(np.atleast_2d(np.asarray(states, dtype=float)))
-        d = states.shape[1]
+        """Values at an (m, d) array of states, or at a tuple of its d columns
+        (1-D float arrays, as time_average holds them)."""
+        cols = states if isinstance(states, tuple) else np.atleast_2d(
+            np.asarray(states, dtype=float)).T
+        d = len(cols)
         kind = KINDS[self.kind]
         value = getattr(self, kind.param) if kind.param else None
         if kind.param == "index" and value >= d:
@@ -208,7 +191,7 @@ class Observable:
             )
         # an overflow stays inf (or nan, inf * 0): every fit and score refuses it by name
         with np.errstate(over="ignore", invalid="ignore"):
-            return kind.values(self, states)
+            return kind.values(self, cols)
 
     @classmethod
     def from_json(cls, obj: dict) -> "Observable":
@@ -271,7 +254,7 @@ class ObservableDictionary:
                 raise UsageError(f"real evaluation needs real observable kinds; got {unreal}")
         elif dtype != np.complex128:
             raise UsageError(f"evaluate needs dtype complex or float, got {dtype}")
-        states = StateColumns.of(np.atleast_2d(np.asarray(states, dtype=float)))
+        states = np.atleast_2d(np.asarray(states, dtype=float))
         F = np.empty((states.shape[0], len(self.entries)), dtype=dtype)
         for j, entry in enumerate(self.entries):
             F[:, j] = entry(states)

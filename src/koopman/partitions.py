@@ -29,7 +29,6 @@ and their predicted images mu * phi alike.
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,9 +36,9 @@ import numpy as np
 
 from ._artifacts import write_csv, write_csv_files
 from .embedding import _refuse_non_finite
-from .errors import DivergenceError, ObservableDomainError, UsageError
+from .errors import DivergenceError, ObservableDomainError, UsageError, warn
 from .observables import REAL_KINDS as _REAL_KINDS  # kinds with a real accumulator
-from .observables import ObservableDictionary, StateColumns
+from .observables import ObservableDictionary
 from .systems import SystemSpec, _column_step, _refuse_bad_dt, _states_of, _step_size
 
 # Orbits of different grid points never interact, so time_average runs the
@@ -255,7 +254,7 @@ def time_average(
         # Adds one block's orbit sums into views of the outputs.  A domain error
         # ends the block, which also stops past an iteration where another failed.
         # The start columns are contiguous copies taken from the axes.
-        block = StateColumns(tuple(axis[index[rows]] for axis, index in columns))
+        block = tuple(axis[index[rows]] for axis, index in columns)
         totals = [t[rows] for t in sums]
         with np.errstate(all="ignore"):
             for i in range(n):
@@ -273,8 +272,8 @@ def time_average(
                     for copy, total in zip(half_sums, totals):
                         copy[rows] = total
                 if i + 1 < n:
-                    block = StateColumns(step(block.columns))
-        finite_end[rows] = np.logical_and.reduce([np.isfinite(c) for c in block.columns])
+                    block = step(block)
+        finite_end[rows] = np.logical_and.reduce([np.isfinite(c) for c in block])
 
     # a pool starts a thread per pending block, so a custom observable's single
     # block (see _row_blocks) runs on one thread and sees the whole grid
@@ -380,7 +379,9 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
     or blow up instead of converging, which is sometimes worth seeing.
     Weights mu^-k or samples that leave the float range raise
     DivergenceError instead, with step the first k whose weight is not
-    finite (or, for finite weights, the first non-finite sample).
+    finite (or, for finite weights, the first non-finite sample), and so
+    does a residual that leaves it, with step the first k whose defect
+    phi_(k+1) - mu phi_k is not finite (0 when only the norm overflows).
     """
     states, dt = _states_of(traj), getattr(traj, "dt", 0.0)
     lam = complex(lambda_target)
@@ -421,27 +422,22 @@ def gla_eigenfunction(traj, lambda_target: complex, g, window: int = None) -> Ha
                 f"harmonic {name} is not finite from index {step} "
                 f"for |mu|={abs(mu):.6g}, window {n}",
             )
-    # warned only once the averages exist, so no warning precedes an error
-    if dt > 0 and abs(lam.real) > 1e-10:
-        warnings.warn(
-            "continuous eigenvalue has a real part; harmonic averages "
-            "assume a purely imaginary exponent",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if abs(abs(mu) - 1.0) > 1e-8:
-        warnings.warn(
-            f"multiplier magnitude {abs(mu):.6g} is off the unit circle; "
-            "the weighted average will vanish or diverge",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if samples.size > 1:
-        num = np.linalg.norm(samples[1:] - mu * samples[:-1])
+    with np.errstate(all="ignore"):  # a non-finite residual is raised below
+        defect = samples[1:] - mu * samples[:-1]
         den = np.linalg.norm(samples)
-        residual = float(num / den) if den > 0 else 0.0
-    else:
-        residual = 0.0
+        residual = float(np.linalg.norm(defect) / den) if den > 0 else 0.0
+    if not np.isfinite(residual):
+        step = int(np.argmin(np.isfinite(defect)))  # 0 when only the norm overflows
+        raise DivergenceError(step, f"harmonic residual is not finite from index {step} "
+                                    f"for |mu|={abs(mu):.6g}, window {n}")
+    # warned only once the averages and their residual exist, so no warning
+    # precedes an error
+    if dt > 0 and abs(lam.real) > 1e-10:
+        warn("continuous eigenvalue has a real part; harmonic averages "
+             "assume a purely imaginary exponent")
+    if abs(abs(mu) - 1.0) > 1e-8:
+        warn(f"multiplier magnitude {abs(mu):.6g} is off the unit circle; "
+             "the weighted average will vanish or diverge")
     return HarmonicAverage(samples=samples, multiplier=mu, window=n, residual=residual)
 
 

@@ -14,14 +14,13 @@ certifies a globally attracting fixed point.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dmd import SpectralTriple, _fit_residual, continuous_time_eigenvalues
 from .embedding import _refuse_non_finite
-from .errors import DegenerateFitError, PreconditionError, UsageError
+from .errors import DegenerateFitError, PreconditionError, UsageError, warn
 from .observables import REAL_KINDS, Observable, ObservableDictionary
 from .systems import _states_of
 
@@ -273,7 +272,8 @@ def sindy_fit(traj, library: ObservableDictionary, threshold: float | None = Non
     on the surviving support until it stabilizes.  threshold None means
     0.05 * max |initial coefficients|; pass 0.0 to keep plain least
     squares.  A residual or target norm beyond the float range raises
-    PreconditionError.
+    PreconditionError.  A library that is rank deficient on the data warns,
+    once the thresholded fit and its residual exist.
     """
     states = _states_of(traj)
     dt = float(getattr(traj, "dt", 0.0) or 0.0)
@@ -298,13 +298,6 @@ def sindy_fit(traj, library: ObservableDictionary, threshold: float | None = Non
     # lstsq's rank counts singular values above eps * max(M, N) * s_max,
     # the rule of np.linalg.matrix_rank, without a second SVD
     C, _, rank, _ = np.linalg.lstsq(theta, targets, rcond=None)
-    if rank < len(library):
-        warnings.warn(
-            "library is rank deficient on the data; coefficients are not "
-            "identifiable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     if threshold is None:
         threshold = 0.05 * float(np.max(np.abs(C)))
     if threshold < 0:
@@ -333,6 +326,8 @@ def sindy_fit(traj, library: ObservableDictionary, threshold: float | None = Non
     if not np.isfinite(scale):
         raise PreconditionError("fit residual exceeds the float range; rescale the data")
     residual = _fit_residual(targets, theta, C) / max(scale, np.finfo(float).tiny)
+    if rank < len(library):
+        warn("library is rank deficient on the data; coefficients are not identifiable")
     spec = getattr(traj, "spec", None)
     names = spec.coord_names if spec is not None else [f"x{i}" for i in range(states.shape[1])]
     coords = ObservableDictionary(

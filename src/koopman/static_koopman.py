@@ -12,7 +12,6 @@ idempotent.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from ._artifacts import write_csv
 from .dmd import _fit_residual, _pseudoinverse_and_rank
 from .embedding import _refuse_non_finite
-from .errors import UsageError
+from .errors import UsageError, warn
 from .observables import ObservableDictionary
 
 
@@ -110,12 +109,8 @@ def fit_static_linear(
     residual = _fit_residual(Y, A, X)
     deficient = rank < X.shape[0]
     if deficient:
-        warnings.warn(
-            f"input dictionary spans only rank {rank} of {X.shape[0]} on the "
-            "data; returning the minimum-norm fit",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warn(f"input dictionary spans only rank {rank} of {X.shape[0]} on the "
+             "data; returning the minimum-norm fit")
     return StaticFit(A=A, residual=residual, rank=rank, rank_deficient=deficient)
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from koopman import cli
 from koopman.cli import CONFIG_SCHEMA, SUMMARY_SCHEMA, emit_lattice
-from koopman.errors import UsageError
+from koopman.errors import KoopmanWarning, UsageError
 from koopman.observables import JSON_KINDS, KINDS
 from koopman.systems import SystemSpec, known_spectrum
 
@@ -292,6 +292,84 @@ def test_number_beyond_the_float_range_in_a_config_file_exits_2(tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+_BEYOND = 10**400  # beyond the float range as a float, and a 401-digit literal
+_BEYOND_MESSAGE = "config unusable: integer of 401 digits is beyond the float range\n"
+
+
+@pytest.mark.parametrize("name, overrides, message", [
+    # each used to reach numpy as a Python int and exit 1 with a traceback
+    ("torus_pinv_dmd", [f'dictionary=[{{"name": "z", "type": "phase", "k": [{_BEYOND}, 0]}}]'],
+     _BEYOND_MESSAGE),
+    ("limit_cycle_edmd", [
+        f'dictionary=[{{"name": "m", "type": "monomial", "powers": [{_BEYOND}, 0]}}]'],
+     _BEYOND_MESSAGE),
+    ("circle_mz_closure", [f"method_params.closure.coefficients=[0, {_BEYOND}]"],
+     _BEYOND_MESSAGE),
+    ("circle_gla", [f"method_params.lambda_target={_BEYOND}"], _BEYOND_MESSAGE),
+    ("circle_gla", [f'method_params.lambda_target={{"re": {_BEYOND}}}'], _BEYOND_MESSAGE),
+    ("torus_repr_check", [f"method_params.coefficients=[[{_BEYOND}, 0], [0, 1]]"],
+     _BEYOND_MESSAGE),
+    ("standard_map_partition", [
+        f'sampling.grid.axes=[{{"lo": 0, "hi": {_BEYOND}, "n": 3}}, {{"lo": 0, "hi": 1, "n": 3}}]'],
+     _BEYOND_MESSAGE),
+    # a count of 2**64 or more reads as a float, which is no integer: it
+    # used to start a loop that ran past 60 s
+    ("torus_pinv_dmd", ["sampling.n=99999999999999999999"],
+     "config invalid at sampling/n: 1e+20 is not of type 'integer'\n"),
+    ("torus_pinv_dmd", ["sampling.n=18446744073709551616"],
+     "config invalid at sampling/n: 1.8446744073709552e+19 is not of type 'integer'\n"),
+    # a seed of 2**64 is refused, where it used to be folded to 0
+    ("torus_pinv_dmd", ["sampling.seed=18446744073709551616"],
+     "config invalid at sampling/seed: 1.8446744073709552e+19 is not of type 'integer'\n"),
+], ids=["phase-k", "monomial-powers", "closure-coefficient", "lambda-target",
+        "lambda-target-re", "repr-coefficient", "grid-hi", "count-1e20", "count-2**64",
+        "seed-2**64"])
+def test_integer_literal_of_64_bits_or_more_exits_2_with_one_line(tmp_path, capsys, name,
+                                                                 overrides, message):
+    argv = ["run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path / "o")]
+    for item in ["sampling.n=50", *overrides]:  # a short orbit, should a run start
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "o").exists()
+
+
+def test_integer_literal_of_5000_digits_in_a_config_file_exits_2_with_one_line(tmp_path,
+                                                                               capsys):
+    # int() of more than 4300 digits raised ValueError, with a traceback
+    cfg = json.loads((CONFIG_DIR / "torus_pinv_dmd.json").read_text())
+    cfg["sampling"]["n"] = 123456789
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg).replace("123456789", "9" * 5000))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "config unusable: integer of 5000 digits is beyond the float range\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_largest_64_bit_seed_still_runs_as_an_integer(tmp_path):
+    argv = ["run", str(CONFIG_DIR / "linear_static.json"), "--out", str(tmp_path / "o"),
+            "--set", "sampling.seed=18446744073709551615"]
+    assert cli.main(argv) == 0
+    assert load_summary(tmp_path / "o")["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("literal, value", [
+    ("18446744073709551615", 2**64 - 1),  # the largest seed the schema accepts
+    ("-18446744073709551615", -(2**64) + 1),
+    ("9999999999999999999", 9999999999999999999),
+    ("18446744073709551616", float(2**64)),
+    ("-18446744073709551616", -float(2**64)),
+    ("99999999999999999999", 1e20),
+    ("1" + "0" * 308, 1e308),
+])
+def test_integer_literals_below_2_to_the_64_stay_integers(literal, value):
+    read = json.loads(literal, parse_int=cli._json_int)
+    assert read == value and type(read) is type(value)
+
+
 def test_non_finite_artifact_value_exits_3_and_writes_no_file(tmp_path, capsys, monkeypatch):
     def nan_result(config, spec, seed):
         return {"files": {"bad.json": {"value": float("nan")}}, "eigenvalues": [],
@@ -414,11 +492,12 @@ def test_overflowing_largest_singular_value_exits_3_and_creates_nothing(
         # the grid's span overflows: axis values that are not finite
         ("standard_map_partition", 'sampling.grid.axes=[{"lo": -1.7e308, "hi": 1.7e308, "n": 3,'
          '"period": 1.0}, {"lo": 0.0, "hi": 1.0, "n": 4}]', 2, "grid axis values must be finite"),
-        # the static draw's span, or an integer bound, beyond the float range
+        # the static draw's span beyond the float range, and an integer bound
+        # beyond it, which is refused as the config is read
         ("linear_static", "method_params.box=[-1.7e308, 1.7e308]", 2,
          "config invalid: method_params.box needs a span high - low within the float range"),
         ("linear_static", f"method_params.box=[0, {10 ** 400}]", 2,
-         "config invalid: method_params.box needs a span high - low within the float range"),
+         "config unusable: integer of 401 digits is beyond the float range"),
         # 7 PiB of closure samples cannot be allocated
         ("circle_mz_closure", "method_params.closure.m_samples=1000000000000000", 3,
          "MemoryError: Unable to allocate"),
@@ -509,6 +588,25 @@ def test_overflow_exits_3_with_one_line_and_creates_nothing(tmp_path, capsys, ca
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert not out.exists()
+
+
+# each used to warn and then fail: a warning now comes only with a result
+@pytest.mark.parametrize("name, overrides, message", [
+    ("circle_gla", ["method_params.lambda_target=1e308"],
+     "DivergenceError: harmonic residual is not finite from index 0 for |mu|=1e+308, "
+     "window 2000\n"),
+    ("lorenz_sindy", ["sampling.dt=5e-324", "sampling.n=400"],
+     "DegenerateFitError: thresholding removed every library term; lower the threshold\n"),
+], ids=["gla-residual", "sindy-rank-deficient"])
+def test_no_warning_precedes_a_failed_run(tmp_path, capsys, name, overrides, message):
+    argv = ["run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 3
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("name, override, message", [
@@ -1160,7 +1258,9 @@ def test_a_real_spectrum_stays_complex_objects_in_the_summary(tmp_path):
 
 # ------------------------------------------------------------------ fuzz
 
-FUZZ_VALUES = (None, -1, 0, 1, 1.5, "x", [], {}, [1], [[1]], True, 1e308, -1e308)
+# 2**64 reads as a float, and 10**400 is refused as it is read
+FUZZ_VALUES = (None, -1, 0, 1, 1.5, "x", [], {}, [1], [[1]], True, 1e308, -1e308, 2**64,
+               10**400)
 DELETE = "<delete>"
 # sizes every fuzzed config starts from: small partition grids, short orbits
 FUZZ_CAPS = {
@@ -1212,7 +1312,8 @@ FUZZ_CONFIGS = {p.name: _capped_config(p.name) for p in sorted(CONFIG_DIR.glob("
 FUZZ_SITES = [(name, path) for name, cfg in FUZZ_CONFIGS.items() for path in _config_paths(cfg)]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# numpy's warnings stay errors: only the package's own caveats may pass
+@pytest.mark.filterwarnings("ignore::koopman.errors.KoopmanWarning")
 @settings(derandomize=True, deadline=None, database=None, max_examples=1500)
 @given(site=st.sampled_from(FUZZ_SITES), value=st.sampled_from((DELETE, *FUZZ_VALUES)))
 def test_fuzzed_config_exits_0_2_or_3(tmp_path_factory, site, value):
@@ -1223,10 +1324,13 @@ def test_fuzzed_config_exits_0_2_or_3(tmp_path_factory, site, value):
     work.mkdir(exist_ok=True)
     out = work / "o"
     shutil.rmtree(out, ignore_errors=True)  # only this example's artifacts
-    code = cli.main(["run", write_config(work, cfg), "--out", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", KoopmanWarning)
+        code = cli.main(["run", write_config(work, cfg), "--out", str(out)])
     assert code in (0, 2, 3)
-    if code != 0:  # a failed run creates nothing
+    if code != 0:  # a failed run creates nothing, and no warning precedes its error
         assert not out.exists()
+        assert [str(w.message) for w in caught] == []
     if code == 0:  # every JSON artifact is strict JSON: no NaN, no +-Infinity
         for path in out.glob("*.json"):
             json.loads(path.read_text(), parse_constant=_refuse_constant)

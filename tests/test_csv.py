@@ -208,11 +208,35 @@ def reference_tree(o):
     return complex_json(o) if isinstance(o, complex) else o
 
 
+def _refused(o) -> bool:
+    """Whether json.dumps refuses o's reference tree for a NaN or +-inf."""
+    try:
+        json.dumps(reference_tree(o), sort_keys=True, allow_nan=False)
+    except ValueError:
+        return True
+    return False
+
+
+def _refused_path(o, path=""):
+    """The key path of the first child json.dumps refuses, down to the number:
+    `.key` for a dict entry (keys in sorted order), `[i]` for an item."""
+    if isinstance(o, np.ndarray):
+        o = o.tolist()
+    if isinstance(o, dict):
+        children = [(f"{path}.{k}" if path else k, o[k]) for k in sorted(o)]
+    elif isinstance(o, (list, tuple)):
+        children = [(f"{path}[{i}]", v) for i, v in enumerate(o)]
+    else:
+        return path
+    return next(_refused_path(v, sub) for sub, v in children if _refused(v))
+
+
 def _reference(payload):
     try:
         return json.dumps(reference_tree(payload), indent=2, sort_keys=True, allow_nan=False)
     except ValueError:  # json's refusal of NaN and +-inf
-        raise KoopmanError("payload.json would hold a non-finite number") from None
+        where = " ".join(filter(None, ("payload.json", _refused_path(payload))))
+        raise KoopmanError(f"{where} would hold a non-finite number") from None
 
 
 def _outcome(encode, payload):
@@ -290,6 +314,20 @@ _REAL_SPECTRUM = np.linalg.eigvals(np.diag([0.5, 0.2]))
 def test_strict_json_gives_the_text_of_json_dumps_of_the_reference_tree(payload):
     encoded = _outcome(lambda p: strict_json(p, "payload.json"), payload)
     assert encoded == _outcome(_reference, payload)
+
+
+@pytest.mark.parametrize("payload, path", [
+    ({"residuals": {"a": 1.0, "harmonic_residual": float("nan")}, "z": float("inf")},
+     "residuals.harmonic_residual"),
+    ({"eigenvalues": np.array([1, 2, 3, complex(np.nan, 0.0), np.inf], dtype=complex)},
+     "eigenvalues[3]"),
+    ({"a": [{"b": [1j, complex(0.0, -np.inf)]}], "c": [np.nan]}, "a[0].b[1]"),
+    ({"m": np.array([[1.0, 2.0], [np.nan, 1.0]])}, "m[1][0]"),
+])
+def test_strict_json_names_the_key_path_of_the_first_non_finite_number(payload, path):
+    with pytest.raises(KoopmanError) as refused:
+        strict_json(payload, "summary.json")
+    assert str(refused.value) == f"summary.json {path} would hold a non-finite number"
 
 
 def test_a_real_spectrum_passed_as_complex_is_written_as_objects():

@@ -8,7 +8,7 @@ from koopman.observables import (
     REAL_KINDS,
     Observable,
     ObservableDictionary,
-    StateColumns,
+    _matrix,
     fourier_box,
     monomial_library,
 )
@@ -272,16 +272,19 @@ def test_one_nonzero_k_gives_the_bits_of_the_matrix_product(kind, k):
     }[kind]()
     obs = Observable("o", kind, k=k)
     assert obs(states).tobytes() == expected.tobytes()
-    block = StateColumns((states[:, 0].copy(), states[:, 1].copy()))
-    assert obs(block).tobytes() == expected.tobytes()
+    columns = (states[:, 0].copy(), states[:, 1].copy())
+    assert obs(columns).tobytes() == expected.tobytes()
 
 
-def test_state_columns_evaluate_like_their_array():
+def test_a_tuple_of_columns_evaluates_like_its_array():
     states = np.linspace(-2.0, 3.0, 45).reshape(15, 3)
-    block = StateColumns(tuple(states.T.copy()))
-    assert block.shape == (15, 3)
-    assert np.array_equal(block.stacked(), states)
+    block = tuple(states.T.copy())
+    # the (m, d) matrix the general-k product and custom read
+    assert np.array_equal(_matrix(block), states)
+    view = _matrix(states.T)  # an array's own layout, not a copy
+    assert np.shares_memory(view, states) and view.strides == states.strides
     d = ObservableDictionary((
+        Observable("c", "constant"),
         Observable("m", "monomial", powers=(2, 0, 1)),
         Observable("f", "fourier", k=(1, -2, 3)),
         Observable("x", "coordinate", index=2),

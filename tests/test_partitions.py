@@ -563,6 +563,16 @@ def test_gla_overflowing_weights_raise_divergence(mu, step):
     assert f"|mu|={mu:g}" in str(err.value)
 
 
+def test_gla_overflowing_residual_raises_divergence_before_any_warning():
+    # 1e308 * phi_0 overflows in the residual; its off-circle warning and
+    # numpy's overflow warning used to come before the run was refused
+    traj = integrate(SystemSpec("circle_rotation"), [0.2], dt=0.0, n_steps=50)
+    z = Observable("z", "phase", k=(1,))
+    with pytest.raises(DivergenceError, match="harmonic residual is not finite") as err:
+        gla_eigenfunction(traj, 1e308, z, window=10)  # under the suite's error filter
+    assert err.value.step == 0
+
+
 def test_gla_non_finite_values_raise_divergence():
     values = np.ones(40, dtype=complex)
     values[25] = np.inf

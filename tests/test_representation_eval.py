@@ -449,6 +449,21 @@ def test_rank_deficient_library_warns():
         sindy_fit(traj, dup, threshold=0.0)
 
 
+def test_rank_deficient_library_that_thresholds_to_nothing_fails_without_a_warning():
+    # a duplicate pair on states that never move: the fit is rank deficient,
+    # and a threshold above every coefficient removes all of its terms
+    spec = SystemSpec(kind="linear_map", params={"B": [[1.0, 0.0], [0.0, 1.0]]})
+    traj = integrate(spec, (1.0, 1.0), dt=0.0, n_steps=20)
+    dup = ObservableDictionary(
+        [
+            Observable(name="x", kind="coordinate", index=0),
+            Observable(name="x2", kind="monomial", powers=(1.0, 0.0)),
+        ]
+    )
+    with pytest.raises(DegenerateFitError):  # under the suite's error filter
+        sindy_fit(traj, dup, threshold=10.0)
+
+
 def test_rank_deficient_library_warns_on_the_complex_route():
     # the duplicate pair again, with a phase of k = 0 (exactly 1) that sends
     # the library through complex evaluation
@@ -660,7 +675,8 @@ def test_model_json_refuses_a_non_finite_coefficient(tmp_path):
     model = RepresentationModel(
         observables=coords(["x"]), map_kind="linear", coefficients=[[np.inf]]
     )
-    with pytest.raises(KoopmanError, match="model.json would hold a non-finite number"):
+    with pytest.raises(KoopmanError,
+                       match="model.json coefficients.x.x would hold a non-finite number"):
         _artifacts.write_json(tmp_path / "model.json", model.to_json())
     assert not (tmp_path / "model.json").exists()
 
