@@ -59,6 +59,7 @@ import sys
 import time
 from contextlib import suppress
 from functools import cache, partial
+from operator import gt, lt, pos
 from pathlib import Path
 
 import numpy as np
@@ -405,8 +406,22 @@ def _requiring(paths) -> dict:
     return schema
 
 
+# the schema of every integer field: an integer in [least, most], or null too
+def _integer(least: int, most: int, null: bool = False) -> dict:
+    return {"type": ["integer", "null"] if null else "integer", "minimum": least, "maximum": most}
+
+
+# Each integer field has a maximum, so that no value the schema accepts reaches
+# numpy or Python as a size they refuse or starts a loop without end; a run
+# whose arrays do not fit in memory exits 3 with MemoryError.
+# Orbit steps, averaging and test iterations, windows and quadrature samples:
+# a Lorenz RK4 step takes about 1 us (2-core host), so the longest orbit takes
+# about 10 s and holds at most 10**7 states of 5 coordinates, 400 MB.
+_STEPS = 10**7
+# Points per grid axis: a grid over the 5 coordinates of the largest state has
+# at most 2**55 points, whose columns (16 bytes a point at most) numpy sizes.
+_AXIS = 2**11
 _NUMBER = {"type": "number"}
-_COUNT = {"type": "integer", "minimum": 1}
 # a real number, or a complex one as {"re": ..., "im": ...}
 _COMPLEX = {
     "anyOf": [
@@ -434,15 +449,17 @@ _VECTOR = {"type": "array", "items": _NUMBER, "minItems": 1}
 _OBSERVABLE_PARAMS = {
     "k": _VECTOR,
     "powers": _VECTOR,
-    "index": {"type": "integer", "minimum": 0},
+    # an index at or past the state's dimension exits 2 where it is evaluated;
+    # 2**63 - 1 is numpy's largest
+    "index": _integer(0, 2**63 - 1),
 }
 
 
 def _kind_fields(params) -> dict:
     """if/then/else chain: the kinds whose parameter field is params[0] (None
     for none) need that field and hold no other; other kinds go on to the
-    rule of params[1:].  Each `if` costs an evolved validator, so an entry
-    meets only those up to its own kind's."""
+    rule of params[1:].  The walker tests an `if` by walking its condition,
+    and in a chain an entry meets only the conditions up to its own kind's."""
     param = params[0]
     fields = ["name", "type"] + ([param] if param else [])
     rule = _when("type", [kind for kind in JSON_KINDS if KINDS[kind].param == param], {
@@ -475,15 +492,19 @@ _DICTIONARY_SCHEMA = {
         "required": ["builder"],
         "properties": {
             "builder": {"enum": list(_BUILDERS)},
-            "dim": {"type": "integer", "minimum": 1},
-            "kmax": {"type": "integer", "minimum": 1},
+            # a box has (2 kmax + 1)**dim entries: at most 5 coordinates, as the
+            # largest state has, and 513**5 < 2**46 wave vectors, which numpy sizes
+            "dim": _integer(1, 5),
+            "kmax": _integer(1, 256),
             "kind": {"enum": [kind for kind, spec in KINDS.items() if spec.param == "k"]},
             "coords": {
                 "type": "array",
                 "items": {"type": "string"},
                 "minItems": 1,
             },
-            "degree": {"type": "integer", "minimum": 0},
+            # the library walks (degree + 1)**len(coords) power tuples: 17**5, 1.4
+            # million, for the 5 coordinates of the largest state
+            "degree": _integer(0, 16),
         },
         "additionalProperties": False,
         "allOf": [
@@ -501,7 +522,6 @@ _ORBIT = ("sampling.initial_state", "sampling.n")
 # writer(*paths)).  requirements lists alternatives, each a tuple of dotted
 # config paths; a config must supply one in full.  method_params may hold
 # only the keys the runner reads, each mapped to the schema of its value.
-_COUNT_OR_NULL = {"type": ["integer", "null"], "minimum": 1}
 _CLOSURE = {
     "type": "object",
     "required": ["coefficients", "omega"],
@@ -509,7 +529,7 @@ _CLOSURE = {
     "properties": {
         "coefficients": {"type": "array", "items": _COMPLEX},
         "omega": _NUMBER,
-        "m_samples": _COUNT,
+        "m_samples": _integer(1, _STEPS),
     },
 }
 _RUNNERS = {
@@ -519,12 +539,15 @@ _RUNNERS = {
     "gla": (
         _run_gla,
         [(*_ORBIT, "method_params.lambda_target", "method_params.observable")],
-        {"lambda_target": _COMPLEX, "observable": _OBSERVABLE, "window": _COUNT_OR_NULL},
+        {"lambda_target": _COMPLEX, "observable": _OBSERVABLE,
+         "window": _integer(1, _STEPS, null=True)},
     ),
     "partition": (
         _run_partition,
         [("dictionary", "sampling.grid")],
-        {"bins": _COUNT, "n_test": _COUNT, "sample_limit": _COUNT_OR_NULL},
+        # a joint cell code stays below points * bins <= 2**55 * 2**8, an int64
+        {"bins": _integer(1, 2**8), "n_test": _integer(1, _STEPS),
+         "sample_limit": _integer(1, _AXIS**5, null=True)},  # at most a grid's points
     ),
     "static": (
         _run_static,
@@ -537,7 +560,7 @@ _RUNNERS = {
             ("dictionary", *_ORBIT),
             ("method_params.closure",),  # its schema requires coefficients and omega
         ],
-        {"k_max": _COUNT, "closure": _CLOSURE},
+        {"k_max": _integer(1, _STEPS), "closure": _CLOSURE},
     ),
     "sindy": (
         _run_sindy,
@@ -593,9 +616,9 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "dt": {"type": "number", "minimum": 0},
-                "n": {"type": "integer", "minimum": 1},
+                "n": _integer(1, _STEPS),
                 "initial_state": {"type": "array", "items": {"type": "number"}},
-                "seed": {"type": "integer", "minimum": 0},
+                "seed": _integer(0, 2**64 - 1),  # a 64-bit seed
                 "grid": {
                     "type": "object",
                     "additionalProperties": False,
@@ -604,7 +627,7 @@ CONFIG_SCHEMA = {
                     "else": {"required": ["axes"]},
                     "properties": {
                         "kind": {"enum": ["unit_square"]},
-                        "n": {"type": "integer", "minimum": 1},
+                        "n": _integer(1, _AXIS),
                         "axes": {
                             "type": "array",
                             "minItems": 1,
@@ -615,7 +638,7 @@ CONFIG_SCHEMA = {
                                 "properties": {
                                     "lo": {"type": "number"},
                                     "hi": {"type": "number"},
-                                    "n": {"type": "integer", "minimum": 1},
+                                    "n": _integer(1, _AXIS),
                                     "period": {"type": ["number", "null"]},
                                 },
                             },
@@ -709,14 +732,19 @@ def _json_int(literal: str) -> int | float:
     return value
 
 
+# the one reader of a config's JSON text, the file's or a --set value's: every
+# float finite, an integer below 2**64 in magnitude an int, no NaN or +-Infinity
+_read_json = partial(json.loads, parse_float=_finite_float, parse_int=_json_int,
+                     parse_constant=_reject_constant)
+
+
 def _apply_overrides(config: dict, overrides) -> dict:
     for item in overrides or []:
         if "=" not in item:
             raise UsageError(f"--set needs path=value, got {item!r}")
         path, raw = item.split("=", 1)
         try:
-            value = json.loads(raw, parse_float=_finite_float, parse_int=_json_int,
-                               parse_constant=_reject_constant)
+            value = _read_json(raw)
         except json.JSONDecodeError:
             value = raw
         keys = path.split(".")
@@ -797,8 +825,7 @@ def run(config: dict, out_dir) -> tuple[dict, list]:
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        config = json.load(fh, parse_float=_finite_float, parse_int=_json_int,
-                           parse_constant=_reject_constant)
+        config = _read_json(fh.read())
     if not isinstance(config, dict):
         kind = type(config).__name__
         raise UsageError(f"top level must be a JSON object, got {kind}")
@@ -825,111 +852,115 @@ _TYPES = {
 }
 
 
-def _schema_errors(instance, schema, path=()):
+def _schema_errors(instance, schema, path=()) -> list:
     """(path, message) of each way `instance` fails `schema`; a path is the
-    tuple of keys and indices from the config's root."""
-    if schema is True:
-        return
-    for keyword, value in schema.items():
-        yield from _KEYWORDS[keyword](value, instance, schema, path)
+    tuple of keys and indices from the config's root.  Each check returns a
+    list (or an empty tuple) rather than yielding: most checks find nothing,
+    and a generator per check cost more than the walk itself."""
+    errors = []
+    if schema is not True:
+        for keyword, value in schema.items():
+            errors += _KEYWORDS[keyword](value, instance, schema, path)
+    return errors
 
 
 def _fails(instance, schema) -> bool:
-    return next(_schema_errors(instance, schema), None) is not None
+    return bool(_schema_errors(instance, schema))
 
 
 def _type(types, instance, schema, path):
     types = [types] if isinstance(types, str) else types
-    if not any(_TYPES[t](instance) for t in types):
-        yield path, f"{instance!r} is not of type {', '.join(map(repr, types))}"
+    for t in types:
+        if _TYPES[t](instance):
+            return ()
+    return [(path, f"{instance!r} is not of type {', '.join(map(repr, types))}")]
 
 
 def _enum(values, instance, schema, path):
     # every enum lists strings, which `in` compares as jsonschema does
-    if instance not in values:
-        yield path, f"{instance!r} is not one of {values!r}"
+    return () if instance in values else [(path, f"{instance!r} is not one of {values!r}")]
 
 
 def _required(names, instance, schema, path):
-    if isinstance(instance, dict):
-        for name in names:
-            if name not in instance:
-                yield path, f"{name!r} is a required property"
+    if not isinstance(instance, dict):
+        return ()
+    return [(path, f"{name!r} is a required property") for name in names if name not in instance]
 
 
 def _properties(schemas, instance, schema, path):
+    errors = []
     if isinstance(instance, dict):
         for name, sub in schemas.items():
             if name in instance:
-                yield from _schema_errors(instance[name], sub, (*path, name))
+                errors += _schema_errors(instance[name], sub, (*path, name))
+    return errors
 
 
 def _additional_properties(extra, instance, schema, path):
     if not isinstance(instance, dict):
-        return
+        return ()
     declared = schema.get("properties", {})
     extras = [name for name in instance if name not in declared]
     if isinstance(extra, dict):
-        for name in extras:
-            yield from _schema_errors(instance[name], extra, (*path, name))
-    elif not extra and extras:
-        verb = "was" if len(extras) == 1 else "were"
-        names = ", ".join(map(repr, sorted(extras)))
-        yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        return [e for name in extras for e in _schema_errors(instance[name], extra, (*path, name))]
+    if extra or not extras:
+        return ()
+    verb = "was" if len(extras) == 1 else "were"
+    names = ", ".join(map(repr, sorted(extras)))
+    return [(path, f"Additional properties are not allowed ({names} {verb} unexpected)")]
 
 
 def _items(sub, instance, schema, path):
-    if isinstance(instance, list):
-        for i, item in enumerate(instance):
-            yield from _schema_errors(item, sub, (*path, i))
+    if not isinstance(instance, list):
+        return ()
+    return [e for i, item in enumerate(instance) for e in _schema_errors(item, sub, (*path, i))]
 
 
-def _min_size(kind):
-    """minItems or minLength: at least that many items of an array, or
-    characters of a string."""
-    def check(least, instance, schema, path):
-        if _TYPES[kind](instance) and len(instance) < least:
-            yield path, f"{instance!r} {'should be non-empty' if least == 1 else 'is too short'}"
-    return check
+# bound keyword -> (the type it bounds, the measure of an instance, the test of
+# a measure past the bound, jsonschema's message there, and the one bound, if
+# any, at which jsonschema words that message otherwise, with that wording)
+_BOUNDS = {
+    "minimum": ("number", pos, lt, "is less than the minimum of {!r}", None, None),
+    "maximum": ("number", pos, gt, "is greater than the maximum of {!r}", None, None),
+    "minItems": ("array", len, lt, "is too short", 1, "should be non-empty"),
+    "maxItems": ("array", len, gt, "is too long", 0, "is expected to be empty"),
+    "minLength": ("string", len, lt, "is too short", 1, "should be non-empty"),
+}
 
 
-def _max_items(most, instance, schema, path):
-    if isinstance(instance, list) and len(instance) > most:
-        yield path, f"{instance!r} {'is expected to be empty' if most == 0 else 'is too long'}"
-
-
-def _minimum(least, instance, schema, path):
-    if _TYPES["number"](instance) and instance < least:
-        yield path, f"{instance!r} is less than the minimum of {least!r}"
+def _bound(kind, measure, past, message, edge, at_edge, bound, instance, schema, path):
+    if _TYPES[kind](instance) and past(measure(instance), bound):
+        return [(path, f"{instance!r} {at_edge if bound == edge else message.format(bound)}")]
+    return ()
 
 
 def _property_names(sub, instance, schema, path):
-    if isinstance(instance, dict):
-        for name in instance:  # an error is the object's, not the name's
-            yield from _schema_errors(name, sub, path)
+    if not isinstance(instance, dict):
+        return ()
+    # an error is the object's, not the name's
+    return [e for name in instance for e in _schema_errors(name, sub, path)]
 
 
 def _all_of(schemas, instance, schema, path):
-    for sub in schemas:
-        yield from _schema_errors(instance, sub, path)
+    return [e for sub in schemas for e in _schema_errors(instance, sub, path)]
 
 
 def _any_of(schemas, instance, schema, path):
     if all(_fails(instance, sub) for sub in schemas):
-        yield path, f"{instance!r} is not valid under any of the given schemas"
+        return [(path, f"{instance!r} is not valid under any of the given schemas")]
+    return ()
 
 
 def _if(condition, instance, schema, path):
     branch = "else" if _fails(instance, condition) else "then"
-    if branch in schema:
-        yield from _schema_errors(instance, schema[branch], path)
+    return _schema_errors(instance, schema[branch], path) if branch in schema else ()
 
 
 def _no_check(value, instance, schema, path):
     return ()
 
 
-# keyword -> check(value, instance, schema, path), yielding (path, message)
+# keyword -> check(value, instance, schema, path), returning [(path, message)]
 _KEYWORDS = {
     "$schema": _no_check,
     "type": _type,
@@ -938,10 +969,7 @@ _KEYWORDS = {
     "properties": _properties,
     "additionalProperties": _additional_properties,
     "items": _items,
-    "minItems": _min_size("array"),
-    "maxItems": _max_items,
-    "minLength": _min_size("string"),
-    "minimum": _minimum,
+    **{keyword: partial(_bound, *rule) for keyword, rule in _BOUNDS.items()},
     "propertyNames": _property_names,
     "allOf": _all_of,
     "anyOf": _any_of,
@@ -1028,33 +1056,33 @@ def _system_catalogue() -> list:
     return lines
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _list_systems(args) -> int:
+    try:
+        _to_stdout(partial(print, *_system_catalogue(), sep="\n"))
+    except OSError as exc:
+        print(f"output unusable: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
-    if args.command == "list-systems":
-        try:
-            _to_stdout(partial(print, *_system_catalogue(), sep="\n"))
-        except OSError as exc:
-            print(f"output unusable: {exc}", file=sys.stderr)
-            return 2
-        return 0
 
-    if args.command == "lattice":
-        try:
-            values = emit_lattice(args.c, args.omega, args.N, args.M)
-        except UsageError as exc:
-            print(f"lattice: {exc}", file=sys.stderr)
-            return 2
-        try:
-            if args.out:
-                _write_complex_csv(args.out, values)
-            else:
-                _to_stdout(lambda file: _write_complex_csv(file, values))
-        except OSError as exc:
-            print(f"output unusable: {exc}", file=sys.stderr)
-            return 2
-        return 0
+def _lattice(args) -> int:
+    try:
+        values = emit_lattice(args.c, args.omega, args.N, args.M)
+    except UsageError as exc:
+        print(f"lattice: {exc}", file=sys.stderr)
+        return 2
+    try:
+        if args.out:
+            _write_complex_csv(args.out, values)
+        else:
+            _to_stdout(lambda file: _write_complex_csv(file, values))
+    except OSError as exc:
+        print(f"output unusable: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
+
+def _run_config(args) -> int:
     try:
         config = _apply_overrides(_load_config(args.config), args.overrides)
     except (OSError, json.JSONDecodeError, UsageError) as exc:
@@ -1075,9 +1103,6 @@ def main(argv=None) -> int:
     except (KoopmanError, np.linalg.LinAlgError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except MemoryError as exc:  # numpy's subclass has a private name
-        print(f"MemoryError: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:  # the output directory or a file in it cannot be written
         print(f"output unusable: {exc}", file=sys.stderr)
         return 2
@@ -1088,6 +1113,18 @@ def main(argv=None) -> int:
     except OSError:  # the artifacts are complete; only the report went unread
         pass
     return 0
+
+
+_COMMANDS = {"run": _run_config, "list-systems": _list_systems, "lattice": _lattice}
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except MemoryError as exc:  # an array too large to allocate; numpy's subclass is private
+        print(f"MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -349,6 +349,58 @@ def test_integer_literal_of_5000_digits_in_a_config_file_exits_2_with_one_line(t
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("NaN", "non-finite number NaN is not allowed in a config"),
+    ("1e400", "number 1e400 is beyond the float range"),
+    ("9" * 5000, "integer of 5000 digits is beyond the float range"),
+], ids=["nan", "1e400", "5000-digits"])
+def test_a_config_file_and_a_set_value_refuse_a_literal_alike(tmp_path, capsys, literal,
+                                                              message):
+    # both texts go through the one reader
+    cfg = json.loads((CONFIG_DIR / "circle_gla.json").read_text())
+    cfg["sampling"]["n"] = 123456789
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg).replace("123456789", literal))
+    out = str(tmp_path / "o")
+    assert cli.main(["run", str(path), "--out", out]) == 2
+    from_file = capsys.readouterr().err
+    argv = ["run", str(CONFIG_DIR / "circle_gla.json"), "--set", f"sampling.n={literal}"]
+    assert cli.main([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err == from_file == f"config unusable: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+# each used to reach numpy as a size it refuses, and exit 1 with a traceback
+# (array is too big, OverflowError, Maximum allowed size exceeded), or to start
+# a loop that would not end; each is now refused before any loop starts
+_PAST_MAXIMUM = [
+    ("linear_static", ["sampling.n=4611686018427387904"], "sampling/n", 10**7),
+    ("lorenz_sindy", ["dictionary.degree=18446744073709551615"], "dictionary/degree", 16),
+    ("torus_companion_dmd", ["dictionary.dim=18446744073709551615"], "dictionary/dim", 5),
+    ("circle_mz_closure", ["method_params.closure.m_samples=18446744073709551615"],
+     "method_params/closure/m_samples", 10**7),
+    *((name, ["method_params.bins=18446744073709551615", "sampling.n=4"],
+       "method_params/bins", 2**8)
+      for name in ("standard_map_partition", "standard_map_partition_integrable")),
+    *((name, ["sampling.n=4611686018427387904"], "sampling/n", 10**7)
+      for name in ("circle_gla", "limit_cycle_edmd", "lorenz_mz_memory", "lorenz_sindy")),
+]
+
+
+@pytest.mark.parametrize("name, overrides, where, most", _PAST_MAXIMUM,
+                         ids=[f"{name}-{where}" for name, _, where, _ in _PAST_MAXIMUM])
+def test_a_count_past_its_maximum_exits_2_with_one_line(tmp_path, capsys, name, overrides,
+                                                        where, most):
+    argv = ["run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+    value = overrides[0].split("=")[1]
+    assert capsys.readouterr().err == (
+        f"config invalid at {where}: {value} is greater than the maximum of {most}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_the_largest_64_bit_seed_still_runs_as_an_integer(tmp_path):
     argv = ["run", str(CONFIG_DIR / "linear_static.json"), "--out", str(tmp_path / "o"),
             "--set", "sampling.seed=18446744073709551615"]
@@ -498,13 +550,15 @@ def test_overflowing_largest_singular_value_exits_3_and_creates_nothing(
          "config invalid: method_params.box needs a span high - low within the float range"),
         ("linear_static", f"method_params.box=[0, {10 ** 400}]", 2,
          "config unusable: integer of 401 digits is beyond the float range"),
-        # 7 PiB of closure samples cannot be allocated
-        ("circle_mz_closure", "method_params.closure.m_samples=1000000000000000", 3,
-         "MemoryError: Unable to allocate"),
+        # 7 PiB of closure samples, which used to exit 3 with a MemoryError,
+        # are refused by the field's maximum
+        ("circle_mz_closure", "method_params.closure.m_samples=1000000000000000", 2,
+         "config invalid at method_params/closure/m_samples: 1000000000000000 is greater "
+         "than the maximum of 10000000"),
     ],
     ids=["gla-off-circle", "static-residual", "companion-residual", "one-sample",
          "negative-eps", "reversed-box", "static-on-a-flow", "non-finite-axis",
-         "box-span-overflow", "box-bound-beyond-float", "closure-memory"],
+         "box-span-overflow", "box-bound-beyond-float", "closure-samples-past-maximum"],
 )
 def test_failed_run_reports_once_and_creates_nothing(tmp_path, capsys, name, override, code,
                                                      message):
@@ -1178,6 +1232,35 @@ def test_lattice_refuses_unusable_input_with_exit_2(tmp_path, capsys, flags):
     assert captured.out == "" and not out_file.exists()
 
 
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 12.0 GiB"), "MemoryError: Unable to allocate 12.0 GiB\n"),
+    (MemoryError(), "MemoryError: out of memory\n"),  # Python's own has no message
+], ids=["numpy", "python"])
+def test_lattice_that_cannot_be_allocated_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
+                                                                  error, line):
+    # a lattice of 4e8 rows under a 1.5 GB address-space limit used to print a traceback
+    def allocate(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "emit_lattice", allocate)
+    out_file = tmp_path / "lattice.csv"
+    argv = ["lattice", "--c", "3", "--omega", "1", "--N", "400000000", "--M", "1"]
+    assert cli.main([*argv, "--out", str(out_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == line and captured.out == "" and not out_file.exists()
+
+
+def test_run_that_cannot_be_allocated_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    def allocate(config, spec, seed):
+        raise MemoryError("Unable to allocate 7.11 PiB")
+
+    monkeypatch.setitem(cli._RUNNERS, "mz", (allocate, *cli._RUNNERS["mz"][1:]))
+    argv = ["run", str(CONFIG_DIR / "circle_mz_closure.json"), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "MemoryError: Unable to allocate 7.11 PiB\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("c, omega", [(np.nan, 1.0), (SQRT7, np.inf)])
 def test_emit_lattice_rejects_non_finite_input(c, omega):
     with pytest.raises(UsageError, match="finite"):
@@ -1258,9 +1341,10 @@ def test_a_real_spectrum_stays_complex_objects_in_the_summary(tmp_path):
 
 # ------------------------------------------------------------------ fuzz
 
-# 2**64 reads as a float, and 10**400 is refused as it is read
-FUZZ_VALUES = (None, -1, 0, 1, 1.5, "x", [], {}, [1], [[1]], True, 1e308, -1e308, 2**64,
-               10**400)
+# 2**62 and 2**63 - 1 pass every count's type and the number fields, 2**64 reads
+# as a float, and 10**400 is refused as it is read
+FUZZ_VALUES = (None, -1, 0, 1, 1.5, "x", [], {}, [1], [[1]], True, 1e308, -1e308, 2**62,
+               2**63 - 1, 2**64, 10**400)
 DELETE = "<delete>"
 # sizes every fuzzed config starts from: small partition grids, short orbits
 FUZZ_CAPS = {
@@ -1374,13 +1458,32 @@ def _jsonschema_message(cfg):
 
 
 _METHOD_SITE = ("torus_pinv_dmd.json", ("method",))
-# a deleted, unknown or non-string method, and one missing required path per config
+# a site of each integer field, and the field's maximum
+_AT_MAXIMUM = {
+    ("linear_static.json", ("dictionary", 0, "index")): 2**63 - 1,
+    ("torus_companion_dmd.json", ("dictionary", "dim")): 5,
+    ("torus_companion_dmd.json", ("dictionary", "kmax")): 2**8,
+    ("lorenz_sindy.json", ("dictionary", "degree")): 16,
+    ("torus_pinv_dmd.json", ("sampling", "n")): 10**7,
+    ("torus_pinv_dmd.json", ("sampling", "seed")): 2**64 - 1,
+    ("standard_map_partition_integrable.json", ("sampling", "grid", "n")): 2**11,
+    ("standard_map_partition.json", ("sampling", "grid", "axes", 0, "n")): 2**11,
+    ("circle_gla.json", ("method_params", "window")): 10**7,
+    ("standard_map_partition.json", ("method_params", "bins")): 2**8,
+    ("standard_map_partition.json", ("method_params", "n_test")): 10**7,
+    ("standard_map_partition_integrable.json", ("method_params", "sample_limit")): 2**55,
+    ("lorenz_mz_memory.json", ("method_params", "k_max")): 10**7,
+    ("circle_mz_closure.json", ("method_params", "closure", "m_samples")): 10**7,
+}
+# a deleted, unknown or non-string method, one missing required path per
+# config, and each integer field at its maximum and one past it
 _PINNED = [
     (_METHOD_SITE, DELETE),
     (_METHOD_SITE, "x"),
     (_METHOD_SITE, []),
     (_METHOD_SITE, True),
     *(((name, tuple(paths[0].split("."))), DELETE) for name, paths in REQUIRED_PATHS.items()),
+    *((site, most + past) for site, most in _AT_MAXIMUM.items() for past in (0, 1)),
 ]
 
 
@@ -1463,6 +1566,20 @@ def test_validator_knows_every_keyword_the_config_schema_uses():
     assert kinds == set(JSON_KINDS)
     with pytest.raises(KeyError, match="not"):
         list(cli._schema_errors({}, {"not": {}}))
+
+
+def test_every_integer_field_has_a_maximum_and_a_pinned_site():
+    fields = {}  # field name -> its integer schemas
+    for keyword, value in _schema_keywords(CONFIG_SCHEMA):
+        if keyword == "properties":
+            for name, sub in value.items():
+                if isinstance(sub, dict) and "integer" in sub.get("type", ()):
+                    fields.setdefault(name, []).append(sub)
+    assert all("maximum" in sub for subs in fields.values() for sub in subs)
+    assert set(fields) == {path[-1] for _, path in _AT_MAXIMUM}
+    for (name, path), most in _AT_MAXIMUM.items():  # each site is one of the field's
+        assert path in [p for n, p in FUZZ_SITES if n == name]
+        assert most in [sub["maximum"] for sub in fields[path[-1]]]
 
 
 def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
