@@ -8,6 +8,8 @@ decompositions, and sparse model recovery, checked against systems whose
 Koopman spectra are known in closed form.
 """
 
+from types import ModuleType as _ModuleType
+
 from .dmd import (
     CompanionModel,
     SpectralTriple,
@@ -86,68 +88,8 @@ from .systems import (
     spectral_lattice,
 )
 
-__all__ = [
-    "KoopmanError",
-    "UsageError",
-    "DivergenceError",
-    "ObservableDomainError",
-    "DegenerateDictionaryError",
-    "DefectiveMatrixError",
-    "DegenerateFitError",
-    "PreconditionError",
-    "KoopmanWarning",
-    "SystemSpec",
-    "Trajectory",
-    "integrate",
-    "hamiltonian",
-    "known_spectrum",
-    "spectral_lattice",
-    "duffing_fixed_point_eigenvalues",
-    "Observable",
-    "ObservableDictionary",
-    "fourier_box",
-    "monomial_library",
-    "SnapshotPair",
-    "delay_embed",
-    "hankel_pair",
-    "CompanionModel",
-    "SpectralTriple",
-    "companion_dmd",
-    "pseudoinverse_dmd",
-    "spectral_triple",
-    "continuous_time_eigenvalues",
-    "moore_penrose_pseudoinverse",
-    "FiniteSectionMatrix",
-    "finite_section_matrix",
-    "dual_basis",
-    "detect_linear_subrepresentation",
-    "detect_nonlinear_representation",
-    "RegularGrid",
-    "TimeAverageField",
-    "HarmonicAverage",
-    "PartitionLabeling",
-    "time_average",
-    "gla_eigenfunction",
-    "ergodic_partition_approx",
-    "partition_invariance_score",
-    "EigenfunctionPartition",
-    "eigenfunction_partition",
-    "PairedSamples",
-    "StaticFit",
-    "fit_static_linear",
-    "conditional_expectation_projection",
-    "fiber_indicator_matrix",
-    "fiber_mean_matrix",
-    "MzDecomposition",
-    "FourierObservable",
-    "mz_decompose",
-    "circle_rotation_closure",
-    "RepresentationModel",
-    "representation_residual",
-    "faithfulness_estimate",
-    "conjugacy_check",
-    "sindy_fit",
-    "stability_certificate",
-]
+# every name imported above; the submodules the imports bind are left out
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 
 __version__ = "0.1.0"

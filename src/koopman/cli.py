@@ -12,7 +12,11 @@ missing file; the failing field path is printed), unusable `lattice` input
 float range) or unusable output location (an
 `--out` that cannot be created or written), 3 numerical failure inside a
 method, numpy's LinAlgError included (the error text is printed), or an
-array too large to allocate (`MemoryError: <message>`).
+array too large to allocate (`MemoryError: <message>`).  `main` is the one
+place that turns a failure into its exit code and its one stderr line: the
+commands return nothing and raise, and each config stage re-raises its
+failures as a UsageError whose message starts with the stage's prefix
+(`config unusable: `, `config invalid `, `config invalid: `, `lattice: `).
 
 Each method is declared once, in `_RUNNERS`: its runner, the config paths
 it requires and the `method_params` keys it reads with their schemas, from
@@ -57,7 +61,7 @@ import json
 import math
 import sys
 import time
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from functools import cache, partial
 from operator import gt, lt, pos
 from pathlib import Path
@@ -501,6 +505,7 @@ _DICTIONARY_SCHEMA = {
                 "type": "array",
                 "items": {"type": "string"},
                 "minItems": 1,
+                "maxItems": 5,  # the coordinates of the largest state
             },
             # the library walks (degree + 1)**len(coords) power tuples: 17**5, 1.4
             # million, for the 5 coordinates of the largest state
@@ -631,6 +636,7 @@ CONFIG_SCHEMA = {
                         "axes": {
                             "type": "array",
                             "minItems": 1,
+                            "maxItems": 5,  # the coordinates of the largest state
                             "items": {
                                 "type": "object",
                                 "required": ["lo", "hi", "n"],
@@ -721,10 +727,11 @@ def _finite_float(literal: str) -> float:
 
 
 def _json_int(literal: str) -> int | float:
-    """An integer literal below 2**64 in magnitude as an int, any other as a float,
-    which no count accepts; the digits are counted first, so int() meets no digit limit."""
+    """An integer literal in [-2**63, 2**64), which numpy holds as an int64 or a
+    uint64, as an int, any other as a float, which no count accepts; the digits
+    are counted first, so int() meets no digit limit."""
     digits = len(literal) - literal.startswith("-")
-    if digits < 20 or (digits == 20 and abs(int(literal)) < 1 << 64):
+    if digits < 19 or (digits <= 20 and -(1 << 63) <= int(literal) < 1 << 64):
         return int(literal)
     value = float(literal)
     if not math.isfinite(value):
@@ -733,7 +740,7 @@ def _json_int(literal: str) -> int | float:
 
 
 # the one reader of a config's JSON text, the file's or a --set value's: every
-# float finite, an integer below 2**64 in magnitude an int, no NaN or +-Infinity
+# float finite, an integer in [-2**63, 2**64) an int, no NaN or +-Infinity
 _read_json = partial(json.loads, parse_float=_finite_float, parse_int=_json_int,
                      parse_constant=_reject_constant)
 
@@ -1043,6 +1050,16 @@ def _to_stdout(write) -> None:
         raise
 
 
+@contextmanager
+def _stage(prefix: str, *failures):
+    """Re-raise a UsageError, or one of `failures`, as a UsageError whose
+    message starts with `prefix`; `main` prints it as it stands."""
+    try:
+        yield
+    except (UsageError, *failures) as exc:
+        raise UsageError(f"{prefix}{exc}") from exc
+
+
 def _system_catalogue() -> list:
     """The lines `list-systems` prints, one per system kind."""
     lines = []
@@ -1056,75 +1073,53 @@ def _system_catalogue() -> list:
     return lines
 
 
-def _list_systems(args) -> int:
-    try:
-        _to_stdout(partial(print, *_system_catalogue(), sep="\n"))
-    except OSError as exc:
-        print(f"output unusable: {exc}", file=sys.stderr)
-        return 2
-    return 0
+def _list_systems(args) -> None:
+    _to_stdout(partial(print, *_system_catalogue(), sep="\n"))
 
 
-def _lattice(args) -> int:
-    try:
+def _lattice(args) -> None:
+    with _stage("lattice: "):
         values = emit_lattice(args.c, args.omega, args.N, args.M)
-    except UsageError as exc:
-        print(f"lattice: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.out:
-            _write_complex_csv(args.out, values)
-        else:
-            _to_stdout(lambda file: _write_complex_csv(file, values))
-    except OSError as exc:
-        print(f"output unusable: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    if args.out:
+        _write_complex_csv(args.out, values)
+    else:
+        _to_stdout(lambda file: _write_complex_csv(file, values))
 
 
-def _run_config(args) -> int:
-    try:
+def _run_config(args) -> None:
+    with _stage("config unusable: ", OSError, json.JSONDecodeError):
         config = _apply_overrides(_load_config(args.config), args.overrides)
-    except (OSError, json.JSONDecodeError, UsageError) as exc:
-        print(f"config unusable: {exc}", file=sys.stderr)
-        return 2
-    try:
+    with _stage("config invalid "):  # the schema's message starts "at <path>"
         _validate_config(config)
-    except UsageError as exc:
-        print(f"config invalid {exc}", file=sys.stderr)
-        return 2
-
     out_dir = args.out or config.get("output", {}).get("dir", ".")
-    try:
+    with _stage("config invalid: "):  # a value the schema cannot check, e.g. a ragged matrix
         summary, lines = run(config, out_dir)
-    except UsageError as exc:  # a value the schema cannot check, e.g. a ragged matrix
-        print(f"config invalid: {exc}", file=sys.stderr)
-        return 2
-    except (KoopmanError, np.linalg.LinAlgError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:  # the output directory or a file in it cannot be written
-        print(f"output unusable: {exc}", file=sys.stderr)
-        return 2
     residuals = ", ".join(f"{k}={v:.3g}" for k, v in summary["residuals"].items())
-    try:
+    with suppress(OSError):  # the artifacts are complete; only the report went unread
         _to_stdout(partial(print, *lines, f"{summary['method']}: wrote {out_dir} ({residuals})",
                            sep="\n"))
-    except OSError:  # the artifacts are complete; only the report went unread
-        pass
-    return 0
 
 
 _COMMANDS = {"run": _run_config, "list-systems": _list_systems, "lattice": _lattice}
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place that maps its failure to an exit code
+    and one stderr line."""
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args)
+        return 0
+    except UsageError as exc:  # its stage has put its prefix on the message
+        code, line = 2, str(exc)
+    except OSError as exc:  # the output location, or stdout, cannot be written
+        code, line = 2, f"output unusable: {exc}"
+    except (KoopmanError, np.linalg.LinAlgError) as exc:
+        code, line = 3, f"{type(exc).__name__}: {exc}"
     except MemoryError as exc:  # an array too large to allocate; numpy's subclass is private
-        print(f"MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 3
+        code, line = 3, f"MemoryError: {str(exc) or 'out of memory'}"
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

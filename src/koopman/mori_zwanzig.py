@@ -81,7 +81,8 @@ def mz_decompose(dict_span: ObservableDictionary, traj, k_max: int) -> MzDecompo
     L = m - k_max
     if L < len(dict_span):
         raise UsageError(
-            f"trajectory too short: window {L} for dictionary of size {len(dict_span)}"
+            f"trajectory too short: an orbit of {m} samples with k_max {k_max} leaves "
+            f"{max(L, 0)} samples for a dictionary of size {len(dict_span)}"
         )
     Phi = dict_span.evaluate(states)
     base = Phi[:L]

@@ -1,3 +1,4 @@
+import ast
 import copy
 import hashlib
 import json
@@ -52,6 +53,30 @@ def torus_pinv_config(out_dir):
 
 
 # ------------------------------------------------------------ exit codes
+
+
+def test_only_main_turns_a_failure_into_an_exit_code_and_a_stderr_line():
+    # the commands return nothing and raise; main alone writes to stderr,
+    # returns an integer and holds the codes 2 and 3
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def sites(root):
+        stderr = [n for n in ast.walk(root) if isinstance(n, ast.Attribute) and n.attr == "stderr"]
+        returns = sorted(n.value.value for n in ast.walk(root) if isinstance(n, ast.Return)
+                         and isinstance(n.value, ast.Constant) and type(n.value.value) is int)
+        return len(stderr), returns
+
+    assert sites(tree) == sites(functions["main"]) == (1, [0])
+    handled = {n.value for handler in ast.walk(functions["main"])
+               if isinstance(handler, ast.ExceptHandler)
+               for n in ast.walk(handler) if isinstance(n, ast.Constant)}
+    assert {2, 3} <= handled
+    assert {command.__name__ for command in cli._COMMANDS.values()} == {
+        "_run_config", "_list_systems", "_lattice"}
+    for command in cli._COMMANDS.values():
+        assert all(n.value is None for n in ast.walk(functions[command.__name__])
+                   if isinstance(n, ast.Return))
 
 
 def test_missing_config_file_exits_2(capsys):
@@ -401,6 +426,46 @@ def test_a_count_past_its_maximum_exits_2_with_one_line(tmp_path, capsys, name, 
     assert not (tmp_path / "o").exists()
 
 
+def _many_coords():
+    cfg = json.loads((CONFIG_DIR / "lorenz_sindy.json").read_text())
+    cfg["dictionary"].update(coords=["x", "y", "z"] * 13 + ["x"], degree=1)
+    cfg["sampling"]["n"] = 400
+    return cfg, ("dictionary", "coords")
+
+
+def _many_axes():
+    cfg = json.loads((CONFIG_DIR / "standard_map_partition.json").read_text())
+    cfg["system"] = {"kind": "linear_map", "params": {"B": np.eye(64).tolist()}}
+    cfg["dictionary"] = [{"name": "x0", "type": "coordinate", "index": 0}]
+    cfg["sampling"]["grid"]["axes"] = [{"lo": 0.0, "hi": 1.0, "n": 2}] * 64
+    return cfg, ("sampling", "grid", "axes")
+
+
+@pytest.mark.parametrize("make", [_many_coords, _many_axes], ids=["coords-40", "axes-64"])
+def test_a_list_past_its_max_items_exits_2_with_one_line(tmp_path, capsys, make):
+    # 40 monomial coords made the library walk 2**40 power tuples, past a 10 s
+    # timeout, and 64 axes of 2 points made numpy refuse the grid's 2**64
+    # points with a traceback; both are now refused before any loop starts
+    cfg, path = make()
+    assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    items = cfg
+    for key in path:
+        items = items[key]
+    assert capsys.readouterr().err == (
+        f"config invalid at {'/'.join(path)}: {items!r} is too long\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_k_max_past_the_orbit_exits_2_naming_the_orbit_length(tmp_path, capsys):
+    argv = ["run", str(CONFIG_DIR / "lorenz_mz_memory.json"), "--out", str(tmp_path / "o"),
+            "--set", "method_params.k_max=10000000"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config invalid: trajectory too short: an orbit of 2001 samples with k_max 10000000 "
+        "leaves 0 samples for a dictionary of size 1\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_the_largest_64_bit_seed_still_runs_as_an_integer(tmp_path):
     argv = ["run", str(CONFIG_DIR / "linear_static.json"), "--out", str(tmp_path / "o"),
             "--set", "sampling.seed=18446744073709551615"]
@@ -410,16 +475,51 @@ def test_the_largest_64_bit_seed_still_runs_as_an_integer(tmp_path):
 
 @pytest.mark.parametrize("literal, value", [
     ("18446744073709551615", 2**64 - 1),  # the largest seed the schema accepts
-    ("-18446744073709551615", -(2**64) + 1),
+    ("-9223372036854775808", -(2**63)),  # the least int64
+    ("-9223372036854775809", -float(2**63)),
+    ("-18446744073709551615", -float(2**64 - 1)),  # numpy holds it in neither type
     ("9999999999999999999", 9999999999999999999),
     ("18446744073709551616", float(2**64)),
     ("-18446744073709551616", -float(2**64)),
     ("99999999999999999999", 1e20),
     ("1" + "0" * 308, 1e308),
 ])
-def test_integer_literals_below_2_to_the_64_stay_integers(literal, value):
+def test_integer_literals_in_the_int64_or_uint64_range_stay_integers(literal, value):
     read = json.loads(literal, parse_int=cli._json_int)
     assert read == value and type(read) is type(value)
+
+
+_BELOW_INT64 = "-18446744073709551615"  # -(2**64 - 1)
+
+
+@pytest.mark.parametrize("name, site, overrides", [
+    ("torus_repr_check", ("method_params", "coefficients", 0, 0), []),
+    ("standard_map_partition", ("sampling", "grid", "axes", 0, "lo"), ["sampling.n=4"]),
+    ("linear_static", ("system", "params", "B", 0, 1), []),
+], ids=["repr-coefficient", "grid-lo", "linear-map-B"])
+def test_an_integer_below_the_int64_range_runs_as_its_float(tmp_path, capsys, name, site,
+                                                           overrides):
+    # each used to reach numpy as a Python int, which numpy keeps in an object
+    # array: exit 1 with a traceback (a repr coefficient, a grid's lo), or exit 2
+    # naming a false reason (a B entry); each now runs, with the artifacts of
+    # the float literal -1.8446744073709552e19
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    _mutate(cfg, site, 123456789)
+
+    def run(literal):
+        path = tmp_path / f"{literal}.json"
+        path.write_text(json.dumps(cfg).replace("123456789", literal))
+        out = tmp_path / f"{literal}-out"
+        argv = ["run", str(path), "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        code = cli.main(argv)
+        files = {p.name: p.read_bytes() for p in out.glob("*") if p.name != "summary.json"}
+        return code, capsys.readouterr().err, files
+
+    as_int = run(_BELOW_INT64)
+    assert as_int[:2] == (0, "") and as_int[2]
+    assert as_int == run(repr(float(_BELOW_INT64)))
 
 
 def test_non_finite_artifact_value_exits_3_and_writes_no_file(tmp_path, capsys, monkeypatch):
@@ -1341,10 +1441,10 @@ def test_a_real_spectrum_stays_complex_objects_in_the_summary(tmp_path):
 
 # ------------------------------------------------------------------ fuzz
 
-# 2**62 and 2**63 - 1 pass every count's type and the number fields, 2**64 reads
-# as a float, and 10**400 is refused as it is read
+# 2**62 and 2**63 - 1 pass every count's type and the number fields, 2**64 and
+# -(2**64 - 1) read as floats, and 10**400 is refused as it is read
 FUZZ_VALUES = (None, -1, 0, 1, 1.5, "x", [], {}, [1], [[1]], True, 1e308, -1e308, 2**62,
-               2**63 - 1, 2**64, 10**400)
+               2**63 - 1, 2**64, -(2**64 - 1), 10**400)
 DELETE = "<delete>"
 # sizes every fuzzed config starts from: small partition grids, short orbits
 FUZZ_CAPS = {
@@ -1475,8 +1575,14 @@ _AT_MAXIMUM = {
     ("lorenz_mz_memory.json", ("method_params", "k_max")): 10**7,
     ("circle_mz_closure.json", ("method_params", "closure", "m_samples")): 10**7,
 }
+# a site of each list the schema bounds in length, and an item of it
+_LONG_LISTS = {
+    ("lorenz_sindy.json", ("dictionary", "coords")): "x",
+    ("standard_map_partition.json", ("sampling", "grid", "axes")): {"lo": 0.0, "hi": 1.0, "n": 2},
+}
 # a deleted, unknown or non-string method, one missing required path per
-# config, and each integer field at its maximum and one past it
+# config, each integer field at its maximum and one past it, and each bounded
+# list at its maxItems and one past it
 _PINNED = [
     (_METHOD_SITE, DELETE),
     (_METHOD_SITE, "x"),
@@ -1484,6 +1590,7 @@ _PINNED = [
     (_METHOD_SITE, True),
     *(((name, tuple(paths[0].split("."))), DELETE) for name, paths in REQUIRED_PATHS.items()),
     *((site, most + past) for site, most in _AT_MAXIMUM.items() for past in (0, 1)),
+    *((site, [item] * count) for site, item in _LONG_LISTS.items() for count in (5, 6)),
 ]
 
 

@@ -230,8 +230,11 @@ def test_window_norms_that_overflow_are_refused_without_warning():
 def test_usage_errors():
     with pytest.raises(UsageError):
         mz_decompose(coords("x"), lorenz_traj(50), k_max=0)
-    with pytest.raises(UsageError):
-        mz_decompose(coords("xyz"), np.zeros((4, 3)), k_max=2)
+    for k_max, left in ((2, 2), (10**7, 0)):  # the message names the orbit and k_max
+        with pytest.raises(UsageError) as err:
+            mz_decompose(coords("xyz"), np.zeros((4, 3)), k_max=k_max)
+        assert str(err.value) == (f"trajectory too short: an orbit of 4 samples with k_max "
+                                  f"{k_max} leaves {left} samples for a dictionary of size 3")
 
 
 def test_norms_csv_export(tmp_path):
